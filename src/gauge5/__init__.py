@@ -38,12 +38,7 @@ from .classification import (
     same_type_moore,
     trivial_case,
 )
-from .decomposition import (
-    gauge_away_from_c,
-    loops2_gauge,
-    loops3_gauge,
-    rational_rank,
-)
+from .decomposition import gauge_away_from_c, loops2_gauge, loops3_gauge
 from .errors import CatalogError, HypothesisError
 from .exponents import (
     ExponentBound,
@@ -144,7 +139,6 @@ __all__ = [
     "rational_cohomology_ring",
     "rational_degrees",
     "rational_gauge",
-    "rational_rank",
     "rational_rank_formula",
     "same_type_moore",
     "stability_threshold",

@@ -14,13 +14,18 @@ asserted inequivalent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arith import divisor_count, divisors, gcd_class, is_prime, nu_p, prime_divisors
-from .errors import HypothesisError
-from .lie import LieGroupSpec, catalog_order, pi4, pi4_is_trivial
+from .lie import EXCEPTIONAL, LieGroupSpec, catalog_order
 from .localization import Localization
-from .manifold import ManifoldSpec
+from .manifold import (
+    ManifoldSpec,
+    require_not_divisible_by_6,
+    require_odd,
+    require_pi4_trivial,
+    require_stably_parallelizable,
+)
 
 
 @dataclass(frozen=True)
@@ -145,40 +150,29 @@ def classify_looped_manifold(
     >>> r.d, r.is_single_type()
     (1, True)
     """
-    ctx = ctx or Localization.integral()
     if i == 2:
-        if M.c % 6 == 0:
-            raise HypothesisError(f"hypothesis 6 ∤ c fails: c = {M.c}")
+        require_not_divisible_by_6(M.c)
     elif i == 3:
-        if M.c % 2 == 0:
-            raise HypothesisError(f"hypothesis 2 ∤ c fails: c = {M.c}")
-        if not M.stably_parallelizable:
-            raise HypothesisError("hypothesis stably_parallelizable fails")
+        require_odd(M.c)
+        require_stably_parallelizable(M)
     else:
         raise ValueError(f"loop degree must be 2 or 3, got {i}")
-    if not pi4_is_trivial(G, ctx):
-        raise HypothesisError(
-            f"hypothesis pi_4(G) = 0 fails: pi_4({G}) = {pi4(G).localize(ctx)} ({ctx})"
-        )
-    base = classify_moore(G, M.c)
-    return ClassificationReport(
-        G=base.G,
-        c=base.c,
-        ord=base.ord,
-        order_validity=base.order_validity,
-        d=base.d,
-        count_integral=base.count_integral,
-        count_at_p=base.count_at_p,
-        classes=base.classes,
-        looped=i,
-    )
+    require_pi4_trivial(G, ctx or Localization.integral())
+    return replace(classify_moore(G, M.c), looped=i)
+
+
+# least prime of the one-type criterion for each exceptional group
+_TRIVIAL_P_MIN = {"G2": 3, "F4": 5, "E6": 5, "E7": 7, "E8": 7}
 
 
 def trivial_case(G: LieGroupSpec, p: int, c: int) -> bool:
     """Does the one-type criterion hold for (G, p, c)?
 
-    Matrix rows read the valuation condition nu_p(gcd(ord, c)) = 1
-    literally (not <= 1); see the module notes in the repository docs.
+    The connecting-map order ord comes from the catalog. Matrix groups need
+    G in the criterion's range at p and read the valuation condition
+    nu_p(gcd(ord, c)) = 1 literally (not <= 1); exceptional groups need p
+    at least the criterion's threshold and c not divisible by the radical
+    of ord.
 
     >>> trivial_case(LieGroupSpec("G2"), 5, 5)
     True
@@ -189,29 +183,19 @@ def trivial_case(G: LieGroupSpec, p: int, c: int) -> bool:
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"odd primes only, got {p}")
+    ord_value, _ = catalog_order(G)
+    if G.family in EXCEPTIONAL:
+        return p >= _TRIVIAL_P_MIN[G.family] and c % math.prod(prime_divisors(ord_value)) != 0
     bound = (p - 1) ** 2 + 1
     if G.family == "SU":
-        return G.n <= bound and p >= 3 and _nu_gcd(G.n * (G.n**2 - 1), c, p) == 1
-    if G.family == "Sp":
-        return 4 <= 2 * G.n <= bound and p >= 3 and _nu_gcd(G.n * (2 * G.n + 1), c, p) == 1
-    if G.family == "Spin":
-        n = G.n // 2
-        if G.n % 2:
-            return 4 <= 2 * n <= bound and p >= 3 and _nu_gcd(n * (2 * n + 1), c, p) == 1
-        return 6 <= 2 * n <= bound and p >= 5 and _nu_gcd((n - 1) * (2 * n - 1), c, p) == 1
-    conditions = {
-        "G2": (3, 3 * 7),
-        "F4": (5, 5 * 13),
-        "E6": (5, 5 * 7 * 13),
-        "E7": (7, 7 * 11 * 19),
-        "E8": (7, 7 * 11 * 13 * 19 * 31),
-    }
-    p_min, square_free = conditions[G.family]
-    return p >= p_min and c % square_free != 0
-
-
-def _nu_gcd(ord_value: int, c: int, p: int) -> int:
-    return nu_p(math.gcd(ord_value, c), p)
+        in_range = G.n <= bound
+    elif G.family == "Sp":
+        in_range = 4 <= 2 * G.n <= bound
+    elif G.n % 2:  # Spin(2n+1)
+        in_range = 4 <= 2 * (G.n // 2) <= bound
+    else:  # Spin(2n)
+        in_range = p >= 5 and 6 <= 2 * (G.n // 2) <= bound
+    return in_range and nu_p(math.gcd(ord_value, c), p) == 1
 
 
 # -- the arithmetic-progression oracle ----------------------------------------

@@ -37,7 +37,7 @@ from .exponents import (
     exp_bound_theriault,
     exp_moore_fiber,
 )
-from .lie import LieGroupSpec
+from .lie import LieGroupSpec, prime_cond_holds
 from .localization import Localization
 from .manifold import (
     ManifoldSpec,
@@ -59,10 +59,13 @@ from .rational import (
 )
 
 
-def _add_manifold_args(sub: argparse.ArgumentParser, with_m: bool = True) -> None:
-    sub.add_argument("--c", type=int, required=True, help="order of pi_1(M)")
-    if with_m:
-        sub.add_argument("--m", type=int, default=1, help="rank of H_2 plus one")
+def _add_manifold_args(sub: argparse.ArgumentParser, c_default: int | None = None) -> None:
+    """The manifold flags; --c is required unless the verb gives a default."""
+    sub.add_argument(
+        "--c", type=int, required=c_default is None, default=c_default,
+        help="order of pi_1(M)",
+    )
+    sub.add_argument("--m", type=int, default=1, help="rank of H_2 plus one")
     sub.add_argument("--spin", dest="spin", action="store_true", default=True)
     sub.add_argument("--non-spin", dest="spin", action="store_false")
     sub.add_argument("--sp", action="store_true", help="stably parallelizable")
@@ -72,7 +75,7 @@ def _add_manifold_args(sub: argparse.ArgumentParser, with_m: bool = True) -> Non
 def _manifold(args: argparse.Namespace) -> ManifoldSpec:
     return ManifoldSpec(
         c=args.c,
-        m=getattr(args, "m", 1),
+        m=args.m,
         spin=args.spin,
         stably_parallelizable=args.sp,
         single_top_cell=args.stc,
@@ -155,7 +158,7 @@ def _run_exponent(args: argparse.Namespace) -> str:
             raise ValueError(f"unknown table {args.table!r}")
         rows = exceptional_table()
         if args.p is not None:
-            rows = [row for row in rows if _prime_cond_holds(row.prime_cond, args.p)]
+            rows = [row for row in rows if prime_cond_holds(row.prime_cond, args.p)]
         if args.format == "machine":
             return "\n".join(
                 f"exprow family={r.family} primes={r.prime_cond}"
@@ -179,7 +182,7 @@ def _run_exponent(args: argparse.Namespace) -> str:
             "theriault": exp_bound_theriault,
             "best": best_bound,
         }[args.route]
-        bound = route(M, G, args.p, args.k)
+        bound = route(M, G, args.p)
     if args.format == "machine":
         return f"exponent p={bound.p} exponent={bound.exponent} route={bound.route}"
     lines = [f"exp_{bound.p} <= {bound.p}^{bound.exponent}  [route: {bound.route}]"]
@@ -188,12 +191,6 @@ def _run_exponent(args: argparse.Namespace) -> str:
     for alt in bound.alternatives:
         lines.append(f"  (also applicable: {alt})")
     return "\n".join(lines)
-
-
-def _prime_cond_holds(cond: str, p: int) -> bool:
-    if cond.startswith("p>="):
-        return p >= int(cond[3:])
-    return p == int(cond[2:])
 
 
 def _run_bott(args: argparse.Namespace) -> str:
@@ -320,13 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     exponent.add_argument("--table", help="'exceptional' for the table of bounds")
     exponent.add_argument("--group")
     exponent.add_argument("--p", type=int)
-    exponent.add_argument("--c", type=int, default=1)
-    exponent.add_argument("--m", type=int, default=1)
-    exponent.add_argument("--spin", dest="spin", action="store_true", default=True)
-    exponent.add_argument("--non-spin", dest="spin", action="store_false")
-    exponent.add_argument("--sp", action="store_true")
-    exponent.add_argument("--stc", action="store_true")
-    exponent.add_argument("--k", type=int, default=0)
+    _add_manifold_args(exponent, c_default=1)
     exponent.add_argument(
         "--route",
         choices=("regular", "theriault", "closed", "moore-fiber", "best"),
@@ -347,12 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rational = verbs.add_parser("rational", help="rational decompositions")
     rational.add_argument("--series", help="Hilbert series, e.g. 1,0,2,2,0,1")
-    rational.add_argument("--c", type=int, default=2)
-    rational.add_argument("--m", type=int, default=1)
-    rational.add_argument("--spin", dest="spin", action="store_true", default=True)
-    rational.add_argument("--non-spin", dest="spin", action="store_false")
-    rational.add_argument("--sp", action="store_true")
-    rational.add_argument("--stc", action="store_true")
+    _add_manifold_args(rational, c_default=2)
     rational.add_argument("--model", help="generator degrees, e.g. 3,5/4")
     rational.add_argument("--group", help="Lie group to model, e.g. SU:4")
     rational.add_argument(

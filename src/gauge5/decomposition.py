@@ -14,10 +14,17 @@ claimed anywhere.
 
 from __future__ import annotations
 
-from .errors import HypothesisError
-from .lie import LieGroupSpec, pi4, pi4_is_trivial
+from .lie import LieGroupSpec
 from .localization import Localization
-from .manifold import ManifoldSpec
+from .manifold import (
+    ManifoldSpec,
+    require_m_at_least_2,
+    require_not_divisible_by_6,
+    require_odd,
+    require_pi4_trivial,
+    require_single_top_cell,
+    require_stably_parallelizable,
+)
 from .spaces import (
     SpaceExpr,
     group_itself,
@@ -26,19 +33,6 @@ from .spaces import (
     map_cp2,
     moore_gauge,
 )
-
-
-def _require_pi4_trivial(G: LieGroupSpec, ctx: Localization) -> None:
-    if not pi4_is_trivial(G, ctx):
-        raise HypothesisError(
-            f"hypothesis pi_4(G) = 0 fails: pi_4({G}) = {pi4(G).localize(ctx)} ({ctx})"
-        )
-
-
-def _require_nonspin_width(M: ManifoldSpec) -> None:
-    # the non-spin expression carries an (m-2)-fold factor
-    if M.m < 2:
-        raise HypothesisError(f"non-spin case needs m >= 2, got m = {M.m}")
 
 
 def loops2_gauge(
@@ -51,15 +45,14 @@ def loops2_gauge(
     Ω²G₁(P⁴(5)) × Ω³G{5} × Ω⁴G × Ω⁵G × Ω⁷G
     """
     ctx = ctx or Localization.integral()
-    if M.c % 6 == 0:
-        raise HypothesisError(f"hypothesis 6 ∤ c fails: c = {M.c}")
-    _require_pi4_trivial(G, ctx)
+    require_not_divisible_by_6(M.c)
+    require_pi4_trivial(G, ctx)
     k %= M.c
     if M.spin:
         atoms = [(moore_gauge(2, k), 1), (loop_fiber(3), 1), (loops_g(7), 1),
                  (loops_g(4), M.m - 1), (loops_g(5), M.m - 1)]
     else:
-        _require_nonspin_width(M)
+        require_m_at_least_2(M)
         atoms = [(moore_gauge(2, k), 1), (map_cp2(3), 1), (loop_fiber(3), 1),
                  (loops_g(4), M.m - 1), (loops_g(5), M.m - 2)]
     return SpaceExpr(tuple(atoms), localization=ctx, group=G, c=M.c)
@@ -76,13 +69,10 @@ def loops3_gauge(
     Ω³G₂(P⁴(9)) × Ω⁴G{9} × Ω⁵G × Ω⁶G × Ω⁸G
     """
     ctx = ctx or Localization.integral()
-    if M.c % 2 == 0:
-        raise HypothesisError(f"hypothesis 2 ∤ c fails: c = {M.c}")
-    if not M.stably_parallelizable:
-        raise HypothesisError("hypothesis stably_parallelizable fails")
-    if not M.single_top_cell:
-        raise HypothesisError("hypothesis single_top_cell fails")
-    _require_pi4_trivial(G, ctx)
+    require_odd(M.c)
+    require_stably_parallelizable(M)
+    require_single_top_cell(M)
+    require_pi4_trivial(G, ctx)
     k %= M.c
     atoms = [(moore_gauge(3, k), 1), (loop_fiber(4), 1), (loops_g(8), 1),
              (loops_g(5), M.m - 1), (loops_g(6), M.m - 1)]
@@ -103,17 +93,12 @@ def gauge_away_from_c(M: ManifoldSpec, G: LieGroupSpec, k: int = 0) -> SpaceExpr
     G × ΩMap*₀(CP²,G) × Ω²G
     """
     ctx = Localization.away_from([M.c])
-    _require_pi4_trivial(G, ctx)
+    require_pi4_trivial(G, ctx)
     if M.spin:
         atoms = [(group_itself(), 1), (loops_g(5), 1),
                  (loops_g(2), M.m - 1), (loops_g(3), M.m - 1)]
     else:
-        _require_nonspin_width(M)
+        require_m_at_least_2(M)
         atoms = [(group_itself(), 1), (map_cp2(1), 1),
                  (loops_g(2), M.m - 1), (loops_g(3), M.m - 2)]
     return SpaceExpr(tuple(atoms), localization=ctx, group=G, c=M.c)
-
-
-def rational_rank(e: SpaceExpr, q: int) -> int:
-    """rank of pi_q of the rationalized expression; see SpaceExpr.rational_rank."""
-    return e.rational_rank(q)

@@ -16,7 +16,7 @@ only: nothing here is claimed sharp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import nu_p
 from .errors import HypothesisError
@@ -28,9 +28,10 @@ from .lie import (
     is_p_regular,
     l_of,
     ord_partial1_tilde,
+    prime_cond_interval,
     r_of,
 )
-from .manifold import ManifoldSpec
+from .manifold import ManifoldSpec, require_not_divisible_by_6
 
 
 @dataclass(frozen=True)
@@ -49,19 +50,7 @@ class ExponentBound:
         return f"exp <= {self.p}^{self.exponent} [{self.route}]"
 
 
-def _require_manifold_hypotheses(M: ManifoldSpec) -> None:
-    # either 6 does not divide c, or c is odd and M is stably parallelizable
-    if M.c % 6 != 0:
-        return
-    if M.c % 2 != 0 and M.stably_parallelizable:
-        return  # unreachable when 6 | c, kept for the shape of the condition
-    raise HypothesisError(
-        f"hypothesis 6 ∤ c fails: c = {M.c}"
-        " (and the odd-c stably-parallelizable route needs 2 ∤ c)"
-    )
-
-
-def exp_bound_regular(M: ManifoldSpec, G: LieGroupSpec, p: int, k: int = 0) -> ExponentBound:
+def exp_bound_regular(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
     """Exponent bound at a p-regular prime.
 
     >>> M = ManifoldSpec(c=5, m=2)
@@ -70,7 +59,7 @@ def exp_bound_regular(M: ManifoldSpec, G: LieGroupSpec, p: int, k: int = 0) -> E
     >>> exp_bound_regular(M, LieGroupSpec("SU", 3), 5).exponent
     3
     """
-    _require_manifold_hypotheses(M)
+    require_not_divisible_by_6(M.c)
     if not is_p_regular(G, p):
         raise HypothesisError(
             f"{G} is not p-regular at p = {p}; try the theriault route"
@@ -84,7 +73,7 @@ def exp_bound_regular(M: ManifoldSpec, G: LieGroupSpec, p: int, k: int = 0) -> E
     return ExponentBound(p, exponent, "regular", tuple(assumptions))
 
 
-def exp_bound_theriault(M: ManifoldSpec, G: LieGroupSpec, p: int, k: int = 0) -> ExponentBound:
+def exp_bound_theriault(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
     """Exponent bound through the looped-sphere filtration.
 
     >>> M = ManifoldSpec(c=7, m=2)
@@ -93,7 +82,7 @@ def exp_bound_theriault(M: ManifoldSpec, G: LieGroupSpec, p: int, k: int = 0) ->
     >>> exp_bound_theriault(M, LieGroupSpec("E8"), 31).exponent
     30
     """
-    _require_manifold_hypotheses(M)
+    require_not_divisible_by_6(M.c)
     if not in_theriault_range(G, p):
         raise HypothesisError(f"({G}, p = {p}) outside the loop-filtration range")
     r = r_of(G, p)
@@ -147,14 +136,14 @@ def exp_moore_fiber(c: int, p: int) -> ExponentBound:
     return ExponentBound(p, nu_p(c, p), "moore_fiber", ("power-map fiber factor",))
 
 
-def best_bound(M: ManifoldSpec, G: LieGroupSpec, p: int, k: int = 0) -> ExponentBound:
+def best_bound(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
     """Minimum over the applicable regular/theriault routes; the losing
     route (when both apply) is kept in alternatives."""
     candidates: list[ExponentBound] = []
     errors: list[str] = []
     for route in (exp_bound_regular, exp_bound_theriault):
         try:
-            candidates.append(route(M, G, p, k))
+            candidates.append(route(M, G, p))
         except HypothesisError as exc:
             if str(exc) not in errors:
                 errors.append(str(exc))
@@ -200,9 +189,9 @@ def exceptional_table() -> list[ExponentTableRow]:
         G = LieGroupSpec(family)
         l = l_of(G)
         for prime_cond, ord_value, r in exceptional_rows(family):
-            # representative prime: the boundary of a "p>=K" row works
-            # because ord has no prime factor that large
-            p_rep = int(prime_cond[3:] if prime_cond.startswith("p>=") else prime_cond[2:])
+            # representative prime: the least one the row covers; for a
+            # "p>=K" row that works because ord has no prime factor that large
+            p_rep, _ = prime_cond_interval(prime_cond)
             offset = r + nu_p(ord_value, p_rep)
             rows.append(ExponentTableRow(family, prime_cond, l + r + offset, offset))
     return rows

@@ -12,12 +12,14 @@ environment variable); this module parses and interprets them.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .abelian import FGAbelianGroup
-from .arith import is_prime, legendre_valuation, nu_p
+from .arith import is_prime, legendre_valuation
 from .errors import CatalogError
 from .localization import Localization
 
@@ -239,6 +241,35 @@ _RANGE_TAGS = {
 _FAMILY_KEYS = ("SU", "Sp", "SpinOdd", "SpinEven", "G2", "F4", "E6", "E7", "E8")
 
 
+@functools.lru_cache(maxsize=None)  # lookups call it for every row they scan
+def prime_cond_interval(tag: str) -> tuple[int, float]:
+    """The least and greatest prime covered by a 'p=K' or 'p>=K' tag.
+
+    >>> prime_cond_interval("p=5"), prime_cond_interval("p>=11")
+    ((5, 5), (11, inf))
+    """
+    if tag.startswith("p>="):
+        return int(tag[3:]), math.inf
+    if tag.startswith("p="):
+        return int(tag[2:]), int(tag[2:])
+    raise CatalogError(f"unknown prime condition {tag!r}")
+
+
+def prime_cond_holds(tag: str, p: int, n: int | None = None) -> bool:
+    """Does the catalog prime condition `tag` hold at p, for the family
+    parameter n (read by the range tags only)?
+
+    >>> prime_cond_holds("p>=11", 13), prime_cond_holds("p=5", 7)
+    (True, False)
+    """
+    if tag == "all":
+        return True
+    if tag in _RANGE_TAGS:
+        return _RANGE_TAGS[tag](n, p)
+    least, greatest = prime_cond_interval(tag)
+    return least <= p <= greatest
+
+
 @dataclass(frozen=True)
 class CatalogRow:
     family_key: str
@@ -246,18 +277,6 @@ class CatalogRow:
     prime_cond: str
     ord_spec: str
     r_spec: str
-
-    def prime_cond_holds(self, p: int, n: int | None) -> bool:
-        tag = self.prime_cond
-        if tag == "all":
-            return True
-        if tag in _RANGE_TAGS:
-            return _RANGE_TAGS[tag](n, p)
-        if tag.startswith("p>="):
-            return p >= int(tag[3:])
-        if tag.startswith("p="):
-            return p == int(tag[2:])
-        raise CatalogError(f"unknown prime condition {tag!r}")
 
     def is_integral(self) -> bool:
         return self.prime_cond == "all"
@@ -300,13 +319,10 @@ def load_catalog(path: str | os.PathLike | None = None) -> tuple[CatalogRow, ...
             param = None
         else:
             param = int(param_s)
-        if not (
-            primes == "all"
-            or primes in _RANGE_TAGS
-            or primes.startswith("p>=")
-            or primes.startswith("p=")
-        ):
-            raise CatalogError(f"{path}:{lineno}: unknown prime condition {primes!r}")
+        try:
+            prime_cond_holds(primes, 3, 1)  # parses the tag, raising on unknown ones
+        except (CatalogError, ValueError):
+            raise CatalogError(f"{path}:{lineno}: unknown prime condition {primes!r}") from None
         if ord_s not in _ORD_FORMULAS and not ord_s.isdigit():
             raise CatalogError(f"{path}:{lineno}: unknown ord spec {ord_s!r}")
         if r_s not in _R_FORMULAS and not r_s.isdigit():
@@ -355,7 +371,7 @@ def ord_partial1_tilde(G: LieGroupSpec, p: int | None = None) -> int:
     if not is_prime(p):
         raise ValueError(f"expected a prime or None, got {p}")
     for row in rows:
-        if row.prime_cond_holds(p, n):
+        if prime_cond_holds(row.prime_cond, p, n):
             return row.ord_value(n)
     raise CatalogError(f"order unknown for ({G}, p={p})")
 
@@ -387,7 +403,7 @@ def r_of(G: LieGroupSpec, p: int) -> int:
     rows, n = _rows_for(G)
     if G.family in EXCEPTIONAL:
         for row in rows:
-            if row.prime_cond_holds(p, n):
+            if prime_cond_holds(row.prime_cond, p, n):
                 return row.r_value(n, p)
         raise CatalogError(f"no r value for ({G}, p={p})")
     return rows[0].r_value(n, p)

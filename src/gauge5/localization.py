@@ -46,8 +46,6 @@ class Localization:
 
     @staticmethod
     def at_prime(p: int) -> "Localization":
-        if not is_prime(p):
-            raise ValueError(f"at_prime needs a prime, got {p}")
         return Localization("at_prime", prime=p)
 
     @staticmethod

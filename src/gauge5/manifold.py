@@ -8,6 +8,8 @@ computations, and the wedge splittings of the 2-, 3-, and 4-fold suspensions.
 
 Hypotheses on c (odd, or coprime to 6) are enforced exactly where the
 underlying statements require them; nothing is extrapolated to even c.
+The require_* helpers below are the one place where each hypothesis of the
+theory is checked and worded; every other module calls them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import gcd
 
 from .abelian import FGAbelianGroup
 from .errors import HypothesisError
-from .lie import LieGroupSpec, pi4_is_trivial
+from .lie import LieGroupSpec, pi4, pi4_is_trivial
 from .localization import Localization
 
 
@@ -80,6 +82,53 @@ class ManifoldSpec:
         return f"M(c={self.c}, m={self.m}; {', '.join(flags)})"
 
 
+# -- hypotheses ----------------------------------------------------------------
+
+
+def require_odd(c: int) -> None:
+    """2 ∤ c (c >= 2 is checked first, for callers holding a bare c)."""
+    if c < 2:
+        raise HypothesisError(f"Moore space order must be >= 2, got {c}")
+    if c % 2 == 0:
+        raise HypothesisError(f"hypothesis 2 ∤ c fails: c = {c}")
+
+
+def require_not_divisible_by_6(c: int) -> None:
+    """6 ∤ c."""
+    if c % 6 == 0:
+        raise HypothesisError(f"hypothesis 6 ∤ c fails: c = {c}")
+
+
+def require_coprime_to_6(c: int) -> None:
+    """gcd(6, c) = 1; the message says 6 ∤ c, which callers match on."""
+    if c % 2 == 0 or c % 3 == 0:
+        raise HypothesisError(f"hypothesis 6 ∤ c fails: c = {c}")
+
+
+def require_m_at_least_2(M: ManifoldSpec) -> None:
+    """m >= 2, i.e. H_2(M) nonzero."""
+    if M.m < 2:
+        raise HypothesisError(f"hypothesis m >= 2 fails: m = {M.m}")
+
+
+def require_stably_parallelizable(M: ManifoldSpec) -> None:
+    if not M.stably_parallelizable:
+        raise HypothesisError("hypothesis stably_parallelizable fails")
+
+
+def require_single_top_cell(M: ManifoldSpec) -> None:
+    if not M.single_top_cell:
+        raise HypothesisError("hypothesis single_top_cell fails")
+
+
+def require_pi4_trivial(G: LieGroupSpec, ctx: Localization) -> None:
+    """pi_4(G) = 0 in the localization ctx."""
+    if not pi4_is_trivial(G, ctx):
+        raise HypothesisError(
+            f"hypothesis pi_4(G) = 0 fails: pi_4({G}) = {pi4(G).localize(ctx)} ({ctx})"
+        )
+
+
 def homology(M: ManifoldSpec) -> list[FGAbelianGroup]:
     """Integral homology H_0 .. H_5 in canonical form.
 
@@ -100,22 +149,11 @@ def bundle_classes(
     >>> str(bundle_classes(ManifoldSpec(c=7, m=2), LieGroupSpec("SU", 3)))
     'Z/7'
     """
-    ctx = ctx or Localization.integral()
-    if not pi4_is_trivial(G, ctx):
-        raise HypothesisError(
-            f"classification lemma inapplicable: pi_4({G}) != 0 {ctx.describe()}"
-        )
+    require_pi4_trivial(G, ctx or Localization.integral())
     return FGAbelianGroup.cyclic(M.c)
 
 
 # -- Moore space homotopy ----------------------------------------------------
-
-
-def _require_odd(c: int) -> None:
-    if c < 2:
-        raise HypothesisError(f"Moore space order must be >= 2, got {c}")
-    if c % 2 == 0:
-        raise HypothesisError(f"hypothesis 2 ∤ c fails: c = {c}")
 
 
 def pi_moore_self(n: int, c: int) -> FGAbelianGroup:
@@ -124,7 +162,7 @@ def pi_moore_self(n: int, c: int) -> FGAbelianGroup:
     >>> str(pi_moore_self(3, 9)), str(pi_moore_self(4, 9))
     ('Z/9', '0')
     """
-    _require_odd(c)
+    require_odd(c)
     if n < 3:
         raise HypothesisError(f"pi_moore_self needs n >= 3, got {n}")
     return FGAbelianGroup.cyclic(c) if n == 3 else FGAbelianGroup.trivial()
@@ -138,14 +176,12 @@ def pi6_P4(c: int) -> FGAbelianGroup:
     >>> str(pi6_P4(5))
     'Z/5'
     """
-    _require_odd(c)
+    require_odd(c)
     return FGAbelianGroup.from_cyclic_orders(c, gcd(3, c))
 
 
-def pi7_P5(c: int) -> FGAbelianGroup:
-    """pi_7(P^5(c)), equal to pi_6(P^4(c)) in the stable range."""
-    _require_odd(c)
-    return FGAbelianGroup.from_cyclic_orders(c, gcd(3, c))
+# pi_7(P^5(c)) equals pi_6(P^4(c)) in the stable range.
+pi7_P5 = pi6_P4
 
 
 def suspension_image_order(c: int) -> int:
@@ -154,7 +190,7 @@ def suspension_image_order(c: int) -> int:
     >>> suspension_image_order(9), suspension_image_order(5)
     (3, 1)
     """
-    _require_odd(c)
+    require_odd(c)
     return gcd(3, c)
 
 
@@ -172,7 +208,7 @@ def pi_with_coefficients(target: str, c: int) -> FGAbelianGroup:
     >>> str(pi_with_coefficients("S3@4", 9))
     '0'
     """
-    _require_odd(c)
+    require_odd(c)
     if target not in _COEFFICIENT_TARGETS:
         raise HypothesisError(
             f"unsupported coefficient target {target!r}; known: {_COEFFICIENT_TARGETS}"
@@ -291,15 +327,13 @@ def suspension_splitting(M: ManifoldSpec, t: int) -> WedgeExpr:
     """
     c, m = M.c, M.m
     if t == 2:
-        _require_odd(c)
+        require_odd(c)
         atoms = [moore(6, c), moore(4, c)]
         atoms += [sphere(5), sphere(4)] * (m - 1)
         return WedgeExpr(tuple(atoms))
     if t == 3:
-        if c % 2 == 0 or c % 3 == 0:
-            raise HypothesisError(f"hypothesis 6 ∤ c fails: c = {c}")
-        if m < 2:
-            raise HypothesisError(f"triple-suspension splitting needs m >= 2, got m = {m}")
+        require_coprime_to_6(c)
+        require_m_at_least_2(M)
         # The remainder complex: its reduced homology is what is left of the
         # shifted homology of M after the split-off summands are removed.
         Z = FGAbelianGroup.free(1)
@@ -308,11 +342,9 @@ def suspension_splitting(M: ManifoldSpec, t: int) -> WedgeExpr:
         atoms += [sphere(6), sphere(5)] * (m - 2)
         return WedgeExpr(tuple(atoms))
     if t == 4:
-        _require_odd(c)
-        if not M.single_top_cell:
-            raise HypothesisError("hypothesis single_top_cell fails")
-        if not M.stably_parallelizable:
-            raise HypothesisError("hypothesis stably_parallelizable fails")
+        require_odd(c)
+        require_single_top_cell(M)
+        require_stably_parallelizable(M)
         atoms = [sphere(9), moore(8, c), moore(6, c)]
         atoms += [sphere(7), sphere(6)] * (m - 1)
         return WedgeExpr(tuple(atoms))

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import HypothesisError
 from .lie import LieGroupSpec, rational_degrees
 from .localization import Localization
 

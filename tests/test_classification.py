@@ -135,6 +135,51 @@ def test_one_type_criterion_rows():
         trivial_case(G2, 2, 5)
 
 
+def _trivial_case_oracle(G: LieGroupSpec, p: int, c: int) -> bool:
+    """The one-type criterion with the orders written out: the matrix-family
+    formulas and the radicals of the exceptional orders."""
+    bound = (p - 1) ** 2 + 1
+
+    def nu_gcd(order: int) -> int:
+        g, v = math.gcd(order, c), 0
+        while g % p == 0:
+            g, v = g // p, v + 1
+        return v
+
+    if G.family == "SU":
+        return G.n <= bound and nu_gcd(G.n * (G.n**2 - 1)) == 1
+    if G.family == "Sp":
+        return 4 <= 2 * G.n <= bound and nu_gcd(G.n * (2 * G.n + 1)) == 1
+    if G.family == "Spin":
+        n = G.n // 2
+        if G.n % 2:
+            return 4 <= 2 * n <= bound and nu_gcd(n * (2 * n + 1)) == 1
+        return 6 <= 2 * n <= bound and p >= 5 and nu_gcd((n - 1) * (2 * n - 1)) == 1
+    p_min, radical = {
+        "G2": (3, 3 * 7),
+        "F4": (5, 5 * 13),
+        "E6": (5, 5 * 7 * 13),
+        "E7": (7, 7 * 11 * 19),
+        "E8": (7, 7 * 11 * 13 * 19 * 31),
+    }[G.family]
+    return p >= p_min and c % radical != 0
+
+
+def test_trivial_case_matches_the_written_out_orders():
+    # SU(2)'s catalog order is 3, not 2 * 3; the two agree at every odd p
+    groups = (
+        [SU(n) for n in range(2, 10)]
+        + [LieGroupSpec("Sp", n) for n in range(1, 7)]
+        + [LieGroupSpec("Spin", n) for n in range(5, 17)]
+        + [LieGroupSpec(f) for f in ("G2", "F4", "E6", "E7", "E8")]
+    )
+    primes = [p for p in range(3, 38, 2) if all(p % q for q in range(3, p, 2))]
+    for G in groups:
+        for p in primes:
+            for c in range(2, 300):
+                assert trivial_case(G, p, c) == _trivial_case_oracle(G, p, c), (G, p, c)
+
+
 def test_trivial_case_forces_one_type_at_p():
     rng = random.Random(43)
     groups = [SU(3), SU(4), SU(5), LieGroupSpec("Sp", 2), LieGroupSpec("G2"), LieGroupSpec("E6")]

@@ -13,7 +13,6 @@ from gauge5 import (
     loops2_gauge,
     loops3_gauge,
     rational_degrees,
-    rational_rank,
 )
 from gauge5.spaces import group_itself, loop_fiber, loops_g, map_cp2, moore_gauge
 
@@ -150,9 +149,9 @@ def test_rational_rank_bookkeeping():
             e3 = loops3_gauge(M3, G, 1)
             away = gauge_away_from_c(spin, G)
             for q in range(1, 13):
-                assert rational_rank(e2, q) == _formula(spin, G, q + 2), (G, m, q)
-                assert rational_rank(e3, q) == _formula(spin, G, q + 3), (G, m, q)
-                assert rational_rank(away, q) == _formula(spin, G, q), (G, m, q)
+                assert e2.rational_rank(q) == _formula(spin, G, q + 2), (G, m, q)
+                assert e3.rational_rank(q) == _formula(spin, G, q + 3), (G, m, q)
+                assert away.rational_rank(q) == _formula(spin, G, q), (G, m, q)
 
 
 def test_rational_rank_bookkeeping_for_torsion_pi4_groups():
@@ -168,9 +167,9 @@ def test_rational_rank_bookkeeping_for_torsion_pi4_groups():
             even = ManifoldSpec(4, m)
             away = gauge_away_from_c(even, G)
             for q in range(1, 13):
-                assert rational_rank(e2, q) == _formula(spin, G, q + 2), (G, m, q)
-                assert rational_rank(e3, q) == _formula(spin, G, q + 3), (G, m, q)
-                assert rational_rank(away, q) == _formula(even, G, q), (G, m, q)
+                assert e2.rational_rank(q) == _formula(spin, G, q + 2), (G, m, q)
+                assert e3.rational_rank(q) == _formula(spin, G, q + 3), (G, m, q)
+                assert away.rational_rank(q) == _formula(even, G, q), (G, m, q)
 
 
 def test_spin_and_non_spin_ranks_agree():
@@ -179,4 +178,4 @@ def test_spin_and_non_spin_ranks_agree():
             spin = loops2_gauge(ManifoldSpec(5, m), G, 0)
             nonspin = loops2_gauge(ManifoldSpec(5, m, spin=False), G, 0)
             for q in range(1, 25):
-                assert rational_rank(spin, q) == rational_rank(nonspin, q), (G, m, q)
+                assert spin.rational_rank(q) == nonspin.rational_rank(q), (G, m, q)

@@ -19,7 +19,7 @@ from gauge5 import (
     stable_pi,
     type_of,
 )
-from gauge5.lie import pi4, pi4_is_trivial
+from gauge5.lie import load_catalog, pi4, pi4_is_trivial, prime_cond_holds
 
 SU = lambda n: LieGroupSpec("SU", n)
 Sp = lambda n: LieGroupSpec("Sp", n)
@@ -126,6 +126,23 @@ def test_catalog_order_reports_validity():
     assert catalog_order(LieGroupSpec("F4")) == (5**2 * 13, "p=5")
     assert catalog_order(LieGroupSpec("E7")) == (7 * 11 * 19, "p=7")
     assert catalog_order(LieGroupSpec("E8")) == (7**2 * 11**2 * 13 * 19 * 31, "p=7")
+
+
+def test_prime_conditions():
+    assert prime_cond_holds("all", 3)
+    assert prime_cond_holds("p=5", 5) and not prime_cond_holds("p=5", 7)
+    assert prime_cond_holds("p>=11", 11) and not prime_cond_holds("p>=11", 7)
+    assert prime_cond_holds("su_range", 5, 17) and not prime_cond_holds("su_range", 5, 18)
+    with pytest.raises(CatalogError):
+        prime_cond_holds("q>=3", 5)
+
+
+@pytest.mark.parametrize("tag", ["q>=3", "p>=x", "p=", "any"])
+def test_catalog_rejects_unknown_prime_conditions_at_load(tmp_path, tag):
+    path = tmp_path / "catalog.txt"
+    path.write_text(f"SU  3  all  24  0\nSU  4  {tag}  60  0\n", encoding="utf-8")
+    with pytest.raises(CatalogError, match=f":2: unknown prime condition '{tag}'"):
+        load_catalog(path)
 
 
 def test_loop_offsets_for_classical_families():
