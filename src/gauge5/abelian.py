@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+from . import records
 from .arith import PrimePower, factorize
 from .localization import Localization
-
-_SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
 @dataclass(frozen=True)
@@ -188,8 +187,9 @@ class FGAbelianGroup:
 
     def machine(self) -> str:
         """One-line record, parseable by parse_machine."""
-        tor = ",".join(f"{f.p}^{f.e}" for f in self.torsion)
-        return f"group free={self.free_rank} torsion={tor}"
+        return records.record(
+            "group", free=self.free_rank, torsion=[f"{f.p}^{f.e}" for f in self.torsion]
+        )
 
 
 def parse_machine(line: str) -> FGAbelianGroup:
@@ -199,15 +199,9 @@ def parse_machine(line: str) -> FGAbelianGroup:
     >>> parse_machine(g.machine()) == g
     True
     """
-    parts = line.split()
-    if not parts or parts[0] != "group":
+    tag, fields = records.parse(line)
+    if tag != "group":
         raise ValueError(f"not a group record: {line!r}")
-    fields = dict(p.split("=", 1) for p in parts[1:])
-    free = int(fields.get("free", "0"))
-    torsion: list[PrimePower] = []
-    tor = fields.get("torsion", "")
-    if tor:
-        for chunk in tor.split(","):
-            p_s, e_s = chunk.split("^")
-            torsion.append(PrimePower(int(p_s), int(e_s)))
-    return FGAbelianGroup(free, tuple(torsion))
+    chunks = [chunk.split("^") for chunk in fields.get("torsion", "").split(",") if chunk]
+    torsion = tuple(PrimePower(int(p), int(e)) for p, e in chunks)
+    return FGAbelianGroup(int(fields.get("free", "0")), torsion)

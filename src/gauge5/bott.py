@@ -110,16 +110,22 @@ def stable_pi_gauge(q: StableQuery) -> FGAbelianGroup:
     return FGAbelianGroup.direct_sum(parts).localize(ctx)
 
 
-def bott_table(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> str:
-    """One period of stable pi_r for (M, family), rendered as rows."""
+def bott_rows(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> list:
+    """One period of stable pi_r for (M, family): (r, period, pi_r) per row."""
     period = 2 if family == "SU" else (4 if ctx == "away_2c" else 8)
     low = 1 if family == "SU" else 2
-    lines = [
+    return [
+        (r, period, stable_pi_gauge(StableQuery(M, family, k, r, ctx)))
+        for r in range(low, low + period)
+    ]
+
+
+def bott_table(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> str:
+    """One period of stable pi_r for (M, family), rendered as rows."""
+    head = (
         f"stable pi_r of {family} gauge groups over M"
         f" (c = {M.c}, m = {M.m}, {'spin' if M.spin else 'non-spin'},"
         f" {'away from 2c' if ctx == 'away_2c' else 'away from c'})"
-    ]
-    for r in range(low, low + period):
-        value = stable_pi_gauge(StableQuery(M, family, k, r, ctx))
-        lines.append(f"  r ≡ {r % period} (mod {period}): {value}")
-    return "\n".join(lines)
+    )
+    rows = [f"  r ≡ {r % P} (mod {P}): {value}" for r, P, value in bott_rows(M, family, k, ctx)]
+    return "\n".join([head] + rows)

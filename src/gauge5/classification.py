@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from . import records
 from .arith import divisor_count, divisors, gcd_class, is_prime, nu_p, prime_divisors
 from .lie import EXCEPTIONAL, LieGroupSpec, catalog_order
 from .localization import Localization
@@ -72,21 +73,14 @@ class ClassificationReport:
         return "\n".join(lines)
 
     def machine(self) -> str:
-        lines = [
-            f"classify group={self.G.family}"
-            + ("" if self.G.n is None else f":{self.G.n}")
-            + f" c={self.c} ord={self.ord} validity={self.order_validity}"
-            f" d={self.d} count={self.count_integral}"
-            f" looped={self.looped if self.looped is not None else '-'}"
-            f" source={self.order_source}"
-        ]
-        for p, count in self.count_at_p:
-            lines.append(f"at_p p={p} count={count}")
-        for g, members in self.classes:
-            lines.append(
-                f"class gcd={g} size={len(members)} rep={members[0]}"
-            )
-        return "\n".join(lines)
+        head = records.record(
+            "classify", group=self.G.family + ("" if self.G.n is None else f":{self.G.n}"),
+            c=self.c, ord=self.ord, validity=self.order_validity, d=self.d,
+            count=self.count_integral, looped=self.looped, source=self.order_source,
+        )
+        at_p = [records.record("at_p", p=p, count=count) for p, count in self.count_at_p]
+        classes = [records.record("class", gcd=g, size=len(m), rep=m[0]) for g, m in self.classes]
+        return "\n".join([head, *at_p, *classes])
 
 
 def _gcd_classes(c: int, d: int) -> tuple[tuple[int, tuple[int, ...]], ...]:

@@ -10,17 +10,20 @@ One verb per computation family:
   moore      Moore-space homotopy groups and suspension splittings
   homology   integral homology of the manifold
 
-Every verb takes --format text|machine; machine output is line-delimited
-records that parse back exactly. Hypothesis failures exit nonzero with the
-failed condition named on stderr.
+Every verb takes --format text|machine. Machine output is one `tag key=value`
+record per line (records.py); `exponent` records omit the bound's assumptions
+and alternatives, and `wedge` records an opaque summand's tag and homology
+ledger. Hypothesis failures exit nonzero with the failed condition named on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .bott import StableQuery, bott_table, stability_threshold, stable_pi_gauge
+from . import records
+from .bott import StableQuery, bott_rows, bott_table, stability_threshold, stable_pi_gauge
 from .classification import (
     classify_looped_manifold,
     classify_moore,
@@ -112,7 +115,7 @@ def _run_classify(args: argparse.Namespace) -> str:
         k, l = args.same_type
         result = same_type_moore(k, l, G, args.c)
         if args.format == "machine":
-            return f"same_type k={k} l={l} result={str(result).lower()}"
+            return records.record("same_type", k=k, l=l, result=result)
         if result:
             return f"k = {k} and k = {l}: equivalent at every prime (sufficient condition holds)"
         return f"k = {k} and k = {l}: condition fails (no equivalence claimed either way)"
@@ -121,7 +124,7 @@ def _run_classify(args: argparse.Namespace) -> str:
             raise ValueError("--trivial needs --p")
         result = trivial_case(G, args.p, args.c)
         if args.format == "machine":
-            return f"trivial_case p={args.p} c={args.c} result={str(result).lower()}"
+            return records.record("trivial_case", p=args.p, c=args.c, result=result)
         verdict = "holds" if result else "does not hold"
         return f"one-type criterion for ({G}, p={args.p}, c={args.c}): {verdict}"
     if args.moore:
@@ -161,8 +164,9 @@ def _run_exponent(args: argparse.Namespace) -> str:
             rows = [row for row in rows if prime_cond_holds(row.prime_cond, args.p)]
         if args.format == "machine":
             return "\n".join(
-                f"exprow family={r.family} primes={r.prime_cond}"
-                f" base={r.base} offset={r.offset}"
+                records.record(
+                    "exprow", family=r.family, primes=r.prime_cond, base=r.base, offset=r.offset
+                )
                 for r in rows
             )
         return "\n".join(
@@ -184,7 +188,7 @@ def _run_exponent(args: argparse.Namespace) -> str:
         }[args.route]
         bound = route(M, G, args.p)
     if args.format == "machine":
-        return f"exponent p={bound.p} exponent={bound.exponent} route={bound.route}"
+        return records.record("exponent", p=bound.p, exponent=bound.exponent, route=bound.route)
     lines = [f"exp_{bound.p} <= {bound.p}^{bound.exponent}  [route: {bound.route}]"]
     for a in bound.assumptions:
         lines.append(f"  assuming {a}")
@@ -197,6 +201,11 @@ def _run_bott(args: argparse.Namespace) -> str:
     M = _manifold(args)
     ctx = "away_2c" if args.away_2c or not M.spin else "away_c"
     if args.table:
+        if args.format == "machine":
+            return "\n".join(
+                records.record("row", r=r, period=period) + "\n" + value.machine()
+                for r, period, value in bott_rows(M, args.family, args.k, ctx)
+            )
         return bott_table(M, args.family, args.k, ctx)
     if args.r is None:
         raise ValueError("need --r (or --table)")
@@ -233,7 +242,7 @@ def _run_rational(args: argparse.Namespace) -> str:
             raise ValueError("op rank needs --q")
         rank = rational_rank_formula(X, G, args.q, args.based)
         if args.format == "machine":
-            return f"rank q={args.q} value={rank}"
+            return records.record("rank", q=args.q, value=rank)
         return f"rank pi_{args.q} ⊗ Q = {rank}"
     elif args.op in ("ring-gauge", "ring-b-star"):
         target = "gauge" if args.op == "ring-gauge" else "b_star"
@@ -249,19 +258,13 @@ def _run_moore(args: argparse.Namespace) -> str:
     if args.suspension is not None:
         wedge = suspension_splitting(_manifold(args), args.suspension)
         if args.format == "machine":
-            lines = []
-            for atom in wedge.atoms:
-                lines.append(
-                    f"wedge kind={atom.kind} n={atom.n}"
-                    f" c={atom.c if atom.c is not None else '-'}"
-                )
-            return "\n".join(lines)
+            rows = (records.record("wedge", kind=a.kind, n=a.n, c=a.c) for a in wedge.atoms)
+            return "\n".join(rows)
         return str(wedge)
     groups = [pi_moore_self(3, c), pi6_P4(c), pi7_P5(c)]
     if args.format == "machine":
-        lines = [g.machine() for g in groups]
-        lines.append(f"suspension_image_order={suspension_image_order(c)}")
-        return "\n".join(lines)
+        tail = f"suspension_image_order={suspension_image_order(c)}"
+        return "\n".join([g.machine() for g in groups] + [tail])
     return "\n".join(
         [
             f"pi_3(P³({c})) = {groups[0]}",
@@ -372,8 +375,13 @@ def main(argv: list[str] | None = None) -> int:
     except (HypothesisError, CatalogError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if output:
-        print(output)
+    try:
+        if output:
+            print(output, flush=True)
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the exit-time flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -172,9 +172,6 @@ class ExponentTableRow:
         nu = "ν_p(c)" if self.offset == 0 else f"ν_p(c)+{self.offset}"
         return f"max({self.base}, {nu})"
 
-    def evaluate(self, nu_c: int) -> int:
-        return max(self.base, nu_c + self.offset)
-
 
 def exceptional_table() -> list[ExponentTableRow]:
     """One row per (exceptional family, prime condition): the bound as a

@@ -196,22 +196,6 @@ def in_theriault_range(G: LieGroupSpec, p: int) -> bool:
     return p >= 7  # E7, E8
 
 
-def epsilon(G: LieGroupSpec, p: int) -> int:
-    """Correction bit for low-rank groups at p = 3.
-
-    >>> epsilon(LieGroupSpec("SU", 3), 3), epsilon(LieGroupSpec("SU", 3), 5)
-    (1, 0)
-    """
-    _require_odd_prime(p)
-    if p != 3:
-        return 0
-    if G.family == "SU" and G.n in (2, 3, 4):
-        return 1
-    if G.family == "Spin" and G.n == 6:
-        return 1
-    return 0
-
-
 def _require_odd_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import records
 from .errors import HypothesisError
 from .lie import LieGroupSpec, rational_degrees
 from .localization import Localization
@@ -151,6 +152,13 @@ class RationalGroupModel:
     def is_finite_dimensional(self) -> bool:
         return not self.polynomial_degrees
 
+    def require_finite_dimensional(self) -> None:
+        if not self.is_finite_dimensional():
+            raise HypothesisError(
+                "rational homology must be finite dimensional:"
+                f" polynomial generators {list(self.polynomial_degrees)} present"
+            )
+
     def generator_count(self) -> int:
         return len(self.exterior_degrees) + len(self.polynomial_degrees)
 
@@ -196,7 +204,7 @@ class GeneratorLedger:
         return " ⊗ ".join(parts) or "Q"
 
     def machine(self) -> str:
-        return "\n".join(f"generator degree={d} kind={kind}" for d, kind in self.generators)
+        return "\n".join(records.record("generator", degree=d, kind=k) for d, k in self.generators)
 
 
 # -- the decomposition formulas ------------------------------------------------
@@ -232,11 +240,7 @@ def rational_B_star(X: HilbertSeries, G: RationalGroupModel) -> SpaceExpr:
     ΩG × Ω²G
     """
     X.require_simply_connected()
-    if not G.is_finite_dimensional():
-        raise HypothesisError(
-            "rational homology must be finite dimensional:"
-            f" polynomial generators {list(G.polynomial_degrees)} present"
-        )
+    G.require_finite_dimensional()
     pairs: list[tuple[SpaceAtom, int]] = []
     for i in range(2, X.degree() + 1):  # i = 1 is ruled out by b_1 = 0
         b = X.coefficient(i)
@@ -317,11 +321,7 @@ def rational_cohomology_ring(target: str, X: HilbertSeries, G: RationalGroupMode
     if target != "b_star":
         raise ValueError(f"target must be gauge or b_star, got {target!r}")
     X.require_simply_connected()
-    if not G.is_finite_dimensional():
-        raise HypothesisError(
-            "rational homology must be finite dimensional:"
-            f" polynomial generators {list(G.polynomial_degrees)} present"
-        )
+    G.require_finite_dimensional()
     gens = []
     for a in G.exterior_degrees:
         for k in range(0, a // 2 + 1):

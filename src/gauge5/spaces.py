@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import records
 from .lie import LieGroupSpec, rational_degrees
 from .localization import Localization
 
@@ -286,47 +287,37 @@ class SpaceExpr:
     def machine(self) -> str:
         """Line-delimited records; parse_machine inverts exactly."""
         lines = [
-            "expr"
-            f" localization={_machine_localization(self.localization)}"
-            f" group={_machine_group(self.group)}"
-            f" c={self.c if self.c is not None else '-'}"
-        ]
-        for atom, mult in self.atoms:
-            lines.append(
-                f"atom kind={atom.kind} j={atom.j}"
-                f" n={atom.n if atom.n is not None else '-'}"
-                f" k={atom.k if atom.k is not None else '-'}"
-                f" mult={mult}"
+            records.record(
+                "expr", localization=_machine_localization(self.localization),
+                group=_machine_group(self.group), c=self.c,
             )
+        ]
+        for a, mult in self.atoms:
+            lines.append(records.record("atom", kind=a.kind, j=a.j, n=a.n, k=a.k, mult=mult))
         return "\n".join(lines)
 
 
 def _machine_localization(ctx: Localization) -> str:
-    if ctx.kind == "integral":
-        return "integral"
-    if ctx.kind == "rational":
-        return "rational"
+    if ctx.kind in ("integral", "rational"):
+        return ctx.kind
     if ctx.kind == "at_prime":
         return f"at:{ctx.prime}"
     return "away:" + ",".join(str(p) for p in sorted(ctx.inverted_set))
 
 
 def _parse_localization(text: str) -> Localization:
-    if text == "integral":
-        return Localization.integral()
-    if text == "rational":
-        return Localization.rational()
+    if text in ("integral", "rational"):
+        return Localization(text)
     if text.startswith("at:"):
         return Localization.at_prime(int(text[3:]))
     if text.startswith("away:"):
-        primes = frozenset(int(p) for p in text[5:].split(","))
-        return Localization("away_from", inverted_set=primes)
+        return Localization("away_from", inverted_set=frozenset(map(int, text[5:].split(","))))
     raise ValueError(f"bad localization record {text!r}")
 
 
-def _machine_group(group) -> str:
+def _machine_group(group) -> str | None:
     if group is None:
-        return "-"
+        return None
     if isinstance(group, LieGroupSpec):
         return f"lie:{group.family}" + ("" if group.n is None else f":{group.n}")
     ext = ",".join(str(d) for d in group.exterior_degrees)
@@ -342,10 +333,7 @@ def _parse_group(text: str):
     if text.startswith("model:"):
         from .rational import RationalGroupModel
 
-        ext_s, _, poly_s = text[6:].partition("/")
-        ext = tuple(int(d) for d in ext_s.split(",") if d)
-        poly = tuple(int(d) for d in poly_s.split(",") if d)
-        return RationalGroupModel(ext, poly)
+        return RationalGroupModel.parse(text[6:])
     raise ValueError(f"bad group record {text!r}")
 
 
@@ -362,11 +350,10 @@ def parse_machine(text: str) -> SpaceExpr:
         line = raw.strip()
         if not line:
             continue
-        parts = line.split()
-        fields = dict(p.split("=", 1) for p in parts[1:])
-        if parts[0] == "expr":
+        tag, fields = records.parse(line)
+        if tag == "expr":
             header = fields
-        elif parts[0] == "atom":
+        elif tag == "atom":
             atom = SpaceAtom(
                 fields["kind"],
                 j=int(fields["j"]),

@@ -4,8 +4,14 @@ Each test drives main() in process and compares against the library API, so
 the CLI can never drift from the functions it fronts.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gauge5
 from gauge5 import ManifoldSpec, StableQuery, abelian, spaces, stable_pi_gauge
 from gauge5.cli import main
 from gauge5.decomposition import loops2_gauge
@@ -210,3 +216,20 @@ def test_catalog_override(run, tmp_path, monkeypatch):
     monkeypatch.setenv("GAUGE_CATALOG", str(custom))
     code, out, _ = run("classify", "--moore", "--group", "SU:3", "--c", "9", "--format", "machine")
     assert code == 0 and "ord=99" in out and "d=9 count=3" in out
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that has gone away (`gauge5 ... | head -0`) gives exit 1 and
+    no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(gauge5.__file__).resolve().parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gauge5.cli", "homology", "--c", "12", "--m", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
