@@ -1,40 +1,83 @@
 """Elementary number theory used throughout the package.
 
-Everything here is exact integer arithmetic on small inputs: prime
-factorization by trial division, p-adic valuations, Legendre's formula for
-the valuation of a factorial, divisor counting, and the gcd-class map that
-indexes principal-bundle types over Moore spaces.
+Exact integer arithmetic: primality, prime factorization, p-adic
+valuations, Legendre's formula for the valuation of a factorial, divisor
+counting, and the gcd-class map that indexes principal-bundle types over
+Moore spaces.
 
-Inputs stay small by design (the largest constant shipped in the Lie catalog
-is 45398353 = 7^2 * 11^2 * 13 * 19 * 31), so trial division is a deliberate
-choice over a bignum factoring dependency.
+No call does work proportional to its input. `is_prime` is deterministic
+Miller-Rabin with the first 13 prime bases, proven correct below
+MILLER_RABIN_BOUND (Sorenson & Webster, Math. Comp. 86 (2017)); at or above
+the bound it raises `ValueError`. `factorize` trial-divides by the primes
+below 1000, which settles every m < 10**6 and the small factors of the
+rest, and splits a larger cofactor by Pollard-Brent rho. Rho takes at most
+RHO_BUDGET steps (about 1.7 s with CPython 3.11 on one Xeon core); an input
+it cannot split within them is refused with a `ValueError` naming it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+
+# n < this bound is prime iff it passes Miller-Rabin to every base below
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_TRIAL_LIMIT = 1000
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n by the sieve of Eratosthenes, cheap enough for import time."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)
+_SMALL_PRIMES = frozenset(_TRIAL_PRIMES)
+# rho steps before a refusal; a step is two modular products
+RHO_BUDGET = 3_000_000
+_RHO_BATCH = 128  # steps per gcd
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division.
+    """Deterministic primality for n < MILLER_RABIN_BOUND.
 
     >>> [k for k in range(2, 30) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     >>> is_prime(1), is_prime(0), is_prime(-7)
     (False, False, False)
+    >>> is_prime(1000000007), is_prime(3215031751)  # the second is 151 * 751 * 28351
+    (True, False)
     """
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n < _TRIAL_LIMIT:
+        return n in _SMALL_PRIMES
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"primality of n = {n} is not decided: deterministic Miller-Rabin"
+            f" covers n < {MILLER_RABIN_BOUND}"
+        )
+    for p in _BASES:
+        if n % p == 0:
             return False
-        d += 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -56,33 +99,80 @@ def factorize(m: int) -> tuple[PrimePower, ...]:
     (PrimePower(p=2, e=3), PrimePower(p=3, e=2), PrimePower(p=5, e=1))
     >>> factorize(1)
     ()
+    >>> factorize(1000000016000000063)
+    (PrimePower(p=1000000007, e=1), PrimePower(p=1000000009, e=1))
     """
     if m < 1:
         raise ValueError(f"factorize needs a positive integer, got {m}")
     out: list[PrimePower] = []
-    for p in _trial_primes(m):
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            out.append(PrimePower(p, e))
-        if m == 1:
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
             break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append(PrimePower(p, e))
+    else:
+        # no prime below _TRIAL_LIMIT divides m, so m < _TRIAL_LIMIT**2 is prime
+        if m >= _TRIAL_LIMIT**2:
+            counts = Counter(_large_prime_factors(m))
+            return tuple(out) + tuple(PrimePower(p, counts[p]) for p in sorted(counts))
     if m > 1:
         out.append(PrimePower(m, 1))
     return tuple(out)
 
 
-def _trial_primes(bound: int):
-    yield 2
-    yield 3
-    d = 5
-    # 6k +- 1 wheel; bound only caps the search, the caller breaks early.
-    while d * d <= bound:
-        yield d
-        yield d + 2
-        d += 6
+def _large_prime_factors(m: int) -> list[int]:
+    """The prime factors of m, with multiplicity, when no prime below
+    _TRIAL_LIMIT divides m."""
+    out, stack = [], [m]
+    while stack:
+        n = stack.pop()
+        if n < _TRIAL_LIMIT**2 or is_prime(n):
+            out.append(n)
+        else:
+            f = _rho_factor(n)
+            stack += [f, n // f]
+    return out
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n, by Pollard-Brent rho with one
+    gcd per batch of steps. Raises ValueError rather than let the next
+    doubling round take the step count past RHO_BUDGET."""
+    steps = 0
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps + 2 * r > RHO_BUDGET:  # a round takes at most 2 r steps
+                raise ValueError(
+                    f"cannot factor {n}: Pollard-Brent rho found no factor"
+                    f" within its budget of {RHO_BUDGET} steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(_RHO_BATCH, r - k)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            steps += r + k
+            r *= 2
+        if g == n:  # the last batch passed a factor: walk it again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+    raise AssertionError(f"{n} is prime")  # pragma: no cover - callers test first
 
 
 def prime_divisors(m: int) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ asserted inequivalent.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from . import records
@@ -38,7 +39,7 @@ class ClassificationReport:
     d: int  # gcd(ord, c)
     count_integral: int  # number of gcd classes
     count_at_p: tuple[tuple[int, int], ...]  # (p, nu_p(d) + 1) for p | d
-    classes: tuple[tuple[int, tuple[int, ...]], ...]  # (gcd value, members)
+    classes: tuple[tuple[int, GcdClass], ...]  # (gcd value, members)
     looped: int | None = None  # loop degree when the count is for Omega^i over M
     order_source: str = "upper_bound_from_S4"
 
@@ -68,7 +69,7 @@ class ClassificationReport:
             lines.append("  single class: all k are p-locally equivalent at every p")
         for g, members in self.classes:
             shown = ", ".join(str(k) for k in members[:8])
-            more = "" if len(members) <= 8 else f", … ({len(members)} total)"
+            more = "" if members.size <= 8 else f", … ({members.size} total)"
             lines.append(f"  class gcd={g}: k = {shown}{more}")
         return "\n".join(lines)
 
@@ -79,15 +80,115 @@ class ClassificationReport:
             count=self.count_integral, looped=self.looped, source=self.order_source,
         )
         at_p = [records.record("at_p", p=p, count=count) for p, count in self.count_at_p]
-        classes = [records.record("class", gcd=g, size=len(m), rep=m[0]) for g, m in self.classes]
+        classes = [records.record("class", gcd=g, size=m.size, rep=m[0]) for g, m in self.classes]
         return "\n".join([head, *at_p, *classes])
 
 
-def _gcd_classes(c: int, d: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    buckets: dict[int, list[int]] = {g: [] for g in divisors(d)}
-    for k in range(c):
-        buckets[gcd_class(k, d)].append(k)
-    return tuple((g, tuple(ks)) for g, ks in sorted(buckets.items()))
+class GcdClass(Sequence):
+    """The k in range(c) with gcd(k, d) = g (gcd(0, d) = d), ascending, for
+    g dividing d dividing c, without building them.
+
+    There are (c/d) phi(d/g) members. Member i is j d + g s_i' with (j, i')
+    = divmod(i, phi(d/g)) and s_i' the i'-th residue in [0, d/g) coprime to
+    d/g (0 when g = d), found by Mobius counting over the primes of d/g and
+    bisection. No operation builds the members it does not return: `len`,
+    `in`, hashing and comparing two classes take O(2^omega(d/g)) steps,
+    indexing O(2^omega(d/g) log(d/g)), and a slice one such step plus a few
+    gcds per returned member (with step 1) or one per member (otherwise).
+
+    >>> cls = GcdClass(9, 3, 1)
+    >>> len(cls), cls[0], cls[-1], cls[1:4], cls[::-2], 7 in cls
+    (6, 1, 8, (2, 4, 5), (8, 5, 2), True)
+    >>> cls == (1, 2, 4, 5, 7, 8)
+    True
+
+    A class equals a tuple with the same members but hashes apart from it:
+    hashing the tuple would cost O(c).
+    """
+
+    __slots__ = ("c", "d", "g", "_mobius", "_phi")
+
+    def __init__(self, c: int, d: int, g: int) -> None:
+        mobius = [(1, 1)]  # (e, mu(e)) for the squarefree e dividing d/g
+        for p in prime_divisors(d // g):
+            mobius += [(e * p, -mu) for e, mu in mobius]
+        phi = sum(mu * (d // g // e) for e, mu in mobius)
+        # write-once slots: a frozen dataclass here would add about 1 ms to every import
+        for name, value in zip(self.__slots__, (c, d, g, tuple(mobius), phi)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"GcdClass is immutable: cannot set {name}")
+
+    def __repr__(self) -> str:
+        return f"GcdClass(c={self.c}, d={self.d}, g={self.g})"
+
+    @property
+    def size(self) -> int:
+        """The number of members, which `len` cannot return past sys.maxsize."""
+        return self.c // self.d * self._phi
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        picked = range(self.size)[i]  # IndexError out of range
+        if isinstance(picked, int):
+            return next(self._run(picked, 1))
+        if picked.step == 1:
+            return tuple(self._run(picked.start, len(picked)))
+        return tuple(next(self._run(k, 1)) for k in picked)
+
+    def __iter__(self):
+        return self._run(0, self.size)
+
+    def __contains__(self, k) -> bool:
+        return isinstance(k, int) and 0 <= k < self.c and math.gcd(k, self.d) == self.g
+
+    def __eq__(self, other):
+        if isinstance(other, GcdClass):
+            return self._key() == other._key()
+        if isinstance(other, tuple):
+            return len(other) == self.size and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        # the members are g t for t < c/g coprime to rad(d/g), the last
+        # Mobius term; only {0} (c = g) has more than one such description
+        return (0,) if self.c == self.g else (self.g, self.c, self._mobius[-1][0])
+
+    def _coprime_below(self, x: int) -> int:
+        """How many s in [0, x) are coprime to d/g."""
+        return sum(mu * -(-x // e) for e, mu in self._mobius)
+
+    def _run(self, i: int, count: int):
+        """count members from member i on: the first by bisection, the rest
+        by stepping s to the next residue coprime to m = d/g."""
+        m = self.d // self.g
+        j, i = divmod(i, self._phi)
+        # s is the least residue with i + 1 coprimes in [0, s]; s_0 is 0 or 1
+        lo, hi = 0, (m - 1 if i else 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._coprime_below(mid + 1) > i:
+                hi = mid
+            else:
+                lo = mid + 1
+        s = lo
+        for _ in range(count):
+            yield j * self.d + self.g * s
+            s += 1
+            while s < m and math.gcd(s, m) != 1:
+                s += 1
+            if s == m:
+                j, s = j + 1, int(m > 1)
+
+
+def _gcd_classes(c: int, d: int) -> tuple[tuple[int, GcdClass], ...]:
+    return tuple((g, GcdClass(c, d, g)) for g in divisors(d))
 
 
 def same_type_moore(k: int, l: int, G: LieGroupSpec, c: int) -> bool:

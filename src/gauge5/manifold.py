@@ -228,12 +228,12 @@ class WedgeAtom:
     kind 'sphere': S^n; kind 'moore': P^n(c) = S^(n-1) with an n-cell glued
     by degree c; kind 'opaque': an unidentified complex carrying only its
     reduced-homology ledger (degree -> group), so homology checks stay
-    possible.
+    possible. Only a Moore atom has an order c; the others have c = None.
     """
 
     kind: str
     n: int = 0
-    c: int = 0
+    c: int | None = None
     tag: str = ""
     ledger: tuple[tuple[int, FGAbelianGroup], ...] = ()
 
@@ -242,7 +242,7 @@ class WedgeAtom:
             raise ValueError(f"unknown wedge atom kind {self.kind!r}")
         if self.kind in ("sphere", "moore") and self.n < 2:
             raise ValueError(f"wedge atom dimension must be >= 2, got {self.n}")
-        if self.kind == "moore" and self.c < 2:
+        if self.kind == "moore" and (self.c is None or self.c < 2):
             raise ValueError(f"Moore atom order must be >= 2, got {self.c}")
 
     def reduced_homology(self) -> dict[int, FGAbelianGroup]:
@@ -291,7 +291,7 @@ class WedgeExpr:
         canon = tuple(
             sorted(
                 self.atoms,
-                key=lambda a: (_WEDGE_KIND_ORDER[a.kind], a.n, a.c, a.tag),
+                key=lambda a: (_WEDGE_KIND_ORDER[a.kind], a.n, a.c or 0, a.tag),
             )
         )
         object.__setattr__(self, "atoms", canon)

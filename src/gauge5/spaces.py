@@ -344,30 +344,35 @@ def parse_machine(text: str) -> SpaceExpr:
     >>> parse_machine(e.machine()) == e
     True
     """
-    header: dict[str, str] | None = None
+    header: dict | None = None
     pairs: list[tuple[SpaceAtom, int]] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
         tag, fields = records.parse(line)
+
+        def get(key: str) -> str:
+            if key not in fields:
+                raise ValueError(f"machine record lacks field {key!r}: {line!r}")
+            return fields[key]
+
         if tag == "expr":
-            header = fields
+            header = dict(
+                localization=_parse_localization(get("localization")),
+                group=_parse_group(get("group")),
+                c=None if get("c") == "-" else int(get("c")),
+            )
         elif tag == "atom":
             atom = SpaceAtom(
-                fields["kind"],
-                j=int(fields["j"]),
-                k=None if fields["k"] == "-" else int(fields["k"]),
-                n=None if fields["n"] == "-" else int(fields["n"]),
+                get("kind"),
+                j=int(get("j")),
+                k=None if get("k") == "-" else int(get("k")),
+                n=None if get("n") == "-" else int(get("n")),
             )
-            pairs.append((atom, int(fields["mult"])))
+            pairs.append((atom, int(get("mult"))))
         else:
             raise ValueError(f"bad machine record {line!r}")
     if header is None:
         raise ValueError("machine text has no expr header")
-    return SpaceExpr(
-        tuple(pairs),
-        localization=_parse_localization(header["localization"]),
-        group=_parse_group(header["group"]),
-        c=None if header["c"] == "-" else int(header["c"]),
-    )
+    return SpaceExpr(tuple(pairs), **header)

@@ -4,9 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gauge5 import divisor_count, divisors, factorize, gcd_class, legendre_valuation, nu_p
-from gauge5.arith import digit_sum, is_prime, prime_divisors
+from gauge5 import arith, divisor_count, divisors, factorize, gcd_class, legendre_valuation, nu_p
+from gauge5.arith import MILLER_RABIN_BOUND, digit_sum, is_prime, prime_divisors
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97)
 
@@ -130,3 +132,82 @@ def test_gcd_class_periodic_and_divides():
         assert d % g == 0
         assert gcd_class(k + d, d) == g
         assert g == math.gcd(k, d)
+
+
+# -- Miller-Rabin and Pollard-Brent rho -----------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=10**24 - 1))
+def test_factorize_property_below_1e24(n):
+    powers = factorize(n)
+    assert math.prod(pp.p**pp.e for pp in powers) == n
+    primes = [pp.p for pp in powers]
+    assert primes == sorted(set(primes))
+    assert all(is_prime(p) and pp.e >= 1 for p, pp in zip(primes, powers))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    sieve = [True] * 10**5
+    sieve[0] = sieve[1] = False
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, 10**5, p))
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n, s in enumerate(sieve) if s]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        2152302898747,  # to bases 2..11
+        3474749660383,  # to bases 2..13
+        341550071728321,  # to bases 2..17
+        3825123056546413051,  # to bases 2..23 (and 29, 31, 37 fail it)
+        318665857834031151167461,  # to bases 2..37
+        561,  # Carmichael numbers
+        41041,
+        825265,
+        321197185,
+        5394826801,
+        232250619601,
+        9746347772161,
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_at_the_miller_rabin_bound():
+    assert is_prime(MILLER_RABIN_BOUND - 2) in (True, False)
+    for n in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 1, 10**30):
+        with pytest.raises(ValueError, match=f"n = {n}.*{MILLER_RABIN_BOUND}"):
+            is_prime(n)
+
+
+def test_rho_refuses_when_its_budget_runs_out(monkeypatch):
+    n = 1000000007 * 1000000009
+    monkeypatch.setattr(arith, "RHO_BUDGET", 100)
+    with pytest.raises(ValueError, match=f"cannot factor {n}:.*100 steps"):
+        factorize(n)
+    monkeypatch.setattr(arith, "RHO_BUDGET", 10**6)
+    assert [pp.p for pp in factorize(n)] == [1000000007, 1000000009]
+
+
+def test_large_semiprimes_and_prime_powers_factor():
+    for p, q in [(1000003, 1000033), (999983, 999983), (10**9 + 7, 10**9 + 9), (2**13 - 1, 2**61 - 1)]:
+        assert factorize(p * q) == tuple(
+            arith.PrimePower(r, e) for r, e in sorted({p: 1 + (p == q), q: 1 + (p == q)}.items())
+        )
+    assert factorize((10**9 + 7) ** 2 * 3**5) == (arith.PrimePower(3, 5), arith.PrimePower(10**9 + 7, 2))
+
+
+def test_sympy_oracle_below_the_bound():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randrange(2, 33 * 10**23)
+        assert is_prime(n) == sympy.isprime(n), n
+    for _ in range(15):
+        n = rng.randrange(2, 33 * 10**23)
+        assert {pp.p: pp.e for pp in factorize(n)} == sympy.factorint(n), n

@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -18,6 +20,8 @@ from gauge5 import (
     same_type_moore,
     trivial_case,
 )
+from gauge5.arith import divisors
+from gauge5.classification import GcdClass
 
 SU = lambda n: LieGroupSpec("SU", n)
 
@@ -219,3 +223,79 @@ def test_dirichlet_min_attains_the_gcd_floor():
         c = rng.randint(2, 80)
         k = rng.randrange(c)
         assert dirichlet_min(k, ordv, c, 10**4) == math.gcd(k, math.gcd(ordv, c))
+
+
+# -- the lazy gcd classes --------------------------------------------------------
+
+NINE_FAMILIES = [
+    SU(9),
+    LieGroupSpec("Sp", 6),
+    LieGroupSpec("Spin", 13),
+    LieGroupSpec("Spin", 14),
+    LieGroupSpec("G2"),
+    LieGroupSpec("F4"),
+    LieGroupSpec("E6"),
+    LieGroupSpec("E7"),
+    LieGroupSpec("E8"),
+]
+
+
+def _bucketed(c: int, d: int) -> dict[int, tuple[int, ...]]:
+    """The classes by enumerating range(c), as classify_moore once built them."""
+    buckets: dict[int, list[int]] = {}
+    for k in range(c):
+        buckets.setdefault(math.gcd(k % d, d), []).append(k)
+    return {g: tuple(ks) for g, ks in sorted(buckets.items())}
+
+
+def test_lazy_classes_equal_the_enumerated_ones():
+    rng = random.Random(43)
+    for G in NINE_FAMILIES:
+        for c in range(2, 300):
+            report = classify_moore(G, c)
+            oracle = _bucketed(c, report.d)
+            assert [g for g, _ in report.classes] == list(oracle)
+            for g, members in report.classes:
+                ks = oracle[g]
+                assert len(members) == members.size == len(ks)
+                assert members == ks and tuple(members) == ks
+                assert (members[0], members[-1]) == (ks[0], ks[-1])
+                for i in rng.sample(range(-len(ks), len(ks)), min(6, 2 * len(ks))):
+                    assert members[i] == ks[i], (G, c, g, i)
+                for step in (1, 2, 3, -1, -4):
+                    start = rng.randrange(-len(ks), len(ks))
+                    stop = start + step * rng.randrange(12)
+                    assert members[start:stop:step] == ks[start:stop:step]
+                for k in (-1, c, *rng.choices(range(c), k=3), *ks[:3]):
+                    assert (k in members) == (k in ks)
+
+
+def test_lazy_class_comparison_and_hash():
+    triples = [(c, d, g) for c in range(2, 25) for d in divisors(c) for g in divisors(d)]
+    classes = [GcdClass(*t) for t in triples]
+    for a in classes:
+        for b in classes:
+            assert (a == b) == (tuple(a) == tuple(b)), (a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert GcdClass(8, 2, 1) == GcdClass(8, 4, 1) == (1, 3, 5, 7)
+    assert GcdClass(2, 2, 2) == GcdClass(4, 4, 4) == (0,)
+    assert GcdClass(9, 3, 1) != (1, 2, 4, 5, 7) and GcdClass(9, 3, 1) != [1, 2, 4, 5, 7, 8]
+    assert hash(classify_moore(SU(3), 10**12)) == hash(classify_moore(SU(3), 10**12))
+    with pytest.raises(IndexError):
+        GcdClass(9, 3, 1)[6]
+
+
+@pytest.mark.parametrize("c", [10**7, 10**12])
+def test_classify_moore_at_large_c_is_fast_and_small(c):
+    classify_moore(SU(3), 9)  # load the catalog outside the measurement
+    tracemalloc.start()
+    start = time.perf_counter()
+    report = classify_moore(SU(3), c)
+    text, machine = report.table(), report.machine()
+    elapsed = time.perf_counter() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 2**20 and elapsed < 0.05, (peak, elapsed)
+    assert f"class gcd=1: k = 1, 3, 5, 7, 9, 11, 13, 15, … ({c // 2} total)" in text
+    assert f"class gcd=8 size={c // 8} rep=0" in machine

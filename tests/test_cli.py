@@ -233,3 +233,32 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+SEMIPRIME = 1000000007 * 1000000009  # trial division up to its root took minutes
+
+
+def _cli(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(gauge5.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "gauge5.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+
+
+def test_semiprime_c_answers_in_a_subprocess():
+    proc = _cli("homology", "--c", str(SEMIPRIME), "--m", "2")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "H_1 = Z/1000000007 ⊕ Z/1000000009" in proc.stdout.splitlines()
+    proc = _cli(
+        "decompose", "--c", str(SEMIPRIME), "--m", "2", "--group", "SU:4", "--away-from-c",
+        "--format", "machine",
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("expr localization=away:1000000007,1000000009 ")
+
+
+def test_c_beyond_the_primality_bound_is_refused_in_a_subprocess():
+    proc = _cli("homology", "--c", "9000000000000000000000067", "--m", "2")  # a 25-digit prime
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "3317044064679887385961981" in proc.stderr and "Traceback" not in proc.stderr

@@ -19,7 +19,14 @@ from gauge5.cli import main
 from gauge5.decomposition import gauge_away_from_c, loops2_gauge, loops3_gauge
 from gauge5.lie import LieGroupSpec
 from gauge5.localization import Localization
-from gauge5.manifold import ManifoldSpec, homology, pi6_P4, pi7_P5, pi_moore_self
+from gauge5.manifold import (
+    ManifoldSpec,
+    homology,
+    pi6_P4,
+    pi7_P5,
+    pi_moore_self,
+    suspension_splitting,
+)
 from gauge5.rational import (
     HilbertSeries,
     RationalGroupModel,
@@ -68,6 +75,20 @@ def test_record_refuses_whitespace_in_a_value(value):
 def test_parse_refuses_malformed_lines(line):
     with pytest.raises(ValueError):
         records.parse(line)
+
+
+@pytest.mark.parametrize(
+    "text, field, line",
+    [
+        # the expr header lacks c=, the atom lacks k=, n= and mult=
+        ("expr localization=integral group=-\natom kind=group j=0", "c", "expr"),
+        ("expr localization=integral group=- c=-\natom kind=group j=0", "k", "atom"),
+        ("expr localization=integral group=-\natom kind=group j=0 k=- n=- mult=1", "c", "expr"),
+    ],
+)
+def test_parse_machine_names_a_missing_field(text, field, line):
+    with pytest.raises(ValueError, match=f"lacks field '{field}': '{line} "):
+        spaces.parse_machine(text)
 
 
 # -- every verb form, both formats ---------------------------------------------
@@ -195,6 +216,26 @@ def test_bott_table_rows_are_the_stable_groups(run, M, family):
         assert run(f"{base} --r {r} --format machine") == (0, group_line + "\n")
         value = abelian.parse_machine(group_line)
         assert value == stable_pi_gauge(StableQuery(M, family, 0, r, ctx))
+
+
+@pytest.mark.parametrize(
+    "M, t",
+    [
+        (ManifoldSpec(9, 2), 2),
+        (M52, 3),
+        (ManifoldSpec(9, 2, stably_parallelizable=True, single_top_cell=True), 4),
+    ],
+)
+def test_wedge_records_give_an_order_to_moore_atoms_only(run, M, t):
+    flags = " --sp --stc" if t == 4 else ""
+    code, out = run(f"moore --c {M.c} --m {M.m}{flags} --suspension {t} --format machine")
+    assert code == 0
+    rows = [records.parse(line)[1] for line in out.splitlines()]
+    assert [(f["kind"], int(f["n"]), None if f["c"] == "-" else int(f["c"])) for f in rows] == [
+        (a.kind, a.n, a.c) for a in suspension_splitting(M, t).atoms
+    ]
+    # spheres and the opaque rest have no order: `c=-`, never `c=0`
+    assert all((f["c"] == "-") == (f["kind"] != "moore") for f in rows)
 
 
 # -- the guard -------------------------------------------------------------------
