@@ -12,16 +12,15 @@ returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from . import records
 from .arith import PrimePower, factorize
 from .localization import Localization
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Value):
     """A finitely generated abelian group, canonical at construction.
 
     >>> FGAbelianGroup.from_cyclic_orders(6, 4)
@@ -36,8 +35,12 @@ class FGAbelianGroup:
     True
     """
 
-    free_rank: int = 0
-    torsion: tuple[PrimePower, ...] = field(default_factory=tuple)
+    free_rank: int
+    torsion: tuple[PrimePower, ...]
+
+    def __init__(self, free_rank: int = 0, torsion: tuple[PrimePower, ...] = ()) -> None:
+        self.__dict__.update(free_rank=free_rank, torsion=torsion)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:

@@ -10,7 +10,9 @@ Miller-Rabin with the first 13 prime bases, proven correct below
 MILLER_RABIN_BOUND (Sorenson & Webster, Math. Comp. 86 (2017)); at or above
 the bound it raises `ValueError`. `factorize` trial-divides by the primes
 below 1000, which settles every m < 10**6 and the small factors of the
-rest, and splits a larger cofactor by Pollard-Brent rho. Rho takes at most
+rest, and splits a larger cofactor by Pollard-Brent rho. A cofactor at or
+above the bound is split too when one of the bases witnesses that it is
+composite, and refused only without a witness. Rho takes at most
 RHO_BUDGET steps (about 1.7 s with CPython 3.11 on one Xeon core); an input
 it cannot split within them is refused with a `ValueError` naming it.
 """
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+
+from .value import Value
 
 # n < this bound is prime iff it passes Miller-Rabin to every base below
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
@@ -57,13 +60,23 @@ def is_prime(n: int) -> bool:
     if n < _TRIAL_LIMIT:
         return n in _SMALL_PRIMES
     if n >= MILLER_RABIN_BOUND:
-        raise ValueError(
-            f"primality of n = {n} is not decided: deterministic Miller-Rabin"
-            f" covers n < {MILLER_RABIN_BOUND}"
-        )
+        raise _undecided(n)
+    return not _witnesses_composite(n)
+
+
+def _undecided(n: int) -> ValueError:
+    return ValueError(
+        f"primality of n = {n} is not decided: deterministic Miller-Rabin"
+        f" covers n < {MILLER_RABIN_BOUND}"
+    )
+
+
+def _witnesses_composite(n: int) -> bool:
+    """Does one of the bases prove n >= _TRIAL_LIMIT composite? A witness is
+    a proof at any size; only the verdict "prime" needs n below the bound."""
     for p in _BASES:
         if n % p == 0:
-            return False
+            return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -77,16 +90,18 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
-    return True
+            return True
+    return False
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(Value):
     """A factor p**e with p prime and e >= 1."""
 
     p: int
     e: int
+
+    def __init__(self, p: int, e: int) -> None:
+        self.__dict__.update(p=p, e=e)
 
     def value(self) -> int:
         return self.p**self.e
@@ -130,11 +145,13 @@ def _large_prime_factors(m: int) -> list[int]:
     out, stack = [], [m]
     while stack:
         n = stack.pop()
-        if n < _TRIAL_LIMIT**2 or is_prime(n):
+        if n < _TRIAL_LIMIT**2 or n < MILLER_RABIN_BOUND and is_prime(n):
             out.append(n)
-        else:
+        elif n < MILLER_RABIN_BOUND or _witnesses_composite(n):
             f = _rho_factor(n)
             stack += [f, n // f]
+        else:
+            raise _undecided(n)
     return out
 
 

@@ -11,14 +11,13 @@ Results below the stability threshold are refused, not extrapolated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .abelian import FGAbelianGroup
 from .decomposition import gauge_away_from_c
 from .errors import HypothesisError
 from .lie import LieGroupSpec, stable_pi
 from .localization import Localization
 from .manifold import ManifoldSpec
+from .value import Value
 
 _STABLE_FAMILIES = ("SU", "Spin")
 
@@ -44,13 +43,16 @@ def stability_threshold(family: str, r: int) -> int:
     raise ValueError(f"stable families are SU and Spin, got {family!r}")
 
 
-@dataclass(frozen=True)
-class StableQuery:
+class StableQuery(Value):
     M: ManifoldSpec
     family: str  # SU | Spin
     k: int
     r: int
-    ctx: str = "away_c"  # away_c | away_2c
+    ctx: str  # away_c | away_2c
+
+    def __init__(self, M: ManifoldSpec, family: str, k: int, r: int, ctx: str = "away_c") -> None:
+        self.__dict__.update(M=M, family=family, k=k, r=r, ctx=ctx)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.family not in _STABLE_FAMILIES:
@@ -84,7 +86,7 @@ def shift_multiset(q: StableQuery) -> tuple[int, ...]:
     """Loop shifts of the normalized away-from-c decomposition, with
     multiplicity, ascending."""
     expr = gauge_away_from_c(q.M, _representative(q.family, q.r), q.k)
-    expr = replace(expr, localization=q.localization()).normalize()
+    expr = expr.replace(localization=q.localization()).normalize()
     shifts: list[int] = []
     for atom, mult in expr.atoms:
         if atom.kind == "group":

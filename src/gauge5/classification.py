@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 
 from . import records
 from .arith import divisor_count, divisors, gcd_class, is_prime, nu_p, prime_divisors
@@ -28,10 +27,10 @@ from .manifold import (
     require_pi4_trivial,
     require_stably_parallelizable,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Value):
     G: LieGroupSpec
     c: int
     ord: int  # catalog order of the degree-4 connecting map
@@ -40,8 +39,27 @@ class ClassificationReport:
     count_integral: int  # number of gcd classes
     count_at_p: tuple[tuple[int, int], ...]  # (p, nu_p(d) + 1) for p | d
     classes: tuple[tuple[int, GcdClass], ...]  # (gcd value, members)
-    looped: int | None = None  # loop degree when the count is for Omega^i over M
-    order_source: str = "upper_bound_from_S4"
+    looped: int | None  # loop degree when the count is for Omega^i over M
+    order_source: str
+
+    def __init__(
+        self,
+        G: LieGroupSpec,
+        c: int,
+        ord: int,
+        order_validity: str,
+        d: int,
+        count_integral: int,
+        count_at_p: tuple[tuple[int, int], ...],
+        classes: tuple[tuple[int, GcdClass], ...],
+        looped: int | None = None,
+        order_source: str = "upper_bound_from_S4",
+    ) -> None:
+        self.__dict__.update(
+            G=G, c=c, ord=ord, order_validity=order_validity, d=d,
+            count_integral=count_integral, count_at_p=count_at_p, classes=classes,
+            looped=looped, order_source=order_source,
+        )
 
     def count_at(self, p: int) -> int:
         """Type count at any prime (1 when p does not divide d)."""
@@ -113,12 +131,16 @@ class GcdClass(Sequence):
         for p in prime_divisors(d // g):
             mobius += [(e * p, -mu) for e, mu in mobius]
         phi = sum(mu * (d // g // e) for e, mu in mobius)
-        # write-once slots: a frozen dataclass here would add about 1 ms to every import
+        # write-once slots, set past the __setattr__ that refuses every later write
         for name, value in zip(self.__slots__, (c, d, g, tuple(mobius), phi)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"GcdClass is immutable: cannot set {name}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from (c, d, g): restoring the slots one by one would set them
+        return GcdClass, (self.c, self.d, self.g)
 
     def __repr__(self) -> str:
         return f"GcdClass(c={self.c}, d={self.d}, g={self.g})"
@@ -253,7 +275,7 @@ def classify_looped_manifold(
     else:
         raise ValueError(f"loop degree must be 2 or 3, got {i}")
     require_pi4_trivial(G, ctx or Localization.integral())
-    return replace(classify_moore(G, M.c), looped=i)
+    return classify_moore(G, M.c).replace(looped=i)
 
 
 # least prime of the one-type criterion for each exceptional group

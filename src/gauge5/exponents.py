@@ -16,8 +16,6 @@ only: nothing here is claimed sharp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import nu_p
 from .errors import HypothesisError
 from .lie import (
@@ -32,15 +30,28 @@ from .lie import (
     r_of,
 )
 from .manifold import ManifoldSpec, require_not_divisible_by_6
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ExponentBound:
+class ExponentBound(Value):
     p: int
     exponent: int
     route: str  # regular | theriault | closed_form | moore_fiber
-    assumptions: tuple[str, ...] = ()
-    alternatives: tuple["ExponentBound", ...] = ()
+    assumptions: tuple[str, ...]
+    alternatives: tuple["ExponentBound", ...]
+
+    def __init__(
+        self,
+        p: int,
+        exponent: int,
+        route: str,
+        assumptions: tuple[str, ...] = (),
+        alternatives: tuple["ExponentBound", ...] = (),
+    ) -> None:
+        self.__dict__.update(
+            p=p, exponent=exponent, route=route, assumptions=assumptions, alternatives=alternatives
+        )
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.exponent < 0:
@@ -161,12 +172,14 @@ def best_bound(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
 # -- the exceptional-group table ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentTableRow:
+class ExponentTableRow(Value):
     family: str
     prime_cond: str  # "p=5" or "p>=11"
     base: int  # the constant arm of the max
     offset: int  # exponent is max(base, nu_p(c) + offset)
+
+    def __init__(self, family: str, prime_cond: str, base: int, offset: int) -> None:
+        self.__dict__.update(family=family, prime_cond=prime_cond, base=base, offset=offset)
 
     def bound_text(self) -> str:
         nu = "ν_p(c)" if self.offset == 0 else f"ν_p(c)+{self.offset}"

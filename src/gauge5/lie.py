@@ -15,13 +15,12 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
-from pathlib import Path
 
 from .abelian import FGAbelianGroup
 from .arith import is_prime, legendre_valuation
 from .errors import CatalogError
 from .localization import Localization
+from .value import Value
 
 FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
 EXCEPTIONAL = ("G2", "F4", "E6", "E7", "E8")
@@ -45,8 +44,7 @@ _TORSION_PRIMES = {
 }
 
 
-@dataclass(frozen=True)
-class LieGroupSpec:
+class LieGroupSpec(Value):
     """A simple compact Lie group given by family and parameter.
 
     >>> LieGroupSpec.parse("SU:4")
@@ -56,7 +54,11 @@ class LieGroupSpec:
     """
 
     family: str
-    n: int | None = None
+    n: int | None
+
+    def __init__(self, family: str, n: int | None = None) -> None:
+        self.__dict__.update(family=family, n=n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -205,7 +207,7 @@ def _require_odd_prime(p: int) -> None:
 
 # -- catalog file ------------------------------------------------------------
 
-_DEFAULT_CATALOG = Path(__file__).parent / "data" / "catalog.txt"
+_DEFAULT_CATALOG = os.path.join(os.path.dirname(__file__), "data", "catalog.txt")
 
 _ORD_FORMULAS = {
     "n(n^2-1)": lambda n: n * (n * n - 1),
@@ -254,13 +256,20 @@ def prime_cond_holds(tag: str, p: int, n: int | None = None) -> bool:
     return least <= p <= greatest
 
 
-@dataclass(frozen=True)
-class CatalogRow:
+class CatalogRow(Value):
     family_key: str
     param: int | None  # None means any n (a * row)
     prime_cond: str
     ord_spec: str
     r_spec: str
+
+    def __init__(
+        self, family_key: str, param: int | None, prime_cond: str, ord_spec: str, r_spec: str
+    ) -> None:
+        self.__dict__.update(
+            family_key=family_key, param=param, prime_cond=prime_cond, ord_spec=ord_spec,
+            r_spec=r_spec,
+        )
 
     def is_integral(self) -> bool:
         return self.prime_cond == "all"
@@ -288,7 +297,8 @@ def load_catalog(path: str | os.PathLike | None = None) -> tuple[CatalogRow, ...
     if key in _catalog_cache:
         return _catalog_cache[key]
     rows: list[CatalogRow] = []
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -7,15 +7,13 @@ torsion fibers) asks one question: is the prime p invertible here?
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .arith import is_prime, prime_divisors
+from .value import Value
 
 _KINDS = ("integral", "at_prime", "away_from", "rational")
 
 
-@dataclass(frozen=True)
-class Localization:
+class Localization(Value):
     """Immutable localization context.
 
     >>> Localization.at_prime(5).inverts(2)
@@ -29,8 +27,14 @@ class Localization:
     """
 
     kind: str
-    inverted_set: frozenset[int] = field(default_factory=frozenset)
-    prime: int | None = None
+    inverted_set: frozenset[int]
+    prime: int | None
+
+    def __init__(
+        self, kind: str, inverted_set: frozenset[int] = frozenset(), prime: int | None = None
+    ) -> None:
+        self.__dict__.update(kind=kind, inverted_set=inverted_set, prime=prime)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:

@@ -14,17 +14,16 @@ theory is checked and worded; every other module calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .abelian import FGAbelianGroup
 from .errors import HypothesisError
 from .lie import LieGroupSpec, pi4, pi4_is_trivial
 from .localization import Localization
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
+class ManifoldSpec(Value):
     """A closed orientable 5-manifold with pi_1 = Z/c and torsion-free H_2.
 
     >>> M = ManifoldSpec(c=5, m=3)
@@ -34,9 +33,23 @@ class ManifoldSpec:
 
     c: int
     m: int
-    spin: bool = True
-    stably_parallelizable: bool = False
-    single_top_cell: bool = False
+    spin: bool
+    stably_parallelizable: bool
+    single_top_cell: bool
+
+    def __init__(
+        self,
+        c: int,
+        m: int,
+        spin: bool = True,
+        stably_parallelizable: bool = False,
+        single_top_cell: bool = False,
+    ) -> None:
+        self.__dict__.update(
+            c=c, m=m, spin=spin, stably_parallelizable=stably_parallelizable,
+            single_top_cell=single_top_cell,
+        )
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.c < 2:
@@ -221,26 +234,37 @@ def pi_with_coefficients(target: str, c: int) -> FGAbelianGroup:
 # -- wedge expressions and suspension splittings -------------------------------
 
 
-@dataclass(frozen=True)
-class WedgeAtom:
+class WedgeAtom(Value):
     """One summand of a wedge: a sphere, a Moore space, or an opaque rest.
 
     kind 'sphere': S^n; kind 'moore': P^n(c) = S^(n-1) with an n-cell glued
     by degree c; kind 'opaque': an unidentified complex carrying only its
     reduced-homology ledger (degree -> group), so homology checks stay
-    possible. Only a Moore atom has an order c; the others have c = None.
+    possible. Only a Moore atom has an order c, and only a sphere or Moore
+    atom a dimension n; the others have None.
     """
 
     kind: str
-    n: int = 0
-    c: int | None = None
-    tag: str = ""
-    ledger: tuple[tuple[int, FGAbelianGroup], ...] = ()
+    n: int | None
+    c: int | None
+    tag: str
+    ledger: tuple[tuple[int, FGAbelianGroup], ...]
+
+    def __init__(
+        self,
+        kind: str,
+        n: int | None = None,
+        c: int | None = None,
+        tag: str = "",
+        ledger: tuple[tuple[int, FGAbelianGroup], ...] = (),
+    ) -> None:
+        self.__dict__.update(kind=kind, n=n, c=c, tag=tag, ledger=ledger)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in ("sphere", "moore", "opaque"):
             raise ValueError(f"unknown wedge atom kind {self.kind!r}")
-        if self.kind in ("sphere", "moore") and self.n < 2:
+        if self.kind in ("sphere", "moore") and (self.n is None or self.n < 2):
             raise ValueError(f"wedge atom dimension must be >= 2, got {self.n}")
         if self.kind == "moore" and (self.c is None or self.c < 2):
             raise ValueError(f"Moore atom order must be >= 2, got {self.c}")
@@ -276,8 +300,7 @@ def opaque(tag: str, ledger: dict[int, FGAbelianGroup]) -> WedgeAtom:
 _WEDGE_KIND_ORDER = {"sphere": 0, "moore": 1, "opaque": 2}
 
 
-@dataclass(frozen=True)
-class WedgeExpr:
+class WedgeExpr(Value):
     """A formal wedge of atoms, kept in canonical multiset order.
 
     >>> w = WedgeExpr.of(sphere(4), moore(6, 5), sphere(4))
@@ -287,11 +310,15 @@ class WedgeExpr:
 
     atoms: tuple[WedgeAtom, ...]
 
+    def __init__(self, atoms: tuple[WedgeAtom, ...]) -> None:
+        self.__dict__.update(atoms=atoms)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         canon = tuple(
             sorted(
                 self.atoms,
-                key=lambda a: (_WEDGE_KIND_ORDER[a.kind], a.n, a.c or 0, a.tag),
+                key=lambda a: (_WEDGE_KIND_ORDER[a.kind], a.n or 0, a.c or 0, a.tag),
             )
         )
         object.__setattr__(self, "atoms", canon)

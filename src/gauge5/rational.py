@@ -19,8 +19,6 @@ degree-1 class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import records
 from .errors import HypothesisError
 from .lie import LieGroupSpec, rational_degrees
@@ -34,10 +32,10 @@ from .spaces import (
     loops_g,
     sphere_factor,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(Value):
     """Finite-support rational Betti numbers b_0, b_1, ..., with b_0 = 1.
 
     >>> HilbertSeries((1, 0, 0, 0, 1))
@@ -47,6 +45,10 @@ class HilbertSeries:
     """
 
     coefficients: tuple[int, ...]
+
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        self.__dict__.update(coefficients=coefficients)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coefficients)
@@ -104,8 +106,7 @@ class HilbertSeries:
         return f"HilbertSeries({str(self)!r})"
 
 
-@dataclass(frozen=True)
-class RationalGroupModel:
+class RationalGroupModel(Value):
     """Generator degrees of H*(G; Q): exterior odd >= 3, polynomial even >= 2.
 
     >>> RationalGroupModel.from_lie(LieGroupSpec("SU", 3)).exterior_degrees
@@ -115,7 +116,15 @@ class RationalGroupModel:
     """
 
     exterior_degrees: tuple[int, ...]
-    polynomial_degrees: tuple[int, ...] = ()
+    polynomial_degrees: tuple[int, ...]
+
+    def __init__(
+        self, exterior_degrees: tuple[int, ...], polynomial_degrees: tuple[int, ...] = ()
+    ) -> None:
+        self.__dict__.update(
+            exterior_degrees=exterior_degrees, polynomial_degrees=polynomial_degrees
+        )
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         ext = tuple(sorted(self.exterior_degrees))
@@ -171,12 +180,15 @@ class RationalGroupModel:
         return " ⊗ ".join(parts) or "Q"
 
 
-@dataclass(frozen=True)
-class GeneratorLedger:
+class GeneratorLedger(Value):
     """Multiset of (degree, kind) free generators of a graded-commutative
     algebra, kind exterior or polynomial."""
 
     generators: tuple[tuple[int, str], ...]
+
+    def __init__(self, generators: tuple[tuple[int, str], ...]) -> None:
+        self.__dict__.update(generators=generators)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for degree, kind in self.generators:

@@ -26,11 +26,10 @@ decompositions; nothing finer is claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import records
 from .lie import LieGroupSpec, rational_degrees
 from .localization import Localization
+from .value import Value
 
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
@@ -55,12 +54,19 @@ def _sub(j: int) -> str:
     return str(j).translate(_SUB)
 
 
-@dataclass(frozen=True)
-class SpaceAtom:
+class SpaceAtom(Value):
     kind: str
-    j: int = 0  # outer loop degree (loop kinds only)
-    k: int | None = None  # gauge component label (moore_gauge only)
-    n: int | None = None  # dimension (moore_map, sphere, em)
+    j: int  # outer loop degree (loop kinds only)
+    k: int | None  # gauge component label (moore_gauge only)
+    n: int | None  # dimension (moore_map, sphere, em)
+
+    def __init__(self, kind: str, j: int = 0, k: int | None = None, n: int | None = None) -> None:
+        self.__dict__.update(kind=kind, j=j, k=k, n=n)
+        self.__post_init__()
+
+    def __hash__(self) -> int:
+        # written out: every SpaceExpr construction hashes each atom twice
+        return hash((self.kind, self.j, self.k, self.n))
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_ORDER:
@@ -131,6 +137,9 @@ def em_factor(n: int) -> SpaceAtom:
     return SpaceAtom("em", n=n)
 
 
+_INTEGRAL = Localization.integral()
+
+
 def group_degrees(group) -> tuple[int, ...]:
     """Rational homotopy degrees of a group context (Lie spec or any model
     exposing all_degrees())."""
@@ -142,8 +151,7 @@ def group_degrees(group) -> tuple[int, ...]:
     raise TypeError(f"no rational degrees for group context {group!r}")
 
 
-@dataclass(frozen=True)
-class SpaceExpr:
+class SpaceExpr(Value):
     """Multiset of (atom, multiplicity) with localization and context.
 
     The constructor merges and sorts; normalize() additionally applies the
@@ -151,9 +159,19 @@ class SpaceExpr:
     """
 
     atoms: tuple[tuple[SpaceAtom, int], ...]
-    localization: Localization = field(default_factory=Localization.integral)
-    group: object | None = None
-    c: int | None = None
+    localization: Localization
+    group: object | None
+    c: int | None
+
+    def __init__(
+        self,
+        atoms: tuple[tuple[SpaceAtom, int], ...],
+        localization: Localization = _INTEGRAL,
+        group: object | None = None,
+        c: int | None = None,
+    ) -> None:
+        self.__dict__.update(atoms=atoms, localization=localization, group=group, c=c)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         merged: dict[SpaceAtom, int] = {}

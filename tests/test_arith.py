@@ -185,6 +185,18 @@ def test_is_prime_refuses_at_the_miller_rabin_bound():
             is_prime(n)
 
 
+def test_factorize_splits_witnessed_composites_above_the_bound():
+    # a Miller-Rabin witness proves compositeness at any size, so rho may split it
+    n = 1000003 * 100000000000000000039
+    assert n > MILLER_RABIN_BOUND
+    assert [(pp.p, pp.e) for pp in factorize(n)] == [(1000003, 1), (100000000000000000039, 1)]
+    # the next prime above the bound has no witness and is still refused, at once
+    prime = 3317044064679887385962123
+    for m in (prime, 2 * prime):
+        with pytest.raises(ValueError, match=f"n = {prime}.*{MILLER_RABIN_BOUND}"):
+            factorize(m)
+
+
 def test_rho_refuses_when_its_budget_runs_out(monkeypatch):
     n = 1000000007 * 1000000009
     monkeypatch.setattr(arith, "RHO_BUDGET", 100)

@@ -231,11 +231,21 @@ def test_wedge_records_give_an_order_to_moore_atoms_only(run, M, t):
     code, out = run(f"moore --c {M.c} --m {M.m}{flags} --suspension {t} --format machine")
     assert code == 0
     rows = [records.parse(line)[1] for line in out.splitlines()]
-    assert [(f["kind"], int(f["n"]), None if f["c"] == "-" else int(f["c"])) for f in rows] == [
+    def num(value):
+        return None if value == "-" else int(value)
+
+    assert [(f["kind"], num(f["n"]), num(f["c"])) for f in rows] == [
         (a.kind, a.n, a.c) for a in suspension_splitting(M, t).atoms
     ]
     # spheres and the opaque rest have no order: `c=-`, never `c=0`
     assert all((f["c"] == "-") == (f["kind"] != "moore") for f in rows)
+
+
+def test_opaque_wedge_record_has_no_dimension(run):
+    # the opaque rest of the triple suspension spans degrees 5, 6 and 8: `n=-`, never `n=0`
+    code, out = run("moore --c 5 --m 2 --suspension 3 --format machine")
+    assert code == 0
+    assert out.splitlines()[-1] == "wedge kind=opaque n=- c=-"
 
 
 # -- the guard -------------------------------------------------------------------
