@@ -101,10 +101,12 @@ class FGAbelianGroup(Value):
         >>> FGAbelianGroup.direct_sum([FGAbelianGroup.cyclic(2)] * 3)
         FGAbelianGroup('Z/2 + Z/2 + Z/2')
         """
-        total = FGAbelianGroup.trivial()
+        rank = 0
+        torsion: list[PrimePower] = []
         for g in parts:
-            total = total + g
-        return total
+            rank += g.free_rank
+            torsion.extend(g.torsion)
+        return FGAbelianGroup(rank, tuple(torsion))
 
     def localize(self, ctx: Localization) -> "FGAbelianGroup":
         """Drop torsion at primes the context inverts; rationally drop it all.

@@ -6,6 +6,13 @@ homotopy of the family: each factor Omega^j G contributes
 stable_pi(family, r + j). The shift multiset comes from normalize(), so a
 normalization bug shows up here as a wrong table entry, which is the point.
 
+The shift multiset depends on M and the localization only, not on r: M fixes
+the factors (G x Omega^5 G x (Omega^2 G x Omega^3 G)^(m-1), or the CP^2 form
+for non-spin M) and the localization decides which of them normalize()
+splits or drops. That is Bott periodicity for the gauge group, and it lets
+bott_rows compute the localization and the multiset once per table; each
+row is then a sum of stable groups.
+
 Results below the stability threshold are refused, not extrapolated.
 """
 
@@ -82,11 +89,18 @@ def _representative(family: str, r: int) -> LieGroupSpec:
     return LieGroupSpec("Spin", max(n, 9))
 
 
-def shift_multiset(q: StableQuery) -> tuple[int, ...]:
+def shift_multiset(q: StableQuery, ctx: Localization) -> tuple[int, ...]:
     """Loop shifts of the normalized away-from-c decomposition, with
-    multiplicity, ascending."""
+    multiplicity, ascending.
+
+    The multiset depends on q.M and the localization only: q.r picks the
+    representative group, which never changes what normalize() returns
+    here, so one multiset serves every r of a period (bott_rows computes it
+    once per table). ctx is q.localization(), which the callers already
+    hold.
+    """
     expr = gauge_away_from_c(q.M, _representative(q.family, q.r), q.k)
-    expr = expr.replace(localization=q.localization()).normalize()
+    expr = expr.replace(localization=ctx).normalize()
     shifts: list[int] = []
     for atom, mult in expr.atoms:
         if atom.kind == "group":
@@ -96,6 +110,12 @@ def shift_multiset(q: StableQuery) -> tuple[int, ...]:
         else:
             raise AssertionError(f"unexpected stable factor {atom}")
     return tuple(sorted(shifts))
+
+
+def _shifted_sum(
+    family: str, r: int, shifts: tuple[int, ...], ctx: Localization
+) -> FGAbelianGroup:
+    return FGAbelianGroup.direct_sum([stable_pi(family, r + s) for s in shifts]).localize(ctx)
 
 
 def stable_pi_gauge(q: StableQuery) -> FGAbelianGroup:
@@ -108,18 +128,23 @@ def stable_pi_gauge(q: StableQuery) -> FGAbelianGroup:
     'Z ⊕ Z/2 ⊕ Z/2'
     """
     ctx = q.localization()
-    parts = [stable_pi(q.family, q.r + s) for s in shift_multiset(q)]
-    return FGAbelianGroup.direct_sum(parts).localize(ctx)
+    return _shifted_sum(q.family, q.r, shift_multiset(q, ctx), ctx)
 
 
 def bott_rows(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> list:
-    """One period of stable pi_r for (M, family): (r, period, pi_r) per row."""
+    """One period of stable pi_r for (M, family): (r, period, pi_r) per row.
+
+    Every row builds its StableQuery, so it is validated and refused as
+    stable_pi_gauge would be; the localization and the shift multiset are
+    computed once for the period (see shift_multiset).
+    """
     period = 2 if family == "SU" else (4 if ctx == "away_2c" else 8)
     low = 1 if family == "SU" else 2
-    return [
-        (r, period, stable_pi_gauge(StableQuery(M, family, k, r, ctx)))
-        for r in range(low, low + period)
-    ]
+    queries = [StableQuery(M, family, k, r, ctx) for r in range(low, low + period)]
+    local = queries[0].localization()
+    # the top r's representative group is above the threshold of every row
+    shifts = shift_multiset(queries[-1], local)
+    return [(q.r, period, _shifted_sum(family, q.r, shifts, local)) for q in queries]
 
 
 def bott_table(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> str:

@@ -7,12 +7,15 @@ classification over Moore spaces), the loop-power offset r(G, p) used by the
 exponent bounds, and the stable homotopy of the SU and Spin families.
 
 Numeric rows live in data/catalog.txt (override with the GAUGE_CATALOG
-environment variable); this module parses and interprets them.
+environment variable); this module parses and interprets them. Each catalog
+path is parsed and indexed once: its rows are grouped by (family key,
+parameter), specific rows before * rows and each group in file order, and
+every p=K / p>=K tag is resolved to its prime interval on the row. A lookup
+then reads one short group instead of scanning the file's rows.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 
@@ -227,7 +230,6 @@ _RANGE_TAGS = {
 _FAMILY_KEYS = ("SU", "Sp", "SpinOdd", "SpinEven", "G2", "F4", "E6", "E7", "E8")
 
 
-@functools.lru_cache(maxsize=None)  # lookups call it for every row they scan
 def prime_cond_interval(tag: str) -> tuple[int, float]:
     """The least and greatest prime covered by a 'p=K' or 'p>=K' tag.
 
@@ -258,7 +260,7 @@ def prime_cond_holds(tag: str, p: int, n: int | None = None) -> bool:
 
 class CatalogRow(Value):
     family_key: str
-    param: int | None  # None means any n (a * row)
+    param: int | None  # None means any n (a * row) or no parameter (a - row)
     prime_cond: str
     ord_spec: str
     r_spec: str
@@ -269,10 +271,22 @@ class CatalogRow(Value):
         self.__dict__.update(
             family_key=family_key, param=param, prime_cond=prime_cond, ord_spec=ord_spec,
             r_spec=r_spec,
+            # not a field: the (least, greatest) prime of a p=K / p>=K tag,
+            # parsed here once; None for the tags that need n
+            interval=(
+                None if prime_cond == "all" or prime_cond in _RANGE_TAGS
+                else prime_cond_interval(prime_cond)
+            ),
         )
 
     def is_integral(self) -> bool:
         return self.prime_cond == "all"
+
+    def _holds_at(self, p: int, n: int | None) -> bool:
+        """prime_cond_holds for this row's tag, without parsing it again."""
+        if self.interval is None:
+            return prime_cond_holds(self.prime_cond, p, n)
+        return self.interval[0] <= p <= self.interval[1]
 
     def ord_value(self, n: int | None) -> int:
         if self.ord_spec in _ORD_FORMULAS:
@@ -285,18 +299,29 @@ class CatalogRow(Value):
         return int(self.r_spec)
 
 
-_catalog_cache: dict[str, tuple[CatalogRow, ...]] = {}
+# path -> (rows in file order, (family key, param) -> rows a lookup reads)
+_catalog_cache: dict[str, tuple[tuple[CatalogRow, ...], dict]] = {}
+
+
+def _catalog_key(path: str | os.PathLike | None) -> str:
+    if path is None:
+        path = os.environ.get("GAUGE_CATALOG") or _DEFAULT_CATALOG
+    return str(path)
 
 
 def load_catalog(path: str | os.PathLike | None = None) -> tuple[CatalogRow, ...]:
     """Parse the catalog data file (GAUGE_CATALOG env var overrides the
-    packaged default). Results are cached per path."""
-    if path is None:
-        path = os.environ.get("GAUGE_CATALOG") or _DEFAULT_CATALOG
-    key = str(path)
-    if key in _catalog_cache:
-        return _catalog_cache[key]
+    packaged default). Each path is parsed and indexed once."""
+    key = _catalog_key(path)
+    if key not in _catalog_cache:
+        rows = _parse_catalog(key)
+        _catalog_cache[key] = rows, _index_rows(rows)
+    return _catalog_cache[key][0]
+
+
+def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
     rows: list[CatalogRow] = []
+    seen: dict[tuple[str, int | None, str], int] = {}  # (family, param, primes) -> line
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -309,10 +334,21 @@ def load_catalog(path: str | os.PathLike | None = None) -> tuple[CatalogRow, ...
         fam, param_s, primes, ord_s, r_s = parts
         if fam not in _FAMILY_KEYS:
             raise CatalogError(f"{path}:{lineno}: unknown family {fam!r}")
-        if param_s in ("*", "-"):
+        if fam in EXCEPTIONAL:
+            if param_s != "-":
+                raise CatalogError(
+                    f"{path}:{lineno}: {fam} takes no parameter; write -, got {param_s!r}"
+                )
+            param = None
+        elif param_s == "*":
             param = None
         else:
-            param = int(param_s)
+            try:
+                param = int(param_s)
+            except ValueError:
+                raise CatalogError(
+                    f"{path}:{lineno}: {fam} needs an integer parameter or *, got {param_s!r}"
+                ) from None
         try:
             prime_cond_holds(primes, 3, 1)  # parses the tag, raising on unknown ones
         except (CatalogError, ValueError):
@@ -321,10 +357,36 @@ def load_catalog(path: str | os.PathLike | None = None) -> tuple[CatalogRow, ...
             raise CatalogError(f"{path}:{lineno}: unknown ord spec {ord_s!r}")
         if r_s not in _R_FORMULAS and not r_s.isdigit():
             raise CatalogError(f"{path}:{lineno}: unknown r spec {r_s!r}")
+        first = seen.setdefault((fam, param, primes), lineno)
+        if first != lineno:
+            raise CatalogError(f"{path}:{lineno}: repeats line {first} ({fam} {param_s} {primes})")
         rows.append(CatalogRow(fam, param, primes, ord_s, r_s))
-    result = tuple(rows)
-    _catalog_cache[key] = result
-    return result
+    return tuple(rows)
+
+
+def _index_rows(rows: tuple[CatalogRow, ...]) -> dict:
+    """(family key, param) -> the rows a lookup reads, specific rows first,
+    each kind in file order; (family key, None) holds the * and - rows."""
+    general: dict[str, list[CatalogRow]] = {}
+    specific: dict[tuple[str, int], list[CatalogRow]] = {}
+    for row in rows:
+        if row.param is None:
+            general.setdefault(row.family_key, []).append(row)
+        else:
+            specific.setdefault((row.family_key, row.param), []).append(row)
+    index: dict = {(fam, None): tuple(group) for fam, group in general.items()}
+    for (fam, n), group in specific.items():
+        index[fam, n] = tuple(group + general.get(fam, []))
+    return index
+
+
+def _index() -> dict:
+    # Every lookup loads through the public load_catalog, once, so a wrapper
+    # around it (bench/spans.py) sees the catalog each lookup read. The key
+    # is passed in so that a lookup reads the environment only once.
+    key = _catalog_key(None)
+    load_catalog(key)
+    return _catalog_cache[key][1]
 
 
 def _family_key(G: LieGroupSpec) -> tuple[str, int | None]:
@@ -337,12 +399,12 @@ def _family_key(G: LieGroupSpec) -> tuple[str, int | None]:
         return G.family, None
     return G.family, G.n
 
-def _rows_for(G: LieGroupSpec) -> tuple[list[CatalogRow], int | None]:
+
+def _rows_for(G: LieGroupSpec) -> tuple[tuple[CatalogRow, ...], int | None]:
     """Catalog rows matching G, specific-parameter rows first."""
     key, n = _family_key(G)
-    rows = [r for r in load_catalog() if r.family_key == key and (r.param is None or r.param == n)]
-    rows.sort(key=lambda r: r.param is None)  # False (specific) before True (*)
-    return rows, n
+    index = _index()
+    return index.get((key, n)) or index.get((key, None), ()), n
 
 
 def ord_partial1_tilde(G: LieGroupSpec, p: int | None = None) -> int:
@@ -365,7 +427,7 @@ def ord_partial1_tilde(G: LieGroupSpec, p: int | None = None) -> int:
     if not is_prime(p):
         raise ValueError(f"expected a prime or None, got {p}")
     for row in rows:
-        if prime_cond_holds(row.prime_cond, p, n):
+        if row._holds_at(p, n):
             return row.ord_value(n)
     raise CatalogError(f"order unknown for ({G}, p={p})")
 
@@ -397,9 +459,11 @@ def r_of(G: LieGroupSpec, p: int) -> int:
     rows, n = _rows_for(G)
     if G.family in EXCEPTIONAL:
         for row in rows:
-            if prime_cond_holds(row.prime_cond, p, n):
+            if row._holds_at(p, n):
                 return row.r_value(n, p)
         raise CatalogError(f"no r value for ({G}, p={p})")
+    if not rows:
+        raise CatalogError(f"no catalog row for {G}")
     return rows[0].r_value(n, p)
 
 
@@ -408,18 +472,19 @@ def exceptional_rows(family: str) -> list[tuple[str, int, int]]:
     order; feeds the exponent-table emitter."""
     if family not in EXCEPTIONAL:
         raise ValueError(f"{family} is not exceptional")
-    out = []
-    for row in load_catalog():
-        if row.family_key == family:
-            out.append((row.prime_cond, row.ord_value(None), row.r_value(None, 2)))
-    return out
+    return [
+        (row.prime_cond, row.ord_value(None), row.r_value(None, 2))
+        for row in _index().get((family, None), ())
+    ]
 
 
 # -- stable homotopy ---------------------------------------------------------
 
-# pi_r of the stable Spin group for r = 0..7 mod 8, given as cyclic orders
-# (0 encodes Z, 1 the zero group).
-_SPIN_BOTT = (2, 2, 1, 0, 1, 1, 1, 0)
+# pi_r of the stable groups by residue of r: SU mod 2, Spin mod 8 (as cyclic
+# orders, 0 encoding Z and 1 the zero group). Groups are immutable, so every
+# caller shares these.
+_SU_BOTT = (FGAbelianGroup.trivial(), FGAbelianGroup.free(1))
+_SPIN_BOTT = tuple(FGAbelianGroup.cyclic(n) for n in (2, 2, 1, 0, 1, 1, 1, 0))
 
 
 def stable_pi(family: str, r: int) -> FGAbelianGroup:
@@ -433,9 +498,9 @@ def stable_pi(family: str, r: int) -> FGAbelianGroup:
     if family == "SU":
         if r < 1:
             raise ValueError(f"stable SU homotopy needs r >= 1, got {r}")
-        return FGAbelianGroup.free(1) if r % 2 else FGAbelianGroup.trivial()
+        return _SU_BOTT[r % 2]
     if family == "Spin":
         if r < 2:
             raise ValueError(f"stable Spin homotopy needs r >= 2, got {r}")
-        return FGAbelianGroup.cyclic(_SPIN_BOTT[r % 8])
+        return _SPIN_BOTT[r % 8]
     raise ValueError(f"stable families are SU and Spin, got {family!r}")

@@ -1,5 +1,7 @@
 """Stable homotopy of SU and Spin gauge groups against the closed forms."""
 
+import itertools
+
 import pytest
 
 from gauge5 import (
@@ -11,6 +13,7 @@ from gauge5 import (
     stability_threshold,
     stable_pi_gauge,
 )
+from gauge5.bott import bott_rows, shift_multiset
 
 Z = FGAbelianGroup.free
 ZERO = FGAbelianGroup.trivial()
@@ -66,15 +69,69 @@ def test_non_spin_manifolds_match_the_torsion_free_table():
             assert got == _spin_away_2c(r, m), (r, m)
 
 
-def test_periodicity():
-    M = ManifoldSpec(7, 3)
-    for r in range(2, 12):
-        spin_q = stable_pi_gauge(StableQuery(M, "Spin", 0, r))
-        assert spin_q == stable_pi_gauge(StableQuery(M, "Spin", 0, r + 8))
-        su_q = stable_pi_gauge(StableQuery(M, "SU", 0, r))
-        assert su_q == stable_pi_gauge(StableQuery(M, "SU", 0, r + 2))
-        away2 = stable_pi_gauge(StableQuery(M, "Spin", 0, r, "away_2c"))
-        assert away2 == stable_pi_gauge(StableQuery(M, "Spin", 0, r + 4, "away_2c"))
+# every manifold flag set (m, spin) of the parity grid below, at c of each
+# kind that the localization sees: 2, odd, a multiple of 6, a prime power
+_FLAG_SETS = [(m, spin) for m in (1, 2, 3, 5) for spin in (True, False) if spin or m >= 2]
+
+
+@pytest.mark.parametrize("m, spin", _FLAG_SETS)
+def test_periodicity(m, spin):
+    for c in (2, 7, 9, 12, 60):
+        M = ManifoldSpec(c, m, spin=spin)
+        for r in range(2, 12):
+            if spin:
+                spin_q = stable_pi_gauge(StableQuery(M, "Spin", 0, r))
+                assert spin_q == stable_pi_gauge(StableQuery(M, "Spin", 0, r + 8))
+                su_q = stable_pi_gauge(StableQuery(M, "SU", 0, r))
+                assert su_q == stable_pi_gauge(StableQuery(M, "SU", 0, r + 2))
+            away2 = stable_pi_gauge(StableQuery(M, "Spin", 0, r, "away_2c"))
+            assert away2 == stable_pi_gauge(StableQuery(M, "Spin", 0, r + 4, "away_2c"))
+            su2 = stable_pi_gauge(StableQuery(M, "SU", 0, r, "away_2c"))
+            assert su2 == stable_pi_gauge(StableQuery(M, "SU", 0, r + 2, "away_2c"))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (HypothesisError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_GRID = list(
+    itertools.product(range(2, 61), (1, 2, 3, 5), (True, False), ("SU", "Spin"),
+                      ("away_c", "away_2c"))
+)
+
+
+def test_bott_rows_agree_with_stable_pi_gauge_row_by_row():
+    answered = 0
+    for c, m, spin, family, ctx in _GRID:
+        M = ManifoldSpec(c, m, spin=spin)
+        kind, rows = _outcome(bott_rows, M, family, 0, ctx)
+        period = 2 if family == "SU" else (4 if ctx == "away_2c" else 8)
+        low = 1 if family == "SU" else 2
+        for r in range(low, low + period):
+            want = _outcome(lambda: stable_pi_gauge(StableQuery(M, family, 0, r, ctx)))
+            if kind == "ok":
+                assert want == ("ok", rows[r - low][2]), (c, m, spin, family, ctx, r)
+                assert rows[r - low][:2] == (r, period)
+            else:
+                assert want == (kind, rows), (c, m, spin, family, ctx, r)
+        answered += kind == "ok"
+    assert answered == 59 * (4 * 2 * 2 + 3 * 2)  # spin: both ctx; non-spin: away_2c, m >= 2
+
+
+def test_shift_multiset_is_one_per_period():
+    # bott_rows computes the multiset once per table; it must not depend on r
+    for c, m, spin, family, ctx in _GRID:
+        M = ManifoldSpec(c, m, spin=spin)
+        period = 2 if family == "SU" else (4 if ctx == "away_2c" else 8)
+        low = 1 if family == "SU" else 2
+        outcomes = set()
+        for r in range(low, low + period):
+            q = _outcome(StableQuery, M, family, 0, r, ctx)
+            outcomes.add(_outcome(shift_multiset, q[1], q[1].localization()) if q[0] == "ok" else q)
+        assert len(outcomes) == 1, (c, m, spin, family, ctx, outcomes)
 
 
 def test_torsion_is_only_z2_and_only_in_the_spin_table():

@@ -1,6 +1,10 @@
 """Lie group catalog: types, connecting-map orders, exponent offsets."""
 
+import re
+
 import pytest
+
+from gauge5 import lie
 
 from gauge5 import (
     CatalogError,
@@ -19,7 +23,15 @@ from gauge5 import (
     stable_pi,
     type_of,
 )
-from gauge5.lie import load_catalog, pi4, pi4_is_trivial, prime_cond_holds
+from gauge5.arith import is_prime
+from gauge5.lie import (
+    EXCEPTIONAL,
+    exceptional_rows,
+    load_catalog,
+    pi4,
+    pi4_is_trivial,
+    prime_cond_holds,
+)
 
 SU = lambda n: LieGroupSpec("SU", n)
 Sp = lambda n: LieGroupSpec("Sp", n)
@@ -143,6 +155,180 @@ def test_catalog_rejects_unknown_prime_conditions_at_load(tmp_path, tag):
     path.write_text(f"SU  3  all  24  0\nSU  4  {tag}  60  0\n", encoding="utf-8")
     with pytest.raises(CatalogError, match=f":2: unknown prime condition '{tag}'"):
         load_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # a classical family needs n or *; '-' used to be read as '*'
+        ("SU  -  all  99  0", r":1: SU needs an integer parameter or \*, got '-'"),
+        ("Sp  x  all  99  0", r":1: Sp needs an integer parameter or \*, got 'x'"),
+        # an exceptional row no lookup could ever reach
+        ("G2  3  p=5  21  1", ":1: G2 takes no parameter; write -, got '3'"),
+        ("E8  *  p=7  21  1", r":1: E8 takes no parameter; write -, got '\*'"),
+        # a repeated (family, param, primes): the later row was silently shadowed
+        ("SU  3  all  24  0\nSU  3  all  77  0", r":2: repeats line 1 \(SU 3 all\)"),
+        ("G2  -  p=5  21  1\nG2  -  p=5  22  1", r":2: repeats line 1 \(G2 - p=5\)"),
+    ],
+)
+def test_catalog_refuses_rows_no_lookup_can_serve(tmp_path, rows, message):
+    path = tmp_path / "catalog.txt"
+    path.write_text(rows + "\n", encoding="utf-8")
+    with pytest.raises(CatalogError, match=re.escape(str(path)) + message):
+        load_catalog(path)
+
+
+def test_catalog_keeps_rows_that_differ_in_one_column(tmp_path):
+    path = tmp_path / "catalog.txt"
+    path.write_text(
+        "SU  3  all  24  0\nSU  3  p=5  24  0\nSU  4  all  60  0\nSU  *  all  6  0\n"
+        "G2  -  p=5  21  1\nF4  -  p=5  21  1\n",
+        encoding="utf-8",
+    )
+    assert len(load_catalog(path)) == 6
+
+
+# -- the (family, param) index against a linear scan -------------------------------
+
+
+def _oracle_rows(G):
+    """The catalog rows matching G by scanning every row, specific rows first."""
+    if G.family == "Spin":
+        key, n = ("SpinOdd" if G.n % 2 else "SpinEven"), G.n // 2
+    else:
+        key, n = G.family, G.n
+    rows = [r for r in load_catalog() if r.family_key == key and (r.param is None or r.param == n)]
+    rows.sort(key=lambda r: r.param is None)
+    return tuple(rows), n
+
+
+def _oracle_ord(G, p=None):
+    rows, n = _oracle_rows(G)
+    if p is None:
+        for row in rows:
+            if row.prime_cond == "all":
+                return row.ord_value(n)
+        raise CatalogError(f"order unknown for ({G}, integral)")
+    if not is_prime(p):
+        raise ValueError(f"expected a prime or None, got {p}")
+    for row in rows:
+        if prime_cond_holds(row.prime_cond, p, n):
+            return row.ord_value(n)
+    raise CatalogError(f"order unknown for ({G}, p={p})")
+
+
+def _oracle_catalog_order(G):
+    rows, n = _oracle_rows(G)
+    if not rows:
+        raise CatalogError(f"no catalog row for {G}")
+    return rows[0].ord_value(n), rows[0].prime_cond
+
+
+def _oracle_r(G, p):
+    if not in_theriault_range(G, p):
+        raise CatalogError(f"({G}, p={p}) outside the loop-filtration range")
+    rows, n = _oracle_rows(G)
+    if G.family in EXCEPTIONAL:
+        for row in rows:
+            if prime_cond_holds(row.prime_cond, p, n):
+                return row.r_value(n, p)
+        raise CatalogError(f"no r value for ({G}, p={p})")
+    if not rows:  # the scan raised IndexError here
+        raise CatalogError(f"no catalog row for {G}")
+    return rows[0].r_value(n, p)
+
+
+def _oracle_exceptional_rows(family):
+    return [
+        (row.prime_cond, row.ord_value(None), row.r_value(None, 2))
+        for row in load_catalog()
+        if row.family_key == family
+    ]
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the refusal is part of the answer
+        return type(exc).__name__, str(exc)
+
+
+_INDEX_GROUPS = (
+    [SU(n) for n in range(2, 41)]
+    + [Sp(n) for n in range(1, 41)]
+    + [Spin(n) for n in range(5, 41)]
+    + [LieGroupSpec(f) for f in EXCEPTIONAL]
+)
+_PRIMES_BELOW_100 = [p for p in range(2, 100) if is_prime(p)]
+
+
+def _index_answers():
+    """Every lookup's outcome, through the index and through the scan."""
+    got, want = [], []
+    for G in _INDEX_GROUPS:
+        got.append(_outcome(ord_partial1_tilde, G))
+        want.append(_outcome(_oracle_ord, G))
+        got.append(_outcome(catalog_order, G))
+        want.append(_outcome(_oracle_catalog_order, G))
+        for p in _PRIMES_BELOW_100:
+            got.append(_outcome(ord_partial1_tilde, G, p))
+            want.append(_outcome(_oracle_ord, G, p))
+            got.append(_outcome(r_of, G, p))
+            want.append(_outcome(_oracle_r, G, p))
+    for family in EXCEPTIONAL:
+        got.append(_outcome(exceptional_rows, family))
+        want.append(_outcome(_oracle_exceptional_rows, family))
+    return got, want
+
+
+_OVERRIDE = """
+SU        4   p=5              61           1
+SU        *   p>=7             n(n^2-1)     nu_p((n-1)!)
+SU        4   all              62           2
+SU        *   all              9            0
+SU        *   p=5              n(n^2-1)     3
+Sp        2   symp_range       11           3
+SpinOdd   *   su_range         n(2n+1)      nu_p((2n-1)!)
+SpinEven  *   p=5              (n-1)(2n-1)  nu_p((2n-3)!)
+SpinEven  6   p>=3             5            0
+G2        -   p>=11            22           0
+G2        -   p=5              23           1
+G2        -   p=13             24           2
+E8        -   p>=7             45398353     2
+"""
+
+
+def test_catalog_index_matches_a_linear_scan(tmp_path, monkeypatch):
+    monkeypatch.delenv("GAUGE_CATALOG", raising=False)
+    packaged, want = _index_answers()
+    assert packaged == want
+    assert sum(kind == "ok" for kind, _ in packaged) > 2000
+
+    custom = tmp_path / "catalog.txt"
+    custom.write_text(_OVERRIDE, encoding="utf-8")
+    monkeypatch.setenv("GAUGE_CATALOG", str(custom))  # mid-process, after the packaged load
+    overridden, want = _index_answers()
+    assert overridden == want
+    assert overridden != packaged
+    assert ord_partial1_tilde(SU(4)) == 62 and ord_partial1_tilde(SU(4), 5) == 61
+    # no Sp(3) row: a refusal naming the group, not an IndexError
+    assert _outcome(r_of, Sp(3), 5) == ("CatalogError", "no catalog row for Sp(3)")
+
+    monkeypatch.delenv("GAUGE_CATALOG")
+    again, want = _index_answers()
+    assert again == want == packaged
+
+
+def test_each_lookup_loads_the_catalog_once(monkeypatch):
+    # wrappers around load_catalog see every lookup's catalog
+    calls = []
+    real = lie.load_catalog
+    monkeypatch.setattr(lie, "load_catalog", lambda *a: calls.append(a) or real(*a))
+    ord_partial1_tilde(SU(4), 5)
+    catalog_order(LieGroupSpec("E8"))
+    r_of(SU(7), 5)
+    exceptional_rows("G2")
+    assert len(calls) == 4
 
 
 def test_loop_offsets_for_classical_families():
