@@ -26,7 +26,6 @@ from .lie import (
     is_p_regular,
     l_of,
     ord_partial1_tilde,
-    prime_cond_interval,
     r_of,
 )
 from .manifold import ManifoldSpec, require_not_divisible_by_6
@@ -198,10 +197,9 @@ def exceptional_table() -> list[ExponentTableRow]:
     for family in EXCEPTIONAL:
         G = LieGroupSpec(family)
         l = l_of(G)
-        for prime_cond, ord_value, r in exceptional_rows(family):
-            # representative prime: the least one the row covers; for a
-            # "p>=K" row that works because ord has no prime factor that large
-            p_rep, _ = prime_cond_interval(prime_cond)
+        # representative prime: the least one the row covers; for a
+        # "p>=K" row that works because ord has no prime factor that large
+        for prime_cond, p_rep, ord_value, r in exceptional_rows(family):
             offset = r + nu_p(ord_value, p_rep)
             rows.append(ExponentTableRow(family, prime_cond, l + r + offset, offset))
     return rows

@@ -350,7 +350,7 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
                     f"{path}:{lineno}: {fam} needs an integer parameter or *, got {param_s!r}"
                 ) from None
         try:
-            prime_cond_holds(primes, 3, 1)  # parses the tag, raising on unknown ones
+            row = CatalogRow(fam, param, primes, ord_s, r_s)  # parses the tag
         except (CatalogError, ValueError):
             raise CatalogError(f"{path}:{lineno}: unknown prime condition {primes!r}") from None
         if ord_s not in _ORD_FORMULAS and not ord_s.isdigit():
@@ -360,7 +360,7 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
         first = seen.setdefault((fam, param, primes), lineno)
         if first != lineno:
             raise CatalogError(f"{path}:{lineno}: repeats line {first} ({fam} {param_s} {primes})")
-        rows.append(CatalogRow(fam, param, primes, ord_s, r_s))
+        rows.append(row)
     return tuple(rows)
 
 
@@ -467,15 +467,18 @@ def r_of(G: LieGroupSpec, p: int) -> int:
     return rows[0].r_value(n, p)
 
 
-def exceptional_rows(family: str) -> list[tuple[str, int, int]]:
-    """(prime condition, ord, r) triples for an exceptional family, in file
-    order; feeds the exponent-table emitter."""
+def exceptional_rows(family: str) -> list[tuple[str, int, int, int]]:
+    """(prime condition, least prime it covers, ord, r) for each row of an
+    exceptional family, in file order; feeds the exponent-table emitter,
+    which needs a p=K or p>=K tag on every row."""
     if family not in EXCEPTIONAL:
         raise ValueError(f"{family} is not exceptional")
-    return [
-        (row.prime_cond, row.ord_value(None), row.r_value(None, 2))
-        for row in _index().get((family, None), ())
-    ]
+    out = []
+    for row in _index().get((family, None), ()):
+        if row.interval is None:
+            raise CatalogError(f"unknown prime condition {row.prime_cond!r}")
+        out.append((row.prime_cond, row.interval[0], row.ord_value(None), row.r_value(None, 2)))
+    return out
 
 
 # -- stable homotopy ---------------------------------------------------------

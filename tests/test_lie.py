@@ -31,6 +31,7 @@ from gauge5.lie import (
     pi4,
     pi4_is_trivial,
     prime_cond_holds,
+    prime_cond_interval,
 )
 
 SU = lambda n: LieGroupSpec("SU", n)
@@ -240,7 +241,8 @@ def _oracle_r(G, p):
 
 def _oracle_exceptional_rows(family):
     return [
-        (row.prime_cond, row.ord_value(None), row.r_value(None, 2))
+        (row.prime_cond, prime_cond_interval(row.prime_cond)[0], row.ord_value(None),
+         row.r_value(None, 2))
         for row in load_catalog()
         if row.family_key == family
     ]
