@@ -129,8 +129,11 @@ def test_shift_multiset_is_one_per_period():
         low = 1 if family == "SU" else 2
         outcomes = set()
         for r in range(low, low + period):
-            q = _outcome(StableQuery, M, family, 0, r, ctx)
-            outcomes.add(_outcome(shift_multiset, q[1], q[1].localization()) if q[0] == "ok" else q)
+            kind, q = _outcome(StableQuery, M, family, 0, r, ctx)
+            if kind == "ok":
+                outcomes.add(_outcome(shift_multiset, q, q.localization()))
+            else:
+                outcomes.add((kind, q))
         assert len(outcomes) == 1, (c, m, spin, family, ctx, outcomes)
 
 
