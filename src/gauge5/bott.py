@@ -11,7 +11,10 @@ the factors (G x Omega^5 G x (Omega^2 G x Omega^3 G)^(m-1), or the CP^2 form
 for non-spin M) and the localization decides which of them normalize()
 splits or drops. That is Bott periodicity for the gauge group, and it lets
 bott_rows compute the localization and the multiset once per table; each
-row is then a sum of stable groups.
+row is then a sum of stable groups. The multiset is built on the query's
+one localization, so c is factored once per query, in
+StableQuery.localization(); normalize() only asks whether that
+localization inverts c, which it answers by division.
 
 Results below the stability threshold are refused, not extrapolated.
 """
@@ -19,11 +22,12 @@ Results below the stability threshold are refused, not extrapolated.
 from __future__ import annotations
 
 from .abelian import FGAbelianGroup
-from .decomposition import gauge_away_from_c
+from .decomposition import _away_from_c_atoms
 from .errors import HypothesisError
 from .lie import LieGroupSpec, stable_pi
 from .localization import Localization
-from .manifold import ManifoldSpec
+from .manifold import ManifoldSpec, require_pi4_trivial
+from .spaces import SpaceExpr
 from .value import Value
 
 _STABLE_FAMILIES = ("SU", "Spin")
@@ -96,11 +100,13 @@ def shift_multiset(q: StableQuery, ctx: Localization) -> tuple[int, ...]:
     The multiset depends on q.M and the localization only: q.r picks the
     representative group, which never changes what normalize() returns
     here, so one multiset serves every r of a period (bott_rows computes it
-    once per table). ctx is q.localization(), which the callers already
-    hold.
+    once per table). q.k is unused: every component agrees away from c.
+    The expression is built on ctx, the query's one localization
+    (q.localization(), which the callers already hold).
     """
-    expr = gauge_away_from_c(q.M, _representative(q.family, q.r), q.k)
-    expr = expr.replace(localization=ctx).normalize()
+    G = _representative(q.family, q.r)
+    require_pi4_trivial(G, ctx)
+    expr = SpaceExpr(_away_from_c_atoms(q.M), localization=ctx, group=G, c=q.M.c).normalize()
     shifts: list[int] = []
     for atom, mult in expr.atoms:
         if atom.kind == "group":

@@ -94,11 +94,15 @@ def gauge_away_from_c(M: ManifoldSpec, G: LieGroupSpec, k: int = 0) -> SpaceExpr
     """
     ctx = Localization.away_from([M.c])
     require_pi4_trivial(G, ctx)
+    return SpaceExpr(_away_from_c_atoms(M), localization=ctx, group=G, c=M.c)
+
+
+def _away_from_c_atoms(M: ManifoldSpec) -> tuple:
+    """The factors of gauge_away_from_c, for callers that already hold a
+    localization inverting c (bott builds its expression on the query's)."""
     if M.spin:
-        atoms = [(group_itself(), 1), (loops_g(5), 1),
-                 (loops_g(2), M.m - 1), (loops_g(3), M.m - 1)]
-    else:
-        require_m_at_least_2(M)
-        atoms = [(group_itself(), 1), (map_cp2(1), 1),
-                 (loops_g(2), M.m - 1), (loops_g(3), M.m - 2)]
-    return SpaceExpr(tuple(atoms), localization=ctx, group=G, c=M.c)
+        return ((group_itself(), 1), (loops_g(5), 1),
+                (loops_g(2), M.m - 1), (loops_g(3), M.m - 1))
+    require_m_at_least_2(M)
+    return ((group_itself(), 1), (map_cp2(1), 1),
+            (loops_g(2), M.m - 1), (loops_g(3), M.m - 2))

@@ -85,8 +85,28 @@ class Localization(Value):
         return p in self.inverted_set
 
     def inverts_all_of(self, m: int) -> bool:
-        """Are all primes dividing m (>= 2) inverted?"""
-        return all(self.inverts(p) for p in prime_divisors(m))
+        """Are all primes dividing m (>= 1) inverted?
+
+        Answered by division by the primes the context holds, so m is never
+        factored: a semiprime or an m beyond the primality bound costs no
+        more than a small one.
+
+        >>> away2 = Localization.away_from([2])
+        >>> away2.inverts_all_of(8), away2.inverts_all_of(12)
+        (True, False)
+        """
+        if m < 1:
+            raise ValueError(f"inverts_all_of needs a positive integer, got {m}")
+        if self.kind == "integral":
+            return m == 1
+        if self.kind == "rational":
+            return True
+        if self.kind == "at_prime":
+            return m % self.prime != 0
+        for p in self.inverted_set:
+            while m % p == 0:
+                m //= p
+        return m == 1
 
     def describe(self) -> str:
         if self.kind == "integral":

@@ -262,3 +262,23 @@ def test_c_beyond_the_primality_bound_is_refused_in_a_subprocess():
     proc = _cli("homology", "--c", "9000000000000000000000067", "--m", "2")  # a 25-digit prime
     assert proc.returncode == 1 and proc.stdout == ""
     assert "3317044064679887385961981" in proc.stderr and "Traceback" not in proc.stderr
+
+
+BEYOND_BOUND = 3317044064679887385962123  # factorize refuses it
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("--loops", "2", "--at-p", "5"), "Ω²G × Ω⁴G × Ω⁵G × Ω⁷G"),
+        (("--loops", "3", "--sp", "--stc", "--rational"), "Ω³G × Ω⁵G × Ω⁶G"),
+    ],
+    ids=["at-p", "rational"],
+)
+def test_normalize_answers_without_the_factors_of_c(argv, out):
+    """Under --at-p or --rational, normalize needs only whether the context
+    inverts c, not the primes of c, so a c that cannot be factored answers."""
+    proc = _cli(
+        "decompose", "--group", "SU:4", "--c", str(BEYOND_BOUND), "--m", "2", *argv, "--normalize"
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "\n", "")
