@@ -42,6 +42,7 @@ class FGAbelianGroup(Value):
         self.__dict__.update(free_rank=free_rank, torsion=torsion)
         self.__post_init__()
 
+    # a second step, unlike every other Value: the benchmark counts groups through it
     def __post_init__(self) -> None:
         if self.free_rank < 0:
             raise ValueError(f"free rank must be >= 0, got {self.free_rank}")

@@ -62,21 +62,18 @@ class StableQuery(Value):
     ctx: str  # away_c | away_2c
 
     def __init__(self, M: ManifoldSpec, family: str, k: int, r: int, ctx: str = "away_c") -> None:
-        self.__dict__.update(M=M, family=family, k=k, r=r, ctx=ctx)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.family not in _STABLE_FAMILIES:
-            raise ValueError(f"stable families are SU and Spin, got {self.family!r}")
-        if self.ctx not in ("away_c", "away_2c"):
-            raise ValueError(f"ctx must be away_c or away_2c, got {self.ctx!r}")
-        low = 1 if self.family == "SU" else 2
-        if self.r < low:
-            raise ValueError(f"need r >= {low} for {self.family}, got {self.r}")
-        if not self.M.spin and self.ctx != "away_2c":
+        if family not in _STABLE_FAMILIES:
+            raise ValueError(f"stable families are SU and Spin, got {family!r}")
+        if ctx not in ("away_c", "away_2c"):
+            raise ValueError(f"ctx must be away_c or away_2c, got {ctx!r}")
+        low = 1 if family == "SU" else 2
+        if r < low:
+            raise ValueError(f"need r >= {low} for {family}, got {r}")
+        if not M.spin and ctx != "away_2c":
             raise HypothesisError(
                 "non-spin manifolds need localization away from 2c"
             )
+        self.__dict__.update(M=M, family=family, k=k, r=r, ctx=ctx)
 
     def localization(self) -> Localization:
         if self.ctx == "away_2c":
@@ -140,17 +137,19 @@ def stable_pi_gauge(q: StableQuery) -> FGAbelianGroup:
 def bott_rows(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> list:
     """One period of stable pi_r for (M, family): (r, period, pi_r) per row.
 
-    Every row builds its StableQuery, so it is validated and refused as
-    stable_pi_gauge would be; the localization and the shift multiset are
-    computed once for the period (see shift_multiset).
+    One StableQuery, for the top r of the period, is validated and refused
+    as stable_pi_gauge would be: the rows' queries differ only in r, and
+    every r of the period is valid. The localization and the shift multiset
+    are computed once for the period (see shift_multiset).
     """
     period = 2 if family == "SU" else (4 if ctx == "away_2c" else 8)
     low = 1 if family == "SU" else 2
-    queries = [StableQuery(M, family, k, r, ctx) for r in range(low, low + period)]
-    local = queries[0].localization()
+    rs = range(low, low + period)
+    top = StableQuery(M, family, k, rs[-1], ctx)
+    local = top.localization()
     # the top r's representative group is above the threshold of every row
-    shifts = shift_multiset(queries[-1], local)
-    return [(q.r, period, _shifted_sum(family, q.r, shifts, local)) for q in queries]
+    shifts = shift_multiset(top, local)
+    return [(r, period, _shifted_sum(family, r, shifts, local)) for r in rs]
 
 
 def bott_table(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> str:

@@ -46,7 +46,6 @@ from .manifold import (
     ManifoldSpec,
     homology,
     pi6_P4,
-    pi7_P5,
     pi_moore_self,
     suspension_image_order,
     suspension_splitting,
@@ -69,7 +68,6 @@ def _add_manifold_args(sub: argparse.ArgumentParser, c_default: int | None = Non
         help="order of pi_1(M)",
     )
     sub.add_argument("--m", type=int, default=1, help="rank of H_2 plus one")
-    sub.add_argument("--spin", dest="spin", action="store_true", default=True)
     sub.add_argument("--non-spin", dest="spin", action="store_false")
     sub.add_argument("--sp", action="store_true", help="stably parallelizable")
     sub.add_argument("--stc", action="store_true", help="single top cell")
@@ -261,7 +259,8 @@ def _run_moore(args: argparse.Namespace) -> str:
             rows = (records.record("wedge", kind=a.kind, n=a.n, c=a.c) for a in wedge.atoms)
             return "\n".join(rows)
         return str(wedge)
-    groups = [pi_moore_self(3, c), pi6_P4(c), pi7_P5(c)]
+    pi6 = pi6_P4(c)
+    groups = [pi_moore_self(3, c), pi6, pi6]  # pi7_P5 is pi6_P4
     if args.format == "machine":
         tail = f"suspension_image_order={suspension_image_order(c)}"
         return "\n".join([g.machine() for g in groups] + [tail])

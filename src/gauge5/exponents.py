@@ -47,14 +47,11 @@ class ExponentBound(Value):
         assumptions: tuple[str, ...] = (),
         alternatives: tuple["ExponentBound", ...] = (),
     ) -> None:
+        if exponent < 0:
+            raise ValueError(f"exponent must be >= 0, got {exponent}")
         self.__dict__.update(
             p=p, exponent=exponent, route=route, assumptions=assumptions, alternatives=alternatives
         )
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {self.exponent}")
 
     def __str__(self) -> str:
         return f"exp <= {self.p}^{self.exponent} [{self.route}]"

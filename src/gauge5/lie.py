@@ -60,21 +60,18 @@ class LieGroupSpec(Value):
     n: int | None
 
     def __init__(self, family: str, n: int | None = None) -> None:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if family in EXCEPTIONAL:
+            if n is not None:
+                raise ValueError(f"{family} takes no parameter")
+        elif n is None:
+            raise ValueError(f"{family} needs a parameter")
+        else:
+            low = {"SU": 2, "Sp": 1, "Spin": 5}[family]
+            if n < low:
+                raise ValueError(f"{family} parameter must be >= {low}, got {n}")
         self.__dict__.update(family=family, n=n)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.family in EXCEPTIONAL:
-            if self.n is not None:
-                raise ValueError(f"{self.family} takes no parameter")
-            return
-        if self.n is None:
-            raise ValueError(f"{self.family} needs a parameter")
-        low = {"SU": 2, "Sp": 1, "Spin": 5}[self.family]
-        if self.n < low:
-            raise ValueError(f"{self.family} parameter must be >= {low}, got {self.n}")
 
     @staticmethod
     def parse(text: str) -> "LieGroupSpec":

@@ -33,16 +33,13 @@ class Localization(Value):
     def __init__(
         self, kind: str, inverted_set: frozenset[int] = frozenset(), prime: int | None = None
     ) -> None:
-        self.__dict__.update(kind=kind, inverted_set=inverted_set, prime=prime)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown localization kind {self.kind!r}")
-        if self.kind == "at_prime" and (self.prime is None or not is_prime(self.prime)):
-            raise ValueError(f"at_prime needs a prime, got {self.prime}")
-        if self.kind == "away_from" and not self.inverted_set:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown localization kind {kind!r}")
+        if kind == "at_prime" and (prime is None or not is_prime(prime)):
+            raise ValueError(f"at_prime needs a prime, got {prime}")
+        if kind == "away_from" and not inverted_set:
             raise ValueError("away_from needs a nonempty prime set")
+        self.__dict__.update(kind=kind, inverted_set=inverted_set, prime=prime)
 
     @staticmethod
     def integral() -> "Localization":

@@ -45,17 +45,14 @@ class ManifoldSpec(Value):
         stably_parallelizable: bool = False,
         single_top_cell: bool = False,
     ) -> None:
+        if c < 2:
+            raise ValueError(f"c must be >= 2 (finite nontrivial pi_1), got {c}")
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
         self.__dict__.update(
             c=c, m=m, spin=spin, stably_parallelizable=stably_parallelizable,
             single_top_cell=single_top_cell,
         )
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.c < 2:
-            raise ValueError(f"c must be >= 2 (finite nontrivial pi_1), got {self.c}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
 
     @staticmethod
     def parse(text: str) -> "ManifoldSpec":
@@ -258,16 +255,13 @@ class WedgeAtom(Value):
         tag: str = "",
         ledger: tuple[tuple[int, FGAbelianGroup], ...] = (),
     ) -> None:
+        if kind not in ("sphere", "moore", "opaque"):
+            raise ValueError(f"unknown wedge atom kind {kind!r}")
+        if kind in ("sphere", "moore") and (n is None or n < 2):
+            raise ValueError(f"wedge atom dimension must be >= 2, got {n}")
+        if kind == "moore" and (c is None or c < 2):
+            raise ValueError(f"Moore atom order must be >= 2, got {c}")
         self.__dict__.update(kind=kind, n=n, c=c, tag=tag, ledger=ledger)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("sphere", "moore", "opaque"):
-            raise ValueError(f"unknown wedge atom kind {self.kind!r}")
-        if self.kind in ("sphere", "moore") and (self.n is None or self.n < 2):
-            raise ValueError(f"wedge atom dimension must be >= 2, got {self.n}")
-        if self.kind == "moore" and (self.c is None or self.c < 2):
-            raise ValueError(f"Moore atom order must be >= 2, got {self.c}")
 
     def reduced_homology(self) -> dict[int, FGAbelianGroup]:
         if self.kind == "sphere":
@@ -311,17 +305,10 @@ class WedgeExpr(Value):
     atoms: tuple[WedgeAtom, ...]
 
     def __init__(self, atoms: tuple[WedgeAtom, ...]) -> None:
-        self.__dict__.update(atoms=atoms)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         canon = tuple(
-            sorted(
-                self.atoms,
-                key=lambda a: (_WEDGE_KIND_ORDER[a.kind], a.n or 0, a.c or 0, a.tag),
-            )
+            sorted(atoms, key=lambda a: (_WEDGE_KIND_ORDER[a.kind], a.n or 0, a.c or 0, a.tag))
         )
-        object.__setattr__(self, "atoms", canon)
+        self.__dict__.update(atoms=canon)
 
     @staticmethod
     def of(*atoms: WedgeAtom) -> "WedgeExpr":

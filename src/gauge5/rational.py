@@ -47,18 +47,14 @@ class HilbertSeries(Value):
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients: tuple[int, ...]) -> None:
-        self.__dict__.update(coefficients=coefficients)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
+        coeffs = tuple(coefficients)
         if not coeffs or coeffs[0] != 1:
             raise ValueError("b_0 must be 1 (connected space)")
         if any(b < 0 for b in coeffs):
             raise ValueError("Betti numbers must be nonnegative")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        self.__dict__.update(coefficients=coeffs)
 
     @staticmethod
     def point() -> "HilbertSeries":
@@ -121,20 +117,13 @@ class RationalGroupModel(Value):
     def __init__(
         self, exterior_degrees: tuple[int, ...], polynomial_degrees: tuple[int, ...] = ()
     ) -> None:
-        self.__dict__.update(
-            exterior_degrees=exterior_degrees, polynomial_degrees=polynomial_degrees
-        )
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        ext = tuple(sorted(self.exterior_degrees))
-        poly = tuple(sorted(self.polynomial_degrees))
+        ext = tuple(sorted(exterior_degrees))
+        poly = tuple(sorted(polynomial_degrees))
         if any(d % 2 == 0 or d < 3 for d in ext):
             raise ValueError(f"exterior degrees must be odd >= 3, got {ext}")
         if any(d % 2 or d < 2 for d in poly):
             raise ValueError(f"polynomial degrees must be even >= 2, got {poly}")
-        object.__setattr__(self, "exterior_degrees", ext)
-        object.__setattr__(self, "polynomial_degrees", poly)
+        self.__dict__.update(exterior_degrees=ext, polynomial_degrees=poly)
 
     @staticmethod
     def from_lie(G: LieGroupSpec) -> "RationalGroupModel":
@@ -187,11 +176,7 @@ class GeneratorLedger(Value):
     generators: tuple[tuple[int, str], ...]
 
     def __init__(self, generators: tuple[tuple[int, str], ...]) -> None:
-        self.__dict__.update(generators=generators)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for degree, kind in self.generators:
+        for degree, kind in generators:
             if kind not in ("exterior", "polynomial"):
                 raise ValueError(f"unknown generator kind {kind!r}")
             if degree < 1:
@@ -200,7 +185,7 @@ class GeneratorLedger(Value):
                 raise ValueError(f"exterior generators have odd degree, got {degree}")
             if kind == "polynomial" and degree % 2:
                 raise ValueError(f"polynomial generators have even degree, got {degree}")
-        object.__setattr__(self, "generators", tuple(sorted(self.generators)))
+        self.__dict__.update(generators=tuple(sorted(generators)))
 
     def count_in_degree(self, d: int) -> int:
         return sum(1 for degree, _ in self.generators if degree == d)

@@ -61,24 +61,21 @@ class SpaceAtom(Value):
     n: int | None  # dimension (moore_map, sphere, em)
 
     def __init__(self, kind: str, j: int = 0, k: int | None = None, n: int | None = None) -> None:
+        if kind not in _KIND_ORDER:
+            raise ValueError(f"unknown atom kind {kind!r}")
+        if j < 0:
+            raise ValueError(f"loop degree must be >= 0, got {j}")
+        if kind == "moore_gauge" and (k is None or k < 0):
+            raise ValueError("moore_gauge atom needs a component label k >= 0")
+        if kind in ("moore_map", "sphere", "em") and n is None:
+            raise ValueError(f"{kind} atom needs a dimension")
+        if kind == "moore_map" and n < 2:
+            raise ValueError(f"Moore mapping space needs dimension >= 2, got {n}")
         self.__dict__.update(kind=kind, j=j, k=k, n=n)
-        self.__post_init__()
 
     def __hash__(self) -> int:
         # written out: every SpaceExpr construction hashes each atom twice
         return hash((self.kind, self.j, self.k, self.n))
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_ORDER:
-            raise ValueError(f"unknown atom kind {self.kind!r}")
-        if self.j < 0:
-            raise ValueError(f"loop degree must be >= 0, got {self.j}")
-        if self.kind == "moore_gauge" and (self.k is None or self.k < 0):
-            raise ValueError("moore_gauge atom needs a component label k >= 0")
-        if self.kind in ("moore_map", "sphere", "em") and self.n is None:
-            raise ValueError(f"{self.kind} atom needs a dimension")
-        if self.kind == "moore_map" and self.n < 2:
-            raise ValueError(f"Moore mapping space needs dimension >= 2, got {self.n}")
 
     def sort_key(self) -> tuple:
         return (_KIND_ORDER[self.kind], self.j, self.n or 0, self.k or 0)
@@ -170,20 +167,16 @@ class SpaceExpr(Value):
         group: object | None = None,
         c: int | None = None,
     ) -> None:
-        self.__dict__.update(atoms=atoms, localization=localization, group=group, c=c)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         merged: dict[SpaceAtom, int] = {}
-        for atom, mult in self.atoms:
+        for atom, mult in atoms:
             if mult < 0:
                 raise ValueError(f"negative multiplicity for {atom}")
             if mult:
                 merged[atom] = merged.get(atom, 0) + mult
         canon = tuple(sorted(merged.items(), key=lambda am: am[0].sort_key()))
-        object.__setattr__(self, "atoms", canon)
-        if self.c is not None and self.c < 2:
-            raise ValueError(f"c must be >= 2 when present, got {self.c}")
+        if c is not None and c < 2:
+            raise ValueError(f"c must be >= 2 when present, got {c}")
+        self.__dict__.update(atoms=canon, localization=localization, group=group, c=c)
 
     @staticmethod
     def of(atoms, localization=None, group=None, c=None) -> "SpaceExpr":

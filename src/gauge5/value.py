@@ -1,22 +1,30 @@
 """Immutable value objects: the base of the package's record types.
 
 A subclass lists its fields as annotations, in order, and writes its own
-`__init__`, which holds their defaults and stores them with
-`self.__dict__.update(...)`. `Value` then supplies what a frozen dataclass
-would: a `Name(field=value, ...)` repr, equality with instances of the same
-class, a hash of the field tuple, refusal of assignment and deletion, and
-`replace`. Only `operator` is imported, so importing the package pays
-neither for `dataclasses` (which pulls in `inspect`, `ast`, `dis` and
-`tokenize`) nor for generating methods per class.
+`__init__`, which holds their defaults and builds the value in one step:
+it computes each canonical field from its argument, runs its checks and
+stores every field once with `self.__dict__.update(...)`. Only
+`FGAbelianGroup` keeps a second step, `__post_init__`, through which the
+benchmark counts group constructions. `Value` then supplies what a frozen
+dataclass would: a `Name(field=value, ...)` repr, equality with instances
+of the same class, a hash of the field tuple, refusal of assignment and
+deletion, and `replace`. Only `operator` is imported, so importing the
+package pays neither for `dataclasses` (which pulls in `inspect`, `ast`,
+`dis` and `tokenize`) nor for generating methods per class.
 
 >>> class Pair(Value):
 ...     a: int
 ...     b: int
 ...     def __init__(self, a, b=0):
+...         if a < 0:
+...             raise ValueError(f"a must be >= 0, got {a}")
 ...         self.__dict__.update(a=a, b=b)
 >>> p = Pair(1)
 >>> p, p == Pair(1, 0), hash(p) == hash((1, 0)), p.replace(b=2)
 (Pair(a=1, b=0), True, True, Pair(a=1, b=2))
+>>> p.replace(a=-1)
+Traceback (most recent call last):
+ValueError: a must be >= 0, got -1
 """
 
 from operator import attrgetter

@@ -9,7 +9,7 @@ answered by division and must not factor c at all.
 
 import pytest
 
-from gauge5 import abelian, arith
+from gauge5 import abelian, arith, cli
 from gauge5.bott import StableQuery, bott_rows, bott_table, stable_pi_gauge
 from gauge5.decomposition import gauge_away_from_c, loops2_gauge, loops3_gauge
 from gauge5.lie import LieGroupSpec
@@ -53,6 +53,13 @@ def test_manifold_invariants_factor_c_once(M, factorizations_of_c):
     factorizations_of_c.clear()
     bundle_classes(M, LieGroupSpec("SU", 3))
     assert len(factorizations_of_c) == 1
+
+
+def test_moore_factors_c_twice(factorizations_of_c, capsys):
+    # pi_3(P^3(c)) and pi_6(P^4(c)) each build Z/c; pi_7(P^5(c)) is the pi_6 group
+    assert cli.main(["moore", "--c", str(C)]) == 0
+    assert len(factorizations_of_c) <= 2
+    assert f"pi_7(P⁵({C})) = Z/1000003 ⊕ Z/1000033" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=str)

@@ -3,6 +3,7 @@ dataclasses it replaced had, and the import cost it exists to avoid."""
 
 import ast
 import copy
+import inspect
 import os
 import pickle
 import subprocess
@@ -210,6 +211,15 @@ def test_value_classes_keep_their_own_methods():
     assert repr(HilbertSeries((1, 0, 2))) == "HilbertSeries('1 + 2t^2')"
     assert ClassificationReport._fields[-1] == "order_source"
     assert ExponentTableRow._fields == ("family", "prime_cond", "base", "offset")
+
+
+def test_values_are_built_in_one_step():
+    # each __init__ stores its canonical fields once; FGAbelianGroup alone keeps a
+    # second step, through which the benchmark counts group constructions
+    classes = [c for c in Value.__subclasses__() if c.__module__ != "gauge5.value"]
+    two_step = [c.__name__ for c in classes if "__post_init__" in vars(c)]
+    overwrites = [c.__name__ for c in classes if "object.__setattr__" in inspect.getsource(c)]
+    assert two_step == overwrites == ["FGAbelianGroup"]
 
 
 # -- the import-cost guards --------------------------------------------------------
