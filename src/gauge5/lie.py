@@ -354,6 +354,14 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
             raise CatalogError(f"{path}:{lineno}: unknown ord spec {ord_s!r}")
         if r_s not in _R_FORMULAS and not r_s.isdigit():
             raise CatalogError(f"{path}:{lineno}: unknown r spec {r_s!r}")
+        # the exceptional lookups and the exponent table read a prime
+        # interval and integer cells on every exceptional row
+        if fam in EXCEPTIONAL and row.interval is None:
+            raise CatalogError(f"{path}:{lineno}: {fam} needs a p=K or p>=K tag, got {primes!r}")
+        if fam in EXCEPTIONAL and not (ord_s.isdigit() and r_s.isdigit()):
+            raise CatalogError(
+                f"{path}:{lineno}: {fam} needs integer ord and r, got {ord_s!r} and {r_s!r}"
+            )
         first = seen.setdefault((fam, param, primes), lineno)
         if first != lineno:
             raise CatalogError(f"{path}:{lineno}: repeats line {first} ({fam} {param_s} {primes})")
@@ -466,25 +474,33 @@ def r_of(G: LieGroupSpec, p: int) -> int:
 
 def exceptional_rows(family: str) -> list[tuple[str, int, int, int]]:
     """(prime condition, least prime it covers, ord, r) for each row of an
-    exceptional family, in file order; feeds the exponent-table emitter,
-    which needs a p=K or p>=K tag on every row."""
+    exceptional family, in file order; feeds the exponent-table emitter.
+    The loader has checked each row's p=K or p>=K tag and integer cells."""
     if family not in EXCEPTIONAL:
         raise ValueError(f"{family} is not exceptional")
-    out = []
-    for row in _index().get((family, None), ()):
-        if row.interval is None:
-            raise CatalogError(f"unknown prime condition {row.prime_cond!r}")
-        out.append((row.prime_cond, row.interval[0], row.ord_value(None), row.r_value(None, 2)))
-    return out
+    return [
+        (row.prime_cond, row.interval[0], int(row.ord_spec), int(row.r_spec))
+        for row in _index().get((family, None), ())
+    ]
 
 
 # -- stable homotopy ---------------------------------------------------------
 
-# pi_r of the stable groups by residue of r: SU mod 2, Spin mod 8 (as cyclic
-# orders, 0 encoding Z and 1 the zero group). Groups are immutable, so every
-# caller shares these.
-_SU_BOTT = (FGAbelianGroup.trivial(), FGAbelianGroup.free(1))
-_SPIN_BOTT = tuple(FGAbelianGroup.cyclic(n) for n in (2, 2, 1, 0, 1, 1, 1, 0))
+# Each stable family's least r and pi_r of its stable groups by residue of r:
+# SU mod 2, Spin mod 8 (as cyclic orders, 0 encoding Z and 1 the zero group).
+# Groups are immutable, so every caller shares these.
+_STABLE = {
+    "SU": (1, (FGAbelianGroup.trivial(), FGAbelianGroup.free(1))),
+    "Spin": (2, tuple(FGAbelianGroup.cyclic(n) for n in (2, 2, 1, 0, 1, 1, 1, 0))),
+}
+
+
+def _stable_family(family: str) -> tuple[int, tuple[FGAbelianGroup, ...]]:
+    """(least r, Bott groups by residue of r) of the SU or Spin family."""
+    try:
+        return _STABLE[family]
+    except (KeyError, TypeError):
+        raise ValueError(f"stable families are SU and Spin, got {family!r}") from None
 
 
 def stable_pi(family: str, r: int) -> FGAbelianGroup:
@@ -495,12 +511,7 @@ def stable_pi(family: str, r: int) -> FGAbelianGroup:
     >>> str(stable_pi("Spin", 11)), str(stable_pi("Spin", 13))
     ('Z', '0')
     """
-    if family == "SU":
-        if r < 1:
-            raise ValueError(f"stable SU homotopy needs r >= 1, got {r}")
-        return _SU_BOTT[r % 2]
-    if family == "Spin":
-        if r < 2:
-            raise ValueError(f"stable Spin homotopy needs r >= 2, got {r}")
-        return _SPIN_BOTT[r % 8]
-    raise ValueError(f"stable families are SU and Spin, got {family!r}")
+    least, groups = _stable_family(family)
+    if r < least:
+        raise ValueError(f"stable {family} homotopy needs r >= {least}, got {r}")
+    return groups[r % len(groups)]

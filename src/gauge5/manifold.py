@@ -131,6 +131,12 @@ def require_single_top_cell(M: ManifoldSpec) -> None:
         raise HypothesisError("hypothesis single_top_cell fails")
 
 
+def require_spin_or_away_from_2(M: ManifoldSpec, away_from_2: bool) -> None:
+    """M spin, or 2 inverted: the non-spin form splits only away from 2."""
+    if not M.spin and not away_from_2:
+        raise HypothesisError("non-spin manifolds need localization away from 2c")
+
+
 def require_pi4_trivial(G: LieGroupSpec, ctx: Localization) -> None:
     """pi_4(G) = 0 in the localization ctx."""
     if not pi4_is_trivial(G, ctx):

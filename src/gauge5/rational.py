@@ -176,6 +176,7 @@ class GeneratorLedger(Value):
     generators: tuple[tuple[int, str], ...]
 
     def __init__(self, generators: tuple[tuple[int, str], ...]) -> None:
+        generators = tuple(generators)  # an iterator is read once
         for degree, kind in generators:
             if kind not in ("exterior", "polynomial"):
                 raise ValueError(f"unknown generator kind {kind!r}")

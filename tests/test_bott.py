@@ -131,7 +131,7 @@ def test_shift_multiset_is_one_per_period():
         for r in range(low, low + period):
             kind, q = _outcome(StableQuery, M, family, 0, r, ctx)
             if kind == "ok":
-                outcomes.add(_outcome(shift_multiset, q, q.localization()))
+                outcomes.add(_outcome(shift_multiset, q.M, q.localization()))
             else:
                 outcomes.add((kind, q))
         assert len(outcomes) == 1, (c, m, spin, family, ctx, outcomes)

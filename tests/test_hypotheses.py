@@ -55,6 +55,18 @@ def test_hypotheses_are_raised_only_by_the_manifold_helpers():
     assert stray == []
 
 
+def test_bott_raises_no_hypothesis_error_itself():
+    # the stable layer's one hypothesis, spin or 2 inverted, is a manifold helper
+    tree = ast.parse((SRC / "bott.py").read_text(encoding="utf-8"))
+    raised = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and any(isinstance(n, ast.Name) and n.id == "HypothesisError" for n in ast.walk(node.exc))
+    ]
+    assert raised == []
+
+
 def _refusal(call) -> str:
     with pytest.raises(HypothesisError) as info:
         call()

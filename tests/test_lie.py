@@ -170,6 +170,12 @@ def test_catalog_rejects_unknown_prime_conditions_at_load(tmp_path, tag):
         # a repeated (family, param, primes): the later row was silently shadowed
         ("SU  3  all  24  0\nSU  3  all  77  0", r":2: repeats line 1 \(SU 3 all\)"),
         ("G2  -  p=5  21  1\nG2  -  p=5  22  1", r":2: repeats line 1 \(G2 - p=5\)"),
+        # the exceptional lookups read a prime interval; these tags have none
+        ("G2  -  su_range  21  1", ":1: G2 needs a p=K or p>=K tag, got 'su_range'"),
+        ("G2  -  all  21  1", ":1: G2 needs a p=K or p>=K tag, got 'all'"),
+        # the formulas read n, which an exceptional group does not have
+        ("G2  -  p=5  n(n^2-1)  1", r":1: G2 needs integer ord and r, got 'n\(n\^2-1\)' and '1'"),
+        ("G2  -  p=5  21  nu_p((n-1)!)", r":1: G2 needs integer ord and r, got '21' and 'nu_p"),
     ],
 )
 def test_catalog_refuses_rows_no_lookup_can_serve(tmp_path, rows, message):

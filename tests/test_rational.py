@@ -12,6 +12,7 @@ import pytest
 from gauge5 import HypothesisError, ManifoldSpec, spaces
 from gauge5.lie import LieGroupSpec
 from gauge5.rational import (
+    GeneratorLedger,
     HilbertSeries,
     RationalGroupModel,
     em_expansion,
@@ -154,6 +155,13 @@ def test_ring_examples():
     assert str(led) == "Λ(3,5) ⊗ Q[4]"
     assert led.generators == ((3, "exterior"), (4, "polynomial"), (5, "exterior"))
     assert "generator degree=3 kind=exterior" in led.machine()
+
+
+def test_ledger_reads_an_iterator_once():
+    gens = [(3, "exterior"), (2, "polynomial")]
+    led = GeneratorLedger(iter(gens))
+    assert led == GeneratorLedger(tuple(gens))
+    assert str(led) == "Λ(3) ⊗ Q[2]"
 
 
 def test_manifold_gauge_group_rational_rank():
