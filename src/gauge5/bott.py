@@ -9,12 +9,11 @@ normalization bug shows up here as a wrong table entry, which is the point.
 The shift multiset depends on M and the localization only: M fixes the
 factors (G x Omega^5 G x (Omega^2 G x Omega^3 G)^(m-1), or the CP^2 form
 for non-spin M) and the localization decides which of them normalize()
-splits or drops. That is Bott periodicity for the gauge group, and it lets
-bott_rows compute the localization and the multiset once per table; each
-row is then a sum of stable groups. c is factored once per query, in
-StableQuery.localization().
-
-Results below the stability threshold are refused, not extrapolated.
+splits. That is Bott periodicity for the gauge group, and it lets bott_rows
+compute the localization and the multiset once per table; each row is then
+a sum of stable groups. c is read only through its parity, since every
+stable answer's torsion is 2-primary (see StableQuery.localization): c is
+never factored, and every c >= 2 answers.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from .localization import Localization
 from .manifold import ManifoldSpec, require_spin_or_away_from_2
 from .spaces import SpaceExpr
 from .value import Value
+
+_AWAY_FROM_2 = Localization.away_from([2])
 
 
 def stability_threshold(family: str, r: int) -> int:
@@ -62,31 +63,30 @@ class StableQuery(Value):
         self.__dict__.update(M=M, family=family, k=k, r=r, ctx=ctx)
 
     def localization(self) -> Localization:
-        if self.ctx == "away_2c":
-            return Localization.away_from([2, self.M.c])
-        return Localization.away_from([self.M.c])
+        """Away from 2 when ctx is away_2c or c is even, else integral: the
+        stable layer's one read of c, and only of c % 2. It agrees with
+        inverting c (and 2, for away_2c) on every answer, because the Bott
+        groups in lie._STABLE have only 2-primary torsion and
+        _away_from_c_atoms yields only group, loops_g and map_cp2 atoms, so
+        normalize() and localize() ask the context only whether it inverts 2."""
+        inverts_2 = self.ctx == "away_2c" or self.M.c % 2 == 0
+        return _AWAY_FROM_2 if inverts_2 else Localization.integral()
 
 
 def shift_multiset(M: ManifoldSpec, ctx: Localization) -> tuple[int, ...]:
-    """Loop shifts of M's normalized away-from-c decomposition under ctx, a
-    localization inverting c, with multiplicity, ascending. No r or k: one
-    multiset serves every r of a period, and every k agrees away from c.
-    """
-    expr = SpaceExpr(_away_from_c_atoms(M), localization=ctx, c=M.c).normalize()
+    """Loop shifts of M's normalized away-from-c decomposition under ctx, with
+    multiplicity, ascending. ctx need only agree at the prime 2 with one that
+    inverts c (StableQuery.localization); c is not read. No r or k: one
+    multiset serves every r of a period, and every k agrees away from c."""
     shifts: list[int] = []
-    for atom, mult in expr.atoms:
-        if atom.kind == "group":
-            shifts.extend([0] * mult)
-        elif atom.kind == "loops_g":
-            shifts.extend([atom.j] * mult)
-        else:
+    for atom, mult in SpaceExpr(_away_from_c_atoms(M), localization=ctx).normalize().atoms:
+        if atom.kind not in ("group", "loops_g"):  # G itself is the shift j = 0
             raise AssertionError(f"unexpected stable factor {atom}")
+        shifts.extend([atom.j] * mult)
     return tuple(sorted(shifts))
 
 
-def _shifted_sum(
-    family: str, r: int, shifts: tuple[int, ...], ctx: Localization
-) -> FGAbelianGroup:
+def _shifted_sum(family: str, r: int, shifts: tuple[int, ...], ctx: Localization) -> FGAbelianGroup:
     return FGAbelianGroup.direct_sum([stable_pi(family, r + s) for s in shifts]).localize(ctx)
 
 

@@ -98,8 +98,8 @@ def gauge_away_from_c(M: ManifoldSpec, G: LieGroupSpec, k: int = 0) -> SpaceExpr
 
 
 def _away_from_c_atoms(M: ManifoldSpec) -> tuple:
-    """The factors of gauge_away_from_c, for callers that already hold a
-    localization inverting c (bott builds its expression on the query's)."""
+    """The factors of gauge_away_from_c, for callers that bring their own
+    localization (bott's agrees with inverting c only at the prime 2)."""
     if M.spin:
         return ((group_itself(), 1), (loops_g(5), 1),
                 (loops_g(2), M.m - 1), (loops_g(3), M.m - 1))

@@ -3,10 +3,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gauge5 import (
     FGAbelianGroup,
     HypothesisError,
+    Localization,
     ManifoldSpec,
     StableQuery,
     bott_table,
@@ -14,6 +17,8 @@ from gauge5 import (
     stable_pi_gauge,
 )
 from gauge5.bott import bott_rows, shift_multiset
+from gauge5.decomposition import _away_from_c_atoms
+from gauge5.lie import _STABLE, stable_pi
 
 Z = FGAbelianGroup.free
 ZERO = FGAbelianGroup.trivial()
@@ -69,8 +74,9 @@ def test_non_spin_manifolds_match_the_torsion_free_table():
             assert got == _spin_away_2c(r, m), (r, m)
 
 
-# every manifold flag set (m, spin) of the parity grid below, at c of each
-# kind that the localization sees: 2, odd, a multiple of 6, a prime power
+# every manifold flag set (m, spin) of the parity grid below, at even and odd
+# c (the localization reads only c % 2), including a multiple of 6 and a
+# prime power
 _FLAG_SETS = [(m, spin) for m in (1, 2, 3, 5) for spin in (True, False) if spin or m >= 2]
 
 
@@ -135,6 +141,74 @@ def test_shift_multiset_is_one_per_period():
             else:
                 outcomes.add((kind, q))
         assert len(outcomes) == 1, (c, m, spin, family, ctx, outcomes)
+
+
+def _inverting_c(M: ManifoldSpec, family: str, rs: range, ctx: str) -> list:
+    """The reference: stable pi_r for each r in rs under a localization that
+    inverts every prime of c (and 2, away from 2c), as computed before the
+    stable layer read c only through its parity. It factors c."""
+    StableQuery(M, family, 0, rs[0], ctx)  # validated and refused as stable_pi_gauge is
+    local = Localization.away_from([2, M.c] if ctx == "away_2c" else [M.c])
+    shifts = shift_multiset(M, local)
+    return [
+        FGAbelianGroup.direct_sum([stable_pi(family, r + s) for s in shifts]).localize(local)
+        for r in rs
+    ]
+
+
+def test_reading_c_mod_2_agrees_with_inverting_c():
+    grid = itertools.product(
+        range(2, 201), (1, 2, 3, 5), (True, False), ("SU", "Spin"), ("away_c", "away_2c")
+    )
+    for c, m, spin, family, ctx in grid:
+        M = ManifoldSpec(c, m, spin=spin)
+        period = 2 if family == "SU" else (4 if ctx == "away_2c" else 8)
+        rs = range(_STABLE[family][0], _STABLE[family][0] + period)
+        want = _outcome(_inverting_c, M, family, rs, ctx)
+        got = _outcome(lambda: [stable_pi_gauge(StableQuery(M, family, 0, r, ctx)) for r in rs])
+        assert got == want, (c, m, spin, family, ctx)
+        kind, rows = _outcome(bott_rows, M, family, 0, ctx)
+        if kind == "ok":
+            rows = [value for _, _, value in rows]
+        assert (kind, rows) == want, (c, m, spin, family, ctx)
+
+
+def test_the_parity_localization_rests_on_two_facts():
+    # the Bott groups have only 2-primary torsion, so localize() reads only
+    # whether 2 is inverted ...
+    primes = {f.p for _, groups in _STABLE.values() for g in groups for f in g.torsion}
+    assert primes == {2}
+    # ... and the away-from-c factors hold no atom that normalize() drops or
+    # rewrites by whether c is inverted: only map_cp2, by whether 2 is
+    kinds = set()
+    for m, spin in _FLAG_SETS:
+        kinds |= {atom.kind for atom, _ in _away_from_c_atoms(ManifoldSpec(7, m, spin=spin))}
+    assert kinds == {"group", "loops_g", "map_cp2"}
+
+
+def _parity_pairs():
+    """Two c of equal parity, up to 10^40: far past the primality bound, so
+    most cannot be factored."""
+    half = st.integers(min_value=1, max_value=10**40 // 2)
+    return st.tuples(half, half, st.integers(0, 1)).map(
+        lambda t: (2 * t[0] + t[2], 2 * t[1] + t[2])
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _parity_pairs(),
+    st.sampled_from(_FLAG_SETS),
+    st.sampled_from(("SU", "Spin")),
+    st.sampled_from(("away_c", "away_2c")),
+    st.integers(min_value=2, max_value=40),
+)
+def test_stable_answers_depend_on_c_only_through_its_parity(cs, flags, family, ctx, r):
+    m, spin = flags
+    M, M2 = (ManifoldSpec(c, m, spin=spin) for c in cs)
+    pis = [_outcome(lambda: stable_pi_gauge(StableQuery(N, family, 0, r, ctx))) for N in (M, M2)]
+    assert pis[0] == pis[1]
+    assert _outcome(bott_rows, M, family, 0, ctx) == _outcome(bott_rows, M2, family, 0, ctx)
 
 
 def test_torsion_is_only_z2_and_only_in_the_spin_table():

@@ -282,3 +282,25 @@ def test_normalize_answers_without_the_factors_of_c(argv, out):
         "decompose", "--group", "SU:4", "--c", str(BEYOND_BOUND), "--m", "2", *argv, "--normalize"
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "\n", "")
+
+
+def test_stable_tables_answer_for_a_c_beyond_the_primality_bound():
+    """The stable layer reads c only through its parity, so an odd c that
+    cannot be factored gets the table of every other odd c."""
+    for family in ("SU", "Spin"):
+        for m in (1, 2, 5):
+            got = gauge5.bott_table(ManifoldSpec(BEYOND_BOUND, m), family)
+            want = gauge5.bott_table(ManifoldSpec(3, m), family)
+            assert got == want.replace("c = 3,", f"c = {BEYOND_BOUND},")
+    q = StableQuery(ManifoldSpec(BEYOND_BOUND, 2), "Spin", 0, 6)
+    assert str(stable_pi_gauge(q)) == "Z ⊕ Z/2 ⊕ Z/2"
+
+
+def test_stable_verbs_answer_for_a_c_beyond_the_primality_bound_in_a_subprocess():
+    manifold = ("--c", str(BEYOND_BOUND), "--m", "2")
+    proc = _cli("bott", "--family", "Spin", *manifold, "--table")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "  r ≡ 6 (mod 8): Z ⊕ Z/2 ⊕ Z/2" in proc.stdout.splitlines()
+    proc = _cli("bott", "--family", "SU", *manifold, "--r", "7")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("pi_7 of the stable SU gauge group over M = Z^2 ")

@@ -1,10 +1,11 @@
 """Each public entry point factors c at most once.
 
 Factoring a semiprime c costs hundreds of microseconds, so a second
-factorization of the same c is the dominant cost of a query. The
-away-from-c and Bott answers need the primes of c once, to build the
-localization; normalize() only asks whether a context inverts c, which is
-answered by division and must not factor c at all.
+factorization of the same c is the dominant cost of a query. Of the
+decompositions, only the away-from-c one needs the primes of c, once, to
+build its localization. The stable (Bott) answers read c only through its
+parity, and normalize() only asks whether a context inverts c, which is
+answered by division: neither may factor c at all.
 """
 
 import pytest
@@ -73,16 +74,19 @@ def test_away_from_c_decomposition_factors_c_once(M, G, factorizations_of_c):
 
 @pytest.mark.parametrize("family", ["SU", "Spin"])
 @pytest.mark.parametrize("M", MANIFOLDS)
-def test_bott_queries_factor_c_once(M, family, factorizations_of_c):
+def test_bott_queries_never_factor_c(M, family, factorizations_of_c, capsys):
     for ctx in _ctxs(M):
         for r in (3, 6):
-            factorizations_of_c.clear()
             stable_pi_gauge(StableQuery(M, family, 0, r, ctx))
-            assert len(factorizations_of_c) == 1, (ctx, r)
         for build in (bott_rows, bott_table):
-            factorizations_of_c.clear()
             build(M, family, 0, ctx)
-            assert len(factorizations_of_c) == 1, (ctx, build.__name__)
+    argv = ["bott", "--family", family, "--c", str(C), "--m", str(M.m)]
+    argv += [] if M.spin else ["--non-spin"]
+    for tail in (["--table"], ["--r", "6"]):
+        for fmt in ("text", "machine"):
+            assert cli.main(argv + tail + ["--format", fmt]) == 0
+    assert capsys.readouterr().err == ""
+    assert factorizations_of_c == []
 
 
 LOOP_CONTEXTS = [
