@@ -17,8 +17,8 @@ import math
 from collections.abc import Sequence
 
 from . import records
-from .arith import divisor_count, divisors, gcd_class, is_prime, nu_p, prime_divisors
-from .lie import EXCEPTIONAL, LieGroupSpec, catalog_order
+from .arith import divisor_count, divisors, gcd_class, nu_p, prime_divisors
+from .lie import EXCEPTIONAL, LieGroupSpec, _family_key, _require_odd_prime, catalog_order
 from .localization import Localization
 from .manifold import (
     ManifoldSpec,
@@ -298,20 +298,18 @@ def trivial_case(G: LieGroupSpec, p: int, c: int) -> bool:
     >>> trivial_case(LieGroupSpec("F4"), 5, 13)
     True
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"odd primes only, got {p}")
+    _require_odd_prime(p)
     ord_value, _ = catalog_order(G)
     if G.family in EXCEPTIONAL:
         return p >= _TRIVIAL_P_MIN[G.family] and c % math.prod(prime_divisors(ord_value)) != 0
     bound = (p - 1) ** 2 + 1
-    if G.family == "SU":
-        in_range = G.n <= bound
-    elif G.family == "Sp":
-        in_range = 4 <= 2 * G.n <= bound
-    elif G.n % 2:  # Spin(2n+1)
-        in_range = 4 <= 2 * (G.n // 2) <= bound
-    else:  # Spin(2n)
-        in_range = p >= 5 and 6 <= 2 * (G.n // 2) <= bound
+    key, n = _family_key(G)
+    if key == "SU":
+        in_range = n <= bound
+    elif key == "SpinEven":
+        in_range = p >= 5 and 6 <= 2 * n <= bound
+    else:  # Sp(n) and Spin(2n+1)
+        in_range = 4 <= 2 * n <= bound
     return in_range and nu_p(math.gcd(ord_value, c), p) == 1
 
 

@@ -40,7 +40,7 @@ from .exponents import (
     exp_bound_theriault,
     exp_moore_fiber,
 )
-from .lie import LieGroupSpec, prime_cond_holds
+from .lie import LieGroupSpec, _require_odd_prime, prime_cond_holds
 from .localization import Localization
 from .manifold import (
     ManifoldSpec,
@@ -159,6 +159,7 @@ def _run_exponent(args: argparse.Namespace) -> str:
             raise ValueError(f"unknown table {args.table!r}")
         rows = exceptional_table()
         if args.p is not None:
+            _require_odd_prime(args.p)
             rows = [row for row in rows if prime_cond_holds(row.prime_cond, args.p)]
         if args.format == "machine":
             return "\n".join(

@@ -21,6 +21,8 @@ from .errors import HypothesisError
 from .lie import (
     EXCEPTIONAL,
     LieGroupSpec,
+    _family_key,
+    _require_odd_prime,
     exceptional_rows,
     in_theriault_range,
     is_p_regular,
@@ -115,20 +117,16 @@ def exp_bound_closed_form(G: LieGroupSpec, p: int, c: int) -> ExponentBound:
     6
     """
     nu_c = nu_p(c, p)
-    if G.family == "SU":
-        exponent = max(G.n + 2 * p - 5, nu_c + p - 1)
-    elif G.family == "Sp":
-        exponent = max(2 * G.n + 2 * p - 6, nu_c + p - 2)
-    elif G.family == "Spin":
-        half = G.n // 2
-        if G.n % 2:
-            exponent = max(2 * half + 2 * p - 6, nu_c + p - 2)
-        else:
-            exponent = max(2 * half + 2 * p - 8, nu_c + p - 2)
-    else:
-        raise HypothesisError(
-            f"no closed form for {G.family}; use the exceptional table route"
-        )
+    if G.family in EXCEPTIONAL:
+        raise HypothesisError(f"no closed form for {G.family}; use the exceptional table route")
+    _require_odd_prime(p)
+    key, n = _family_key(G)
+    if key == "SU":
+        exponent = max(n + 2 * p - 5, nu_c + p - 1)
+    elif key == "SpinEven":
+        exponent = max(2 * n + 2 * p - 8, nu_c + p - 2)
+    else:  # Sp(n) and Spin(2n+1)
+        exponent = max(2 * n + 2 * p - 6, nu_c + p - 2)
     return ExponentBound(p, exponent, "closed_form", (f"{G.family} closed form",))
 
 
@@ -138,8 +136,7 @@ def exp_moore_fiber(c: int, p: int) -> ExponentBound:
     >>> exp_moore_fiber(9, 3).exponent
     2
     """
-    if p == 2:
-        raise ValueError("odd primes only")
+    _require_odd_prime(p)
     return ExponentBound(p, nu_p(c, p), "moore_fiber", ("power-map fiber factor",))
 
 

@@ -36,16 +36,6 @@ _EXCEPTIONAL_TYPE = {
     "E8": (1, 7, 11, 13, 17, 19, 23, 29),
 }
 
-# Odd torsion primes of H*(G; Z); 2-torsion never matters below because
-# every caller works at an odd prime.
-_TORSION_PRIMES = {
-    "G2": frozenset({2}),
-    "F4": frozenset({2, 3}),
-    "E6": frozenset({2, 3}),
-    "E7": frozenset({2, 3}),
-    "E8": frozenset({2, 3, 5}),
-}
-
 
 class LieGroupSpec(Value):
     """A simple compact Lie group given by family and parameter.
@@ -94,6 +84,22 @@ class LieGroupSpec(Value):
 # -- rational type -----------------------------------------------------------
 
 
+def _family_key(G: LieGroupSpec) -> tuple[str, int | None]:
+    """The catalog family key and formula parameter of G: Spin(2n+1) is
+    ('SpinOdd', n) and Spin(2n) is ('SpinEven', n).
+
+    The one reader of Spin's parity: every per-family formula branches on
+    this key, and Spin(2n+1) shares Sp(n)'s formulas throughout.
+    """
+    if G.family == "Spin":
+        if G.n % 2:
+            return "SpinOdd", G.n // 2
+        return "SpinEven", G.n // 2
+    if G.family in EXCEPTIONAL:
+        return G.family, None
+    return G.family, G.n
+
+
 def type_of(G: LieGroupSpec) -> tuple[int, ...]:
     """The type multiset: exponents n_i with G rationally a product of
     spheres S^(2 n_i + 1), sorted ascending.
@@ -105,17 +111,14 @@ def type_of(G: LieGroupSpec) -> tuple[int, ...]:
     >>> type_of(LieGroupSpec("G2"))
     (1, 5)
     """
-    if G.family == "SU":
-        return tuple(range(1, G.n))
-    if G.family == "Sp":
-        return tuple(range(1, 2 * G.n, 2))
-    if G.family == "Spin":
-        if G.n % 2:
-            half = G.n // 2  # Spin(2n+1): 1, 3, ..., 2n-1
-            return tuple(range(1, 2 * half, 2))
-        half = G.n // 2  # Spin(2n): 1, 3, ..., 2n-3 plus n-1
-        return tuple(sorted(tuple(range(1, 2 * half - 2, 2)) + (half - 1,)))
-    return _EXCEPTIONAL_TYPE[G.family]
+    key, n = _family_key(G)
+    if key == "SU":
+        return tuple(range(1, n))
+    if key == "SpinEven":  # Spin(2n): 1, 3, ..., 2n-3 plus n-1
+        return tuple(sorted(tuple(range(1, 2 * n - 2, 2)) + (n - 1,)))
+    if key in EXCEPTIONAL:
+        return _EXCEPTIONAL_TYPE[key]
+    return tuple(range(1, 2 * n, 2))  # Sp(n) and Spin(2n+1): 1, 3, ..., 2n-1
 
 
 def l_of(G: LieGroupSpec) -> int:
@@ -155,16 +158,13 @@ def pi4_is_trivial(G: LieGroupSpec, ctx: Localization) -> bool:
     return pi4(G).localize(ctx).is_trivial()
 
 
-def torsion_primes(G: LieGroupSpec) -> frozenset[int]:
-    if G.family in EXCEPTIONAL:
-        return _TORSION_PRIMES[G.family]
-    if G.family == "Spin" and G.n >= 7:
-        return frozenset({2})
-    return frozenset()
-
-
 def is_p_regular(G: LieGroupSpec, p: int) -> bool:
     """p-regularity: p >= l(G) + 1 and no p-torsion in H*(G; Z).
+
+    Only the first condition is tested, because it implies the second:
+    every torsion prime of H*(G; Z) is at most l(G). The torsion primes are
+    2 for Spin(n >= 7) and G2 (l >= 5), 2 and 3 for F4, E6 and E7, and 2, 3
+    and 5 for E8 (l = 11, 11, 17 and 29); SU(n) and Sp(n) have none.
 
     >>> is_p_regular(LieGroupSpec("SU", 4), 5)
     True
@@ -172,7 +172,7 @@ def is_p_regular(G: LieGroupSpec, p: int) -> bool:
     False
     """
     _require_odd_prime(p)
-    return p >= l_of(G) + 1 and p not in torsion_primes(G)
+    return p >= l_of(G) + 1
 
 
 def in_theriault_range(G: LieGroupSpec, p: int) -> bool:
@@ -185,20 +185,19 @@ def in_theriault_range(G: LieGroupSpec, p: int) -> bool:
     """
     _require_odd_prime(p)
     bound = (p - 1) * (p - 2)
-    if G.family == "SU":
-        return G.n - 1 <= bound
-    if G.family == "Sp":
-        return 2 * G.n <= bound
-    if G.family == "Spin":
-        if G.n % 2:
-            return 2 * (G.n // 2) <= bound
-        return 2 * (G.n // 2 - 1) <= bound
-    if G.family in ("G2", "F4", "E6"):
-        return p >= 5
-    return p >= 7  # E7, E8
+    key, n = _family_key(G)
+    if key == "SU":
+        return n - 1 <= bound
+    if key == "SpinEven":
+        return 2 * (n - 1) <= bound
+    if key in EXCEPTIONAL:
+        return p >= (7 if key in ("E7", "E8") else 5)
+    return 2 * n <= bound  # Sp(n) and Spin(2n+1)
 
 
 def _require_odd_prime(p: int) -> None:
+    """The one check that p is an odd prime, for every odd-primary entry
+    point; a ValueError names what failed."""
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
     if p == 2:
@@ -392,17 +391,6 @@ def _index() -> dict:
     key = _catalog_key(None)
     load_catalog(key)
     return _catalog_cache[key][1]
-
-
-def _family_key(G: LieGroupSpec) -> tuple[str, int | None]:
-    """Map a group spec to its catalog family key and formula parameter."""
-    if G.family == "Spin":
-        if G.n % 2:
-            return "SpinOdd", G.n // 2
-        return "SpinEven", G.n // 2
-    if G.family in EXCEPTIONAL:
-        return G.family, None
-    return G.family, G.n
 
 
 def _rows_for(G: LieGroupSpec) -> tuple[tuple[CatalogRow, ...], int | None]:

@@ -124,6 +124,25 @@ def test_exponent_table_filter(run):
     assert len(text.splitlines()) == 5  # G2, F4, E6, E7, E8 all cover p = 11
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize(
+    "p, message", [("4", "expected a prime, got 4"), ("2", "odd primes only")], ids=["p4", "p2"]
+)
+def test_exponent_table_refuses_a_p_that_is_not_an_odd_prime(run, fmt, p, message):
+    got = run("exponent", "--table", "exceptional", "--p", p, "--format", fmt)
+    assert got == (1, "", f"error: {message}")
+
+
+def test_exponent_table_at_3_is_empty(run):
+    # an odd prime no exceptional row covers: an empty answer, not a refusal
+    assert run("exponent", "--table", "exceptional", "--p", "3") == (0, "", "")
+
+
+def test_closed_route_refuses_p_2(run):
+    got = run("exponent", "--group", "SU:4", "--p", "2", "--route", "closed", "--c", "1")
+    assert got == (1, "", "error: odd primes only")
+
+
 def test_exponent_routes(run):
     code, out, _ = run(
         "exponent", "--group", "SU:4", "--p", "5", "--c", "25", "--format", "machine"

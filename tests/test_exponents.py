@@ -1,7 +1,11 @@
 """Homotopy-exponent upper bounds: three routes and the exceptional table."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import gauge5
 from gauge5 import (
     HypothesisError,
     LieGroupSpec,
@@ -17,6 +21,9 @@ from gauge5 import (
     nu_p,
     r_of,
 )
+from gauge5.lie import EXCEPTIONAL, l_of, prime_cond_interval
+
+CATALOG = Path(gauge5.__file__).resolve().parent / "data" / "catalog.txt"
 
 SU = lambda n: LieGroupSpec("SU", n)
 Sp = lambda n: LieGroupSpec("Sp", n)
@@ -121,6 +128,17 @@ def test_closed_form_rejects_exceptional_families():
         exp_bound_closed_form(LieGroupSpec("G2"), 5, 5)
 
 
+@pytest.mark.parametrize("G", [SU(4), Sp(2), Spin(7), Spin(8)])
+def test_closed_form_refuses_p_2_like_the_other_routes(G):
+    with pytest.raises(ValueError, match="^odd primes only$"):
+        exp_bound_closed_form(G, 2, 1)
+
+
+def test_closed_form_checks_the_family_before_the_prime():
+    with pytest.raises(HypothesisError, match="no closed form for E8"):
+        exp_bound_closed_form(LieGroupSpec("E8"), 2, 1)
+
+
 def test_moore_fiber_bound():
     assert exp_moore_fiber(9, 3).exponent == 2
     assert exp_moore_fiber(5, 3).exponent == 0
@@ -199,3 +217,36 @@ def test_closed_form_dominates_theriault_for_unitary_groups():
                 closed = exp_bound_closed_form(SU(n), p, M.c).exponent
                 the = exp_bound_theriault(M, SU(n), p).exponent
                 assert closed >= the, (n, p, nu)
+
+
+# -- the catalog's own arithmetic as an oracle ---------------------------------
+
+# An exceptional row and its comment, e.g.
+#   F4   -   p=5     325   1   # 1+2+max(1+11, v) = max(15, v+3)
+_COMMENTED_ROW = re.compile(
+    r"(?P<fam>\w+)\s+-\s+(?P<cond>p>?=\d+)\s+(?P<ord>\d+)\s+(?P<r>\d+)\s+"
+    r"#\s*(?P<r1>\d+)\+(?P<nu>\d+)\+max\((?P<r2>\d+)\+(?P<l>\d+), v\)"
+    r" = max\((?P<A>\d+), v(?:\+(?P<B>\d+))?\)$"
+)
+
+
+def test_catalog_comments_restate_the_theriault_exponent():
+    lines = CATALOG.read_text(encoding="utf-8").splitlines()
+    rows = [line for line in lines if line.partition(" ")[0] in EXCEPTIONAL]
+    assert len(rows) == 28
+    with_offset = 0
+    for line in rows:
+        m = _COMMENTED_ROW.fullmatch(line)
+        assert m, line
+        G, ord_value, r = LieGroupSpec(m["fam"]), int(m["ord"]), int(m["r"])
+        p = prime_cond_interval(m["cond"])[0]
+        A, B = int(m["A"]), int(m["B"] or 0)
+        assert int(m["r1"]) == int(m["r2"]) == r, line
+        assert int(m["nu"]) == nu_p(ord_value, p), line
+        assert int(m["l"]) == l_of(G), line
+        assert (B, A) == (r + nu_p(ord_value, p), B + r + l_of(G)), line
+        for v in range(41):
+            got = exp_bound_theriault(_manifold_with_valuation(p, v), G, p).exponent
+            assert got == max(A, v + B), (line, v)
+        with_offset += r > 0
+    assert with_offset == 18

@@ -24,6 +24,8 @@ from gauge5 import (
     type_of,
 )
 from gauge5.arith import is_prime
+from gauge5.classification import trivial_case
+from gauge5.exponents import exp_bound_closed_form
 from gauge5.lie import (
     EXCEPTIONAL,
     exceptional_rows,
@@ -372,6 +374,58 @@ def test_p_regularity_boundary_is_l_plus_one():
     ]
     for group, p, expected in cases:
         assert is_p_regular(group, p) == expected, (group, p)
+
+
+# The torsion primes of H*(G; Z); SU(n), Sp(n), Spin(5) and Spin(6) have
+# none. is_p_regular tests only p >= l(G) + 1, which implies p is not one.
+TORSION_PRIMES = {"G2": {2}, "F4": {2, 3}, "E6": {2, 3}, "E7": {2, 3}, "E8": {2, 3, 5}}
+
+
+def _torsion_primes(G):
+    if G.family in EXCEPTIONAL:
+        return TORSION_PRIMES[G.family]
+    return {2} if G.family == "Spin" and G.n >= 7 else set()
+
+
+_REGULARITY_GROUPS = (
+    [SU(n) for n in range(2, 41)]
+    + [Sp(n) for n in range(1, 31)]
+    + [Spin(n) for n in range(5, 61)]
+    + [LieGroupSpec(f) for f in EXCEPTIONAL]
+)
+
+
+def test_every_torsion_prime_is_at_most_l():
+    for G in _REGULARITY_GROUPS:
+        assert all(q <= l_of(G) for q in _torsion_primes(G)), G
+
+
+def test_p_regularity_needs_no_torsion_table():
+    odd_primes = [p for p in range(3, 100) if is_prime(p)]
+    for G in _REGULARITY_GROUPS:
+        l, torsion = l_of(G), _torsion_primes(G)
+        for p in odd_primes:
+            assert is_p_regular(G, p) == (p >= l + 1 and p not in torsion), (G, p)
+
+
+def test_spin_2n_plus_1_and_sp_n_read_the_same_formulas():
+    odd_primes = [p for p in range(3, 60) if is_prime(p)]
+    for n in range(2, 31):
+        spin, sp = Spin(2 * n + 1), Sp(n)
+        assert type_of(spin) == type_of(sp), n
+        spin_rows, _ = lie._rows_for(spin)
+        sp_rows, _ = lie._rows_for(sp)
+        assert spin_rows and [(r.prime_cond, r.ord_spec, r.r_spec) for r in spin_rows] == [
+            (r.prime_cond, r.ord_spec, r.r_spec) for r in sp_rows
+        ], n
+        for p in odd_primes:
+            assert in_theriault_range(spin, p) == in_theriault_range(sp, p), (n, p)
+            for c in range(2, 61):
+                assert (
+                    exp_bound_closed_form(spin, p, c).exponent
+                    == exp_bound_closed_form(sp, p, c).exponent
+                ), (n, p, c)
+                assert trivial_case(spin, p, c) == trivial_case(sp, p, c), (n, p, c)
 
 
 def test_stable_pi_su_is_bott_two_periodic():
