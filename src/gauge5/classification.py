@@ -213,6 +213,12 @@ def _gcd_classes(c: int, d: int) -> tuple[tuple[int, GcdClass], ...]:
     return tuple((g, GcdClass(c, d, g)) for g in divisors(d))
 
 
+def _require_moore_order(c: int) -> None:
+    """P⁴(c) needs c >= 2; each Moore-space entry point checks it first."""
+    if c < 2:
+        raise ValueError(f"c must be >= 2, got {c}")
+
+
 def same_type_moore(k: int, l: int, G: LieGroupSpec, c: int) -> bool:
     """Sufficient condition for the k-th and l-th gauge groups over the
     4-dimensional mod-c Moore space to be p-locally equivalent at every p.
@@ -223,8 +229,7 @@ def same_type_moore(k: int, l: int, G: LieGroupSpec, c: int) -> bool:
     >>> same_type_moore(0, 1, G, 9)
     False
     """
-    if c < 2:
-        raise ValueError(f"c must be >= 2, got {c}")
+    _require_moore_order(c)
     ord_value, _ = catalog_order(G)
     d = math.gcd(ord_value, c)
     return gcd_class(k, d) == gcd_class(l, d)
@@ -239,8 +244,7 @@ def classify_moore(G: LieGroupSpec, c: int) -> ClassificationReport:
     >>> classify_moore(LieGroupSpec("G2"), 21).count_integral
     4
     """
-    if c < 2:
-        raise ValueError(f"c must be >= 2, got {c}")
+    _require_moore_order(c)
     ord_value, validity = catalog_order(G)
     d = math.gcd(ord_value, c)
     return ClassificationReport(
@@ -298,6 +302,7 @@ def trivial_case(G: LieGroupSpec, p: int, c: int) -> bool:
     >>> trivial_case(LieGroupSpec("F4"), 5, 13)
     True
     """
+    _require_moore_order(c)
     _require_odd_prime(p)
     ord_value, _ = catalog_order(G)
     if G.family in EXCEPTIONAL:

@@ -23,42 +23,7 @@ import os
 import sys
 
 from . import records
-from .bott import StableQuery, bott_rows, bott_table, stability_threshold, stable_pi_gauge
-from .classification import (
-    classify_looped_manifold,
-    classify_moore,
-    same_type_moore,
-    trivial_case,
-)
-from .decomposition import gauge_away_from_c, loops2_gauge, loops3_gauge
 from .errors import CatalogError, HypothesisError
-from .exponents import (
-    best_bound,
-    exceptional_table,
-    exp_bound_closed_form,
-    exp_bound_regular,
-    exp_bound_theriault,
-    exp_moore_fiber,
-)
-from .lie import LieGroupSpec, _require_odd_prime, prime_cond_holds
-from .localization import Localization
-from .manifold import (
-    ManifoldSpec,
-    homology,
-    pi6_P4,
-    pi_moore_self,
-    suspension_image_order,
-    suspension_splitting,
-)
-from .rational import (
-    HilbertSeries,
-    RationalGroupModel,
-    em_expansion,
-    rational_B_star,
-    rational_cohomology_ring,
-    rational_gauge,
-    rational_rank_formula,
-)
 
 
 def _add_manifold_args(sub: argparse.ArgumentParser, c_default: int | None = None) -> None:
@@ -73,7 +38,9 @@ def _add_manifold_args(sub: argparse.ArgumentParser, c_default: int | None = Non
     sub.add_argument("--stc", action="store_true", help="single top cell")
 
 
-def _manifold(args: argparse.Namespace) -> ManifoldSpec:
+def _manifold(args: argparse.Namespace):
+    from .manifold import ManifoldSpec
+
     return ManifoldSpec(
         c=args.c,
         m=args.m,
@@ -90,7 +57,9 @@ def _add_localization_args(sub: argparse.ArgumentParser) -> None:
     excl.add_argument("--rational", action="store_true", help="rationalize")
 
 
-def _localization(args: argparse.Namespace) -> Localization | None:
+def _localization(args: argparse.Namespace):
+    from .localization import Localization
+
     if args.at_p is not None:
         return Localization.at_prime(args.at_p)
     if args.away is not None:
@@ -100,14 +69,30 @@ def _localization(args: argparse.Namespace) -> Localization | None:
     return None
 
 
-def _add_format_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("text", "machine"), default="text")
-
-
 # -- verbs ---------------------------------------------------------------------
+# Each runner imports what it uses, so a launch loads one verb's modules.
+
+
+def _classify_args(sub: argparse.ArgumentParser) -> None:
+    _add_manifold_args(sub)
+    sub.add_argument("--group", required=True, help="e.g. SU:3 or G2")
+    sub.add_argument("--loops", type=int, choices=(2, 3))
+    sub.add_argument("--moore", action="store_true", help="over P⁴(c) instead of M")
+    sub.add_argument("--same-type", nargs=2, type=int, metavar=("K", "L"))
+    sub.add_argument("--trivial", action="store_true", help="one-type criterion")
+    sub.add_argument("--p", type=int)
+    _add_localization_args(sub)
 
 
 def _run_classify(args: argparse.Namespace) -> str:
+    from .classification import (
+        classify_looped_manifold,
+        classify_moore,
+        same_type_moore,
+        trivial_case,
+    )
+    from .lie import LieGroupSpec
+
     G = LieGroupSpec.parse(args.group)
     if args.same_type:
         k, l = args.same_type
@@ -134,7 +119,20 @@ def _run_classify(args: argparse.Namespace) -> str:
     return report.machine() if args.format == "machine" else report.table()
 
 
+def _decompose_args(sub: argparse.ArgumentParser) -> None:
+    _add_manifold_args(sub)
+    sub.add_argument("--group", required=True)
+    sub.add_argument("--k", type=int, default=0)
+    sub.add_argument("--loops", type=int, choices=(2, 3))
+    sub.add_argument("--away-from-c", action="store_true")
+    sub.add_argument("--normalize", action="store_true")
+    _add_localization_args(sub)
+
+
 def _run_decompose(args: argparse.Namespace) -> str:
+    from .decomposition import gauge_away_from_c, loops2_gauge, loops3_gauge
+    from .lie import LieGroupSpec
+
     G = LieGroupSpec.parse(args.group)
     M = _manifold(args)
     ctx = _localization(args)
@@ -153,7 +151,29 @@ def _run_decompose(args: argparse.Namespace) -> str:
     return expr.machine() if args.format == "machine" else expr.pretty()
 
 
+def _exponent_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--table", help="'exceptional' for the table of bounds")
+    sub.add_argument("--group")
+    sub.add_argument("--p", type=int)
+    _add_manifold_args(sub, c_default=1)
+    sub.add_argument(
+        "--route",
+        choices=("regular", "theriault", "closed", "moore-fiber", "best"),
+        default="best",
+    )
+
+
 def _run_exponent(args: argparse.Namespace) -> str:
+    from .exponents import (
+        best_bound,
+        exceptional_table,
+        exp_bound_closed_form,
+        exp_bound_regular,
+        exp_bound_theriault,
+        exp_moore_fiber,
+    )
+    from .lie import LieGroupSpec, _require_odd_prime, prime_cond_holds
+
     if args.table:
         if args.table != "exceptional":
             raise ValueError(f"unknown table {args.table!r}")
@@ -196,7 +216,18 @@ def _run_exponent(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
+def _bott_args(sub: argparse.ArgumentParser) -> None:
+    _add_manifold_args(sub)
+    sub.add_argument("--family", choices=("SU", "Spin"), required=True)
+    sub.add_argument("--r", type=int)
+    sub.add_argument("--k", type=int, default=0)
+    sub.add_argument("--away-2c", action="store_true")
+    sub.add_argument("--table", action="store_true")
+
+
 def _run_bott(args: argparse.Namespace) -> str:
+    from .bott import StableQuery, bott_rows, bott_table, stability_threshold, stable_pi_gauge
+
     M = _manifold(args)
     ctx = "away_2c" if args.away_2c or not M.spin else "away_c"
     if args.table:
@@ -219,7 +250,32 @@ def _run_bott(args: argparse.Namespace) -> str:
     )
 
 
+def _rational_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--series", help="Hilbert series, e.g. 1,0,2,2,0,1")
+    _add_manifold_args(sub, c_default=2)
+    sub.add_argument("--model", help="generator degrees, e.g. 3,5/4")
+    sub.add_argument("--group", help="Lie group to model, e.g. SU:4")
+    sub.add_argument(
+        "--op",
+        choices=("gauge", "b-star", "em", "rank", "ring-gauge", "ring-b-star"),
+        default="gauge",
+    )
+    sub.add_argument("--q", type=int)
+    sub.add_argument("--based", action="store_true")
+
+
 def _run_rational(args: argparse.Namespace) -> str:
+    from .lie import LieGroupSpec
+    from .rational import (
+        HilbertSeries,
+        RationalGroupModel,
+        em_expansion,
+        rational_B_star,
+        rational_cohomology_ring,
+        rational_gauge,
+        rational_rank_formula,
+    )
+
     if args.series is not None:
         X = HilbertSeries.parse(args.series)
     else:
@@ -252,7 +308,14 @@ def _run_rational(args: argparse.Namespace) -> str:
     return expr.machine() if args.format == "machine" else expr.pretty()
 
 
+def _moore_args(sub: argparse.ArgumentParser) -> None:
+    _add_manifold_args(sub)
+    sub.add_argument("--suspension", type=int, choices=(2, 3, 4))
+
+
 def _run_moore(args: argparse.Namespace) -> str:
+    from .manifold import pi6_P4, pi_moore_self, suspension_image_order, suspension_splitting
+
     c = args.c
     if args.suspension is not None:
         wedge = suspension_splitting(_manifold(args), args.suspension)
@@ -276,6 +339,8 @@ def _run_moore(args: argparse.Namespace) -> str:
 
 
 def _run_homology(args: argparse.Namespace) -> str:
+    from .manifold import homology
+
     groups = homology(_manifold(args))
     if args.format == "machine":
         return "\n".join(g.machine() for g in groups)
@@ -284,92 +349,47 @@ def _run_homology(args: argparse.Namespace) -> str:
 
 # -- parser --------------------------------------------------------------------
 
+# verb -> (help, the verb's own arguments, runner); every verb then takes --format
+_VERBS = {
+    "classify": ("homotopy-type counts", _classify_args, _run_classify),
+    "decompose": ("gauge-group decompositions", _decompose_args, _run_decompose),
+    "exponent": ("homotopy-exponent bounds", _exponent_args, _run_exponent),
+    "bott": ("stable homotopy of gauge groups", _bott_args, _run_bott),
+    "rational": ("rational decompositions", _rational_args, _run_rational),
+    "moore": ("Moore-space homotopy data", _moore_args, _run_moore),
+    "homology": ("integral homology of M", _add_manifold_args, _run_homology),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The gauge5 parser with every verb, or with `verb` alone.
+
+    `main` builds one verb when argv starts with one: registering all seven
+    costs several times the answer. The full parser stays the default, since
+    top-level --help, a missing or unknown verb and in-process callers that
+    parse any argv need every verb. A one-verb parser names every verb in
+    its usage line, so the usage errors it prints match the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="gauge5",
         description="homotopy invariants of gauge groups over 5-manifolds"
         " with cyclic fundamental group",
     )
-    verbs = parser.add_subparsers(dest="verb", required=True)
-
-    classify = verbs.add_parser("classify", help="homotopy-type counts")
-    _add_manifold_args(classify)
-    classify.add_argument("--group", required=True, help="e.g. SU:3 or G2")
-    classify.add_argument("--loops", type=int, choices=(2, 3))
-    classify.add_argument("--moore", action="store_true", help="over P⁴(c) instead of M")
-    classify.add_argument("--same-type", nargs=2, type=int, metavar=("K", "L"))
-    classify.add_argument("--trivial", action="store_true", help="one-type criterion")
-    classify.add_argument("--p", type=int)
-    _add_localization_args(classify)
-    _add_format_arg(classify)
-    classify.set_defaults(run=_run_classify)
-
-    decompose = verbs.add_parser("decompose", help="gauge-group decompositions")
-    _add_manifold_args(decompose)
-    decompose.add_argument("--group", required=True)
-    decompose.add_argument("--k", type=int, default=0)
-    decompose.add_argument("--loops", type=int, choices=(2, 3))
-    decompose.add_argument("--away-from-c", action="store_true")
-    decompose.add_argument("--normalize", action="store_true")
-    _add_localization_args(decompose)
-    _add_format_arg(decompose)
-    decompose.set_defaults(run=_run_decompose)
-
-    exponent = verbs.add_parser("exponent", help="homotopy-exponent bounds")
-    exponent.add_argument("--table", help="'exceptional' for the table of bounds")
-    exponent.add_argument("--group")
-    exponent.add_argument("--p", type=int)
-    _add_manifold_args(exponent, c_default=1)
-    exponent.add_argument(
-        "--route",
-        choices=("regular", "theriault", "closed", "moore-fiber", "best"),
-        default="best",
-    )
-    _add_format_arg(exponent)
-    exponent.set_defaults(run=_run_exponent)
-
-    bott = verbs.add_parser("bott", help="stable homotopy of gauge groups")
-    _add_manifold_args(bott)
-    bott.add_argument("--family", choices=("SU", "Spin"), required=True)
-    bott.add_argument("--r", type=int)
-    bott.add_argument("--k", type=int, default=0)
-    bott.add_argument("--away-2c", action="store_true")
-    bott.add_argument("--table", action="store_true")
-    _add_format_arg(bott)
-    bott.set_defaults(run=_run_bott)
-
-    rational = verbs.add_parser("rational", help="rational decompositions")
-    rational.add_argument("--series", help="Hilbert series, e.g. 1,0,2,2,0,1")
-    _add_manifold_args(rational, c_default=2)
-    rational.add_argument("--model", help="generator degrees, e.g. 3,5/4")
-    rational.add_argument("--group", help="Lie group to model, e.g. SU:4")
-    rational.add_argument(
-        "--op",
-        choices=("gauge", "b-star", "em", "rank", "ring-gauge", "ring-b-star"),
-        default="gauge",
-    )
-    rational.add_argument("--q", type=int)
-    rational.add_argument("--based", action="store_true")
-    _add_format_arg(rational)
-    rational.set_defaults(run=_run_rational)
-
-    moore = verbs.add_parser("moore", help="Moore-space homotopy data")
-    _add_manifold_args(moore)
-    moore.add_argument("--suspension", type=int, choices=(2, 3, 4))
-    _add_format_arg(moore)
-    moore.set_defaults(run=_run_moore)
-
-    homology_verb = verbs.add_parser("homology", help="integral homology of M")
-    _add_manifold_args(homology_verb)
-    _add_format_arg(homology_verb)
-    homology_verb.set_defaults(run=_run_homology)
-
+    metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name in _VERBS if verb is None else (verb,):
+        help_text, add_args, run = _VERBS[name]
+        sub = verbs.add_parser(name, help=help_text)
+        add_args(sub)
+        sub.add_argument("--format", choices=("text", "machine"), default="text")
+        sub.set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = build_parser(verb).parse_args(argv)
     try:
         output = args.run(args)
     except (HypothesisError, CatalogError, ValueError) as exc:

@@ -102,6 +102,12 @@ def exp_bound_theriault(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBou
     )
 
 
+def _require_c_positive(c: int) -> None:
+    """The routes that read nu_p(c) directly need c >= 1."""
+    if c < 1:
+        raise ValueError(f"c must be >= 1, got {c}")
+
+
 def exp_bound_closed_form(G: LieGroupSpec, p: int, c: int) -> ExponentBound:
     """The relaxed matrix-family bounds, evaluated verbatim.
 
@@ -116,6 +122,7 @@ def exp_bound_closed_form(G: LieGroupSpec, p: int, c: int) -> ExponentBound:
     >>> exp_bound_closed_form(LieGroupSpec("Sp", 2), 3, 3**5).exponent
     6
     """
+    _require_c_positive(c)
     nu_c = nu_p(c, p)
     if G.family in EXCEPTIONAL:
         raise HypothesisError(f"no closed form for {G.family}; use the exceptional table route")
@@ -137,6 +144,7 @@ def exp_moore_fiber(c: int, p: int) -> ExponentBound:
     2
     """
     _require_odd_prime(p)
+    _require_c_positive(c)
     return ExponentBound(p, nu_p(c, p), "moore_fiber", ("power-map fiber factor",))
 
 

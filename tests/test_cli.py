@@ -4,7 +4,10 @@ Each test drives main() in process and compares against the library API, so
 the CLI can never drift from the functions it fronts.
 """
 
+import argparse
+import ast
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +16,14 @@ import pytest
 
 import gauge5
 from gauge5 import ManifoldSpec, StableQuery, abelian, spaces, stable_pi_gauge
-from gauge5.cli import main
+from gauge5 import cli
+from gauge5.cli import build_parser, main
 from gauge5.decomposition import loops2_gauge
 from gauge5.lie import LieGroupSpec
 from gauge5.manifold import homology, suspension_image_order
+from gauge5.errors import CatalogError, HypothesisError
 from gauge5.rational import HilbertSeries, RationalGroupModel, rational_rank_formula
+from test_readme_examples import EXAMPLES
 
 
 @pytest.fixture
@@ -157,6 +163,25 @@ def test_exponent_routes(run):
         "--format", "machine",
     )
     assert code == 0 and out == "exponent p=3 exponent=3 route=moore_fiber"
+
+
+@pytest.mark.parametrize("route", ["closed", "moore-fiber"])
+@pytest.mark.parametrize("c", ["0", "-3"])
+def test_nu_p_routes_refuse_c_below_1(run, route, c):
+    got = run("exponent", "--group", "SU:4", "--p", "3", "--route", route, "--c", c)
+    assert got == (1, "", f"error: c must be >= 1, got {c}")
+
+
+def test_nu_p_routes_answer_at_the_default_c(run):
+    for route in ("closed", "moore-fiber"):
+        code, out, err = run("exponent", "--group", "SU:4", "--p", "3", "--route", route)
+        assert (code, err) == (0, "") and out.startswith("exp_3 <= 3^")
+
+
+@pytest.mark.parametrize("group, c", [("SU:4", "-5"), ("G2", "0"), ("SU:3", "1")])
+def test_trivial_case_refuses_c_below_2(run, group, c):
+    got = run("classify", "--moore", "--group", group, "--c", c, "--trivial", "--p", "5")
+    assert got == (1, "", f"error: c must be >= 2, got {c}")
 
 
 def test_exponent_argument_validation(run):
@@ -323,3 +348,118 @@ def test_stable_verbs_answer_for_a_c_beyond_the_primality_bound_in_a_subprocess(
     proc = _cli("bott", "--family", "SU", *manifold, "--r", "7")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("pi_7 of the stable SU gauge group over M = Z^2 ")
+
+
+# -- the one-verb launch ------------------------------------------------------------
+
+
+def _full_parser_main(argv: list[str]) -> int:
+    """main() as it ran before it built one verb: the full parser, then args.run."""
+    args = build_parser().parse_args(argv)
+    try:
+        output = args.run(args)
+    except (HypothesisError, CatalogError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if output:
+        print(output)
+    return 0
+
+
+def _outcome(capsys, entry, argv: list[str]) -> tuple:
+    try:
+        code = entry(list(argv))
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARITY_ARGV = (
+    [shlex.split(command) for command, _ in EXAMPLES]
+    + [["--help"]]
+    + [[verb, "--help"] for verb in cli._VERBS]
+    + [[], ["bogus"], ["homolog"]]
+    + [["homology", "--c", "5", "extra"], ["homology", "--c", "x"]]
+    + [["homology", "--c", "5", "--format", "yaml"]]
+    + [["classify", "--moore", "--c", "9"], ["decompose", "--c", "5", "--loops", "2"]]
+)
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=[" ".join(a) or "(none)" for a in PARITY_ARGV])
+def test_one_verb_parser_prints_what_the_full_parser_prints(capsys, argv):
+    assert _outcome(capsys, main, argv) == _outcome(capsys, _full_parser_main, argv)
+
+
+def test_a_launch_registers_only_its_verb(monkeypatch, capsys):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["homology", "--c", "12", "--m", "3"]) == 0
+    assert added == ["homology"]
+    capsys.readouterr()
+
+
+def _loaded_after(code: str) -> list[str]:
+    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.startswith('gauge5.')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(gauge5.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60,
+        check=True,
+    ).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_bare_import_loads_no_submodule():
+    assert _loaded_after("import gauge5") == []
+
+
+def test_a_homology_launch_loads_only_what_homology_needs():
+    loaded = _loaded_after("from gauge5.cli import main; main(['homology', '--c', '12', '--m', '3'])")
+    assert "gauge5.manifold" in loaded
+    unused = ("bott", "classification", "decomposition", "exponents", "rational", "spaces")
+    assert [m for m in loaded if m.split(".")[1] in unused] == []
+
+
+PUBLIC_NAMES = """
+    CatalogError ClassificationReport ExponentBound FGAbelianGroup GeneratorLedger
+    HilbertSeries HypothesisError LieGroupSpec Localization ManifoldSpec
+    RationalGroupModel SpaceAtom SpaceExpr StableQuery best_bound bott_table
+    bundle_classes catalog_order classify_looped_manifold classify_moore dirichlet_min
+    dirichlet_oracle divisor_count divisors em_expansion exceptional_table
+    exp_bound_closed_form exp_bound_regular exp_bound_theriault exp_moore_fiber factorize
+    gauge_away_from_c gcd_class homology in_theriault_range is_p_regular l_of
+    legendre_valuation loops2_gauge loops3_gauge nu_p ord_partial1_tilde pi6_P4 pi7_P5
+    pi_moore_self pi_with_coefficients r_of rank_of rational_B_star
+    rational_cohomology_ring rational_degrees rational_gauge rational_rank_formula
+    same_type_moore stability_threshold stable_pi stable_pi_gauge suspension_image_order
+    suspension_splitting trivial_case type_of
+""".split()
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    assert gauge5.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 61
+    for name in gauge5.__all__:
+        obj = getattr(gauge5, name)
+        home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("gauge5.") and getattr(home, name) is obj, name
+    assert set(gauge5.__all__) <= set(dir(gauge5))
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        gauge5.nope
+
+
+def test_submodules_resolve_after_a_bare_import():
+    names = ["abelian", "arith", "bott", "classification", "cli", "decomposition", "exponents",
+             "lie", "localization", "manifold", "rational", "spaces"]
+    code = (
+        "import gauge5\n"
+        f"assert [getattr(gauge5, n).__name__ for n in {names!r}] == "
+        f"{[f'gauge5.{n}' for n in names]!r}\n"
+        "gauge5.lie.load_catalog()"
+    )
+    assert {f"gauge5.{n}" for n in names} <= set(_loaded_after(code))
