@@ -354,7 +354,7 @@ def test_stable_verbs_answer_for_a_c_beyond_the_primality_bound_in_a_subprocess(
 
 
 def _full_parser_main(argv: list[str]) -> int:
-    """main() as it ran before it built one verb: the full parser, then args.run."""
+    """The full parser, then args.run: the rendering every launch must match."""
     args = build_parser().parse_args(argv)
     try:
         output = args.run(args)
