@@ -14,13 +14,18 @@ Every verb takes --format text|machine. Machine output is one `tag key=value`
 record per line (records.py); `exponent` records omit the bound's assumptions
 and alternatives, and `wedge` records an opaque summand's tag and homology
 ledger. Hypothesis failures exit nonzero with the failed condition named on stderr.
+
+Each verb declares its flags once. A well-formed argv is read from those
+declarations without importing argparse; argparse runs only for --help,
+usage errors and argv the reader does not model, so every help and error
+text is argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import records
 from .errors import CatalogError, HypothesisError
@@ -361,15 +366,101 @@ _VERBS = {
 }
 
 
+def _add_verb_args(sub, add_args) -> None:
+    """The verb's own arguments, then --format, which every verb takes."""
+    add_args(sub)
+    sub.add_argument("--format", choices=("text", "machine"), default="text")
+
+
+class _Declared:
+    """Stands in for a parser while a verb declares its flags: records each
+    flag's keyword arguments and its exclusive group (None outside one)."""
+
+    def __init__(self, flags: dict | None = None, group: dict | None = None) -> None:
+        self.flags = {} if flags is None else flags
+        self.group = group
+
+    def add_argument(self, flag: str, **kw) -> None:
+        self.flags[flag] = (kw, self.group)
+
+    def add_mutually_exclusive_group(self, **kw) -> _Declared:
+        # the group is its own (new) kwargs dict; a group given any is not modelled
+        return _Declared(self.flags, kw)
+
+
+_MODELLED = {"type", "choices", "default", "required", "dest", "nargs", "action", "help", "metavar"}
+_FLAG_DEFAULTS = {None: None, "store_true": False, "store_false": True}
+
+
+def _read(verb: str, argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args([verb, *argv])` returns, read
+    from the flags `verb` declares, or None where argparse must decide.
+
+    None covers every token that is not a declared flag (abbreviations,
+    --flag=value, -h, --), a value that starts with '-', is missing, fails
+    its type or lies outside its choices, two flags of one exclusive group,
+    a missing required flag and any declaration outside the modelled kwargs.
+    As in argparse, a repeated flag's last value wins.
+    """
+    declared = _Declared()
+    _add_verb_args(declared, _VERBS[verb][1])
+    values = {}
+    for flag, (kw, group) in declared.flags.items():
+        if (
+            kw.keys() - _MODELLED
+            or kw.get("action") not in _FLAG_DEFAULTS
+            or kw.get("nargs") not in (None, 2)
+            or isinstance(kw.get("default"), str) and "type" in kw  # argparse converts it
+            or group
+        ):
+            return None
+        kw.setdefault("dest", flag.lstrip("-").replace("-", "_"))
+        values.setdefault(kw["dest"], kw.get("default", _FLAG_DEFAULTS[kw.get("action")]))
+    given, chosen = set(), {}
+    i = 0
+    while i < len(argv):
+        flag = argv[i]
+        if flag not in declared.flags:
+            return None
+        kw, group = declared.flags[flag]
+        if group is not None and chosen.setdefault(id(group), flag) != flag:
+            return None
+        if kw.get("action"):
+            value = kw["action"] == "store_true"
+            i += 1
+        else:
+            n = kw.get("nargs", 1)
+            tokens = argv[i + 1 : i + 1 + n]
+            if len(tokens) < n or any(t.startswith("-") for t in tokens):
+                return None
+            try:
+                got = [kw.get("type", str)(t) for t in tokens]
+            except (TypeError, ValueError):
+                return None
+            if "choices" in kw and any(v not in kw["choices"] for v in got):
+                return None
+            value = got if "nargs" in kw else got[0]
+            i += 1 + n
+        values[kw["dest"]] = value
+        given.add(flag)
+    if any(kw.get("required") and flag not in given for flag, (kw, _) in declared.flags.items()):
+        return None
+    return SimpleNamespace(verb=verb, **values, run=_VERBS[verb][2])
+
+
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The gauge5 parser with every verb, or with `verb` alone.
 
+    `main` reads a well-formed argv without it (see `_read`); argparse runs
+    only for --help, usage errors and argv the reader does not model. Then
     `main` builds one verb when argv starts with one: registering all seven
     costs several times the answer. The full parser stays the default, since
     top-level --help, a missing or unknown verb and in-process callers that
     parse any argv need every verb. A one-verb parser names every verb in
     its usage line, so the usage errors it prints match the full parser's.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gauge5",
         description="homotopy invariants of gauge groups over 5-manifolds"
@@ -380,8 +471,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     for name in _VERBS if verb is None else (verb,):
         help_text, add_args, run = _VERBS[name]
         sub = verbs.add_parser(name, help=help_text)
-        add_args(sub)
-        sub.add_argument("--format", choices=("text", "machine"), default="text")
+        _add_verb_args(sub, add_args)
         sub.set_defaults(run=run)
     return parser
 
@@ -389,7 +479,9 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = build_parser(verb).parse_args(argv)
+    args = None if verb is None else _read(verb, argv[1:])
+    if args is None:
+        args = build_parser(verb).parse_args(argv)
     try:
         output = args.run(args)
     except (HypothesisError, CatalogError, ValueError) as exc:

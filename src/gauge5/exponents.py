@@ -123,10 +123,10 @@ def exp_bound_closed_form(G: LieGroupSpec, p: int, c: int) -> ExponentBound:
     6
     """
     _require_c_positive(c)
-    nu_c = nu_p(c, p)
     if G.family in EXCEPTIONAL:
         raise HypothesisError(f"no closed form for {G.family}; use the exceptional table route")
     _require_odd_prime(p)
+    nu_c = nu_p(c, p)
     key, n = _family_key(G)
     if key == "SU":
         exponent = max(n + 2 * p - 5, nu_c + p - 1)

@@ -6,6 +6,8 @@ the CLI can never drift from the functions it fronts.
 
 import argparse
 import ast
+import contextlib
+import io
 import os
 import shlex
 import subprocess
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gauge5
 from gauge5 import ManifoldSpec, StableQuery, abelian, spaces, stable_pi_gauge
@@ -147,6 +151,17 @@ def test_exponent_table_at_3_is_empty(run):
 def test_closed_route_refuses_p_2(run):
     got = run("exponent", "--group", "SU:4", "--p", "2", "--route", "closed", "--c", "1")
     assert got == (1, "", "error: odd primes only")
+
+
+@pytest.mark.parametrize("route", ["regular", "theriault", "closed", "moore-fiber", "best"])
+def test_every_route_refuses_a_p_that_is_not_prime_alike(run, route):
+    got = run("exponent", "--group", "SU:4", "--p", "4", "--route", route, "--c", "3")
+    assert got == (1, "", "error: expected a prime, got 4")
+
+
+def test_closed_route_refuses_an_exceptional_group_before_reading_p(run):
+    got = run("exponent", "--group", "G2", "--p", "4", "--route", "closed", "--c", "3")
+    assert got == (1, "", "error: no closed form for G2; use the exceptional table route")
 
 
 def test_exponent_routes(run):
@@ -383,6 +398,8 @@ PARITY_ARGV = (
     + [["homology", "--c", "5", "extra"], ["homology", "--c", "x"]]
     + [["homology", "--c", "5", "--format", "yaml"]]
     + [["classify", "--moore", "--c", "9"], ["decompose", "--c", "5", "--loops", "2"]]
+    + [["decompose", "--c", "5", "--group", "SU:4", "--loops", "2", "--at-p", "3", "--rational"]]
+    + [["exponent", "--group", "--non-spin"], ["homology", "--c", "-5"], ["homology", "--m", "2"]]
 )
 
 
@@ -401,12 +418,98 @@ def test_a_launch_registers_only_its_verb(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
     assert main(["homology", "--c", "12", "--m", "3"]) == 0
+    assert added == []  # a well-formed argv is read without argparse
+    with pytest.raises(SystemExit):
+        main(["homology", "--c", "x"])
     assert added == ["homology"]
     capsys.readouterr()
 
 
-def _loaded_after(code: str) -> list[str]:
-    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.startswith('gauge5.')))"
+# -- the argv reader ------------------------------------------------------------------
+
+
+def _declared(verb: str) -> dict:
+    declared = cli._Declared()
+    cli._add_verb_args(declared, cli._VERBS[verb][1])
+    return declared.flags
+
+
+def _parse_full(argv: list[str]):
+    """The full parser's namespace as a dict, or None on a usage error."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("command", [c for c, _ in EXAMPLES])
+def test_the_reader_reads_every_readme_command(command):
+    argv = shlex.split(command)
+    got = cli._read(argv[0], argv[1:])
+    assert got is not None and vars(got) == _parse_full(argv)
+
+
+@pytest.mark.parametrize("verb", cli._VERBS)
+def test_the_reader_models_every_declared_flag(verb):
+    """The verb's required flags alone (every default), then every flag once
+    (the first of an exclusive group): both read without falling back."""
+    required, every, groups = [verb], [verb], set()
+    for flag, (kw, group) in _declared(verb).items():
+        if group is not None:
+            if id(group) in groups:
+                continue
+            groups.add(id(group))
+        value = str(kw["choices"][-1]) if "choices" in kw else "3"
+        tokens = [flag] + ([] if "action" in kw else [value] * kw.get("nargs", 1))
+        every += tokens
+        required += tokens if kw.get("required") else []
+    for argv in (required, every):
+        got = cli._read(verb, argv[1:])
+        assert got is not None and vars(got) == _parse_full(argv), argv
+
+
+_JUNK = ["-5", "--c=5", "--norm", "--", "-h", "", "--format", "yaml", "x"]
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A verb, mostly its required flags, then flags with mostly valid
+    values, mixed with junk tokens."""
+    verb = draw(st.sampled_from(list(cli._VERBS)))
+    declared = _declared(verb)
+
+    def flag_and_values(flag: str) -> list[str]:
+        kw = declared[flag][0]
+        n = 0 if "action" in kw else kw.get("nargs", 1)
+        if not draw(st.integers(0, 5)):
+            n = draw(st.integers(0, 3))
+        valid = [str(c) for c in kw["choices"]] if "choices" in kw else ["2", "12", "SU:4"]
+        return [flag] + [
+            draw(st.sampled_from(valid if draw(st.integers(0, 5)) else _JUNK)) for _ in range(n)
+        ]
+
+    argv = [verb]
+    for flag, (kw, _) in declared.items():
+        if kw.get("required") and draw(st.integers(0, 5)):
+            argv += flag_and_values(flag)
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)):
+            argv += flag_and_values(draw(st.sampled_from(sorted(declared))))
+        else:
+            argv.append(draw(st.sampled_from(_JUNK)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_the_reader_agrees_with_argparse_or_defers_to_it(argv):
+    got = cli._read(argv[0], argv[1:])
+    assert got is None or vars(got) == _parse_full(argv)
+
+
+def _loaded_after(code: str, prefix: str = "gauge5.") -> list[str]:
+    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     env = dict(os.environ, PYTHONPATH=str(Path(gauge5.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60,
@@ -420,10 +523,11 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_a_homology_launch_loads_only_what_homology_needs():
-    loaded = _loaded_after("from gauge5.cli import main; main(['homology', '--c', '12', '--m', '3'])")
-    assert "gauge5.manifold" in loaded
+    code = "from gauge5.cli import main; main(['homology', '--c', '12', '--m', '3'])"
+    loaded = _loaded_after(code, prefix="")
+    assert "gauge5.manifold" in loaded and "argparse" not in loaded
     unused = ("bott", "classification", "decomposition", "exponents", "rational", "spaces")
-    assert [m for m in loaded if m.split(".")[1] in unused] == []
+    assert [m for m in loaded if m.startswith("gauge5.") and m.split(".")[1] in unused] == []
 
 
 PUBLIC_NAMES = """

@@ -224,7 +224,7 @@ def test_values_are_built_in_one_step():
 
 # -- the import-cost guards --------------------------------------------------------
 
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib")
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "argparse")
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():
