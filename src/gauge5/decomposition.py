@@ -34,6 +34,12 @@ from .spaces import (
     moore_gauge,
 )
 
+# Each theorem's fixed factors, built once: atoms are immutable, so every call
+# shares them. Only moore_gauge(j, k) depends on the input.
+_GROUP, _CP2_1, _CP2_3 = group_itself(), map_cp2(1), map_cp2(3)
+_FIBER_3, _FIBER_4 = loop_fiber(3), loop_fiber(4)
+_OMEGA = {j: loops_g(j) for j in range(2, 9)}
+
 
 def loops2_gauge(
     M: ManifoldSpec, G: LieGroupSpec, k: int, ctx: Localization | None = None
@@ -49,13 +55,13 @@ def loops2_gauge(
     require_pi4_trivial(G, ctx)
     k %= M.c
     if M.spin:
-        atoms = [(moore_gauge(2, k), 1), (loop_fiber(3), 1), (loops_g(7), 1),
-                 (loops_g(4), M.m - 1), (loops_g(5), M.m - 1)]
+        atoms = ((moore_gauge(2, k), 1), (_FIBER_3, 1), (_OMEGA[7], 1),
+                 (_OMEGA[4], M.m - 1), (_OMEGA[5], M.m - 1))
     else:
         require_m_at_least_2(M)
-        atoms = [(moore_gauge(2, k), 1), (map_cp2(3), 1), (loop_fiber(3), 1),
-                 (loops_g(4), M.m - 1), (loops_g(5), M.m - 2)]
-    return SpaceExpr(tuple(atoms), localization=ctx, group=G, c=M.c)
+        atoms = ((moore_gauge(2, k), 1), (_CP2_3, 1), (_FIBER_3, 1),
+                 (_OMEGA[4], M.m - 1), (_OMEGA[5], M.m - 2))
+    return SpaceExpr(atoms, localization=ctx, group=G, c=M.c)
 
 
 def loops3_gauge(
@@ -74,9 +80,9 @@ def loops3_gauge(
     require_single_top_cell(M)
     require_pi4_trivial(G, ctx)
     k %= M.c
-    atoms = [(moore_gauge(3, k), 1), (loop_fiber(4), 1), (loops_g(8), 1),
-             (loops_g(5), M.m - 1), (loops_g(6), M.m - 1)]
-    return SpaceExpr(tuple(atoms), localization=ctx, group=G, c=M.c)
+    atoms = ((moore_gauge(3, k), 1), (_FIBER_4, 1), (_OMEGA[8], 1),
+             (_OMEGA[5], M.m - 1), (_OMEGA[6], M.m - 1))
+    return SpaceExpr(atoms, localization=ctx, group=G, c=M.c)
 
 
 def gauge_away_from_c(M: ManifoldSpec, G: LieGroupSpec, k: int = 0) -> SpaceExpr:
@@ -101,8 +107,6 @@ def _away_from_c_atoms(M: ManifoldSpec) -> tuple:
     """The factors of gauge_away_from_c, for callers that bring their own
     localization (bott's agrees with inverting c only at the prime 2)."""
     if M.spin:
-        return ((group_itself(), 1), (loops_g(5), 1),
-                (loops_g(2), M.m - 1), (loops_g(3), M.m - 1))
+        return ((_GROUP, 1), (_OMEGA[5], 1), (_OMEGA[2], M.m - 1), (_OMEGA[3], M.m - 1))
     require_m_at_least_2(M)
-    return ((group_itself(), 1), (map_cp2(1), 1),
-            (loops_g(2), M.m - 1), (loops_g(3), M.m - 2))
+    return ((_GROUP, 1), (_CP2_1, 1), (_OMEGA[2], M.m - 1), (_OMEGA[3], M.m - 2))

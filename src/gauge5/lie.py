@@ -137,25 +137,29 @@ def rational_degrees(G: LieGroupSpec) -> tuple[int, ...]:
 # -- pi_4 and regularity -----------------------------------------------------
 
 
+def _pi4_is_z2(G: LieGroupSpec) -> bool:
+    """Is pi_4(G) = Z/2? True for SU(2), every Sp(n) and Spin(5); every
+    other G has pi_4(G) = 0. The one statement of which groups carry pi_4."""
+    return (G.family == "SU" and G.n == 2) or G.family == "Sp" or (G.family == "Spin" and G.n == 5)
+
+
 def pi4(G: LieGroupSpec) -> FGAbelianGroup:
-    """Integral pi_4: Z/2 for SU(2), every Sp(n), and Spin(5); else 0."""
-    z2 = (
-        (G.family == "SU" and G.n == 2)
-        or G.family == "Sp"
-        or (G.family == "Spin" and G.n == 5)
-    )
-    return FGAbelianGroup.cyclic(2) if z2 else FGAbelianGroup.trivial()
+    """Integral pi_4: Z/2 where _pi4_is_z2 says so, else 0."""
+    return FGAbelianGroup.cyclic(2) if _pi4_is_z2(G) else FGAbelianGroup.trivial()
 
 
 def pi4_is_trivial(G: LieGroupSpec, ctx: Localization) -> bool:
     """Does pi_4(G) vanish in the localization?
+
+    Equal to pi4(G).localize(ctx).is_trivial() without building a group:
+    pi_4 is Z/2 or 0, and localizing drops the Z/2 exactly when ctx inverts 2.
 
     >>> pi4_is_trivial(LieGroupSpec("Sp", 2), Localization.integral())
     False
     >>> pi4_is_trivial(LieGroupSpec("Sp", 2), Localization.away_from([2]))
     True
     """
-    return pi4(G).localize(ctx).is_trivial()
+    return not _pi4_is_z2(G) or ctx.inverts(2)
 
 
 def is_p_regular(G: LieGroupSpec, p: int) -> bool:

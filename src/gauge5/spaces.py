@@ -71,21 +71,35 @@ class SpaceAtom(Value):
             raise ValueError(f"{kind} atom needs a dimension")
         if kind == "moore_map" and n < 2:
             raise ValueError(f"Moore mapping space needs dimension >= 2, got {n}")
-        self.__dict__.update(kind=kind, j=j, k=k, n=n)
+        # each kind takes only the fields it reads: unequal atoms never share a key
+        if n is not None and kind not in ("moore_map", "sphere", "em"):
+            raise ValueError(f"{kind} atom takes no dimension n, got n={n}")
+        if k is not None and kind != "moore_gauge":
+            raise ValueError(f"{kind} atom takes no component label k, got k={k}")
+        if j and kind in ("group", "sphere", "em"):
+            raise ValueError(f"{kind} atom takes no loop degree j, got j={j}")
+        if not j and kind == "loops_g":
+            raise ValueError("loops_g atom needs a loop degree j >= 1 (j = 0 is the group atom)")
+        self.__dict__.update(
+            kind=kind, j=j, k=k, n=n,
+            # not fields: computed once, as each SpaceExpr hashes and sorts its atoms
+            _hash=hash((kind, j, k, n)), _key=(_KIND_ORDER[kind], j, n or 0, k or 0),
+        )
 
     def __hash__(self) -> int:
-        # written out: every SpaceExpr construction hashes each atom twice
-        return hash((self.kind, self.j, self.k, self.n))
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a string's hash differs between processes
+        return SpaceAtom, (self.kind, self.j, self.k, self.n)
 
     def sort_key(self) -> tuple:
-        return (_KIND_ORDER[self.kind], self.j, self.n or 0, self.k or 0)
+        return self._key
 
     def pretty(self, c: int | None) -> str:
         loops = "" if self.j == 0 else ("Ω" if self.j == 1 else "Ω" + _sup(self.j))
-        if self.kind == "group":
-            return "G"
-        if self.kind == "loops_g":
-            return loops + "G" if loops else "G"
+        if self.kind in ("group", "loops_g"):
+            return loops + "G"
         if self.kind == "loop_fiber":
             cc = "c" if c is None else str(c)
             return f"{loops}G{{{cc}}}"
@@ -107,7 +121,7 @@ def group_itself() -> SpaceAtom:
 
 
 def loops_g(j: int) -> SpaceAtom:
-    return SpaceAtom("loops_g", j=j)
+    return SpaceAtom("loops_g", j=j) if j else group_itself()  # Omega^0 G is G
 
 
 def loop_fiber(j: int) -> SpaceAtom:
@@ -173,7 +187,7 @@ class SpaceExpr(Value):
                 raise ValueError(f"negative multiplicity for {atom}")
             if mult:
                 merged[atom] = merged.get(atom, 0) + mult
-        canon = tuple(sorted(merged.items(), key=lambda am: am[0].sort_key()))
+        canon = tuple(sorted(merged.items(), key=lambda am: am[0]._key))
         if c is not None and c < 2:
             raise ValueError(f"c must be >= 2 when present, got {c}")
         self.__dict__.update(atoms=canon, localization=localization, group=group, c=c)
@@ -181,14 +195,9 @@ class SpaceExpr(Value):
     @staticmethod
     def of(atoms, localization=None, group=None, c=None) -> "SpaceExpr":
         """Build from an iterable of atoms or (atom, multiplicity) pairs."""
-        pairs = []
-        for item in atoms:
-            if isinstance(item, SpaceAtom):
-                pairs.append((item, 1))
-            else:
-                pairs.append(item)
+        pairs = tuple((item, 1) if isinstance(item, SpaceAtom) else item for item in atoms)
         return SpaceExpr(
-            tuple(pairs),
+            pairs,
             localization=localization or Localization.integral(),
             group=group,
             c=c,
@@ -224,7 +233,7 @@ class SpaceExpr(Value):
             if away_c and atom.kind == "moore_gauge":
                 # the Moore space is contractible once c is inverted, so its
                 # gauge group collapses to the group itself
-                atom = loops_g(atom.j) if atom.j else group_itself()
+                atom = loops_g(atom.j)
             if atom.kind == "map_cp2" and ctx.inverts(2):
                 # the suspended CP^2 splits into two spheres away from 2
                 rewritten.append((loops_g(atom.j + 2), mult))

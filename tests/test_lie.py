@@ -25,6 +25,7 @@ from gauge5 import (
 )
 from gauge5.arith import is_prime
 from gauge5.classification import trivial_case
+from gauge5.errors import HypothesisError
 from gauge5.exponents import exp_bound_closed_form
 from gauge5.lie import (
     EXCEPTIONAL,
@@ -35,6 +36,7 @@ from gauge5.lie import (
     prime_cond_holds,
     prime_cond_interval,
 )
+from gauge5.manifold import require_pi4_trivial
 
 SU = lambda n: LieGroupSpec("SU", n)
 Sp = lambda n: LieGroupSpec("Sp", n)
@@ -109,6 +111,37 @@ def test_pi4_is_trivial_respects_localization():
     assert pi4_is_trivial(Sp(2), Localization.at_prime(3))
     assert pi4_is_trivial(Sp(2), Localization.away_from([2]))
     assert pi4_is_trivial(SU(4), Localization.integral())
+
+
+_PI4_GROUPS = (
+    [SU(n) for n in range(2, 11)]
+    + [Sp(n) for n in range(1, 7)]
+    + [Spin(n) for n in range(5, 15)]
+    + [LieGroupSpec(f) for f in EXCEPTIONAL]
+)
+_PI4_CONTEXTS = (
+    Localization.integral(),
+    *(Localization.at_prime(p) for p in (2, 3, 5, 7)),
+    *(Localization.away_from([m]) for m in (2, 3, 6)),
+    Localization.rational(),
+)
+
+
+@pytest.mark.parametrize("ctx", _PI4_CONTEXTS, ids=str)
+def test_pi4_is_trivial_agrees_with_the_localized_group(ctx):
+    # pi4_is_trivial builds no group; the group it stands for is the oracle
+    for G in _PI4_GROUPS:
+        assert pi4_is_trivial(G, ctx) == pi4(G).localize(ctx).is_trivial(), G
+
+
+@pytest.mark.parametrize(
+    "ctx, shown",
+    [(Localization.integral(), "integral"), (Localization.at_prime(2), "localized at 2")],
+)
+def test_pi4_refusal_names_the_localized_group(ctx, shown):
+    with pytest.raises(HypothesisError) as err:
+        require_pi4_trivial(Sp(2), ctx)
+    assert str(err.value) == f"hypothesis pi_4(G) = 0 fails: pi_4(Sp(2)) = Z/2 ({shown})"
 
 
 def test_connecting_map_orders():

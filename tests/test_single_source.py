@@ -3,8 +3,10 @@
 Spin's parity is read only by lie._family_key, which maps Spin(2n+1) to
 ('SpinOdd', n) and Spin(2n) to ('SpinEven', n); every per-family formula
 branches on that key. "p is an odd prime" is checked only by
-lie._require_odd_prime, which every odd-primary entry point calls. The scans
-below fail if a later change re-derives either fact somewhere else.
+lie._require_odd_prime, which every odd-primary entry point calls. Which
+groups have pi_4 = Z/2 (SU(2), every Sp(n), Spin(5)) is stated only by
+lie._pi4_is_z2, which pi4 and pi4_is_trivial both call. The scans below fail
+if a later change re-derives any of these facts somewhere else.
 """
 
 import ast
@@ -56,3 +58,36 @@ def test_spin_parity_is_read_only_by_the_family_key():
 
 def test_p_is_compared_with_2_only_by_the_odd_prime_check():
     assert _sites(_compares_p_with_2) == {("lie.py", "_require_odd_prime")}
+
+
+_PI4_PARAM = {"'SU'": "2", "'Spin'": "5"}
+
+
+def _equality(node) -> tuple[str, str] | None:
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 and isinstance(node.ops[0], ast.Eq):
+        return ast.unparse(node.left), ast.unparse(node.comparators[0])
+    return None
+
+
+def _reads_pi4_family(node) -> bool:
+    # G.family == "Sp", or G.family == "SU" and G.n == 2, or Spin with n == 5
+    eq = _equality(node)
+    if eq is not None:
+        return eq[0].endswith("family") and eq[1] == "'Sp'"
+    if not (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)):
+        return False
+    eqs = [e for e in map(_equality, node.values) if e is not None]
+    families = {right for left, right in eqs if left.endswith("family")}
+    params = {right for left, right in eqs if left == "n" or left.endswith(".n")}
+    return any(_PI4_PARAM.get(f) in params for f in families)
+
+
+def test_pi4_family_is_read_only_by_its_predicate():
+    assert _sites(_reads_pi4_family) == {("lie.py", "_pi4_is_z2")}
+    tree = ast.parse((SRC / "lie.py").read_text(encoding="utf-8"))
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for name in ("pi4", "pi4_is_trivial"):
+        calls = {ast.unparse(c.func) for c in ast.walk(funcs[name]) if isinstance(c, ast.Call)}
+        assert "_pi4_is_z2" in calls, name
+        # the triviality test builds no group: it never asks pi4
+        assert name == "pi4" or "pi4" not in calls

@@ -1,11 +1,19 @@
 """Symbolic space expressions: normalization, rendering, serialization."""
 
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gauge5
 from gauge5 import LieGroupSpec, Localization, RationalGroupModel, SpaceExpr
 from gauge5.spaces import (
+    SpaceAtom,
     em_factor,
     group_itself,
     loop_fiber,
@@ -16,6 +24,8 @@ from gauge5.spaces import (
     parse_machine,
     sphere_factor,
 )
+
+SRC = Path(gauge5.__file__).resolve().parent.parent
 
 _LOCALIZATIONS = (
     Localization.integral(),
@@ -164,6 +174,93 @@ def test_atom_validation():
         moore_map(1)  # needs a cell dimension >= 2
     with pytest.raises(ValueError):
         moore_gauge(2, -1)
+
+
+@pytest.mark.parametrize(
+    "kind, fields, named",
+    [
+        ("loops_g", dict(j=1, n=0), "n=0"),
+        ("group", dict(n=3), "n=3"),
+        ("map_cp2", dict(j=2, n=4), "n=4"),
+        ("group", dict(k=0), "k=0"),
+        ("loop_fiber", dict(j=3, k=1), "k=1"),
+        ("sphere", dict(n=3, k=2), "k=2"),
+        ("group", dict(j=2), "j=2"),
+        ("sphere", dict(j=3, n=5), "j=3"),
+        ("em", dict(j=1, n=4), "j=1"),
+        ("loops_g", dict(), "j >= 1"),
+    ],
+)
+def test_atom_refuses_fields_its_kind_never_reads(kind, fields, named):
+    with pytest.raises(ValueError, match=rf"^{kind} atom .*{named}"):
+        SpaceAtom(kind, **fields)
+    # the machine parser builds atoms through the same constructor
+    text = f"expr localization=integral group=- c=5\natom kind={kind} j={fields.get('j', 0)}"
+    text += f" n={fields.get('n', '-')} k={fields.get('k', '-')} mult=1"
+    with pytest.raises(ValueError, match=rf"^{kind} atom "):
+        parse_machine(text)
+
+
+def test_omega_zero_is_the_group_atom():
+    # Omega^0 G once printed like G yet compared unequal to it, so the
+    # canonical form depended on input order
+    assert loops_g(0) == group_itself()
+    assert SpaceExpr.of([group_itself(), loops_g(0)]).pretty() == "(G)²"
+
+
+def test_pickled_atom_rehashes_under_another_hash_seed():
+    # the hash is stored at construction, and a string's hash depends on the
+    # process; a pickle must not carry it into another process
+    atom = moore_gauge(2, 1)
+    code = (
+        "import pickle, sys; from gauge5.spaces import moore_gauge;"
+        " a = pickle.loads(sys.stdin.buffer.read());"
+        " print(hash(a) == hash(moore_gauge(2, 1)), {a: 1}.get(moore_gauge(2, 1)))"
+    )
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(atom), capture_output=True,
+            env={"PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}, check=True,
+        )
+        assert out.stdout.decode().split() == ["True", "1"]
+
+
+_ATOMS = st.one_of(
+    st.just(group_itself()),
+    st.builds(loops_g, st.integers(1, 9)),
+    st.builds(loop_fiber, st.integers(0, 9)),
+    st.builds(moore_gauge, st.integers(0, 6), st.integers(0, 8)),
+    st.builds(moore_map, st.integers(2, 6), st.integers(0, 5)),
+    st.builds(map_cp2, st.integers(0, 6)),
+    st.builds(sphere_factor, st.integers(0, 9)),
+    st.builds(em_factor, st.integers(0, 9)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_ATOMS, st.integers(1, 3)), max_size=8),
+    st.sampled_from(_LOCALIZATIONS),
+    st.sampled_from(_GROUPS),
+    st.sampled_from([5, 9, 12, 30]),
+    st.data(),
+)
+def test_canonical_form_ignores_order_and_splitting(pairs, ctx, group, c, data):
+    def build(items):
+        return SpaceExpr(tuple(items), localization=ctx, group=group, c=c)
+
+    e = build(pairs)
+    assert build(data.draw(st.permutations(pairs))) == e
+    # one multiplicity split across repeated entries
+    split = [(atom, 1) for atom, mult in pairs for _ in range(mult)]
+    assert build(data.draw(st.permutations(split))) == e
+    for expr in (e, e.normalize()):
+        keys = [atom.sort_key() for atom, _ in expr.atoms]
+        assert keys == sorted(set(keys))  # ascending, and no two atoms share a key
+        assert len({atom.pretty(c) for atom, _ in expr.atoms}) == len(keys)
+    assert e.normalize().normalize() == e.normalize()
+    for atom, _ in pairs:
+        assert hash(atom.replace()) == hash(atom)
 
 
 def test_rational_rank_of_group_counts_type_degrees():
