@@ -10,17 +10,19 @@ The shift multiset depends on M and the localization only: M fixes the
 factors (G x Omega^5 G x (Omega^2 G x Omega^3 G)^(m-1), or the CP^2 form
 for non-spin M) and the localization decides which of them normalize()
 splits. That is Bott periodicity for the gauge group, and it lets bott_rows
-compute the localization and the multiset once per table; each row is then
-a sum of stable groups. c is read only through its parity, since every
-stable answer's torsion is 2-primary (see StableQuery.localization): c is
-never factored, and every c >= 2 answers.
+compute the localization and the multiset once per table. Bott periodicity
+of the family then folds the multiset into a count per residue of the
+period (2 for SU, 8 for Spin), so each row is one group summed over at most
+8 residue classes, and its cost does not grow with m. c is read only
+through its parity, since every stable answer's torsion is 2-primary (see
+StableQuery.localization): c is never factored, and every c >= 2 answers.
 """
 
 from __future__ import annotations
 
 from .abelian import FGAbelianGroup
 from .decomposition import _away_from_c_atoms
-from .lie import _stable_family, stable_pi
+from .lie import _stable_family
 from .localization import Localization
 from .manifold import ManifoldSpec, require_spin_or_away_from_2
 from .spaces import SpaceExpr
@@ -86,8 +88,28 @@ def shift_multiset(M: ManifoldSpec, ctx: Localization) -> tuple[int, ...]:
     return tuple(sorted(shifts))
 
 
-def _shifted_sum(family: str, r: int, shifts: tuple[int, ...], ctx: Localization) -> FGAbelianGroup:
-    return FGAbelianGroup.direct_sum([stable_pi(family, r + s) for s in shifts]).localize(ctx)
+def _shifted_sums(groups, shifts: tuple[int, ...], ctx: Localization, rs) -> list[FGAbelianGroup]:
+    """[direct_sum([stable_pi(family, r + s) for s in shifts]).localize(ctx)
+    for r in rs], each built as one group. groups are the family's Bott
+    groups by residue of r: the shifts s = i mod their period each
+    contribute groups[(r + i) % period], so the multiset is folded into a
+    count per residue once, and a row reads at most 8 Bott groups however
+    many shifts M has."""
+    period = len(groups)
+    counts = [0] * period
+    for s in shifts:
+        counts[s % period] += 1
+    local = [(g.free_rank, [f for f in g.torsion if not ctx.inverts(f.p)]) for g in groups]
+    sums = []
+    for r in rs:
+        rank, torsion = 0, []
+        for i, n in enumerate(counts):
+            if n:
+                free, kept = local[(r + i) % period]
+                rank += n * free
+                torsion += kept * n
+        sums.append(FGAbelianGroup(rank, tuple(torsion)))
+    return sums
 
 
 def stable_pi_gauge(q: StableQuery) -> FGAbelianGroup:
@@ -100,7 +122,7 @@ def stable_pi_gauge(q: StableQuery) -> FGAbelianGroup:
     'Z ⊕ Z/2 ⊕ Z/2'
     """
     ctx = q.localization()
-    return _shifted_sum(q.family, q.r, shift_multiset(q.M, ctx), ctx)
+    return _shifted_sums(_stable_family(q.family)[1], shift_multiset(q.M, ctx), ctx, [q.r])[0]
 
 
 def bott_rows(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> list:
@@ -108,16 +130,16 @@ def bott_rows(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> 
 
     One StableQuery, at the family's least r, is validated and refused as
     stable_pi_gauge would be: the rows' queries differ only in r, and every
-    r of the period is valid. The localization and the shift multiset are
-    computed once for the period.
+    r of the period is valid. The localization, the shift multiset and its
+    count per residue are computed once for the period.
     """
     least, groups = _stable_family(family)
     local = StableQuery(M, family, k, least, ctx).localization()
-    shifts = shift_multiset(M, local)
     # away from 2 the Z/2s vanish and Spin's period halves
     period = 4 if family == "Spin" and ctx == "away_2c" else len(groups)
     rs = range(least, least + period)
-    return [(r, period, _shifted_sum(family, r, shifts, local)) for r in rs]
+    sums = _shifted_sums(groups, shift_multiset(M, local), local, rs)
+    return [(r, period, value) for r, value in zip(rs, sums)]
 
 
 def bott_table(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> str:

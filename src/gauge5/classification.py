@@ -17,7 +17,7 @@ import math
 from collections.abc import Sequence
 
 from . import records
-from .arith import divisor_count, divisors, gcd_class, nu_p, prime_divisors
+from .arith import factorize, gcd_class, nu_p, prime_divisors
 from .lie import EXCEPTIONAL, LieGroupSpec, _family_key, _require_odd_prime, catalog_order
 from .localization import Localization
 from .manifold import (
@@ -127,8 +127,19 @@ class GcdClass(Sequence):
     __slots__ = ("c", "d", "g", "_mobius", "_phi")
 
     def __init__(self, c: int, d: int, g: int) -> None:
+        self._fill(c, d, g, prime_divisors(d // g))
+
+    @classmethod
+    def _of(cls, c: int, d: int, g: int, primes) -> "GcdClass":
+        """GcdClass(c, d, g) from the primes of d/g, ascending, that the
+        caller already has: classify_moore factors d once for all classes."""
+        new = cls.__new__(cls)
+        new._fill(c, d, g, primes)
+        return new
+
+    def _fill(self, c: int, d: int, g: int, primes) -> None:
         mobius = [(1, 1)]  # (e, mu(e)) for the squarefree e dividing d/g
-        for p in prime_divisors(d // g):
+        for p in primes:
             mobius += [(e * p, -mu) for e, mu in mobius]
         phi = sum(mu * (d // g // e) for e, mu in mobius)
         # write-once slots, set past the __setattr__ that refuses every later write
@@ -209,8 +220,18 @@ class GcdClass(Sequence):
                 j, s = j + 1, int(m > 1)
 
 
-def _gcd_classes(c: int, d: int) -> tuple[tuple[int, GcdClass], ...]:
-    return tuple((g, GcdClass(c, d, g)) for g in divisors(d))
+def _gcd_classes(c: int, d: int, factors) -> tuple[tuple[int, GcdClass], ...]:
+    """(g, GcdClass(c, d, g)) for each divisor g of d, ascending, from d's
+    factorization: a prime p divides d/g exactly when nu_p(g) < nu_p(d)."""
+    divs = [(1, ())]  # (g, the primes of d/g among those seen so far)
+    for f in factors:
+        divs = [
+            (g * f.p**a, primes + (f.p,) if a < f.e else primes)
+            for g, primes in divs
+            for a in range(f.e + 1)
+        ]
+    divs.sort()
+    return tuple((g, GcdClass._of(c, d, g, primes)) for g, primes in divs)
 
 
 def _require_moore_order(c: int) -> None:
@@ -244,18 +265,27 @@ def classify_moore(G: LieGroupSpec, c: int) -> ClassificationReport:
     >>> classify_moore(LieGroupSpec("G2"), 21).count_integral
     4
     """
+    return _classify(G, c)
+
+
+def _classify(G: LieGroupSpec, c: int, looped: int | None = None) -> ClassificationReport:
+    """classify_moore's report, for Omega^looped over M when looped is set;
+    d is factored once for the counts and every class."""
     _require_moore_order(c)
     ord_value, validity = catalog_order(G)
     d = math.gcd(ord_value, c)
+    factors = factorize(d)
+    classes = _gcd_classes(c, d, factors)
     return ClassificationReport(
         G=G,
         c=c,
         ord=ord_value,
         order_validity=validity,
         d=d,
-        count_integral=divisor_count(d),
-        count_at_p=tuple((p, nu_p(d, p) + 1) for p in prime_divisors(d)),
-        classes=_gcd_classes(c, d),
+        count_integral=len(classes),
+        count_at_p=tuple((f.p, f.e + 1) for f in factors),
+        classes=classes,
+        looped=looped,
     )
 
 
@@ -279,7 +309,7 @@ def classify_looped_manifold(
     else:
         raise ValueError(f"loop degree must be 2 or 3, got {i}")
     require_pi4_trivial(G, ctx or Localization.integral())
-    return classify_moore(G, M.c).replace(looped=i)
+    return _classify(G, M.c, looped=i)
 
 
 # least prime of the one-type criterion for each exceptional group

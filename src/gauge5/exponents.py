@@ -16,14 +16,14 @@ only: nothing here is claimed sharp.
 
 from __future__ import annotations
 
-from .arith import nu_p
+from .arith import _valuation, nu_p
 from .errors import HypothesisError
 from .lie import (
     EXCEPTIONAL,
     LieGroupSpec,
     _family_key,
+    _exceptional_catalog,
     _require_odd_prime,
-    exceptional_rows,
     in_theriault_range,
     is_p_regular,
     l_of,
@@ -193,15 +193,15 @@ def exceptional_table() -> list[ExponentTableRow]:
 
     The base/offset arms come from the catalog through the same arithmetic
     as exp_bound_theriault, so this table is a restatement, not a second
-    source of truth.
+    source of truth. Each row is evaluated at the least prime it covers;
+    for a "p>=K" row that prime stands for all of them because the catalog
+    loader refuses a p>=K row whose ord has a prime factor >= K.
     """
     rows = []
-    for family in EXCEPTIONAL:
-        G = LieGroupSpec(family)
-        l = l_of(G)
-        # representative prime: the least one the row covers; for a
-        # "p>=K" row that works because ord has no prime factor that large
-        for prime_cond, p_rep, ord_value, r in exceptional_rows(family):
-            offset = r + nu_p(ord_value, p_rep)
-            rows.append(ExponentTableRow(family, prime_cond, l + r + offset, offset))
+    for family, catalog_rows in _exceptional_catalog():
+        l = l_of(LieGroupSpec(family))
+        for row in catalog_rows:
+            r = row.r_int
+            offset = r + _valuation(row.ord_int, row.interval[0])
+            rows.append(ExponentTableRow(family, row.prime_cond, l + r + offset, offset))
     return rows

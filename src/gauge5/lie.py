@@ -8,10 +8,11 @@ exponent bounds, and the stable homotopy of the SU and Spin families.
 
 Numeric rows live in data/catalog.txt (override with the GAUGE_CATALOG
 environment variable); this module parses and interprets them. Each catalog
-path is parsed and indexed once: its rows are grouped by (family key,
-parameter), specific rows before * rows and each group in file order, and
-every p=K / p>=K tag is resolved to its prime interval on the row. A lookup
-then reads one short group instead of scanning the file's rows.
+path is parsed, checked and indexed once: its rows are grouped by (family
+key, parameter), specific rows before * rows and each group in file order,
+and every p=K / p>=K tag is resolved to its prime interval and every
+integer cell parsed on the row. A lookup then reads one short group instead
+of scanning the file's rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import os
 
 from .abelian import FGAbelianGroup
-from .arith import is_prime, legendre_valuation
+from .arith import MILLER_RABIN_BOUND, is_prime, legendre_valuation, prime_divisors
 from .errors import CatalogError
 from .localization import Localization
 from .value import Value
@@ -271,12 +272,15 @@ class CatalogRow(Value):
         self.__dict__.update(
             family_key=family_key, param=param, prime_cond=prime_cond, ord_spec=ord_spec,
             r_spec=r_spec,
-            # not a field: the (least, greatest) prime of a p=K / p>=K tag,
-            # parsed here once; None for the tags that need n
+            # not fields, parsed here once: the (least, greatest) prime of a
+            # p=K / p>=K tag (None for the tags that need n), and the integer
+            # ord and r cells (None for a formula)
             interval=(
                 None if prime_cond == "all" or prime_cond in _RANGE_TAGS
                 else prime_cond_interval(prime_cond)
             ),
+            ord_int=int(ord_spec) if ord_spec.isdecimal() else None,
+            r_int=int(r_spec) if r_spec.isdecimal() else None,
         )
 
     def is_integral(self) -> bool:
@@ -289,14 +293,14 @@ class CatalogRow(Value):
         return self.interval[0] <= p <= self.interval[1]
 
     def ord_value(self, n: int | None) -> int:
-        if self.ord_spec in _ORD_FORMULAS:
+        if self.ord_int is None:
             return _ORD_FORMULAS[self.ord_spec](n)
-        return int(self.ord_spec)
+        return self.ord_int
 
     def r_value(self, n: int | None, p: int) -> int:
-        if self.r_spec in _R_FORMULAS:
+        if self.r_int is None:
             return _R_FORMULAS[self.r_spec](n, p)
-        return int(self.r_spec)
+        return self.r_int
 
 
 # path -> (rows in file order, (family key, param) -> rows a lookup reads)
@@ -353,23 +357,43 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
             row = CatalogRow(fam, param, primes, ord_s, r_s)  # parses the tag
         except (CatalogError, ValueError):
             raise CatalogError(f"{path}:{lineno}: unknown prime condition {primes!r}") from None
-        if ord_s not in _ORD_FORMULAS and not ord_s.isdigit():
+        if row.interval is not None:  # a p=K or p>=K tag
+            K = row.interval[0]
+            if not (K < MILLER_RABIN_BOUND and is_prime(K)):
+                raise CatalogError(f"{path}:{lineno}: {primes} needs a prime K, got K = {K}")
+        if row.ord_int is None and ord_s not in _ORD_FORMULAS:
             raise CatalogError(f"{path}:{lineno}: unknown ord spec {ord_s!r}")
-        if r_s not in _R_FORMULAS and not r_s.isdigit():
+        if row.r_int is None and r_s not in _R_FORMULAS:
             raise CatalogError(f"{path}:{lineno}: unknown r spec {r_s!r}")
-        # the exceptional lookups and the exponent table read a prime
-        # interval and integer cells on every exceptional row
-        if fam in EXCEPTIONAL and row.interval is None:
-            raise CatalogError(f"{path}:{lineno}: {fam} needs a p=K or p>=K tag, got {primes!r}")
-        if fam in EXCEPTIONAL and not (ord_s.isdigit() and r_s.isdigit()):
-            raise CatalogError(
-                f"{path}:{lineno}: {fam} needs integer ord and r, got {ord_s!r} and {r_s!r}"
-            )
+        if fam in EXCEPTIONAL:
+            _check_exceptional_row(row, f"{path}:{lineno}")
         first = seen.setdefault((fam, param, primes), lineno)
         if first != lineno:
             raise CatalogError(f"{path}:{lineno}: repeats line {first} ({fam} {param_s} {primes})")
         rows.append(row)
     return tuple(rows)
+
+
+def _check_exceptional_row(row: CatalogRow, where: str) -> None:
+    """What the exceptional lookups and the exponent table read of every
+    exceptional row: a prime interval, integer cells, ord >= 1, and, for a
+    p>=K row, an ord with no prime factor >= K, so that nu_p(ord) = 0 at
+    every prime the row covers and its least prime K stands for them all."""
+    fam, primes, ord_s = row.family_key, row.prime_cond, row.ord_spec
+    if row.interval is None:
+        raise CatalogError(f"{where}: {fam} needs a p=K or p>=K tag, got {primes!r}")
+    if row.ord_int is None or row.r_int is None:
+        raise CatalogError(
+            f"{where}: {fam} needs integer ord and r, got {ord_s!r} and {row.r_spec!r}"
+        )
+    if row.ord_int < 1:
+        raise CatalogError(f"{where}: {fam} needs ord >= 1, got {ord_s}")
+    least = row.interval[0]
+    if row.interval[1] == math.inf and any(q >= least for q in prime_divisors(row.ord_int)):
+        raise CatalogError(
+            f"{where}: {fam} {primes} needs ord free of primes >= {least}, so that"
+            f" p = {least} stands for every prime it covers; got ord {ord_s}"
+        )
 
 
 def _index_rows(rows: tuple[CatalogRow, ...]) -> dict:
@@ -464,16 +488,12 @@ def r_of(G: LieGroupSpec, p: int) -> int:
     return rows[0].r_value(n, p)
 
 
-def exceptional_rows(family: str) -> list[tuple[str, int, int, int]]:
-    """(prime condition, least prime it covers, ord, r) for each row of an
-    exceptional family, in file order; feeds the exponent-table emitter.
-    The loader has checked each row's p=K or p>=K tag and integer cells."""
-    if family not in EXCEPTIONAL:
-        raise ValueError(f"{family} is not exceptional")
-    return [
-        (row.prime_cond, row.interval[0], int(row.ord_spec), int(row.r_spec))
-        for row in _index().get((family, None), ())
-    ]
+def _exceptional_catalog() -> tuple[tuple[str, tuple[CatalogRow, ...]], ...]:
+    """(family, its rows in file order) for each exceptional family, from one
+    read of the catalog index; feeds the exponent-table emitter. The loader
+    has proved what the table reads of each row (_check_exceptional_row)."""
+    index = _index()
+    return tuple((family, index.get((family, None), ())) for family in EXCEPTIONAL)
 
 
 # -- stable homotopy ---------------------------------------------------------

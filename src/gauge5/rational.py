@@ -265,18 +265,24 @@ def em_expansion(X: HilbertSeries, G: RationalGroupModel, based: bool = False) -
     >>> print(em_expansion(HilbertSeries.sphere(4), RationalGroupModel.parse("3/")))
     S³
     """
+    pairs = tuple((atomize(n), b) for n, b in _gauge_degrees(X, G, based))
+    return SpaceExpr(pairs, localization=Localization.rational(), group=G)
+
+
+def _gauge_degrees(X: HilbertSeries, G: RationalGroupModel, based: bool = False) -> list:
+    """(degree, multiplicity) of each irreducible rational factor of the
+    gauge group: Omega^i of G's degree-d generator, b_i times, has degree
+    d - i and is kept when d - i >= 2. The one degree rule behind
+    em_expansion (an atom per pair) and the gauge cohomology ring (a
+    generator per pair)."""
     X.require_simply_connected()
-    pairs: list[tuple[SpaceAtom, int]] = []
-    start = 1 if based else 0
-    for i in range(start, X.degree() + 1):
+    degrees = G.all_degrees()
+    out = []
+    for i in range(1 if based else 0, X.degree() + 1):
         b = X.coefficient(i)
-        if not b:
-            continue
-        for d in G.all_degrees():
-            atom = atomize(d - i)
-            if atom is not None:
-                pairs.append((atom, b))
-    return SpaceExpr(tuple(pairs), localization=Localization.rational(), group=G)
+        if b:
+            out += [(d - i, b) for d in degrees if d - i >= 2]
+    return out
 
 
 def rational_rank_formula(
@@ -299,8 +305,9 @@ def rational_rank_formula(
 def rational_cohomology_ring(target: str, X: HilbertSeries, G: RationalGroupModel) -> GeneratorLedger:
     """Free generator ledger of H*(target; Q), target 'gauge' or 'b_star'.
 
-    gauge reads the generators straight off em_expansion (one generator per
-    atom). b_star applies the connection-moduli formula: for each exterior
+    gauge reads its generators off the degree rule behind em_expansion: one
+    exterior (odd degree) or polynomial (even degree) generator per
+    irreducible factor, without building the factors. b_star applies the connection-moduli formula: for each exterior
     degree a of G, b_(2k+1) exterior generators of degree a - 2k and b_(2k)
     polynomial generators of degree a - 2k + 1, k >= 0, dropping
     non-positive degrees.
@@ -311,11 +318,11 @@ def rational_cohomology_ring(target: str, X: HilbertSeries, G: RationalGroupMode
     Λ(3,5) ⊗ Q[4]
     """
     if target == "gauge":
-        gens: list[tuple[int, str]] = []
-        for atom, mult in em_expansion(X, G).atoms:
-            kind = "exterior" if atom.kind == "sphere" else "polynomial"
-            gens.extend([(atom.n, kind)] * mult)
-        return GeneratorLedger(tuple(gens))
+        return GeneratorLedger(tuple(
+            (n, "exterior" if n % 2 else "polynomial")
+            for n, b in _gauge_degrees(X, G)
+            for _ in range(b)
+        ))
     if target != "b_star":
         raise ValueError(f"target must be gauge or b_star, got {target!r}")
     X.require_simply_connected()

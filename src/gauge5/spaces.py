@@ -165,8 +165,9 @@ def group_degrees(group) -> tuple[int, ...]:
 class SpaceExpr(Value):
     """Multiset of (atom, multiplicity) with localization and context.
 
-    The constructor merges and sorts; normalize() additionally applies the
-    rewrite rules described in the module docstring.
+    The constructor reduces each moore_gauge label k mod c (when c is set),
+    merges and sorts; normalize() additionally applies the rewrite rules
+    described in the module docstring.
     """
 
     atoms: tuple[tuple[SpaceAtom, int], ...]
@@ -181,15 +182,17 @@ class SpaceExpr(Value):
         group: object | None = None,
         c: int | None = None,
     ) -> None:
+        if c is not None and c < 2:
+            raise ValueError(f"c must be >= 2 when present, got {c}")
         merged: dict[SpaceAtom, int] = {}
         for atom, mult in atoms:
             if mult < 0:
                 raise ValueError(f"negative multiplicity for {atom}")
+            if c is not None and atom.kind == "moore_gauge" and atom.k >= c:
+                atom = moore_gauge(atom.j, atom.k % c)  # G_k depends on k mod c only
             if mult:
                 merged[atom] = merged.get(atom, 0) + mult
         canon = tuple(sorted(merged.items(), key=lambda am: am[0]._key))
-        if c is not None and c < 2:
-            raise ValueError(f"c must be >= 2 when present, got {c}")
         self.__dict__.update(atoms=canon, localization=localization, group=group, c=c)
 
     @staticmethod

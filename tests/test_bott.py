@@ -255,3 +255,46 @@ def test_bott_table_text():
     assert "(mod 4)" in away2
     su = bott_table(ManifoldSpec(5, 3), "SU", 0)
     assert "(mod 2)" in su
+
+
+def _direct_sum_oracle(M: ManifoldSpec, family: str, r: int, ctx: str) -> FGAbelianGroup:
+    """pi_r as bott_rows and stable_pi_gauge once computed it: a direct sum
+    over every shift of the multiset, then localized."""
+    local = StableQuery(M, family, 0, r, ctx).localization()
+    shifts = shift_multiset(M, local)
+    return FGAbelianGroup.direct_sum([stable_pi(family, r + s) for s in shifts]).localize(local)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=500),
+    st.integers(min_value=1, max_value=8),
+    st.booleans(),
+    st.sampled_from(("SU", "Spin")),
+    st.sampled_from(("away_c", "away_2c")),
+    st.integers(min_value=0, max_value=40),
+)
+def test_the_residue_fold_equals_the_direct_sum_over_every_shift(c, m, spin, family, ctx, dr):
+    M = ManifoldSpec(c, m, spin=spin)
+    r = _STABLE[family][0] + dr
+    want = _outcome(_direct_sum_oracle, M, family, r, ctx)
+    assert _outcome(lambda: stable_pi_gauge(StableQuery(M, family, 0, r, ctx))) == want
+    kind, rows = _outcome(bott_rows, M, family, 0, ctx)
+    if kind != "ok":
+        assert (kind, rows) == want
+        return
+    for row_r, _, value in rows:
+        assert value == _direct_sum_oracle(M, family, row_r, ctx), (M, family, ctx, row_r)
+
+
+@pytest.mark.parametrize("family", ["SU", "Spin"])
+def test_a_bott_row_is_one_group_whatever_m(monkeypatch, family):
+    built = []
+    post_init = FGAbelianGroup.__post_init__
+    monkeypatch.setattr(
+        FGAbelianGroup, "__post_init__", lambda self: built.append(1) or post_init(self)
+    )
+    for m in (1, 8, 40):
+        built.clear()
+        rows = bott_rows(ManifoldSpec(15, m), family)
+        assert len(built) == len(rows), (family, m)

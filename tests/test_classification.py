@@ -6,6 +6,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gauge5 import (
     HypothesisError,
@@ -20,7 +22,8 @@ from gauge5 import (
     same_type_moore,
     trivial_case,
 )
-from gauge5.arith import divisors
+from gauge5 import arith, classification
+from gauge5.arith import divisors, nu_p, prime_divisors
 from gauge5.classification import GcdClass
 
 SU = lambda n: LieGroupSpec("SU", n)
@@ -299,3 +302,59 @@ def test_classify_moore_at_large_c_is_fast_and_small(c):
     assert peak < 2**20 and elapsed < 0.05, (peak, elapsed)
     assert f"class gcd=1: k = 1, 3, 5, 7, 9, 11, 13, 15, … ({c // 2} total)" in text
     assert f"class gcd=8 size={c // 8} rep=0" in machine
+
+
+_TWELVE_GROUPS = [
+    SU(2), SU(3), SU(5), SU(7), LieGroupSpec("Sp", 3), LieGroupSpec("Spin", 7),
+    LieGroupSpec("Spin", 10), *(LieGroupSpec(f) for f in ("G2", "F4", "E6", "E7", "E8")),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_TWELVE_GROUPS), st.integers(min_value=2, max_value=10**4))
+def test_one_factorization_gives_what_the_factoring_helpers_gave(G, c):
+    report = classify_moore(G, c)
+    d = report.d
+    assert report.count_integral == divisor_count(d)
+    assert report.count_at_p == tuple((p, nu_p(d, p) + 1) for p in prime_divisors(d))
+    assert [g for g, _ in report.classes] == list(divisors(d))
+    for g, members in report.classes:
+        alone = GcdClass(c, d, g)
+        assert members == alone and hash(members) == hash(alone)
+        assert (members._mobius, members._phi) == (alone._mobius, alone._phi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(_TWELVE_GROUPS),
+    st.integers(min_value=2, max_value=10**4),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.sampled_from([2, 3]),
+    st.sampled_from([None, Localization.integral(), Localization.away_from([2])]),
+)
+def test_the_looped_report_is_the_moore_report_looped(G, c, m, parallel, i, ctx):
+    M = ManifoldSpec(c, m, stably_parallelizable=parallel)
+    try:
+        got = classify_looped_manifold(M, G, i, ctx)
+    except HypothesisError:
+        return
+    assert got == classify_moore(G, c).replace(looped=i)
+
+
+def test_classify_moore_factors_d_once(monkeypatch):
+    calls = []
+    factorize = arith.factorize
+    counting = lambda m: calls.append(m) or factorize(m)
+    monkeypatch.setattr(arith, "factorize", counting)  # read by prime_divisors and friends
+    monkeypatch.setattr(classification, "factorize", counting)
+    queries = [
+        lambda: classify_moore(SU(3), 72),
+        lambda: classify_moore(LieGroupSpec("E8"), 2 * 7**2 * 11 * 13),
+        lambda: classify_moore(SU(3), 10**12),
+        lambda: classify_looped_manifold(ManifoldSpec(35, 2), SU(5), 2),
+    ]
+    for query in queries:
+        calls.clear()
+        report = query()
+        assert calls == [report.d], report

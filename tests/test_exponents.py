@@ -21,6 +21,7 @@ from gauge5 import (
     nu_p,
     r_of,
 )
+from gauge5.arith import is_prime
 from gauge5.lie import EXCEPTIONAL, l_of, prime_cond_interval
 
 CATALOG = Path(gauge5.__file__).resolve().parent / "data" / "catalog.txt"
@@ -177,6 +178,18 @@ def test_exceptional_table_rows_evaluate_like_theriault():
                 cond,
                 nu,
             )
+
+
+def test_each_p_at_least_k_row_holds_at_every_prime_it_covers():
+    # the table evaluates such a row at K; the loader's premise makes that exact
+    for row in exceptional_table():
+        least, greatest = prime_cond_interval(row.prime_cond)
+        G = LieGroupSpec(row.family)
+        for p in (q for q in range(least, 110) if q <= greatest and is_prime(q)):
+            for nu in (0, 3, 40):
+                M = _manifold_with_valuation(p, nu)
+                want = max(row.base, nu + row.offset)
+                assert exp_bound_theriault(M, G, p).exponent == want, (row, p, nu)
 
 
 def test_routes_agree_when_the_loop_offset_vanishes():

@@ -26,10 +26,10 @@ from gauge5 import (
 from gauge5.arith import is_prime
 from gauge5.classification import trivial_case
 from gauge5.errors import HypothesisError
-from gauge5.exponents import exp_bound_closed_form
+from gauge5.exponents import exceptional_table, exp_bound_closed_form
 from gauge5.lie import (
     EXCEPTIONAL,
-    exceptional_rows,
+    _exceptional_catalog,
     load_catalog,
     pi4,
     pi4_is_trivial,
@@ -220,6 +220,38 @@ def test_catalog_refuses_rows_no_lookup_can_serve(tmp_path, rows, message):
         load_catalog(path)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # K names the prime a p=K or p>=K row covers first
+        ("SU  4  p=4  60  0", ":1: p=4 needs a prime K, got K = 4"),
+        ("G2  -  p=4  21  0", ":1: p=4 needs a prime K, got K = 4"),
+        ("SU  3  all  24  0\nG2  -  p>=9  21  0", ":2: p>=9 needs a prime K, got K = 9"),
+        ("G2  -  p=1  21  0", ":1: p=1 needs a prime K, got K = 1"),
+        ("G2  -  p>=0  21  0", ":1: p>=0 needs a prime K, got K = 0"),
+        # the exponent table evaluates a p>=K row at K alone
+        ("G2  -  p>=5  21  0", ":1: G2 p>=5 needs ord free of primes >= 5, so that p = 5"
+                               " stands for every prime it covers; got ord 21"),
+        ("E8  -  p>=31  45398353  0", ":1: E8 p>=31 needs ord free of primes >= 31"),
+        ("G2  -  p>=5  0  0", ":1: G2 needs ord >= 1, got 0"),
+        ("G2  -  p=5  0  1", ":1: G2 needs ord >= 1, got 0"),
+    ],
+)
+def test_catalog_refuses_rows_the_table_would_misread(tmp_path, rows, message):
+    path = tmp_path / "catalog.txt"
+    path.write_text(rows + "\n", encoding="utf-8")
+    with pytest.raises(CatalogError, match=re.escape(str(path) + message)):
+        load_catalog(path)
+
+
+def test_catalog_keeps_p_at_least_k_rows_whose_ord_is_free_of_primes_from_k(tmp_path):
+    path = tmp_path / "catalog.txt"
+    path.write_text(
+        "G2  -  p>=11  21  0\nE8  -  p>=37  45398353  0\nSU  2  p>=3  3  0\n", encoding="utf-8"
+    )
+    assert len(load_catalog(path)) == 3  # only exceptional rows carry the table's premise
+
+
 def test_catalog_keeps_rows_that_differ_in_one_column(tmp_path):
     path = tmp_path / "catalog.txt"
     path.write_text(
@@ -280,12 +312,23 @@ def _oracle_r(G, p):
     return rows[0].r_value(n, p)
 
 
-def _oracle_exceptional_rows(family):
+def _exceptional_cells():
+    """What the exponent table reads of each exceptional row, through the index."""
     return [
-        (row.prime_cond, prime_cond_interval(row.prime_cond)[0], row.ord_value(None),
-         row.r_value(None, 2))
-        for row in load_catalog()
-        if row.family_key == family
+        (family, [(row.prime_cond, row.interval[0], row.ord_int, row.r_int) for row in rows])
+        for family, rows in _exceptional_catalog()
+    ]
+
+
+def _oracle_exceptional_cells():
+    return [
+        (family, [
+            (row.prime_cond, prime_cond_interval(row.prime_cond)[0], int(row.ord_spec),
+             int(row.r_spec))
+            for row in load_catalog()
+            if row.family_key == family
+        ])
+        for family in EXCEPTIONAL
     ]
 
 
@@ -318,9 +361,8 @@ def _index_answers():
             want.append(_outcome(_oracle_ord, G, p))
             got.append(_outcome(r_of, G, p))
             want.append(_outcome(_oracle_r, G, p))
-    for family in EXCEPTIONAL:
-        got.append(_outcome(exceptional_rows, family))
-        want.append(_outcome(_oracle_exceptional_rows, family))
+    got.append(_outcome(_exceptional_cells))
+    want.append(_outcome(_oracle_exceptional_cells))
     return got, want
 
 
@@ -334,10 +376,10 @@ Sp        2   symp_range       11           3
 SpinOdd   *   su_range         n(2n+1)      nu_p((2n-1)!)
 SpinEven  *   p=5              (n-1)(2n-1)  nu_p((2n-3)!)
 SpinEven  6   p>=3             5            0
-G2        -   p>=11            22           0
+G2        -   p>=11            20           0
 G2        -   p=5              23           1
 G2        -   p=13             24           2
-E8        -   p>=7             45398353     2
+E8        -   p>=7             60           2
 """
 
 
@@ -370,7 +412,7 @@ def test_each_lookup_loads_the_catalog_once(monkeypatch):
     ord_partial1_tilde(SU(4), 5)
     catalog_order(LieGroupSpec("E8"))
     r_of(SU(7), 5)
-    exceptional_rows("G2")
+    exceptional_table()  # one read for the whole table
     assert len(calls) == 4
 
 

@@ -8,6 +8,8 @@ numbers of the base and the generator degrees of the group.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gauge5 import HypothesisError, ManifoldSpec, spaces
 from gauge5.lie import LieGroupSpec
@@ -203,3 +205,32 @@ def test_model_token_survives_machine_round_trip():
     again = spaces.parse_machine(expr.machine())
     assert again == expr
     assert "group=model:3,5/4" in expr.machine()
+
+
+def _ledger_off_em_expansion(X: HilbertSeries, G: RationalGroupModel) -> GeneratorLedger:
+    """The gauge ring as it was once read: one generator per atom of em_expansion."""
+    gens = []
+    for atom, mult in em_expansion(X, G).atoms:
+        kind = "exterior" if atom.kind == "sphere" else "polynomial"
+        gens.extend([(atom.n, kind)] * mult)
+    return GeneratorLedger(tuple(gens))
+
+
+def _ring_outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (HypothesisError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), max_size=9),
+    st.lists(st.integers(1, 9), max_size=5),
+    st.lists(st.integers(1, 5), max_size=3),
+)
+def test_the_gauge_ring_equals_the_ledger_read_off_em_expansion(betti, ext, poly):
+    X = HilbertSeries((1, *betti))  # b_1 > 0 is refused alike
+    G = RationalGroupModel(tuple(2 * e + 1 for e in ext), tuple(2 * e for e in poly))
+    want = _ring_outcome(_ledger_off_em_expansion, X, G)
+    assert _ring_outcome(rational_cohomology_ring, "gauge", X, G) == want

@@ -167,6 +167,23 @@ def test_pretty_rendering():
     assert SpaceExpr.of([sphere_factor(3), em_factor(4)], c=2).pretty() == "S³ × K(Q,4)"
 
 
+def test_moore_gauge_labels_are_read_mod_c():
+    e = SpaceExpr.of([moore_gauge(2, 7)], c=5)
+    assert e == SpaceExpr.of([moore_gauge(2, 2)], c=5)
+    assert e.pretty() == "Ω²G₂(P⁴(5))"
+    assert e.normalize() == SpaceExpr.of([moore_gauge(2, 2)], c=5).normalize()
+    # labels k and k + c merge into one factor
+    assert SpaceExpr.of([moore_gauge(2, 1), moore_gauge(2, 6)], c=5).atoms == (
+        (moore_gauge(2, 1), 2),
+    )
+    # without c there is nothing to reduce by
+    assert SpaceExpr.of([moore_gauge(2, 7)]).atoms == ((moore_gauge(2, 7), 1),)
+    record = "expr localization=integral group=- c=5\natom kind=moore_gauge j=2 n=- k=7 mult=1"
+    assert parse_machine(record) == e
+    with pytest.raises(ValueError, match="c must be >= 2"):
+        SpaceExpr.of([moore_gauge(2, 7)], c=0)
+
+
 def test_atom_validation():
     with pytest.raises(ValueError):
         loops_g(-1)
