@@ -15,10 +15,11 @@ record per line (records.py); `exponent` records omit the bound's assumptions
 and alternatives, and `wedge` records an opaque summand's tag and homology
 ledger. Hypothesis failures exit nonzero with the failed condition named on stderr.
 
-Each verb declares its flags once. A well-formed argv is read from those
-declarations without importing argparse; argparse runs only for --help,
-usage errors and argv the reader does not model, so every help and error
-text is argparse's own.
+Each verb's flags are declared once, as data in `_VERBS`. A well-formed argv
+is read from that table without importing argparse (`_read`); --help, usage
+errors and argv the reader does not model go to the argparse parser that
+`build_parser` builds from the same table, so every help and error text is
+argparse's own.
 """
 
 from __future__ import annotations
@@ -31,19 +32,19 @@ from . import records
 from .errors import CatalogError, HypothesisError
 
 
-def _add_manifold_args(sub: argparse.ArgumentParser, c_default: int | None = None) -> None:
+def _manifold_flags(c_default: int | None = None) -> dict:
     """The manifold flags; --c is required unless the verb gives a default."""
-    sub.add_argument(
-        "--c", type=int, required=c_default is None, default=c_default,
-        help="order of pi_1(M)",
-    )
-    sub.add_argument("--m", type=int, default=1, help="rank of H_2 plus one")
-    sub.add_argument("--non-spin", dest="spin", action="store_false")
-    sub.add_argument("--sp", action="store_true", help="stably parallelizable")
-    sub.add_argument("--stc", action="store_true", help="single top cell")
+    return {
+        "--c": dict(type=int, required=c_default is None, default=c_default,
+                    help="order of pi_1(M)"),
+        "--m": dict(type=int, default=1, help="rank of H_2 plus one"),
+        "--non-spin": dict(dest="spin", action="store_false"),
+        "--sp": dict(action="store_true", help="stably parallelizable"),
+        "--stc": dict(action="store_true", help="single top cell"),
+    }
 
 
-def _manifold(args: argparse.Namespace):
+def _manifold(args):
     from .manifold import ManifoldSpec
 
     return ManifoldSpec(
@@ -55,20 +56,25 @@ def _manifold(args: argparse.Namespace):
     )
 
 
-def _add_localization_args(sub: argparse.ArgumentParser) -> None:
-    excl = sub.add_mutually_exclusive_group()
-    excl.add_argument("--at-p", type=int, metavar="P", help="localize at the prime P")
-    excl.add_argument("--away", metavar="N[,N...]", help="invert the primes of these numbers")
-    excl.add_argument("--rational", action="store_true", help="rationalize")
+# the one mutually exclusive group: a verb that takes these takes all three
+_LOCALIZATION = {
+    "--at-p": dict(type=int, metavar="P", help="localize at the prime P"),
+    "--away": dict(metavar="N[,N...]", help="invert the primes of these numbers"),
+    "--rational": dict(action="store_true", help="rationalize"),
+}
 
 
-def _localization(args: argparse.Namespace):
+def _localization(args):
     from .localization import Localization
 
     if args.at_p is not None:
         return Localization.at_prime(args.at_p)
     if args.away is not None:
-        return Localization.away_from([int(x) for x in args.away.split(",")])
+        try:
+            numbers = [int(x) for x in args.away.split(",")]
+        except ValueError:
+            raise ValueError(f"--away needs comma-separated integers, got {args.away!r}") from None
+        return Localization.away_from(numbers)
     if args.rational:
         return Localization.rational()
     return None
@@ -78,18 +84,7 @@ def _localization(args: argparse.Namespace):
 # Each runner imports what it uses, so a launch loads one verb's modules.
 
 
-def _classify_args(sub: argparse.ArgumentParser) -> None:
-    _add_manifold_args(sub)
-    sub.add_argument("--group", required=True, help="e.g. SU:3 or G2")
-    sub.add_argument("--loops", type=int, choices=(2, 3))
-    sub.add_argument("--moore", action="store_true", help="over P⁴(c) instead of M")
-    sub.add_argument("--same-type", nargs=2, type=int, metavar=("K", "L"))
-    sub.add_argument("--trivial", action="store_true", help="one-type criterion")
-    sub.add_argument("--p", type=int)
-    _add_localization_args(sub)
-
-
-def _run_classify(args: argparse.Namespace) -> str:
+def _run_classify(args) -> str:
     from .classification import (
         classify_looped_manifold,
         classify_moore,
@@ -124,17 +119,7 @@ def _run_classify(args: argparse.Namespace) -> str:
     return report.machine() if args.format == "machine" else report.table()
 
 
-def _decompose_args(sub: argparse.ArgumentParser) -> None:
-    _add_manifold_args(sub)
-    sub.add_argument("--group", required=True)
-    sub.add_argument("--k", type=int, default=0)
-    sub.add_argument("--loops", type=int, choices=(2, 3))
-    sub.add_argument("--away-from-c", action="store_true")
-    sub.add_argument("--normalize", action="store_true")
-    _add_localization_args(sub)
-
-
-def _run_decompose(args: argparse.Namespace) -> str:
+def _run_decompose(args) -> str:
     from .decomposition import gauge_away_from_c, loops2_gauge, loops3_gauge
     from .lie import LieGroupSpec
 
@@ -156,19 +141,7 @@ def _run_decompose(args: argparse.Namespace) -> str:
     return expr.machine() if args.format == "machine" else expr.pretty()
 
 
-def _exponent_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--table", help="'exceptional' for the table of bounds")
-    sub.add_argument("--group")
-    sub.add_argument("--p", type=int)
-    _add_manifold_args(sub, c_default=1)
-    sub.add_argument(
-        "--route",
-        choices=("regular", "theriault", "closed", "moore-fiber", "best"),
-        default="best",
-    )
-
-
-def _run_exponent(args: argparse.Namespace) -> str:
+def _run_exponent(args) -> str:
     from .exponents import (
         best_bound,
         exceptional_table,
@@ -221,16 +194,7 @@ def _run_exponent(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _bott_args(sub: argparse.ArgumentParser) -> None:
-    _add_manifold_args(sub)
-    sub.add_argument("--family", choices=("SU", "Spin"), required=True)
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--k", type=int, default=0)
-    sub.add_argument("--away-2c", action="store_true")
-    sub.add_argument("--table", action="store_true")
-
-
-def _run_bott(args: argparse.Namespace) -> str:
+def _run_bott(args) -> str:
     from .bott import StableQuery, bott_rows, bott_table, stability_threshold, stable_pi_gauge
 
     M = _manifold(args)
@@ -255,21 +219,7 @@ def _run_bott(args: argparse.Namespace) -> str:
     )
 
 
-def _rational_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--series", help="Hilbert series, e.g. 1,0,2,2,0,1")
-    _add_manifold_args(sub, c_default=2)
-    sub.add_argument("--model", help="generator degrees, e.g. 3,5/4")
-    sub.add_argument("--group", help="Lie group to model, e.g. SU:4")
-    sub.add_argument(
-        "--op",
-        choices=("gauge", "b-star", "em", "rank", "ring-gauge", "ring-b-star"),
-        default="gauge",
-    )
-    sub.add_argument("--q", type=int)
-    sub.add_argument("--based", action="store_true")
-
-
-def _run_rational(args: argparse.Namespace) -> str:
+def _run_rational(args) -> str:
     from .lie import LieGroupSpec
     from .rational import (
         HilbertSeries,
@@ -304,21 +254,14 @@ def _run_rational(args: argparse.Namespace) -> str:
         if args.format == "machine":
             return records.record("rank", q=args.q, value=rank)
         return f"rank pi_{args.q} ⊗ Q = {rank}"
-    elif args.op in ("ring-gauge", "ring-b-star"):
+    else:
         target = "gauge" if args.op == "ring-gauge" else "b_star"
         ledger = rational_cohomology_ring(target, X, G)
         return ledger.machine() if args.format == "machine" else str(ledger)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown op {args.op!r}")
     return expr.machine() if args.format == "machine" else expr.pretty()
 
 
-def _moore_args(sub: argparse.ArgumentParser) -> None:
-    _add_manifold_args(sub)
-    sub.add_argument("--suspension", type=int, choices=(2, 3, 4))
-
-
-def _run_moore(args: argparse.Namespace) -> str:
+def _run_moore(args) -> str:
     from .manifold import pi6_P4, pi_moore_self, suspension_image_order, suspension_splitting
 
     c = args.c
@@ -343,7 +286,7 @@ def _run_moore(args: argparse.Namespace) -> str:
     )
 
 
-def _run_homology(args: argparse.Namespace) -> str:
+def _run_homology(args) -> str:
     from .manifold import homology
 
     groups = homology(_manifold(args))
@@ -352,78 +295,95 @@ def _run_homology(args: argparse.Namespace) -> str:
     return "\n".join(f"H_{n} = {g}" for n, g in enumerate(groups))
 
 
-# -- parser --------------------------------------------------------------------
+# -- the flag table ------------------------------------------------------------
 
-# verb -> (help, the verb's own arguments, runner); every verb then takes --format
+# verb -> (help, {flag: its argparse keyword arguments}, runner); `_read`
+# models only the keywords used here (see tests/test_cli.py)
 _VERBS = {
-    "classify": ("homotopy-type counts", _classify_args, _run_classify),
-    "decompose": ("gauge-group decompositions", _decompose_args, _run_decompose),
-    "exponent": ("homotopy-exponent bounds", _exponent_args, _run_exponent),
-    "bott": ("stable homotopy of gauge groups", _bott_args, _run_bott),
-    "rational": ("rational decompositions", _rational_args, _run_rational),
-    "moore": ("Moore-space homotopy data", _moore_args, _run_moore),
-    "homology": ("integral homology of M", _add_manifold_args, _run_homology),
+    "classify": ("homotopy-type counts", {
+        **_manifold_flags(),
+        "--group": dict(required=True, help="e.g. SU:3 or G2"),
+        "--loops": dict(type=int, choices=(2, 3)),
+        "--moore": dict(action="store_true", help="over P⁴(c) instead of M"),
+        "--same-type": dict(nargs=2, type=int, metavar=("K", "L")),
+        "--trivial": dict(action="store_true", help="one-type criterion"),
+        "--p": dict(type=int),
+        **_LOCALIZATION,
+    }, _run_classify),
+    "decompose": ("gauge-group decompositions", {
+        **_manifold_flags(),
+        "--group": dict(required=True),
+        "--k": dict(type=int, default=0),
+        "--loops": dict(type=int, choices=(2, 3)),
+        "--away-from-c": dict(action="store_true"),
+        "--normalize": dict(action="store_true"),
+        **_LOCALIZATION,
+    }, _run_decompose),
+    "exponent": ("homotopy-exponent bounds", {
+        "--table": dict(help="'exceptional' for the table of bounds"),
+        "--group": dict(),
+        "--p": dict(type=int),
+        **_manifold_flags(c_default=1),
+        "--route": dict(choices=("regular", "theriault", "closed", "moore-fiber", "best"),
+                        default="best"),
+    }, _run_exponent),
+    "bott": ("stable homotopy of gauge groups", {
+        **_manifold_flags(),
+        "--family": dict(choices=("SU", "Spin"), required=True),
+        "--r": dict(type=int),
+        "--k": dict(type=int, default=0),
+        "--away-2c": dict(action="store_true"),
+        "--table": dict(action="store_true"),
+    }, _run_bott),
+    "rational": ("rational decompositions", {
+        "--series": dict(help="Hilbert series, e.g. 1,0,2,2,0,1"),
+        **_manifold_flags(c_default=2),
+        "--model": dict(help="generator degrees, e.g. 3,5/4"),
+        "--group": dict(help="Lie group to model, e.g. SU:4"),
+        "--op": dict(choices=("gauge", "b-star", "em", "rank", "ring-gauge", "ring-b-star"),
+                     default="gauge"),
+        "--q": dict(type=int),
+        "--based": dict(action="store_true"),
+    }, _run_rational),
+    "moore": ("Moore-space homotopy data", {
+        **_manifold_flags(),
+        "--suspension": dict(type=int, choices=(2, 3, 4)),
+    }, _run_moore),
+    "homology": ("integral homology of M", _manifold_flags(), _run_homology),
+}
+# every verb then takes --format
+_FORMAT = dict(choices=("text", "machine"), default="text")
+_VERBS = {
+    verb: (h, {**flags, "--format": _FORMAT}, run) for verb, (h, flags, run) in _VERBS.items()
 }
 
-
-def _add_verb_args(sub, add_args) -> None:
-    """The verb's own arguments, then --format, which every verb takes."""
-    add_args(sub)
-    sub.add_argument("--format", choices=("text", "machine"), default="text")
-
-
-class _Declared:
-    """Stands in for a parser while a verb declares its flags: records each
-    flag's keyword arguments and its exclusive group (None outside one)."""
-
-    def __init__(self, flags: dict | None = None, group: dict | None = None) -> None:
-        self.flags = {} if flags is None else flags
-        self.group = group
-
-    def add_argument(self, flag: str, **kw) -> None:
-        self.flags[flag] = (kw, self.group)
-
-    def add_mutually_exclusive_group(self, **kw) -> _Declared:
-        # the group is its own (new) kwargs dict; a group given any is not modelled
-        return _Declared(self.flags, kw)
-
-
-_MODELLED = {"type", "choices", "default", "required", "dest", "nargs", "action", "help", "metavar"}
 _FLAG_DEFAULTS = {None: None, "store_true": False, "store_false": True}
 
 
 def _read(verb: str, argv: list[str]) -> SimpleNamespace | None:
     """The namespace `build_parser().parse_args([verb, *argv])` returns, read
-    from the flags `verb` declares, or None where argparse must decide.
+    from the flags `_VERBS` declares for `verb`, or None where argparse must
+    decide.
 
     None covers every token that is not a declared flag (abbreviations,
     --flag=value, -h, --), a value that starts with '-', is missing, fails
-    its type or lies outside its choices, two flags of one exclusive group,
-    a missing required flag and any declaration outside the modelled kwargs.
-    As in argparse, a repeated flag's last value wins.
+    its type or lies outside its choices, two localization flags and a
+    missing required flag. As in argparse, a repeated flag's last value wins.
     """
-    declared = _Declared()
-    _add_verb_args(declared, _VERBS[verb][1])
-    values = {}
-    for flag, (kw, group) in declared.flags.items():
-        if (
-            kw.keys() - _MODELLED
-            or kw.get("action") not in _FLAG_DEFAULTS
-            or kw.get("nargs") not in (None, 2)
-            or isinstance(kw.get("default"), str) and "type" in kw  # argparse converts it
-            or group
-        ):
-            return None
-        kw.setdefault("dest", flag.lstrip("-").replace("-", "_"))
-        values.setdefault(kw["dest"], kw.get("default", _FLAG_DEFAULTS[kw.get("action")]))
-    given, chosen = set(), {}
+    _, flags, run = _VERBS[verb]
+    dests = {flag: kw.get("dest", flag[2:].replace("-", "_")) for flag, kw in flags.items()}
+    values = {
+        dests[flag]: kw.get("default", _FLAG_DEFAULTS[kw.get("action")])
+        for flag, kw in flags.items()
+    }
+    given = set()
     i = 0
     while i < len(argv):
         flag = argv[i]
-        if flag not in declared.flags:
+        if flag not in flags:
             return None
-        kw, group = declared.flags[flag]
-        if group is not None and chosen.setdefault(id(group), flag) != flag:
+        kw = flags[flag]
+        if flag in _LOCALIZATION and given & _LOCALIZATION.keys() - {flag}:
             return None
         if kw.get("action"):
             value = kw["action"] == "store_true"
@@ -441,23 +401,18 @@ def _read(verb: str, argv: list[str]) -> SimpleNamespace | None:
                 return None
             value = got if "nargs" in kw else got[0]
             i += 1 + n
-        values[kw["dest"]] = value
+        values[dests[flag]] = value
         given.add(flag)
-    if any(kw.get("required") and flag not in given for flag, (kw, _) in declared.flags.items()):
+    if any(kw.get("required") and flag not in given for flag, kw in flags.items()):
         return None
-    return SimpleNamespace(verb=verb, **values, run=_VERBS[verb][2])
+    return SimpleNamespace(verb=verb, **values, run=run)
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The gauge5 parser with every verb, or with `verb` alone.
+def build_parser():
+    """The gauge5 argparse parser, every verb with the flags `_VERBS` declares.
 
-    `main` reads a well-formed argv without it (see `_read`); argparse runs
-    only for --help, usage errors and argv the reader does not model. Then
-    `main` builds one verb when argv starts with one: registering all seven
-    costs several times the answer. The full parser stays the default, since
-    top-level --help, a missing or unknown verb and in-process callers that
-    parse any argv need every verb. A one-verb parser names every verb in
-    its usage line, so the usage errors it prints match the full parser's.
+    `main` reads a well-formed argv without it (see `_read`) and builds it
+    only for --help, usage errors and argv the reader does not model.
     """
     import argparse
 
@@ -466,22 +421,21 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         description="homotopy invariants of gauge groups over 5-manifolds"
         " with cyclic fundamental group",
     )
-    metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
-    verbs = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
-    for name in _VERBS if verb is None else (verb,):
-        help_text, add_args, run = _VERBS[name]
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    for name, (help_text, flags, run) in _VERBS.items():
         sub = verbs.add_parser(name, help=help_text)
-        _add_verb_args(sub, add_args)
+        group = sub.add_mutually_exclusive_group() if "--at-p" in flags else None
+        for flag, kw in flags.items():
+            (group if flag in _LOCALIZATION else sub).add_argument(flag, **kw)
         sub.set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = None if verb is None else _read(verb, argv[1:])
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in _VERBS else None
     if args is None:
-        args = build_parser(verb).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         output = args.run(args)
     except (HypothesisError, CatalogError, ValueError) as exc:

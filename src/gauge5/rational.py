@@ -35,6 +35,16 @@ from .spaces import (
 from .value import Value
 
 
+def _integers(items, text: str, example: str) -> tuple[int, ...]:
+    """The integers `items` spell, or a refusal quoting the whole `text`."""
+    try:
+        return tuple(int(x.strip()) for x in items)
+    except ValueError:
+        raise ValueError(
+            f"expected comma-separated integers as in {example}, got {text!r}"
+        ) from None
+
+
 class HilbertSeries(Value):
     """Finite-support rational Betti numbers b_0, b_1, ..., with b_0 = 1.
 
@@ -74,7 +84,7 @@ class HilbertSeries(Value):
     @staticmethod
     def parse(text: str) -> "HilbertSeries":
         """Comma-separated coefficients, b_0 first: '1,0,2,2,0,1'."""
-        return HilbertSeries(tuple(int(b.strip()) for b in text.split(",")))
+        return HilbertSeries(_integers(text.split(","), text, "'1,0,2,2,0,1', b_0 first"))
 
     def coefficient(self, i: int) -> int:
         return self.coefficients[i] if 0 <= i < len(self.coefficients) else 0
@@ -100,6 +110,16 @@ class HilbertSeries(Value):
 
     def __repr__(self) -> str:
         return f"HilbertSeries({str(self)!r})"
+
+
+def _free_algebra(exterior, polynomial) -> str:
+    """'Λ(3,5) ⊗ Q[4]': the free graded-commutative algebra on these degrees."""
+    parts = []
+    if exterior:
+        parts.append("Λ(" + ",".join(map(str, exterior)) + ")")
+    if polynomial:
+        parts.append("Q[" + ",".join(map(str, polynomial)) + "]")
+    return " ⊗ ".join(parts) or "Q"
 
 
 class RationalGroupModel(Value):
@@ -136,8 +156,8 @@ class RationalGroupModel(Value):
         ext_s, sep, poly_s = text.partition("/")
         if not sep:
             poly_s = ""
-        ext = tuple(int(d.strip()) for d in ext_s.split(",") if d.strip())
-        poly = tuple(int(d.strip()) for d in poly_s.split(",") if d.strip())
+        ext = _integers([d for d in ext_s.split(",") if d.strip()], text, "'3,5/4'")
+        poly = _integers([d for d in poly_s.split(",") if d.strip()], text, "'3,5/4'")
         return RationalGroupModel(ext, poly)
 
     def all_degrees(self) -> tuple[int, ...]:
@@ -161,12 +181,7 @@ class RationalGroupModel(Value):
         return len(self.exterior_degrees) + len(self.polynomial_degrees)
 
     def __str__(self) -> str:
-        parts = []
-        if self.exterior_degrees:
-            parts.append("Λ(" + ",".join(map(str, self.exterior_degrees)) + ")")
-        if self.polynomial_degrees:
-            parts.append("Q[" + ",".join(map(str, self.polynomial_degrees)) + "]")
-        return " ⊗ ".join(parts) or "Q"
+        return _free_algebra(self.exterior_degrees, self.polynomial_degrees)
 
 
 class GeneratorLedger(Value):
@@ -192,14 +207,10 @@ class GeneratorLedger(Value):
         return sum(1 for degree, _ in self.generators if degree == d)
 
     def __str__(self) -> str:
-        ext = [str(d) for d, kind in self.generators if kind == "exterior"]
-        poly = [str(d) for d, kind in self.generators if kind == "polynomial"]
-        parts = []
-        if ext:
-            parts.append("Λ(" + ",".join(ext) + ")")
-        if poly:
-            parts.append("Q[" + ",".join(poly) + "]")
-        return " ⊗ ".join(parts) or "Q"
+        return _free_algebra(
+            [d for d, kind in self.generators if kind == "exterior"],
+            [d for d, kind in self.generators if kind == "polynomial"],
+        )
 
     def machine(self) -> str:
         return "\n".join(records.record("generator", degree=d, kind=k) for d, k in self.generators)

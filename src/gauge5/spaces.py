@@ -93,9 +93,6 @@ class SpaceAtom(Value):
         # rebuilt through __init__: a string's hash differs between processes
         return SpaceAtom, (self.kind, self.j, self.k, self.n)
 
-    def sort_key(self) -> tuple:
-        return self._key
-
     def pretty(self, c: int | None) -> str:
         loops = "" if self.j == 0 else ("Ω" if self.j == 1 else "Ω" + _sup(self.j))
         if self.kind in ("group", "loops_g"):

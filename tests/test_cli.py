@@ -267,6 +267,28 @@ def test_rational_ops(run):
     assert code == 1 and "need --model or --group" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("decompose", "--group", "SU:4", "--c", "5", "--m", "2", "--loops", "2", "--away", ","),
+            "--away needs comma-separated integers, got ','",
+        ),
+        (
+            ("rational", "--series", "", "--group", "SU:3"),
+            "expected comma-separated integers as in '1,0,2,2,0,1', b_0 first, got ''",
+        ),
+        (
+            ("rational", "--model", "3,x"),
+            "expected comma-separated integers as in '3,5/4', got '3,x'",
+        ),
+    ],
+    ids=["away", "series", "model"],
+)
+def test_a_malformed_list_is_refused_by_name(run, argv, message):
+    assert run(*argv) == (1, "", f"error: {message}")
+
+
 def test_catalog_override(run, tmp_path, monkeypatch):
     custom = tmp_path / "catalog.txt"
     custom.write_text("SU   3   all   99   nu_p((n-1)!)\n", encoding="utf-8")
@@ -365,7 +387,7 @@ def test_stable_verbs_answer_for_a_c_beyond_the_primality_bound_in_a_subprocess(
     assert proc.stdout.startswith("pi_7 of the stable SU gauge group over M = Z^2 ")
 
 
-# -- the one-verb launch ------------------------------------------------------------
+# -- a launch against the full parser -----------------------------------------------
 
 
 def _full_parser_main(argv: list[str]) -> int:
@@ -404,11 +426,11 @@ PARITY_ARGV = (
 
 
 @pytest.mark.parametrize("argv", PARITY_ARGV, ids=[" ".join(a) or "(none)" for a in PARITY_ARGV])
-def test_one_verb_parser_prints_what_the_full_parser_prints(capsys, argv):
+def test_a_launch_prints_what_the_full_parser_prints(capsys, argv):
     assert _outcome(capsys, main, argv) == _outcome(capsys, _full_parser_main, argv)
 
 
-def test_a_launch_registers_only_its_verb(monkeypatch, capsys):
+def test_only_a_fallback_launch_registers_verbs(monkeypatch, capsys):
     added = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -421,7 +443,7 @@ def test_a_launch_registers_only_its_verb(monkeypatch, capsys):
     assert added == []  # a well-formed argv is read without argparse
     with pytest.raises(SystemExit):
         main(["homology", "--c", "x"])
-    assert added == ["homology"]
+    assert added == list(cli._VERBS)
     capsys.readouterr()
 
 
@@ -429,9 +451,28 @@ def test_a_launch_registers_only_its_verb(monkeypatch, capsys):
 
 
 def _declared(verb: str) -> dict:
-    declared = cli._Declared()
-    cli._add_verb_args(declared, cli._VERBS[verb][1])
-    return declared.flags
+    """flag -> (argparse keyword arguments, its exclusive group or None)."""
+    return {
+        flag: (kw, "localization" if flag in cli._LOCALIZATION else None)
+        for flag, kw in cli._VERBS[verb][1].items()
+    }
+
+
+_MODELLED = {"type", "choices", "default", "required", "dest", "nargs", "action", "help", "metavar"}
+
+
+@pytest.mark.parametrize("verb", cli._VERBS)
+def test_the_table_holds_only_what_the_reader_models(verb):
+    """`_read` models these keywords and no others; a typed flag's default
+    must not be a string, since argparse would pass it through the type. A
+    verb takes all of the exclusive localization flags or none."""
+    flags = _declared(verb)
+    assert flags.keys() & cli._LOCALIZATION.keys() in (set(), cli._LOCALIZATION.keys())
+    for flag, (kw, _) in flags.items():
+        assert flag.startswith("--") and kw.keys() <= _MODELLED, flag
+        assert kw.get("nargs", 1) in (1, 2), flag
+        assert kw.get("action") in (None, "store_true", "store_false"), flag
+        assert not ("type" in kw and isinstance(kw.get("default"), str)), flag
 
 
 def _parse_full(argv: list[str]):

@@ -272,7 +272,7 @@ def test_canonical_form_ignores_order_and_splitting(pairs, ctx, group, c, data):
     split = [(atom, 1) for atom, mult in pairs for _ in range(mult)]
     assert build(data.draw(st.permutations(split))) == e
     for expr in (e, e.normalize()):
-        keys = [atom.sort_key() for atom, _ in expr.atoms]
+        keys = [atom._key for atom, _ in expr.atoms]
         assert keys == sorted(set(keys))  # ascending, and no two atoms share a key
         assert len({atom.pretty(c) for atom, _ in expr.atoms}) == len(keys)
     assert e.normalize().normalize() == e.normalize()
