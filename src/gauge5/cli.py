@@ -20,10 +20,18 @@ is read from that table without importing argparse (`_read`); --help, usage
 errors and argv the reader does not model go to the argparse parser that
 `build_parser` builds from the same table, so every help and error text is
 argparse's own.
+
+A `gauge5` process enters through `launch`, not `main`: once the answer is
+written it freezes the garbage collector, so interpreter shutdown does not
+walk every object the process built; reference counting still frees
+them, and no output changes. `main` leaves
+the collector alone, because tests, the benchmark and library code call it
+in process and need a normal collector afterwards.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -74,7 +82,10 @@ def _localization(args):
             numbers = [int(x) for x in args.away.split(",")]
         except ValueError:
             raise ValueError(f"--away needs comma-separated integers, got {args.away!r}") from None
-        return Localization.away_from(numbers)
+        try:
+            return Localization.away_from(numbers)
+        except ValueError as exc:
+            raise ValueError(f"--away {args.away}: {exc}") from None
     if args.rational:
         return Localization.rational()
     return None
@@ -451,5 +462,14 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def launch() -> int:
+    """The process entry (`gauge5`, `python -m gauge5.cli`): `main`, then a
+    frozen collector, so the exit-time collection skips what `main` built."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(launch())

@@ -123,11 +123,33 @@ def type_of(G: LieGroupSpec) -> tuple[int, ...]:
 
 
 def l_of(G: LieGroupSpec) -> int:
-    return max(type_of(G))
+    """l(G) = max(type_of(G)), read per family without building the type.
+
+    >>> l_of(LieGroupSpec("SU", 10**12)), l_of(LieGroupSpec("Spin", 8)), l_of(LieGroupSpec("E8"))
+    (999999999999, 5, 29)
+    """
+    key, n = _family_key(G)
+    if key == "SU":
+        return n - 1
+    if key == "SpinEven":
+        return 2 * n - 3
+    if key in EXCEPTIONAL:
+        return _EXCEPTIONAL_TYPE[key][-1]
+    return 2 * n - 1  # Sp(n) and Spin(2n+1)
 
 
 def rank_of(G: LieGroupSpec) -> int:
-    return len(type_of(G))
+    """rank(G) = len(type_of(G)), read per family without building the type.
+
+    >>> rank_of(LieGroupSpec("SU", 10**12)), rank_of(LieGroupSpec("Spin", 9))
+    (999999999999, 4)
+    """
+    key, n = _family_key(G)
+    if key == "SU":
+        return n - 1
+    if key in EXCEPTIONAL:
+        return len(_EXCEPTIONAL_TYPE[key])
+    return n  # Sp(n), Spin(2n+1) and Spin(2n)
 
 
 def rational_degrees(G: LieGroupSpec) -> tuple[int, ...]:

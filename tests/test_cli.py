@@ -7,6 +7,7 @@ the CLI can never drift from the functions it fronts.
 import argparse
 import ast
 import contextlib
+import gc
 import io
 import os
 import shlex
@@ -267,13 +268,16 @@ def test_rational_ops(run):
     assert code == 1 and "need --model or --group" in err
 
 
+AWAY = ("decompose", "--group", "SU:4", "--c", "5", "--m", "2", "--loops", "2", "--away")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (
-            ("decompose", "--group", "SU:4", "--c", "5", "--m", "2", "--loops", "2", "--away", ","),
-            "--away needs comma-separated integers, got ','",
-        ),
+        ((*AWAY, ","), "--away needs comma-separated integers, got ','"),
+        ((*AWAY, "0"), "--away 0: away_from needs integers >= 2, got 0"),
+        ((*AWAY, "1"), "--away 1: away_from needs integers >= 2, got 1"),
+        ((*AWAY, "6,1"), "--away 6,1: away_from needs integers >= 2, got 1"),
         (
             ("rational", "--series", "", "--group", "SU:3"),
             "expected comma-separated integers as in '1,0,2,2,0,1', b_0 first, got ''",
@@ -283,7 +287,7 @@ def test_rational_ops(run):
             "expected comma-separated integers as in '3,5/4', got '3,x'",
         ),
     ],
-    ids=["away", "series", "model"],
+    ids=["away", "away-0", "away-1", "away-6,1", "series", "model"],
 )
 def test_a_malformed_list_is_refused_by_name(run, argv, message):
     assert run(*argv) == (1, "", f"error: {message}")
@@ -327,6 +331,56 @@ def _cli(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
+# -- the process entry ----------------------------------------------------------------
+
+ENTRY_CASES = (
+    [(shlex.split(command), 0) for command, _ in EXAMPLES]
+    + [(["decompose", "--group", "SU:4", "--c", "6", "--m", "2", "--loops", "2"], 1)]
+    + [(["homology", "--c", "x"], 2)]
+    + [(["decompose", "--help"], 0)]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code", ENTRY_CASES, ids=[" ".join(argv) for argv, _ in ENTRY_CASES]
+)
+def test_a_process_prints_what_main_prints(capsys, argv, code):
+    proc = _cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _outcome(capsys, main, argv)
+    assert proc.returncode == code
+
+
+def test_main_leaves_the_collector_unfrozen(run):
+    before = gc.get_freeze_count()
+    assert run("homology", "--c", "12", "--m", "3")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["homology", "--c", "12"], 0), (["--help"], 0)], ids=["answer", "help"]
+)
+def test_launch_freezes_the_collector_after_main(monkeypatch, capsys, argv, code):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr().out))
+    monkeypatch.setattr(sys, "argv", ["gauge5", *argv])
+    assert _outcome(capsys, lambda _: cli.launch(), argv)[0] == code
+    assert len(frozen) == 1 and frozen[0]  # once, after the answer was written
+
+
+def test_the_installed_script_is_the_main_block_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    block = next(
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    entry = block.body[0].value.args[0].func.id
+    assert ast.unparse(block.body[0]) == f"sys.exit({entry}())"
+    assert scripts == {"gauge5": f"gauge5.cli:{entry}"}
+
+
 def test_semiprime_c_answers_in_a_subprocess():
     proc = _cli("homology", "--c", str(SEMIPRIME), "--m", "2")
     assert proc.returncode == 0 and proc.stderr == ""
@@ -343,6 +397,14 @@ def test_c_beyond_the_primality_bound_is_refused_in_a_subprocess():
     proc = _cli("homology", "--c", "9000000000000000000000067", "--m", "2")  # a 25-digit prime
     assert proc.returncode == 1 and proc.stdout == ""
     assert "3317044064679887385961981" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_a_huge_rank_is_refused_without_building_its_type_in_a_subprocess():
+    """l(SU(n)) is read as n - 1, not off a tuple of n - 1 exponents."""
+    proc = _cli("exponent", "--group", "SU:1000000000000", "--p", "3", "--c", "3", "--m", "2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "not p-regular" in proc.stderr and "loop-filtration range" in proc.stderr
 
 
 BEYOND_BOUND = 3317044064679887385962123  # factorize refuses it

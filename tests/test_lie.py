@@ -73,6 +73,20 @@ def test_rank_and_l_are_read_off_the_type():
         assert rational_degrees(group) == tuple(sorted(2 * n + 1 for n in expected))
 
 
+@pytest.mark.parametrize("family", lie.FAMILIES)
+def test_rank_and_l_closed_forms_match_the_type(family):
+    """`l_of` and `rank_of` never build the type; they agree with it for
+    every parameter up to 500."""
+    if family in EXCEPTIONAL:
+        groups = [LieGroupSpec(family)]
+    else:
+        low = {"SU": 2, "Sp": 1, "Spin": 5}[family]
+        groups = [LieGroupSpec(family, n) for n in range(low, 501)]
+    for group in groups:
+        t = type_of(group)
+        assert (l_of(group), rank_of(group)) == (max(t), len(t)), group
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         LieGroupSpec("SU", 1)
