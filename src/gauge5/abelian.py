@@ -10,8 +10,6 @@ This is the value type every homotopy-group computation in the package
 returns.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from . import records

@@ -17,10 +17,9 @@ RHO_BUDGET steps (about 1.7 s with CPython 3.11 on one Xeon core); an input
 it cannot split within them is refused with a `ValueError` naming it.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter
+from itertools import compress
 
 from .value import Value
 
@@ -37,7 +36,7 @@ def _primes_below(n: int) -> tuple[int, ...]:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
-    return tuple(p for p in range(n) if sieve[p])
+    return tuple(compress(range(n), sieve))
 
 
 _TRIAL_PRIMES = _primes_below(_TRIAL_LIMIT)

@@ -18,8 +18,6 @@ through its parity, since every stable answer's torsion is 2-primary (see
 StableQuery.localization): c is never factored, and every c >= 2 answers.
 """
 
-from __future__ import annotations
-
 from .abelian import FGAbelianGroup
 from .decomposition import _away_from_c_atoms
 from .lie import _stable_family

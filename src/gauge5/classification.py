@@ -11,8 +11,6 @@ and the counts stay honest upper bounds. Reports carry order_source =
 asserted inequivalent.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 
@@ -38,7 +36,7 @@ class ClassificationReport(Value):
     d: int  # gcd(ord, c)
     count_integral: int  # number of gcd classes
     count_at_p: tuple[tuple[int, int], ...]  # (p, nu_p(d) + 1) for p | d
-    classes: tuple[tuple[int, GcdClass], ...]  # (gcd value, members)
+    classes: tuple[tuple[int, "GcdClass"], ...]  # (gcd value, members)
     looped: int | None  # loop degree when the count is for Omega^i over M
     order_source: str
 
@@ -51,7 +49,7 @@ class ClassificationReport(Value):
         d: int,
         count_integral: int,
         count_at_p: tuple[tuple[int, int], ...],
-        classes: tuple[tuple[int, GcdClass], ...],
+        classes: tuple[tuple[int, "GcdClass"], ...],
         looped: int | None = None,
         order_source: str = "upper_bound_from_S4",
     ) -> None:

@@ -29,8 +29,6 @@ the collector alone, because tests, the benchmark and library code call it
 in process and need a normal collector afterwards.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys

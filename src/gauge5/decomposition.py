@@ -12,8 +12,6 @@ expressions decompose the *looped* gauge group only; no delooping is
 claimed anywhere.
 """
 
-from __future__ import annotations
-
 from .lie import LieGroupSpec
 from .localization import Localization
 from .manifold import (

@@ -14,8 +14,6 @@ plus the small fiber bound exp_moore_fiber (exponent nu_p(c)). Upper bounds
 only: nothing here is claimed sharp.
 """
 
-from __future__ import annotations
-
 from .arith import _valuation, nu_p
 from .errors import HypothesisError
 from .lie import (

@@ -15,8 +15,6 @@ integer cell parsed on the row. A lookup then reads one short group instead
 of scanning the file's rows.
 """
 
-from __future__ import annotations
-
 import math
 import os
 

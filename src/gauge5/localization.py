@@ -5,8 +5,6 @@ A context records which primes have been inverted. Everything downstream
 torsion fibers) asks one question: is the prime p invertible here?
 """
 
-from __future__ import annotations
-
 from .arith import is_prime, prime_divisors
 from .value import Value
 

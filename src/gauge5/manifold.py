@@ -12,8 +12,6 @@ The require_* helpers below are the one place where each hypothesis of the
 theory is checked and worded; every other module calls them.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from .abelian import FGAbelianGroup

@@ -17,8 +17,6 @@ one place the degree-1 case survives, since there the ring genuinely has a
 degree-1 class.
 """
 
-from __future__ import annotations
-
 from . import records
 from .errors import HypothesisError
 from .lie import LieGroupSpec, rational_degrees
@@ -276,7 +274,10 @@ def em_expansion(X: HilbertSeries, G: RationalGroupModel, based: bool = False) -
     >>> print(em_expansion(HilbertSeries.sphere(4), RationalGroupModel.parse("3/")))
     S³
     """
-    pairs = tuple((atomize(n), b) for n, b in _gauge_degrees(X, G, based))
+    mults: dict[int, int] = {}  # degree -> multiplicity: one atom per degree
+    for n, b in _gauge_degrees(X, G, based):
+        mults[n] = mults.get(n, 0) + b
+    pairs = tuple((atomize(n), b) for n, b in mults.items())
     return SpaceExpr(pairs, localization=Localization.rational(), group=G)
 
 
@@ -284,7 +285,7 @@ def _gauge_degrees(X: HilbertSeries, G: RationalGroupModel, based: bool = False)
     """(degree, multiplicity) of each irreducible rational factor of the
     gauge group: Omega^i of G's degree-d generator, b_i times, has degree
     d - i and is kept when d - i >= 2. The one degree rule behind
-    em_expansion (an atom per pair) and the gauge cohomology ring (a
+    em_expansion (an atom per degree) and the gauge cohomology ring (a
     generator per pair)."""
     X.require_simply_connected()
     degrees = G.all_degrees()

@@ -24,8 +24,6 @@ Equality of normalized expressions is structural equality of the underlying
 decompositions; nothing finer is claimed.
 """
 
-from __future__ import annotations
-
 from . import records
 from .lie import LieGroupSpec, rational_degrees
 from .localization import Localization

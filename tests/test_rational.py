@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 
 from gauge5 import HypothesisError, ManifoldSpec, spaces
 from gauge5.lie import LieGroupSpec
+from gauge5.localization import Localization
 from gauge5.rational import (
     GeneratorLedger,
     HilbertSeries,
     RationalGroupModel,
+    _gauge_degrees,
+    atomize,
     em_expansion,
     rational_B_star,
     rational_cohomology_ring,
@@ -234,3 +237,24 @@ def test_the_gauge_ring_equals_the_ledger_read_off_em_expansion(betti, ext, poly
     G = RationalGroupModel(tuple(2 * e + 1 for e in ext), tuple(2 * e for e in poly))
     want = _ring_outcome(_ledger_off_em_expansion, X, G)
     assert _ring_outcome(rational_cohomology_ring, "gauge", X, G) == want
+
+
+def _em_per_pair(X: HilbertSeries, G: RationalGroupModel, based: bool) -> spaces.SpaceExpr:
+    """em_expansion as it was once built: one atom per (degree, multiplicity) pair."""
+    pairs = tuple((atomize(n), b) for n, b in _gauge_degrees(X, G, based))
+    return spaces.SpaceExpr(pairs, localization=Localization.rational(), group=G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), max_size=9),
+    st.lists(st.integers(1, 9), max_size=6),
+    st.lists(st.integers(1, 5), max_size=3),
+    st.booleans(),
+)
+def test_em_expansion_equals_the_per_pair_construction(betti, ext, poly, based):
+    X = HilbertSeries((1, *betti))  # b_1 > 0 is refused alike
+    G = RationalGroupModel(tuple(2 * e + 1 for e in ext), tuple(2 * e for e in poly))
+    want = _ring_outcome(_em_per_pair, X, G, based)
+    got = _ring_outcome(em_expansion, X, G, based)
+    assert (got[0], repr(got[1])) == (want[0], repr(want[1]))

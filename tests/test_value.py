@@ -224,23 +224,41 @@ def test_values_are_built_in_one_step():
 
 # -- the import-cost guards --------------------------------------------------------
 
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "argparse")
+# `__future__` too: a `from __future__ import` statement imports it at run time
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "argparse", "__future__")
 
 
-def test_cli_import_loads_no_heavy_stdlib_module():
-    probe = f"import sys, gauge5.cli; print(sorted(set(sys.modules) & set({HEAVY!r})))"
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
+def _probe(code: str) -> str:
+    """What a fresh `python -S` running `code` prints, with the package on its path."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    ).stdout.strip()
 
 
-def test_no_module_imports_dataclasses():
+def test_cli_import_loads_no_heavy_stdlib_module():
+    probe = f"import sys, gauge5.cli; print(sorted(set(sys.modules) & set({HEAVY!r})))"
+    assert _probe(probe) == "[]"
+
+
+def test_cold_catalog_load_imports_exactly_these_modules():
+    # the cold path every verb pays: a module added to it shows up here
+    probe = (
+        "import sys, gauge5; gauge5.lie.load_catalog();"
+        " print(' '.join(sorted(m for m in sys.modules if m.startswith('gauge5'))))"
+    )
+    assert _probe(probe).split() == [
+        "gauge5", "gauge5.abelian", "gauge5.arith", "gauge5.errors", "gauge5.lie",
+        "gauge5.localization", "gauge5.records", "gauge5.value",
+    ]
+
+
+def _import_sites(module: str) -> list[str]:
+    """file:line of each import of `module` (or a submodule) in the package."""
     hits = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -250,6 +268,16 @@ def test_no_module_imports_dataclasses():
                 names = [node.module or ""]
             else:
                 continue
-            if any(n.split(".")[0] == "dataclasses" for n in names):
+            if any(n.split(".")[0] == module for n in names):
                 hits.append(f"{path.name}:{node.lineno}")
-    assert hits == []
+    return hits
+
+
+def test_no_module_imports_dataclasses():
+    assert _import_sites("dataclasses") == []
+
+
+def test_no_module_has_a_future_import():
+    # Python >= 3.10 evaluates `int | None` itself; the statement would only
+    # cost every launch an import of `__future__`
+    assert _import_sites("__future__") == []
