@@ -1,4 +1,5 @@
-"""Every `$ gauge5 ...` example in README.md prints exactly what it shows.
+"""Every `$ gauge5 ...` example in README.md, and every verb form pinned in
+tests/cli_golden.txt, prints exactly what it shows.
 
 Each command runs through cli.main in process. The lines after a command,
 up to the next blank line or the end of its fenced block, are its expected
@@ -13,15 +14,15 @@ import pytest
 
 from gauge5.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
 PROMPT = "$ gauge5 "
 
 
-def _examples() -> list[tuple[str, list[str]]]:
+def _examples(path: Path) -> list[tuple[str, list[str]]]:
     examples: list[tuple[str, list[str]]] = []
     in_block = False
     current: list[str] | None = None
-    for line in README.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         if line.startswith("```"):
             in_block, current = not in_block, None
         elif in_block and line.startswith(PROMPT):
@@ -34,15 +35,24 @@ def _examples() -> list[tuple[str, list[str]]]:
     return examples
 
 
-EXAMPLES = _examples()
+EXAMPLES = _examples(ROOT / "README.md")
+GOLDEN = _examples(ROOT / "tests" / "cli_golden.txt")
 
 
 def test_readme_has_examples():
     assert len(EXAMPLES) >= 7
 
 
-@pytest.mark.parametrize("command, expected", EXAMPLES, ids=[cmd for cmd, _ in EXAMPLES])
-def test_readme_example(command, expected, capsys):
+def test_golden_file_pins_every_verb_form_in_both_formats():
+    from test_records import VERB_FORMS
+
+    forms = [command for command, _ in VERB_FORMS]
+    assert [command for command, _ in GOLDEN] == [
+        full for command in forms for full in (command, command + " --format machine")
+    ]
+
+
+def _check(command, expected, capsys):
     assert main(shlex.split(command)) == 0
     out = capsys.readouterr().out
     if expected and expected[-1].strip() == "...":
@@ -50,3 +60,13 @@ def test_readme_example(command, expected, capsys):
         assert out.startswith(head)
     else:
         assert out == "".join(line + "\n" for line in expected)
+
+
+@pytest.mark.parametrize("command, expected", EXAMPLES, ids=[cmd for cmd, _ in EXAMPLES])
+def test_readme_example(command, expected, capsys):
+    _check(command, expected, capsys)
+
+
+@pytest.mark.parametrize("command, expected", GOLDEN, ids=[cmd for cmd, _ in GOLDEN])
+def test_golden_verb_form(command, expected, capsys):
+    _check(command, expected, capsys)
