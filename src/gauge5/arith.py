@@ -212,12 +212,6 @@ def nu_p(m: int, p: int) -> int:
         raise ValueError(f"nu_p needs a prime, got p={p}")
     if m < 1:
         raise ValueError(f"nu_p is only defined for positive integers, got m={m}")
-    return _valuation(m, p)
-
-
-def _valuation(m: int, p: int) -> int:
-    """nu_p(m) without nu_p's checks, for callers that have proved p prime
-    and m >= 1 (the exponent table, whose catalog rows the loader checked)."""
     e = 0
     while m % p == 0:
         m //= p

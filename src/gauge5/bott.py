@@ -39,9 +39,7 @@ def stability_threshold(family: str, r: int) -> int:
     >>> stability_threshold("SU", 1)
     4
     """
-    least = _stable_family(family)[0]
-    if r < least:
-        raise ValueError(f"need r >= {least}, got {r}")
+    _stable_family(family, r)
     # least n with n >= r/2 + 3 (SU) or n >= r + 7 (Spin)
     return (r + 7) // 2 if family == "SU" else r + 7
 
@@ -54,11 +52,9 @@ class StableQuery(Value):
     ctx: str  # away_c | away_2c
 
     def __init__(self, M: ManifoldSpec, family: str, k: int, r: int, ctx: str = "away_c") -> None:
-        least = _stable_family(family)[0]
+        _stable_family(family, r)
         if ctx not in ("away_c", "away_2c"):
             raise ValueError(f"ctx must be away_c or away_2c, got {ctx!r}")
-        if r < least:
-            raise ValueError(f"need r >= {least} for {family}, got {r}")
         require_spin_or_away_from_2(M, ctx == "away_2c")
         self.__dict__.update(M=M, family=family, k=k, r=r, ctx=ctx)
 

@@ -124,20 +124,10 @@ class GcdClass(Sequence):
 
     __slots__ = ("c", "d", "g", "_mobius", "_phi")
 
-    def __init__(self, c: int, d: int, g: int) -> None:
-        self._fill(c, d, g, prime_divisors(d // g))
-
-    @classmethod
-    def _of(cls, c: int, d: int, g: int, primes) -> "GcdClass":
-        """GcdClass(c, d, g) from the primes of d/g, ascending, that the
-        caller already has: classify_moore factors d once for all classes."""
-        new = cls.__new__(cls)
-        new._fill(c, d, g, primes)
-        return new
-
-    def _fill(self, c: int, d: int, g: int, primes) -> None:
+    def __init__(self, c: int, d: int, g: int, *, _primes=None) -> None:
+        # _primes: d/g's primes, ascending, from a caller that has them (_gcd_classes)
         mobius = [(1, 1)]  # (e, mu(e)) for the squarefree e dividing d/g
-        for p in primes:
+        for p in prime_divisors(d // g) if _primes is None else _primes:
             mobius += [(e * p, -mu) for e, mu in mobius]
         phi = sum(mu * (d // g // e) for e, mu in mobius)
         # write-once slots, set past the __setattr__ that refuses every later write
@@ -229,7 +219,7 @@ def _gcd_classes(c: int, d: int, factors) -> tuple[tuple[int, GcdClass], ...]:
             for a in range(f.e + 1)
         ]
     divs.sort()
-    return tuple((g, GcdClass._of(c, d, g, primes)) for g, primes in divs)
+    return tuple((g, GcdClass(c, d, g, _primes=primes)) for g, primes in divs)
 
 
 def _require_moore_order(c: int) -> None:

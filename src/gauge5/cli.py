@@ -283,7 +283,7 @@ def _run_moore(args) -> str:
     pi6 = pi6_P4(c)
     groups = [pi_moore_self(3, c), pi6, pi6]  # pi7_P5 is pi6_P4
     if args.format == "machine":
-        tail = f"suspension_image_order={suspension_image_order(c)}"
+        tail = records.record("suspension_image", order=suspension_image_order(c))
         return "\n".join([g.machine() for g in groups] + [tail])
     return "\n".join(
         [

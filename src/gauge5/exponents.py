@@ -14,7 +14,7 @@ plus the small fiber bound exp_moore_fiber (exponent nu_p(c)). Upper bounds
 only: nothing here is claimed sharp.
 """
 
-from .arith import _valuation, nu_p
+from .arith import nu_p
 from .errors import HypothesisError
 from .lie import (
     EXCEPTIONAL,
@@ -200,6 +200,6 @@ def exceptional_table() -> list[ExponentTableRow]:
         l = l_of(LieGroupSpec(family))
         for row in catalog_rows:
             r = row.r_int
-            offset = r + _valuation(row.ord_int, row.interval[0])
+            offset = r + nu_p(row.ord_int, row.interval[0])
             rows.append(ExponentTableRow(family, row.prime_cond, l + r + offset, offset))
     return rows

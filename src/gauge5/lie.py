@@ -303,11 +303,11 @@ class CatalogRow(Value):
             r_int=int(r_spec) if r_spec.isdecimal() else None,
         )
 
-    def is_integral(self) -> bool:
-        return self.prime_cond == "all"
-
-    def _holds_at(self, p: int, n: int | None) -> bool:
-        """prime_cond_holds for this row's tag, without parsing it again."""
+    def _holds_at(self, p: int | None, n: int | None) -> bool:
+        """prime_cond_holds for this row's tag, without parsing it again;
+        p = None asks whether the row holds at every prime."""
+        if p is None:
+            return self.prime_cond == "all"
         if self.interval is None:
             return prime_cond_holds(self.prime_cond, p, n)
         return self.interval[0] <= p <= self.interval[1]
@@ -460,17 +460,12 @@ def ord_partial1_tilde(G: LieGroupSpec, p: int | None = None) -> int:
     21
     """
     rows, n = _rows_for(G)
-    if p is None:
-        for row in rows:
-            if row.is_integral():
-                return row.ord_value(n)
-        raise CatalogError(f"order unknown for ({G}, integral)")
-    if not is_prime(p):
+    if p is not None and not is_prime(p):
         raise ValueError(f"expected a prime or None, got {p}")
     for row in rows:
         if row._holds_at(p, n):
             return row.ord_value(n)
-    raise CatalogError(f"order unknown for ({G}, p={p})")
+    raise CatalogError(f"order unknown for ({G}, {'integral' if p is None else f'p={p}'})")
 
 
 def catalog_order(G: LieGroupSpec) -> tuple[int, str]:
@@ -527,12 +522,16 @@ _STABLE = {
 }
 
 
-def _stable_family(family: str) -> tuple[int, tuple[FGAbelianGroup, ...]]:
-    """(least r, Bott groups by residue of r) of the SU or Spin family."""
+def _stable_family(family: str, r: int | None = None) -> tuple[int, tuple[FGAbelianGroup, ...]]:
+    """(least r, Bott groups by residue of r) of the SU or Spin family; the
+    one check that a given r is at least the family's least r."""
     try:
-        return _STABLE[family]
+        least, groups = _STABLE[family]
     except (KeyError, TypeError):
         raise ValueError(f"stable families are SU and Spin, got {family!r}") from None
+    if r is not None and r < least:
+        raise ValueError(f"need r >= {least} for {family}, got {r}")
+    return least, groups
 
 
 def stable_pi(family: str, r: int) -> FGAbelianGroup:
@@ -543,7 +542,5 @@ def stable_pi(family: str, r: int) -> FGAbelianGroup:
     >>> str(stable_pi("Spin", 11)), str(stable_pi("Spin", 13))
     ('Z', '0')
     """
-    least, groups = _stable_family(family)
-    if r < least:
-        raise ValueError(f"stable {family} homotopy needs r >= {least}, got {r}")
+    groups = _stable_family(family, r)[1]
     return groups[r % len(groups)]

@@ -26,7 +26,6 @@ from .spaces import (
     SpaceAtom,
     SpaceExpr,
     em_factor,
-    group_itself,
     loops_g,
     sphere_factor,
 )
@@ -233,7 +232,7 @@ def rational_gauge(X: HilbertSeries, G: RationalGroupModel, based: bool = False)
         b = X.coefficient(i)
         if not b:
             continue
-        pairs.append((group_itself() if i == 0 else loops_g(i), b))
+        pairs.append((loops_g(i), b))
     return SpaceExpr(tuple(pairs), localization=Localization.rational(), group=G)
 
 

@@ -25,7 +25,7 @@ decompositions; nothing finer is claimed.
 """
 
 from . import records
-from .lie import LieGroupSpec, rational_degrees
+from .lie import LieGroupSpec, l_of, rational_degrees
 from .localization import Localization
 from .value import Value
 
@@ -239,16 +239,18 @@ class SpaceExpr(Value):
                 continue
             rewritten.append((atom, mult))
         out: list[tuple[SpaceAtom, int]] = []
+        drops_looped = ctx.kind == "rational" and self.group is not None
+        top = None  # the group's top rational degree, read once, by the first looped atom
         for atom, mult in rewritten:
             if atom.kind in ("sphere", "em") and atom.n <= 1:
                 continue  # a point in the simply connected rational model
-            if (
-                atom.kind in ("loops_g", "moore_gauge")
-                and ctx.kind == "rational"
-                and self.group is not None
-                and atom.j >= max(group_degrees(self.group), default=0)
-            ):
-                continue  # looped beyond the top rational degree
+            if drops_looped and atom.kind in ("loops_g", "moore_gauge"):
+                if top is None and isinstance(self.group, LieGroupSpec):
+                    top = 2 * l_of(self.group) + 1  # without building the type of G
+                elif top is None:
+                    top = max(group_degrees(self.group), default=0)
+                if atom.j >= top:
+                    continue  # looped beyond the top rational degree
             out.append((atom, mult))
         return SpaceExpr(tuple(out), self.localization, self.group, self.c)
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gauge5
-from gauge5 import ManifoldSpec, StableQuery, abelian, spaces, stable_pi_gauge
+from gauge5 import ManifoldSpec, StableQuery, abelian, records, spaces, stable_pi_gauge
 from gauge5 import cli
 from gauge5.cli import build_parser, main
 from gauge5.decomposition import loops2_gauge
@@ -237,7 +237,7 @@ def test_moore_outputs(run):
     assert code == 0
     *group_lines, tail = out.splitlines()
     assert [abelian.parse_machine(line).order() for line in group_lines] == [9, 27, 27]
-    assert tail == f"suspension_image_order={suspension_image_order(9)}"
+    assert records.parse(tail) == ("suspension_image", {"order": str(suspension_image_order(9))})
     code, out, _ = run("moore", "--c", "9")
     assert "pi_6(P⁴(9)) = Z/9 ⊕ Z/3" in out
     code, out, _ = run("moore", "--c", "9", "--suspension", "2", "--format", "machine")
@@ -329,6 +329,22 @@ def _cli(*argv: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "gauge5.cli", *argv],
         capture_output=True, text=True, env=env, timeout=10,
     )
+
+
+def test_rational_normalize_at_a_huge_rank_answers_in_bounded_memory():
+    # normalize reads SU(10^8)'s top rational degree from l(G); its type
+    # tuple alone would not fit under the 512 MB address-space cap
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29));"
+        " from gauge5.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = "decompose --c 5 --m 2 --group SU:100000000 --loops 2 --rational --normalize"
+    env = dict(os.environ, PYTHONPATH=str(Path(gauge5.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv.split()],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Ω²G × Ω⁴G × Ω⁵G × Ω⁷G\n", "")
 
 
 # -- the process entry ----------------------------------------------------------------

@@ -197,6 +197,15 @@ def test_every_verb_form_answers_in_both_formats(run, command, expected):
     assert _rebuilt(out) == expected()
 
 
+@pytest.mark.parametrize("command", [c for c, _ in VERB_FORMS])
+def test_every_machine_line_starts_with_a_tag(run, command):
+    # `tag key=value ...`: a first token holding `=` is a field without a tag
+    code, out = run(command + " --format machine")
+    assert code == 0
+    for line in out.splitlines():
+        assert "=" not in records.parse(line)[0], line
+
+
 @pytest.mark.parametrize(
     "M, family",
     [(M53, "Spin"), (ManifoldSpec(5, 2, spin=False), "Spin"), (ManifoldSpec(7, 2), "SU")],

@@ -5,8 +5,11 @@ Spin's parity is read only by lie._family_key, which maps Spin(2n+1) to
 branches on that key. "p is an odd prime" is checked only by
 lie._require_odd_prime, which every odd-primary entry point calls. Which
 groups have pi_4 = Z/2 (SU(2), every Sp(n), Spin(5)) is stated only by
-lie._pi4_is_z2, which pi4 and pi4_is_trivial both call. The scans below fail
-if a later change re-derives any of these facts somewhere else.
+lie._pi4_is_z2, which pi4 and pi4_is_trivial both call. "r is at least the
+stable family's least r" is checked only by lie._stable_family, which
+stable_pi, stability_threshold and StableQuery call. GcdClass has one
+construction path, its __init__. The scans below fail if a later change
+re-derives any of these facts somewhere else.
 """
 
 import ast
@@ -91,3 +94,25 @@ def test_pi4_family_is_read_only_by_its_predicate():
         assert "_pi4_is_z2" in calls, name
         # the triviality test builds no group: it never asks pi4
         assert name == "pi4" or "pi4" not in calls
+
+
+def _compares_r_with_least(node) -> bool:
+    # r < least, q.r >= _STABLE[family][0], ...
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [ast.unparse(x) for x in (node.left, *node.comparators)]
+    return any(x == "r" or x.endswith(".r") for x in operands) and any(
+        "least" in x or "_STABLE" in x or "_stable_family" in x for x in operands
+    )
+
+
+def test_r_is_compared_with_the_least_stable_r_only_by_the_family_lookup():
+    assert _sites(_compares_r_with_least) == {("lie.py", "_stable_family")}
+
+
+def test_gcd_class_is_built_only_through_its_constructor():
+    tree = ast.parse((SRC / "classification.py").read_text(encoding="utf-8"))
+    assert not [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+    ]

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import gauge5
 from gauge5 import LieGroupSpec, Localization, RationalGroupModel, SpaceExpr
+from gauge5.lie import EXCEPTIONAL
 from gauge5.spaces import (
     SpaceAtom,
     em_factor,
+    group_degrees,
     group_itself,
     loop_fiber,
     loops_g,
@@ -119,6 +121,47 @@ def test_normalize_drops_low_spheres_and_rational_tail():
     )
     # top rational degree of the model is 5: loops beyond survive only below it
     assert e.normalize().atoms == ((loops_g(4), 1), (sphere_factor(3), 1))
+
+
+_LIE_UP_TO_60 = [
+    LieGroupSpec(family, n)
+    for family, low in (("SU", 2), ("Sp", 1), ("Spin", 5))
+    for n in range(low, 61)
+] + [LieGroupSpec(family) for family in EXCEPTIONAL]
+
+_MODELS = st.builds(
+    RationalGroupModel,
+    st.lists(st.integers(1, 40).map(lambda i: 2 * i + 1), max_size=5),
+    st.lists(st.integers(1, 40).map(lambda i: 2 * i), max_size=3),
+)
+
+
+def test_rational_normalize_keeps_loops_just_below_the_top_degree_of_every_small_group():
+    for G in _LIE_UP_TO_60:
+        top = max(group_degrees(G))
+        e = SpaceExpr.of(
+            [loops_g(top - 1), loops_g(top), moore_gauge(top - 1, 1), moore_gauge(top, 1)],
+            localization=Localization.rational(), group=G,
+        )
+        assert e.normalize().atoms == ((moore_gauge(top - 1, 1), 1), (loops_g(top - 1), 1)), G
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.sampled_from(_LIE_UP_TO_60), _MODELS),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 130)), max_size=6),
+    st.sampled_from([None, 5]),
+)
+def test_rational_normalize_drops_what_the_per_atom_rule_dropped(group, looped, c):
+    # the rule normalize once applied to each looped atom: drop it at or past
+    # max(group_degrees(group)), which built a Lie group's whole type tuple
+    top = max(group_degrees(group), default=0)
+    atoms = [moore_gauge(j, 1) if gauge else loops_g(j) for gauge, j in looped]
+    e = SpaceExpr.of(atoms, localization=Localization.rational(), group=group, c=c)
+    # a rational context inverts c, so a Moore-space gauge group collapses to G
+    rewritten = [loops_g(a.j) if c is not None and a.kind == "moore_gauge" else a for a in atoms]
+    kept = [a for a in rewritten if a.kind not in ("loops_g", "moore_gauge") or a.j < top]
+    assert e.normalize() == SpaceExpr.of(kept, localization=e.localization, group=group, c=c)
 
 
 def test_normalize_idempotent_and_order_insensitive():
