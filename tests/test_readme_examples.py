@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from gauge5.cli import main
+from test_records import VERB_FORMS
 
 ROOT = Path(__file__).resolve().parents[1]
 PROMPT = "$ gauge5 "
@@ -44,11 +45,8 @@ def test_readme_has_examples():
 
 
 def test_golden_file_pins_every_verb_form_in_both_formats():
-    from test_records import VERB_FORMS
-
-    forms = [command for command, _ in VERB_FORMS]
     assert [command for command, _ in GOLDEN] == [
-        full for command in forms for full in (command, command + " --format machine")
+        full for command, _ in VERB_FORMS for full in (command, command + " --format machine")
     ]
 
 
