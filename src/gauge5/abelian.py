@@ -13,7 +13,7 @@ returns.
 from math import gcd
 
 from . import records
-from .arith import PrimePower, factorize
+from .arith import PrimePower, factorize, is_prime
 from .localization import Localization
 from .value import Value
 
@@ -208,4 +208,7 @@ def parse_machine(line: str) -> FGAbelianGroup:
         raise ValueError(f"not a group record: {line!r}")
     chunks = [chunk.split("^") for chunk in fields.get("torsion", "").split(",") if chunk]
     torsion = tuple(PrimePower(int(p), int(e)) for p, e in chunks)
+    for f in torsion:  # the constructor trusts its bases to be prime; outside text may not be
+        if not is_prime(f.p):
+            raise ValueError(f"field 'torsion' needs prime bases, got {f.p}: {line!r}")
     return FGAbelianGroup(int(fields.get("free", "0")), torsion)

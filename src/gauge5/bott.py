@@ -11,11 +11,13 @@ factors (G x Omega^5 G x (Omega^2 G x Omega^3 G)^(m-1), or the CP^2 form
 for non-spin M) and the localization decides which of them normalize()
 splits. That is Bott periodicity for the gauge group, and it lets bott_rows
 compute the localization and the multiset once per table. Bott periodicity
-of the family then folds the multiset into a count per residue of the
-period (2 for SU, 8 for Spin), so each row is one group summed over at most
-8 residue classes, and its cost does not grow with m. c is read only
-through its parity, since every stable answer's torsion is 2-primary (see
-StableQuery.localization): c is never factored, and every c >= 2 answers.
+of the family folds normalize()'s (shift, multiplicity) pairs into a count
+per residue of the period (2 for SU, 8 for Spin), so each row is one group
+summed over at most 8 residue classes. The fold's cost does not grow with
+m; a row whose group has about m summands costs what its output costs.
+c is read only through its parity, since every stable answer's torsion is
+2-primary (see StableQuery.localization): c is never factored, and every
+c >= 2 answers.
 """
 
 from .abelian import FGAbelianGroup
@@ -69,30 +71,30 @@ class StableQuery(Value):
         return _AWAY_FROM_2 if inverts_2 else Localization.integral()
 
 
-def shift_multiset(M: ManifoldSpec, ctx: Localization) -> tuple[int, ...]:
-    """Loop shifts of M's normalized away-from-c decomposition under ctx, with
-    multiplicity, ascending. ctx need only agree at the prime 2 with one that
-    inverts c (StableQuery.localization); c is not read. No r or k: one
-    multiset serves every r of a period, and every k agrees away from c."""
-    shifts: list[int] = []
+def shift_multiset(M: ManifoldSpec, ctx: Localization) -> tuple[tuple[int, int], ...]:
+    """Loop shifts of M's normalized away-from-c decomposition under ctx, as
+    ascending (shift, multiplicity) pairs. ctx need only agree at the prime
+    2 with one that inverts c (StableQuery.localization); c is not read. No
+    r or k: one multiset serves every r of a period, and every k agrees."""
+    shifts: list[tuple[int, int]] = []
     for atom, mult in SpaceExpr(_away_from_c_atoms(M), localization=ctx).normalize().atoms:
         if atom.kind not in ("group", "loops_g"):  # G itself is the shift j = 0
             raise AssertionError(f"unexpected stable factor {atom}")
-        shifts.extend([atom.j] * mult)
-    return tuple(sorted(shifts))
+        shifts.append((atom.j, mult))  # ascending: SpaceExpr sorts its atoms
+    return tuple(shifts)
 
 
-def _shifted_sums(groups, shifts: tuple[int, ...], ctx: Localization, rs) -> list[FGAbelianGroup]:
-    """[direct_sum([stable_pi(family, r + s) for s in shifts]).localize(ctx)
-    for r in rs], each built as one group. groups are the family's Bott
-    groups by residue of r: the shifts s = i mod their period each
-    contribute groups[(r + i) % period], so the multiset is folded into a
-    count per residue once, and a row reads at most 8 Bott groups however
-    many shifts M has."""
+def _shifted_sums(groups, shifts, ctx: Localization, rs) -> list[FGAbelianGroup]:
+    """[direct_sum([stable_pi(family, r + s) for s, n in shifts for _ in
+    range(n)]).localize(ctx) for r in rs], each built as one group. groups
+    are the family's Bott groups by residue of r: the shifts s = i mod their
+    period each contribute groups[(r + i) % period], so the (shift,
+    multiplicity) pairs are folded into a count per residue once, and a row
+    reads at most 8 Bott groups however many shifts M has."""
     period = len(groups)
     counts = [0] * period
-    for s in shifts:
-        counts[s % period] += 1
+    for s, n in shifts:
+        counts[s % period] += n
     local = [(g.free_rank, [f for f in g.torsion if not ctx.inverts(f.p)]) for g in groups]
     sums = []
     for r in rs:

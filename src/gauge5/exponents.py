@@ -160,12 +160,7 @@ def best_bound(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
     if not candidates:
         raise HypothesisError("; ".join(errors))
     candidates.sort(key=lambda b: b.exponent)
-    best = candidates[0]
-    if len(candidates) > 1:
-        best = ExponentBound(
-            best.p, best.exponent, best.route, best.assumptions, tuple(candidates[1:])
-        )
-    return best
+    return candidates[0].replace(alternatives=tuple(candidates[1:]))
 
 
 # -- the exceptional-group table ----------------------------------------------

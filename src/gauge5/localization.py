@@ -37,6 +37,11 @@ class Localization(Value):
             raise ValueError(f"at_prime needs a prime, got {prime}")
         if kind == "away_from" and not inverted_set:
             raise ValueError("away_from needs a nonempty prime set")
+        # each kind takes only the fields it reads: contexts that act alike compare equal
+        if prime is not None and kind != "at_prime":
+            raise ValueError(f"{kind} takes no prime, got prime={prime}")
+        if inverted_set and kind != "away_from":
+            raise ValueError(f"{kind} takes no inverted set, got {sorted(inverted_set)}")
         self.__dict__.update(kind=kind, inverted_set=inverted_set, prime=prime)
 
     @staticmethod
@@ -63,21 +68,13 @@ class Localization(Value):
 
     @property
     def inverted_primes(self) -> frozenset[int]:
-        if self.kind == "away_from":
-            return self.inverted_set
-        return frozenset()
+        return self.inverted_set  # empty for every kind but away_from
 
     def inverts(self, p: int) -> bool:
         """Is the prime p a unit in this localization?"""
         if not is_prime(p):
             raise ValueError(f"inverts expects a prime, got {p}")
-        if self.kind == "integral":
-            return False
-        if self.kind == "rational":
-            return True
-        if self.kind == "at_prime":
-            return p != self.prime
-        return p in self.inverted_set
+        return self.inverts_all_of(p)
 
     def inverts_all_of(self, m: int) -> bool:
         """Are all primes dividing m (>= 1) inverted?

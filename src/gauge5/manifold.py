@@ -265,6 +265,13 @@ class WedgeAtom(Value):
             raise ValueError(f"wedge atom dimension must be >= 2, got {n}")
         if kind == "moore" and (c is None or c < 2):
             raise ValueError(f"Moore atom order must be >= 2, got {c}")
+        # each kind takes only the fields it reads: atoms that print alike compare equal
+        if c is not None and kind != "moore":
+            raise ValueError(f"{kind} atom takes no order c, got c={c}")
+        if n is not None and kind == "opaque":
+            raise ValueError(f"opaque atom takes no dimension n, got n={n}")
+        if (tag or ledger) and kind != "opaque":
+            raise ValueError(f"{kind} atom takes no tag or ledger")
         self.__dict__.update(kind=kind, n=n, c=c, tag=tag, ledger=ledger)
 
     def reduced_homology(self) -> dict[int, FGAbelianGroup]:

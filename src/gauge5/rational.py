@@ -226,14 +226,10 @@ def rational_gauge(X: HilbertSeries, G: RationalGroupModel, based: bool = False)
     G
     """
     X.require_simply_connected()
-    pairs: list[tuple[SpaceAtom, int]] = []
     start = 1 if based else 0
-    for i in range(start, X.degree() + 1):
-        b = X.coefficient(i)
-        if not b:
-            continue
-        pairs.append((loops_g(i), b))
-    return SpaceExpr(tuple(pairs), localization=Localization.rational(), group=G)
+    # a zero b_i adds no factor: SpaceExpr drops zero multiplicities
+    pairs = tuple((loops_g(i), X.coefficient(i)) for i in range(start, X.degree() + 1))
+    return SpaceExpr(pairs, localization=Localization.rational(), group=G)
 
 
 def rational_B_star(X: HilbertSeries, G: RationalGroupModel) -> SpaceExpr:
@@ -247,12 +243,9 @@ def rational_B_star(X: HilbertSeries, G: RationalGroupModel) -> SpaceExpr:
     """
     X.require_simply_connected()
     G.require_finite_dimensional()
-    pairs: list[tuple[SpaceAtom, int]] = []
-    for i in range(2, X.degree() + 1):  # i = 1 is ruled out by b_1 = 0
-        b = X.coefficient(i)
-        if b:
-            pairs.append((loops_g(i - 1), b))
-    return SpaceExpr(tuple(pairs), localization=Localization.rational(), group=G)
+    # i = 1 is ruled out by b_1 = 0
+    pairs = tuple((loops_g(i - 1), X.coefficient(i)) for i in range(2, X.degree() + 1))
+    return SpaceExpr(pairs, localization=Localization.rational(), group=G)
 
 
 def atomize(degree: int) -> SpaceAtom | None:

@@ -25,6 +25,7 @@ decompositions; nothing finer is claimed.
 """
 
 from . import records
+from .arith import is_prime
 from .lie import LieGroupSpec, l_of, rational_degrees
 from .localization import Localization
 from .value import Value
@@ -93,18 +94,16 @@ class SpaceAtom(Value):
 
     def pretty(self, c: int | None) -> str:
         loops = "" if self.j == 0 else ("Ω" if self.j == 1 else "Ω" + _sup(self.j))
+        cc = "c" if c is None else str(c)
         if self.kind in ("group", "loops_g"):
             return loops + "G"
         if self.kind == "loop_fiber":
-            cc = "c" if c is None else str(c)
             return f"{loops}G{{{cc}}}"
         if self.kind == "moore_gauge":
-            cc = "c" if c is None else str(c)
             return f"{loops}G{_sub(self.k)}(P⁴({cc}))"
         if self.kind == "map_cp2":
             return f"{loops}Map*₀(CP²,G)"
         if self.kind == "moore_map":
-            cc = "c" if c is None else str(c)
             return f"{loops}Map*₀(P{_sup(self.n)}({cc}),G)"
         if self.kind == "sphere":
             return "S" + _sup(self.n)
@@ -194,12 +193,7 @@ class SpaceExpr(Value):
     def of(atoms, localization=None, group=None, c=None) -> "SpaceExpr":
         """Build from an iterable of atoms or (atom, multiplicity) pairs."""
         pairs = tuple((item, 1) if isinstance(item, SpaceAtom) else item for item in atoms)
-        return SpaceExpr(
-            pairs,
-            localization=localization or Localization.integral(),
-            group=group,
-            c=c,
-        )
+        return SpaceExpr(pairs, localization or _INTEGRAL, group, c)
 
     def is_empty(self) -> bool:
         return not self.atoms
@@ -331,7 +325,11 @@ def _parse_localization(text: str) -> Localization:
     if text.startswith("at:"):
         return Localization.at_prime(int(text[3:]))
     if text.startswith("away:"):
-        return Localization("away_from", inverted_set=frozenset(map(int, text[5:].split(","))))
+        primes = frozenset(map(int, text[5:].split(",")))
+        for p in primes:  # the constructor trusts its set to hold primes; outside text may not
+            if not is_prime(p):
+                raise ValueError(f"field 'localization' inverts only primes, got {p}: {text!r}")
+        return Localization("away_from", inverted_set=primes)
     raise ValueError(f"bad localization record {text!r}")
 
 

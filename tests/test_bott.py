@@ -151,7 +151,9 @@ def _inverting_c(M: ManifoldSpec, family: str, rs: range, ctx: str) -> list:
     local = Localization.away_from([2, M.c] if ctx == "away_2c" else [M.c])
     shifts = shift_multiset(M, local)
     return [
-        FGAbelianGroup.direct_sum([stable_pi(family, r + s) for s in shifts]).localize(local)
+        FGAbelianGroup.direct_sum(
+            [stable_pi(family, r + s) for s, n in shifts for _ in range(n)]
+        ).localize(local)
         for r in rs
     ]
 
@@ -262,7 +264,8 @@ def _direct_sum_oracle(M: ManifoldSpec, family: str, r: int, ctx: str) -> FGAbel
     over every shift of the multiset, then localized."""
     local = StableQuery(M, family, 0, r, ctx).localization()
     shifts = shift_multiset(M, local)
-    return FGAbelianGroup.direct_sum([stable_pi(family, r + s) for s in shifts]).localize(local)
+    summands = [stable_pi(family, r + s) for s, n in shifts for _ in range(n)]
+    return FGAbelianGroup.direct_sum(summands).localize(local)
 
 
 @settings(max_examples=120, deadline=None)

@@ -331,20 +331,45 @@ def _cli(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_rational_normalize_at_a_huge_rank_answers_in_bounded_memory():
-    # normalize reads SU(10^8)'s top rational degree from l(G); its type
-    # tuple alone would not fit under the 512 MB address-space cap
+def _capped(argv: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `gauge5 argv` in a child capped at 512 MB
+    of address space and 1 s of CPU time; the CPU cap kills a slow child."""
     code = (
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29));"
+        " resource.setrlimit(resource.RLIMIT_CPU, (1, 1));"
         " from gauge5.cli import main; sys.exit(main(sys.argv[1:]))"
     )
-    argv = "decompose --c 5 --m 2 --group SU:100000000 --loops 2 --rational --normalize"
     env = dict(os.environ, PYTHONPATH=str(Path(gauge5.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv.split()],
         capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Ω²G × Ω⁴G × Ω⁵G × Ω⁷G\n", "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_rational_normalize_at_a_huge_rank_answers_in_bounded_memory():
+    # normalize reads SU(10^8)'s top rational degree from l(G); its type
+    # tuple alone would not fit under the 512 MB address-space cap
+    argv = "decompose --c 5 --m 2 --group SU:100000000 --loops 2 --rational --normalize"
+    assert _capped(argv) == (0, "Ω²G × Ω⁴G × Ω⁵G × Ω⁷G\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        ("--family SU --r 5", "pi_5 of the stable SU gauge group over M = Z^100000000"
+         "  (stable for parameter >= 6)"),
+        ("--family SU --table", "stable pi_r of SU gauge groups over M (c = 3, m = 100000000,"
+         " spin, away from c)\n  r ≡ 1 (mod 2): Z^100000000\n  r ≡ 0 (mod 2): Z^100000000"),
+        ("--family Spin --r 4", "pi_4 of the stable Spin gauge group over M ="
+         " Z^99999999 ⊕ Z/2  (stable for parameter >= 11)"),
+    ],
+    ids=["SU-r5", "SU-table", "Spin-r4"],
+)
+def test_bott_at_a_huge_m_answers_in_bounded_memory(argv, out):
+    # the Bott fold reads normalize's (shift, multiplicity) pairs; the 2m
+    # shifts it once expanded them into would not fit under the cap
+    assert _capped(f"bott --c 3 --m 100000000 {argv}") == (0, out + "\n", "")
 
 
 # -- the process entry ----------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Localization contexts: `inverts_all_of` against a factoring oracle."""
+"""Localization contexts: `inverts_all_of` against a factoring oracle, and
+`inverts` against the kind dispatch it once wrote out."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gauge5.arith import prime_divisors
+from gauge5.arith import is_prime, prime_divisors
 from gauge5.localization import Localization
+from gauge5.spaces import SpaceExpr, parse_machine
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 97, 997, 1000003)
 
@@ -62,3 +64,34 @@ def test_inverts_all_of_answers_beyond_the_primality_bound():
     assert not Localization.away_from([6]).inverts_all_of(BEYOND_BOUND)
     with pytest.raises(ValueError, match="not decided"):
         prime_divisors(BEYOND_BOUND)
+
+
+_BELOW_1000 = [p for p in range(2, 1000) if is_prime(p)]
+
+
+def _kind_dispatch(ctx: Localization, p: int) -> bool:
+    """inverts(p) as written out per kind before it answered through
+    inverts_all_of."""
+    if ctx.kind == "integral":
+        return False
+    if ctx.kind == "rational":
+        return True
+    if ctx.kind == "at_prime":
+        return p != ctx.prime
+    return p in ctx.inverted_set
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        contexts,
+        st.sampled_from(_BELOW_1000).map(Localization.at_prime),
+        st.lists(st.sampled_from(_BELOW_1000), min_size=1, max_size=4).map(Localization.away_from),
+    ),
+    st.sampled_from(_BELOW_1000),
+    st.booleans(),
+)
+def test_inverts_agrees_with_the_kind_dispatch(ctx, p, read_back):
+    if read_back:  # as the machine reader rebuilds it from outside text
+        ctx = parse_machine(SpaceExpr((), localization=ctx).machine()).localization
+    assert ctx.inverts(p) == _kind_dispatch(ctx, p)

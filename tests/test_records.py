@@ -91,6 +91,22 @@ def test_parse_machine_names_a_missing_field(text, field, line):
         spaces.parse_machine(text)
 
 
+@pytest.mark.parametrize(
+    "read, line, field",
+    [
+        # Z/6 as one "prime power" is not Z/2 ⊕ Z/3, and no context inverts 6
+        (abelian.parse_machine, "group free=0 torsion=6^1", "torsion"),
+        (abelian.parse_machine, "group free=1 torsion=2^1,9^2", "torsion"),
+        # an away set {4} inverts no prime, yet inverts_all_of(4) would say it does
+        (spaces.parse_machine, "expr localization=away:4 group=- c=-", "localization"),
+        (spaces.parse_machine, "expr localization=away:2,15 group=- c=-", "localization"),
+    ],
+)
+def test_readers_refuse_a_base_that_is_not_prime(read, line, field):
+    with pytest.raises(ValueError, match=f"^field '{field}' "):
+        read(line)
+
+
 # -- every verb form, both formats ---------------------------------------------
 
 SU4, SP3 = LieGroupSpec("SU", 4), LieGroupSpec("Sp", 3)

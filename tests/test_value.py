@@ -199,6 +199,29 @@ def test_positional_keyword_and_default_construction_agree():
         CatalogRow("SU", None, "all", "3")
 
 
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: Localization("integral", inverted_set=frozenset({2})), "integral takes no"),
+        (lambda: Localization("rational", prime=5), "rational takes no prime"),
+        (lambda: Localization("at_prime", frozenset({2}), 5), "at_prime takes no"),
+        (lambda: Localization("away_from", frozenset({2}), 3), "away_from takes no prime"),
+        (lambda: WedgeAtom("sphere", n=4, c=5), "sphere atom takes no order"),
+        (lambda: WedgeAtom("sphere", n=4, tag="x"), "sphere atom takes no tag"),
+        (
+            lambda: WedgeAtom("moore", n=4, c=5, ledger=((3, FGAbelianGroup.cyclic(5)),)),
+            "moore atom takes no tag",
+        ),
+        (lambda: WedgeAtom("opaque", n=4, tag="x"), "opaque atom takes no dimension"),
+        (lambda: WedgeAtom("opaque", c=3, tag="x"), "opaque atom takes no order"),
+    ],
+)
+def test_each_kind_takes_only_the_fields_it_reads(build, named):
+    # a field its kind ignores would make two values that act alike compare unequal
+    with pytest.raises(ValueError, match=f"^{named}"):
+        build()
+
+
 def test_space_atom_hash_is_the_field_tuple_hash():
     # SpaceAtom writes its hash out (it is on the hot path); it must agree with the base's
     assert "__hash__" in vars(SpaceAtom)
