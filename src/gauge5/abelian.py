@@ -129,9 +129,6 @@ class FGAbelianGroup(Value):
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
     def order(self) -> int | None:
         """Group order, or None when infinite.
 
@@ -156,10 +153,6 @@ class FGAbelianGroup(Value):
         for p, e in by_prime.items():
             n *= p**e
         return n
-
-    def torsion_orders(self) -> tuple[int, ...]:
-        """Prime-power orders of the torsion summands, canonical order."""
-        return tuple(f.value() for f in self.torsion)
 
     # -- printing ----------------------------------------------------------
 
@@ -206,9 +199,11 @@ def parse_machine(line: str) -> FGAbelianGroup:
     tag, fields = records.parse(line)
     if tag != "group":
         raise ValueError(f"not a group record: {line!r}")
-    chunks = [chunk.split("^") for chunk in fields.get("torsion", "").split(",") if chunk]
-    torsion = tuple(PrimePower(int(p), int(e)) for p, e in chunks)
-    for f in torsion:  # the constructor trusts its bases to be prime; outside text may not be
-        if not is_prime(f.p):
+    torsion = []
+    for chunk in filter(None, fields.get("torsion", "").split(",")):
+        p, _, e = chunk.partition("^")  # '2' and '2^1^3' leave a malformed exponent
+        f = PrimePower(records.integer(p, "torsion", line), records.integer(e, "torsion", line))
+        if not is_prime(f.p):  # the constructor trusts its bases; outside text may not be prime
             raise ValueError(f"field 'torsion' needs prime bases, got {f.p}: {line!r}")
-    return FGAbelianGroup(int(fields.get("free", "0")), torsion)
+        torsion.append(f)
+    return FGAbelianGroup(records.integer(fields.get("free", "0"), "free", line), tuple(torsion))

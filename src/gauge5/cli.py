@@ -151,20 +151,13 @@ def _run_decompose(args) -> str:
 
 
 def _run_exponent(args) -> str:
-    from .exponents import (
-        best_bound,
-        exceptional_table,
-        exp_bound_closed_form,
-        exp_bound_regular,
-        exp_bound_theriault,
-        exp_moore_fiber,
-    )
+    from . import exponents
     from .lie import LieGroupSpec, _require_odd_prime, prime_cond_holds
 
     if args.table:
         if args.table != "exceptional":
             raise ValueError(f"unknown table {args.table!r}")
-        rows = exceptional_table()
+        rows = exponents.exceptional_table()
         if args.p is not None:
             _require_odd_prime(args.p)
             rows = [row for row in rows if prime_cond_holds(row.prime_cond, args.p)]
@@ -182,17 +175,13 @@ def _run_exponent(args) -> str:
         raise ValueError("need --group and --p (or --table exceptional)")
     G = LieGroupSpec.parse(args.group)
     if args.route == "closed":
-        bound = exp_bound_closed_form(G, args.p, args.c)
+        bound = exponents.exp_bound_closed_form(G, args.p, args.c)
     elif args.route == "moore-fiber":
-        bound = exp_moore_fiber(args.c, args.p)
+        bound = exponents.exp_moore_fiber(args.c, args.p)
     else:
-        M = _manifold(args)
-        route = {
-            "regular": exp_bound_regular,
-            "theriault": exp_bound_theriault,
-            "best": best_bound,
-        }[args.route]
-        bound = route(M, G, args.p)
+        route = {"regular": exponents.exp_bound_regular, "theriault": exponents.exp_bound_theriault,
+                 "best": exponents.best_bound}[args.route]
+        bound = route(_manifold(args), G, args.p)
     if args.format == "machine":
         return records.record("exponent", p=bound.p, exponent=bound.exponent, route=bound.route)
     lines = [f"exp_{bound.p} <= {bound.p}^{bound.exponent}  [route: {bound.route}]"]

@@ -23,20 +23,12 @@ from .manifold import (
     require_single_top_cell,
     require_stably_parallelizable,
 )
-from .spaces import (
-    SpaceExpr,
-    group_itself,
-    loop_fiber,
-    loops_g,
-    map_cp2,
-    moore_gauge,
-)
+from .spaces import SpaceExpr, group_itself, loop_fiber, loops_g, map_cp2, moore_gauge
 
-# Each theorem's fixed factors, built once: atoms are immutable, so every call
-# shares them. Only moore_gauge(j, k) depends on the input.
-_GROUP, _CP2_1, _CP2_3 = group_itself(), map_cp2(1), map_cp2(3)
+# Each theorem's other fixed factors, built once: atoms are immutable, so every
+# call shares them (as loops_g does). Only moore_gauge(j, k) depends on the input.
+_CP2_1, _CP2_3 = map_cp2(1), map_cp2(3)
 _FIBER_3, _FIBER_4 = loop_fiber(3), loop_fiber(4)
-_OMEGA = {j: loops_g(j) for j in range(2, 9)}
 
 
 def loops2_gauge(
@@ -53,12 +45,12 @@ def loops2_gauge(
     require_pi4_trivial(G, ctx)
     k %= M.c
     if M.spin:
-        atoms = ((moore_gauge(2, k), 1), (_FIBER_3, 1), (_OMEGA[7], 1),
-                 (_OMEGA[4], M.m - 1), (_OMEGA[5], M.m - 1))
+        atoms = ((moore_gauge(2, k), 1), (_FIBER_3, 1), (loops_g(7), 1),
+                 (loops_g(4), M.m - 1), (loops_g(5), M.m - 1))
     else:
         require_m_at_least_2(M)
         atoms = ((moore_gauge(2, k), 1), (_CP2_3, 1), (_FIBER_3, 1),
-                 (_OMEGA[4], M.m - 1), (_OMEGA[5], M.m - 2))
+                 (loops_g(4), M.m - 1), (loops_g(5), M.m - 2))
     return SpaceExpr(atoms, localization=ctx, group=G, c=M.c)
 
 
@@ -78,8 +70,8 @@ def loops3_gauge(
     require_single_top_cell(M)
     require_pi4_trivial(G, ctx)
     k %= M.c
-    atoms = ((moore_gauge(3, k), 1), (_FIBER_4, 1), (_OMEGA[8], 1),
-             (_OMEGA[5], M.m - 1), (_OMEGA[6], M.m - 1))
+    atoms = ((moore_gauge(3, k), 1), (_FIBER_4, 1), (loops_g(8), 1),
+             (loops_g(5), M.m - 1), (loops_g(6), M.m - 1))
     return SpaceExpr(atoms, localization=ctx, group=G, c=M.c)
 
 
@@ -105,6 +97,6 @@ def _away_from_c_atoms(M: ManifoldSpec) -> tuple:
     """The factors of gauge_away_from_c, for callers that bring their own
     localization (bott's agrees with inverting c only at the prime 2)."""
     if M.spin:
-        return ((_GROUP, 1), (_OMEGA[5], 1), (_OMEGA[2], M.m - 1), (_OMEGA[3], M.m - 1))
+        return ((group_itself(), 1), (loops_g(5), 1), (loops_g(2), M.m - 1), (loops_g(3), M.m - 1))
     require_m_at_least_2(M)
-    return ((_GROUP, 1), (_CP2_1, 1), (_OMEGA[2], M.m - 1), (_OMEGA[3], M.m - 2))
+    return ((group_itself(), 1), (_CP2_1, 1), (loops_g(2), M.m - 1), (loops_g(3), M.m - 2))

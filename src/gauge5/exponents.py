@@ -11,7 +11,9 @@ only (the bound is p^exponent). Three computational routes:
                with no range check
 
 plus the small fiber bound exp_moore_fiber (exponent nu_p(c)). Upper bounds
-only: nothing here is claimed sharp.
+only: nothing here is claimed sharp. The regular and theriault routes share
+one reading of (G, p, c), _routes: exp_bound_regular, exp_bound_theriault
+and best_bound (the better of the two) each make one catalog lookup.
 """
 
 from .arith import nu_p
@@ -19,14 +21,15 @@ from .errors import HypothesisError
 from .lie import (
     EXCEPTIONAL,
     LieGroupSpec,
-    _family_key,
     _exceptional_catalog,
+    _family_key,
+    _in_range,
+    _ord_in,
+    _r_in,
     _require_odd_prime,
-    in_theriault_range,
+    _rows_for,
     is_p_regular,
     l_of,
-    ord_partial1_tilde,
-    r_of,
 )
 from .manifold import ManifoldSpec, require_not_divisible_by_6
 from .value import Value
@@ -57,6 +60,39 @@ class ExponentBound(Value):
         return f"exp <= {self.p}^{self.exponent} [{self.route}]"
 
 
+def _routes(M: ManifoldSpec, G: LieGroupSpec, p: int, regular: bool, theriault: bool) -> list:
+    """(exponent, route, assumptions) of each asked route that applies, regular
+    first: the one reading of (G, p, c) behind every route. 6 ∤ c and the odd
+    prime p are checked once, G's catalog rows resolved once, and l(G), nu_p(c)
+    and nu_p(ord) read once for the formulas; if no asked route applies, one
+    HypothesisError joins their refusals."""
+    require_not_divisible_by_6(M.c)
+    is_regular = is_p_regular(G, p)  # the one check that p is an odd prime
+    in_range = _in_range(*_family_key(G), p)
+    refusals = []
+    if regular and not is_regular:
+        refusals.append(f"{G} is not p-regular at p = {p}; try the theriault route")
+    if theriault and not in_range:
+        refusals.append(f"({G}, p = {p}) outside the loop-filtration range")
+    if len(refusals) == regular + theriault:
+        raise HypothesisError("; ".join(refusals))
+    rows, n = _rows_for(G)
+    l, nu_c, nu_ord, found = l_of(G), nu_p(M.c, p), None, []
+    if regular and is_regular:  # its ord lookup refuses before the r lookup below
+        nu_ord = nu_p(_ord_in(G, rows, n, p), p)
+        exponent, assumptions = nu_ord + max(l, nu_c), (f"{G} p-regular at {p}",)
+        if G.family == "SU" and G.n in (2, 3):
+            exponent += 1
+            assumptions += ("low-rank SU adjustment (+1)",)
+        found.append((exponent, "regular", assumptions))
+    if theriault and in_range:
+        r = _r_in(G, rows, n, p)
+        nu_ord = nu_p(_ord_in(G, rows, n, p), p) if nu_ord is None else nu_ord
+        assumptions = (f"({G}, p = {p}) in the loop-filtration range",)
+        found.append((r + nu_ord + max(r + l, nu_c), "theriault", assumptions))
+    return found
+
+
 def exp_bound_regular(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
     """Exponent bound at a p-regular prime.
 
@@ -66,18 +102,7 @@ def exp_bound_regular(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound
     >>> exp_bound_regular(M, LieGroupSpec("SU", 3), 5).exponent
     3
     """
-    require_not_divisible_by_6(M.c)
-    if not is_p_regular(G, p):
-        raise HypothesisError(
-            f"{G} is not p-regular at p = {p}; try the theriault route"
-        )
-    nu_ord = nu_p(ord_partial1_tilde(G, p), p)
-    exponent = nu_ord + max(l_of(G), nu_p(M.c, p))
-    assumptions = [f"{G} p-regular at {p}"]
-    if G.family == "SU" and G.n in (2, 3):
-        exponent += 1
-        assumptions.append("low-rank SU adjustment (+1)")
-    return ExponentBound(p, exponent, "regular", tuple(assumptions))
+    return ExponentBound(p, *_routes(M, G, p, True, False)[0])
 
 
 def exp_bound_theriault(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
@@ -89,15 +114,7 @@ def exp_bound_theriault(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBou
     >>> exp_bound_theriault(M, LieGroupSpec("E8"), 31).exponent
     30
     """
-    require_not_divisible_by_6(M.c)
-    if not in_theriault_range(G, p):
-        raise HypothesisError(f"({G}, p = {p}) outside the loop-filtration range")
-    r = r_of(G, p)
-    nu_ord = nu_p(ord_partial1_tilde(G, p), p)
-    exponent = r + nu_ord + max(r + l_of(G), nu_p(M.c, p))
-    return ExponentBound(
-        p, exponent, "theriault", (f"({G}, p = {p}) in the loop-filtration range",)
-    )
+    return ExponentBound(p, *_routes(M, G, p, False, True)[0])
 
 
 def _require_c_positive(c: int) -> None:
@@ -147,20 +164,10 @@ def exp_moore_fiber(c: int, p: int) -> ExponentBound:
 
 
 def best_bound(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
-    """Minimum over the applicable regular/theriault routes; the losing
-    route (when both apply) is kept in alternatives."""
-    candidates: list[ExponentBound] = []
-    errors: list[str] = []
-    for route in (exp_bound_regular, exp_bound_theriault):
-        try:
-            candidates.append(route(M, G, p))
-        except HypothesisError as exc:
-            if str(exc) not in errors:
-                errors.append(str(exc))
-    if not candidates:
-        raise HypothesisError("; ".join(errors))
-    candidates.sort(key=lambda b: b.exponent)
-    return candidates[0].replace(alternatives=tuple(candidates[1:]))
+    """Minimum over the applicable regular/theriault routes (regular on a
+    tie); the losing route (when both apply) is kept in alternatives."""
+    found = sorted(_routes(M, G, p, True, True), key=lambda bound: bound[0])
+    return ExponentBound(p, *found[0], tuple(ExponentBound(p, *bound) for bound in found[1:]))
 
 
 # -- the exceptional-group table ----------------------------------------------

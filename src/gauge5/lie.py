@@ -209,8 +209,12 @@ def in_theriault_range(G: LieGroupSpec, p: int) -> bool:
     False
     """
     _require_odd_prime(p)
+    return _in_range(*_family_key(G), p)
+
+
+def _in_range(key: str, n: int | None, p: int) -> bool:
+    """in_theriault_range for G's family key and parameter, at an odd prime p."""
     bound = (p - 1) * (p - 2)
-    key, n = _family_key(G)
     if key == "SU":
         return n - 1 <= bound
     if key == "SpinEven":
@@ -462,6 +466,11 @@ def ord_partial1_tilde(G: LieGroupSpec, p: int | None = None) -> int:
     rows, n = _rows_for(G)
     if p is not None and not is_prime(p):
         raise ValueError(f"expected a prime or None, got {p}")
+    return _ord_in(G, rows, n, p)
+
+
+def _ord_in(G: LieGroupSpec, rows: tuple[CatalogRow, ...], n: int | None, p: int | None) -> int:
+    """ord_partial1_tilde read from G's rows (_rows_for), for a checked p."""
     for row in rows:
         if row._holds_at(p, n):
             return row.ord_value(n)
@@ -480,6 +489,7 @@ def catalog_order(G: LieGroupSpec) -> tuple[int, str]:
     row = rows[0]
     return row.ord_value(n), row.prime_cond
 
+
 def r_of(G: LieGroupSpec, p: int) -> int:
     """Loop-power offset r(G, p) for the exponent bound.
 
@@ -492,7 +502,11 @@ def r_of(G: LieGroupSpec, p: int) -> int:
     """
     if not in_theriault_range(G, p):
         raise CatalogError(f"({G}, p={p}) outside the loop-filtration range")
-    rows, n = _rows_for(G)
+    return _r_in(G, *_rows_for(G), p)
+
+
+def _r_in(G: LieGroupSpec, rows: tuple[CatalogRow, ...], n: int | None, p: int) -> int:
+    """r_of read from G's rows (_rows_for), for (G, p) in the range."""
     if G.family in EXCEPTIONAL:
         for row in rows:
             if row._holds_at(p, n):

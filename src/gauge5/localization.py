@@ -46,7 +46,7 @@ class Localization(Value):
 
     @staticmethod
     def integral() -> "Localization":
-        return Localization("integral")
+        return _INTEGRAL  # one shared instance: contexts are immutable
 
     @staticmethod
     def at_prime(p: int) -> "Localization":
@@ -64,7 +64,7 @@ class Localization(Value):
 
     @staticmethod
     def rational() -> "Localization":
-        return Localization("rational")
+        return _RATIONAL  # one shared instance, as for integral()
 
     @property
     def inverted_primes(self) -> frozenset[int]:
@@ -112,3 +112,6 @@ class Localization(Value):
 
     def __str__(self) -> str:
         return self.describe()
+
+
+_INTEGRAL, _RATIONAL = Localization("integral"), Localization("rational")

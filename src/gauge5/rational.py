@@ -174,9 +174,6 @@ class RationalGroupModel(Value):
                 f" polynomial generators {list(self.polynomial_degrees)} present"
             )
 
-    def generator_count(self) -> int:
-        return len(self.exterior_degrees) + len(self.polynomial_degrees)
-
     def __str__(self) -> str:
         return _free_algebra(self.exterior_degrees, self.polynomial_degrees)
 
@@ -199,9 +196,6 @@ class GeneratorLedger(Value):
             if kind == "polynomial" and degree % 2:
                 raise ValueError(f"polynomial generators have even degree, got {degree}")
         self.__dict__.update(generators=tuple(sorted(generators)))
-
-    def count_in_degree(self, d: int) -> int:
-        return sum(1 for degree, _ in self.generators if degree == d)
 
     def __str__(self) -> str:
         return _free_algebra(

@@ -27,3 +27,11 @@ def parse(line: str) -> tuple[str, dict[str, str]]:
         return tag, dict(item.split("=", 1) for item in items)
     except ValueError:
         raise ValueError(f"record item without '=' in {line!r}") from None
+
+
+def integer(value: str, key: str, line: str) -> int:
+    """A field's value as an integer; a malformed number is refused by field and line."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"field {key!r} needs an integer, got {value!r}: {line!r}") from None

@@ -110,12 +110,17 @@ class SpaceAtom(Value):
         return f"K(Q,{self.n})"
 
 
+# G and Omega^j G for the loop degrees the theorems read: immutable, so shared
+_LOOPS = {0: SpaceAtom("group"), **{j: SpaceAtom("loops_g", j=j) for j in range(1, 9)}}
+
+
 def group_itself() -> SpaceAtom:
-    return SpaceAtom("group")
+    return _LOOPS[0]
 
 
 def loops_g(j: int) -> SpaceAtom:
-    return SpaceAtom("loops_g", j=j) if j else group_itself()  # Omega^0 G is G
+    """Omega^j G (Omega^0 G is G), shared for j <= 8 and built for a larger j."""
+    return _LOOPS.get(j) or SpaceAtom("loops_g", j=j)
 
 
 def loop_fiber(j: int) -> SpaceAtom:
@@ -140,9 +145,6 @@ def sphere_factor(n: int) -> SpaceAtom:
 
 def em_factor(n: int) -> SpaceAtom:
     return SpaceAtom("em", n=n)
-
-
-_INTEGRAL = Localization.integral()
 
 
 def group_degrees(group) -> tuple[int, ...]:
@@ -172,7 +174,7 @@ class SpaceExpr(Value):
     def __init__(
         self,
         atoms: tuple[tuple[SpaceAtom, int], ...],
-        localization: Localization = _INTEGRAL,
+        localization: Localization = Localization.integral(),
         group: object | None = None,
         c: int | None = None,
     ) -> None:
@@ -193,19 +195,13 @@ class SpaceExpr(Value):
     def of(atoms, localization=None, group=None, c=None) -> "SpaceExpr":
         """Build from an iterable of atoms or (atom, multiplicity) pairs."""
         pairs = tuple((item, 1) if isinstance(item, SpaceAtom) else item for item in atoms)
-        return SpaceExpr(pairs, localization or _INTEGRAL, group, c)
-
-    def is_empty(self) -> bool:
-        return not self.atoms
+        return SpaceExpr(pairs, localization or Localization.integral(), group, c)
 
     def multiplicity(self, atom: SpaceAtom) -> int:
         for a, m in self.atoms:
             if a == atom:
                 return m
         return 0
-
-    def total_factors(self) -> int:
-        return sum(m for _, m in self.atoms)
 
     # -- normalization -----------------------------------------------------
 
@@ -319,13 +315,13 @@ def _machine_localization(ctx: Localization) -> str:
     return "away:" + ",".join(str(p) for p in sorted(ctx.inverted_set))
 
 
-def _parse_localization(text: str) -> Localization:
+def _parse_localization(text: str, line: str) -> Localization:
     if text in ("integral", "rational"):
         return Localization(text)
     if text.startswith("at:"):
-        return Localization.at_prime(int(text[3:]))
+        return Localization.at_prime(records.integer(text[3:], "localization", line))
     if text.startswith("away:"):
-        primes = frozenset(map(int, text[5:].split(",")))
+        primes = frozenset(records.integer(p, "localization", line) for p in text[5:].split(","))
         for p in primes:  # the constructor trusts its set to hold primes; outside text may not
             if not is_prime(p):
                 raise ValueError(f"field 'localization' inverts only primes, got {p}: {text!r}")
@@ -375,20 +371,21 @@ def parse_machine(text: str) -> SpaceExpr:
                 raise ValueError(f"machine record lacks field {key!r}: {line!r}")
             return fields[key]
 
+        def number(key: str, absent: bool = False) -> int | None:  # '-' is None if absent
+            value = get(key)
+            return None if absent and value == "-" else records.integer(value, key, line)
+
         if tag == "expr":
             header = dict(
-                localization=_parse_localization(get("localization")),
+                localization=_parse_localization(get("localization"), line),
                 group=_parse_group(get("group")),
-                c=None if get("c") == "-" else int(get("c")),
+                c=number("c", absent=True),
             )
         elif tag == "atom":
             atom = SpaceAtom(
-                get("kind"),
-                j=int(get("j")),
-                k=None if get("k") == "-" else int(get("k")),
-                n=None if get("n") == "-" else int(get("n")),
+                get("kind"), j=number("j"), k=number("k", absent=True), n=number("n", absent=True)
             )
-            pairs.append((atom, int(get("mult"))))
+            pairs.append((atom, number("mult")))
         else:
             raise ValueError(f"bad machine record {line!r}")
     if header is None:

@@ -7,6 +7,8 @@ import pytest
 
 import gauge5
 from gauge5 import (
+    CatalogError,
+    ExponentBound,
     HypothesisError,
     LieGroupSpec,
     ManifoldSpec,
@@ -19,10 +21,12 @@ from gauge5 import (
     in_theriault_range,
     is_p_regular,
     nu_p,
+    ord_partial1_tilde,
     r_of,
 )
 from gauge5.arith import is_prime
 from gauge5.lie import EXCEPTIONAL, l_of, prime_cond_interval
+from gauge5.manifold import require_not_divisible_by_6
 
 CATALOG = Path(gauge5.__file__).resolve().parent / "data" / "catalog.txt"
 
@@ -263,3 +267,100 @@ def test_catalog_comments_restate_the_theriault_exponent():
             assert got == max(A, v + B), (line, v)
         with_offset += r > 0
     assert with_offset == 18
+
+
+# -- the one reading against the composition it replaced ----------------------
+#
+# The regular and theriault routes and best_bound share one reading of
+# (G, p, c). The oracle below is the earlier composition, written from the
+# public lookups: each route checks its own hypotheses and makes its own
+# catalog reads, and best_bound takes the minimum of the two routes, keeps the
+# loser in `alternatives` and joins the deduplicated refusal texts with "; ".
+
+
+def _old_regular(M, G, p):
+    require_not_divisible_by_6(M.c)
+    if not is_p_regular(G, p):
+        raise HypothesisError(f"{G} is not p-regular at p = {p}; try the theriault route")
+    exponent = nu_p(ord_partial1_tilde(G, p), p) + max(l_of(G), nu_p(M.c, p))
+    assumptions = [f"{G} p-regular at {p}"]
+    if G.family == "SU" and G.n in (2, 3):
+        exponent += 1
+        assumptions.append("low-rank SU adjustment (+1)")
+    return ExponentBound(p, exponent, "regular", tuple(assumptions))
+
+
+def _old_theriault(M, G, p):
+    require_not_divisible_by_6(M.c)
+    if not in_theriault_range(G, p):
+        raise HypothesisError(f"({G}, p = {p}) outside the loop-filtration range")
+    r = r_of(G, p)
+    exponent = r + nu_p(ord_partial1_tilde(G, p), p) + max(r + l_of(G), nu_p(M.c, p))
+    assumptions = (f"({G}, p = {p}) in the loop-filtration range",)
+    return ExponentBound(p, exponent, "theriault", assumptions)
+
+
+def _old_best(M, G, p):
+    candidates, errors = [], []
+    for route in (_old_regular, _old_theriault):
+        try:
+            candidates.append(route(M, G, p))
+        except HypothesisError as exc:
+            if str(exc) not in errors:
+                errors.append(str(exc))
+    if not candidates:
+        raise HypothesisError("; ".join(errors))
+    candidates.sort(key=lambda b: b.exponent)
+    return candidates[0].replace(alternatives=tuple(candidates[1:]))
+
+
+def _outcome(route, M, G, p):
+    """The bound's fields (alternatives included), or the refusal's type and text."""
+    try:
+        b = route(M, G, p)
+    except (HypothesisError, ValueError, CatalogError) as exc:
+        return type(exc), str(exc)
+    return b.p, b.exponent, b.route, b.assumptions, b.alternatives
+
+
+_GRID_GROUPS = (
+    [SU(n) for n in (2, 3, 4, 5, 7, 13, 14, 40)]
+    + [Sp(n) for n in (1, 2, 3, 6, 11)]
+    + [Spin(n) for n in (5, 6, 7, 8, 9, 12, 13, 41)]
+    + [LieGroupSpec(f) for f in EXCEPTIONAL]
+)
+_GRID_PRIMES = (1, 2, 4, 9) + tuple(p for p in range(3, 44) if is_prime(p))
+# multiples of 6, prime powers and a semiprime of two ~10^6 primes
+_GRID_C = (2, 4, 5, 6, 12, 25, 49, 3**7, 11**3 * 13, 1000003 * 1000033)
+
+
+@pytest.mark.parametrize("G", _GRID_GROUPS, ids=str)
+def test_routes_answer_and_refuse_as_the_old_composition(G):
+    for p in _GRID_PRIMES:
+        for c in _GRID_C:
+            M = ManifoldSpec(c, 2)
+            for new, old in (
+                (exp_bound_regular, _old_regular),
+                (exp_bound_theriault, _old_theriault),
+                (best_bound, _old_best),
+            ):
+                assert _outcome(new, M, G, p) == _outcome(old, M, G, p), (new.__name__, p, c)
+
+
+def test_best_bound_refuses_the_regular_ord_lookup_first(tmp_path, monkeypatch):
+    # E8 at 31 is regular and in range, but this catalog has no E8 row at 31:
+    # the regular route's ord lookup refuses before the theriault route's r
+    # lookup would, as when best_bound tried the two public routes in turn
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("SU 4 p=7 60 0\nE8 - p=7 45398353 2\n", encoding="utf-8")
+    monkeypatch.setenv("GAUGE_CATALOG", str(catalog))
+    M, E8 = ManifoldSpec(5, 2), LieGroupSpec("E8")
+    assert _outcome(best_bound, M, E8, 31) == (CatalogError, "order unknown for (E8, p=31)")
+    assert _outcome(exp_bound_theriault, M, E8, 31) == (CatalogError, "no r value for (E8, p=31)")
+    for G, p in ((E8, 31), (E8, 7), (SU(4), 5), (SU(4), 7), (SU(6), 5)):
+        for route, old in (
+            (exp_bound_regular, _old_regular),
+            (exp_bound_theriault, _old_theriault),
+            (best_bound, _old_best),
+        ):
+            assert _outcome(route, M, G, p) == _outcome(old, M, G, p), (route.__name__, G, p)

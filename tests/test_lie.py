@@ -26,7 +26,7 @@ from gauge5 import (
 from gauge5.arith import is_prime
 from gauge5.classification import trivial_case
 from gauge5.errors import HypothesisError
-from gauge5.exponents import exceptional_table, exp_bound_closed_form
+from gauge5.exponents import best_bound, exceptional_table, exp_bound_closed_form
 from gauge5.lie import (
     EXCEPTIONAL,
     _exceptional_catalog,
@@ -36,7 +36,7 @@ from gauge5.lie import (
     prime_cond_holds,
     prime_cond_interval,
 )
-from gauge5.manifold import require_pi4_trivial
+from gauge5.manifold import ManifoldSpec, require_pi4_trivial
 
 SU = lambda n: LieGroupSpec("SU", n)
 Sp = lambda n: LieGroupSpec("Sp", n)
@@ -428,6 +428,8 @@ def test_each_lookup_loads_the_catalog_once(monkeypatch):
     r_of(SU(7), 5)
     exceptional_table()  # one read for the whole table
     assert len(calls) == 4
+    best_bound(ManifoldSpec(5, 2), SU(4), 5)  # both routes apply, from one read
+    assert len(calls) == 5
 
 
 def test_loop_offsets_for_classical_families():

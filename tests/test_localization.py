@@ -11,6 +11,13 @@ from gauge5.spaces import SpaceExpr, parse_machine
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 97, 997, 1000003)
 
+
+def test_integral_and_rational_are_one_shared_instance_each():
+    assert Localization.integral() is Localization.integral()
+    assert Localization.rational() is Localization.rational()
+    assert Localization.integral() == Localization("integral")
+    assert Localization.rational() == Localization("rational")
+
 contexts = st.one_of(
     st.just(Localization.integral()),
     st.just(Localization.rational()),

@@ -107,6 +107,34 @@ def test_readers_refuse_a_base_that_is_not_prime(read, line, field):
         read(line)
 
 
+_EXPR = "expr localization=integral group=- c=5"
+
+
+@pytest.mark.parametrize(
+    "read, text, field",
+    [
+        (abelian.parse_machine, "group free=0 torsion=2", "torsion"),
+        (abelian.parse_machine, "group free=0 torsion=2^1^3", "torsion"),
+        (abelian.parse_machine, "group free=0 torsion=2^x", "torsion"),
+        (abelian.parse_machine, "group free=0 torsion=^1", "torsion"),
+        (abelian.parse_machine, "group free=x torsion=2^1", "free"),
+        (spaces.parse_machine, "expr localization=away: group=- c=-", "localization"),
+        (spaces.parse_machine, "expr localization=away:2, group=- c=-", "localization"),
+        (spaces.parse_machine, "expr localization=at:x group=- c=-", "localization"),
+        (spaces.parse_machine, "expr localization=integral group=- c=five", "c"),
+        (spaces.parse_machine, f"{_EXPR}\natom kind=loops_g j=x k=- n=- mult=1", "j"),
+        (spaces.parse_machine, f"{_EXPR}\natom kind=loops_g j=- k=- n=- mult=1", "j"),
+        (spaces.parse_machine, f"{_EXPR}\natom kind=moore_gauge j=2 k=y n=- mult=1", "k"),
+        (spaces.parse_machine, f"{_EXPR}\natom kind=sphere j=0 k=- n=3.0 mult=1", "n"),
+        (spaces.parse_machine, f"{_EXPR}\natom kind=loops_g j=2 k=- n=- mult=-", "mult"),
+    ],
+)
+def test_readers_refuse_a_malformed_number_by_field_and_line(read, text, field):
+    line = text.splitlines()[-1]
+    with pytest.raises(ValueError, match=f"^field '{field}' needs .*: {re.escape(repr(line))}$"):
+        read(text)
+
+
 # -- every verb form, both formats ---------------------------------------------
 
 SU4, SP3 = LieGroupSpec("SU", 4), LieGroupSpec("Sp", 3)

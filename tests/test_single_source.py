@@ -8,8 +8,9 @@ groups have pi_4 = Z/2 (SU(2), every Sp(n), Spin(5)) is stated only by
 lie._pi4_is_z2, which pi4 and pi4_is_trivial both call. "r is at least the
 stable family's least r" is checked only by lie._stable_family, which
 stable_pi, stability_threshold and StableQuery call. GcdClass has one
-construction path, its __init__. The scans below fail if a later change
-re-derives any of these facts somewhere else.
+construction path, its __init__. Only spaces._LOOPS holds prebuilt G and
+Omega^j G atoms, which loops_g and group_itself return. The scans below fail
+if a later change re-derives any of these facts somewhere else.
 """
 
 import ast
@@ -116,3 +117,25 @@ def test_gcd_class_is_built_only_through_its_constructor():
         ast.unparse(node) for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "__new__"
     ]
+
+
+def _builds_loop_atom(node) -> bool:
+    # loops_g(j), group_itself(), SpaceAtom("loops_g", ...) or SpaceAtom("group")
+    if not isinstance(node, ast.Call):
+        return False
+    func = ast.unparse(node.func)
+    if func in ("loops_g", "group_itself"):
+        return True
+    return func == "SpaceAtom" and bool(node.args) and ast.unparse(node.args[0]) in (
+        "'loops_g'", "'group'"
+    )
+
+
+def test_only_spaces_holds_a_table_of_loop_atoms():
+    # a module-level value that builds G or Omega^j G atoms is a table of them
+    tables = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.Assign) and any(map(_builds_loop_atom, ast.walk(stmt.value))):
+                tables.add((path.name, ast.unparse(stmt.targets[0])))
+    assert tables == {("spaces.py", "_LOOPS")}

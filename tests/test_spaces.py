@@ -80,7 +80,7 @@ def test_atoms_merge_and_sort_on_construction():
     e = SpaceExpr.of([loops_g(5), loops_g(4), loops_g(5), group_itself()], c=5)
     assert e.atoms == ((group_itself(), 1), (loops_g(4), 1), (loops_g(5), 2))
     assert e.multiplicity(loops_g(5)) == 2
-    assert e.total_factors() == 4
+    assert sum(m for _, m in e.atoms) == 4
 
 
 def test_normalize_moore_mapping_space_becomes_power_map_fiber():
@@ -92,9 +92,9 @@ def test_normalize_moore_mapping_space_becomes_power_map_fiber():
 
 def test_normalize_drops_power_map_fiber_away_from_c():
     e = SpaceExpr.of([loop_fiber(3)], localization=Localization.away_from([5]), c=5)
-    assert e.normalize().is_empty()
+    assert not e.normalize().atoms
     kept = SpaceExpr.of([loop_fiber(3)], localization=Localization.away_from([2]), c=5)
-    assert not kept.normalize().is_empty()
+    assert kept.normalize().atoms
 
 
 def test_normalize_collapses_moore_gauge_away_from_c():
@@ -259,6 +259,19 @@ def test_atom_refuses_fields_its_kind_never_reads(kind, fields, named):
     text += f" n={fields.get('n', '-')} k={fields.get('k', '-')} mult=1"
     with pytest.raises(ValueError, match=rf"^{kind} atom "):
         parse_machine(text)
+
+
+def test_loop_atoms_inside_the_table_are_shared():
+    for j in range(9):
+        assert loops_g(j) is loops_g(j)
+    assert group_itself() is group_itself() is loops_g(0)
+
+
+@pytest.mark.parametrize("j", range(13))
+def test_loop_atoms_equal_a_fresh_atom_past_the_table(j):
+    fresh = SpaceAtom("loops_g", j=j) if j else SpaceAtom("group")
+    assert loops_g(j) == fresh
+    assert hash(loops_g(j)) == hash(fresh)
 
 
 def test_omega_zero_is_the_group_atom():

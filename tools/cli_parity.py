@@ -7,7 +7,9 @@ interpreters: one imports OTHER_ROOT/src and the other this checkout's src.
 The list holds every `$ gauge5` line of README.md and tests/cli_golden.txt,
 `--help` for the top level and each verb, and each query of the
 `cli_launch` benchmark stream (`bench/workloads.py::cli_block`, seeds 1-5,
-30 blocks each) in both output formats. For each argv the exit code, stdout
+30 blocks each) in both output formats, and an `exponent` sweep: every
+`--route` over a fixed grid of groups, p and c (p = 2 and non-primes, and c
+with 6 | c, included), in both formats. For each argv the exit code, stdout
 and stderr must agree. Prints the count compared, and on a difference the
 first differing argv with both outputs; exits 1 on any difference.
 
@@ -18,6 +20,7 @@ draw the benchmark queries and writes nothing there.
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import random
 import shlex
@@ -29,6 +32,13 @@ ROOT = Path(__file__).resolve().parents[1]
 PROMPT = "$ gauge5 "
 SEEDS = range(1, 6)
 BLOCKS = 30
+EXPONENT_GROUPS = (
+    "SU:2", "SU:3", "SU:4", "SU:7", "SU:14", "Sp:1", "Sp:2", "Sp:5", "Spin:5", "Spin:7",
+    "Spin:8", "Spin:12", "G2", "F4", "E6", "E7", "E8",
+)
+EXPONENT_P = (2, 3, 4, 5, 7, 11, 13, 17, 29, 31, 37)
+EXPONENT_C = (1, 2, 5, 6, 9, 12, 25, 49, 343, 1000003 * 1000033)
+EXPONENT_ROUTES = ("regular", "theriault", "closed", "moore-fiber", "best")
 
 
 def _argv_list() -> list[list[str]]:
@@ -50,6 +60,11 @@ def _argv_list() -> list[list[str]]:
             for query in cli_block(rng, i):
                 for fmt in ("text", "machine"):
                     argvs.append(dataclasses.replace(query, fmt=fmt).argv())
+    for group, p, c, route, fmt in itertools.product(
+        EXPONENT_GROUPS, EXPONENT_P, EXPONENT_C, EXPONENT_ROUTES, ("text", "machine")
+    ):
+        argvs.append(["exponent", "--group", group, "--p", str(p), "--c", str(c), "--m", "2",
+                      "--route", route, "--format", fmt])
     unique = dict.fromkeys(tuple(argv) for argv in argvs)  # first occurrence, in order
     return [list(argv) for argv in unique]
 
