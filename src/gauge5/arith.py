@@ -100,7 +100,7 @@ class PrimePower(Value):
     e: int
 
     def __init__(self, p: int, e: int) -> None:
-        self.__dict__.update(p=p, e=e)
+        self.__dict__.update(p=p, e=e, _key=(p, -e))  # not a field: a group's sort key
 
     def value(self) -> int:
         return self.p**self.e

@@ -12,9 +12,11 @@ for non-spin M) and the localization decides which of them normalize()
 splits. That is Bott periodicity for the gauge group, and it lets bott_rows
 compute the localization and the multiset once per table. Bott periodicity
 of the family folds normalize()'s (shift, multiplicity) pairs into a count
-per residue of the period (2 for SU, 8 for Spin), so each row is one group
-summed over at most 8 residue classes. The fold's cost does not grow with
-m; a row whose group has about m summands costs what its output costs.
+per residue of the period (2 for SU, 8 for Spin), keeping only the residues
+the shifts hit: at most 4, as the shifts are 0, 2, 3 and 5 in both forms.
+Each Bott group is localized once, when a row first reads it, so a row is
+one group summed over at most 4 residue classes. The fold's cost does not
+grow with m: a row of about m summands costs what its output costs.
 c is read only through its parity, since every stable answer's torsion is
 2-primary (see StableQuery.localization): c is never factored, and every
 c >= 2 answers.
@@ -89,21 +91,24 @@ def _shifted_sums(groups, shifts, ctx: Localization, rs) -> list[FGAbelianGroup]
     range(n)]).localize(ctx) for r in rs], each built as one group. groups
     are the family's Bott groups by residue of r: the shifts s = i mod their
     period each contribute groups[(r + i) % period], so the (shift,
-    multiplicity) pairs are folded into a count per residue once, and a row
-    reads at most 8 Bott groups however many shifts M has."""
+    multiplicity) pairs are folded into a count per residue hit once, and
+    each Bott group a row reads is localized once, on its first read."""
     period = len(groups)
-    counts = [0] * period
+    counts: dict[int, int] = {}
     for s, n in shifts:
-        counts[s % period] += n
-    local = [(g.free_rank, [f for f in g.torsion if not ctx.inverts(f.p)]) for g in groups]
+        counts[s % period] = counts.get(s % period, 0) + n
+    local: dict[int, tuple] = {}  # residue of r + s -> (free rank, kept torsion)
     sums = []
     for r in rs:
         rank, torsion = 0, []
-        for i, n in enumerate(counts):
-            if n:
-                free, kept = local[(r + i) % period]
-                rank += n * free
-                torsion += kept * n
+        for i, n in counts.items():
+            g = (r + i) % period
+            if g not in local:
+                group = groups[g]
+                local[g] = group.free_rank, [f for f in group.torsion if not ctx.inverts(f.p)]
+            free, kept = local[g]
+            rank += n * free
+            torsion += kept * n
         sums.append(FGAbelianGroup(rank, tuple(torsion)))
     return sums
 

@@ -19,17 +19,8 @@ and best_bound (the better of the two) each make one catalog lookup.
 from .arith import nu_p
 from .errors import HypothesisError
 from .lie import (
-    EXCEPTIONAL,
-    LieGroupSpec,
-    _exceptional_catalog,
-    _family_key,
-    _in_range,
-    _ord_in,
-    _r_in,
-    _require_odd_prime,
-    _rows_for,
-    is_p_regular,
-    l_of,
+    EXCEPTIONAL, LieGroupSpec, _exceptional_catalog, _family_key, _in_range, _ord_at, _r_at,
+    _require_odd_prime, _row_at, _rows_for, is_p_regular, l_of,
 )
 from .manifold import ManifoldSpec, require_not_divisible_by_6
 from .value import Value
@@ -63,8 +54,8 @@ class ExponentBound(Value):
 def _routes(M: ManifoldSpec, G: LieGroupSpec, p: int, regular: bool, theriault: bool) -> list:
     """(exponent, route, assumptions) of each asked route that applies, regular
     first: the one reading of (G, p, c) behind every route. 6 ∤ c and the odd
-    prime p are checked once, G's catalog rows resolved once, and l(G), nu_p(c)
-    and nu_p(ord) read once for the formulas; if no asked route applies, one
+    prime p are checked once, G's catalog rows resolved and scanned once, and
+    l(G), nu_p(c), nu_p(ord) read once; if no asked route applies, one
     HypothesisError joins their refusals."""
     require_not_divisible_by_6(M.c)
     is_regular = is_p_regular(G, p)  # the one check that p is an odd prime
@@ -77,17 +68,18 @@ def _routes(M: ManifoldSpec, G: LieGroupSpec, p: int, regular: bool, theriault: 
     if len(refusals) == regular + theriault:
         raise HypothesisError("; ".join(refusals))
     rows, n = _rows_for(G)
+    row = _row_at(rows, n, p)  # one scan: the ord cell, and an exceptional G's r cell
     l, nu_c, nu_ord, found = l_of(G), nu_p(M.c, p), None, []
     if regular and is_regular:  # its ord lookup refuses before the r lookup below
-        nu_ord = nu_p(_ord_in(G, rows, n, p), p)
+        nu_ord = nu_p(_ord_at(G, row, n, p), p)
         exponent, assumptions = nu_ord + max(l, nu_c), (f"{G} p-regular at {p}",)
         if G.family == "SU" and G.n in (2, 3):
             exponent += 1
             assumptions += ("low-rank SU adjustment (+1)",)
         found.append((exponent, "regular", assumptions))
     if theriault and in_range:
-        r = _r_in(G, rows, n, p)
-        nu_ord = nu_p(_ord_in(G, rows, n, p), p) if nu_ord is None else nu_ord
+        r = _r_at(G, rows, row, n, p)
+        nu_ord = nu_p(_ord_at(G, row, n, p), p) if nu_ord is None else nu_ord
         assumptions = (f"({G}, p = {p}) in the loop-filtration range",)
         found.append((r + nu_ord + max(r + l, nu_c), "theriault", assumptions))
     return found
@@ -172,6 +164,9 @@ def best_bound(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
 
 # -- the exceptional-group table ----------------------------------------------
 
+# l(G) per exceptional family, read through l_of once, at import (the catalog holds ord and r)
+_EXCEPTIONAL_L = {family: l_of(LieGroupSpec(family)) for family in EXCEPTIONAL}
+
 
 class ExponentTableRow(Value):
     family: str
@@ -199,7 +194,7 @@ def exceptional_table() -> list[ExponentTableRow]:
     """
     rows = []
     for family, catalog_rows in _exceptional_catalog():
-        l = l_of(LieGroupSpec(family))
+        l = _EXCEPTIONAL_L[family]
         for row in catalog_rows:
             r = row.r_int
             offset = r + nu_p(row.ord_int, row.interval[0])

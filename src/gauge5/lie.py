@@ -466,15 +466,22 @@ def ord_partial1_tilde(G: LieGroupSpec, p: int | None = None) -> int:
     rows, n = _rows_for(G)
     if p is not None and not is_prime(p):
         raise ValueError(f"expected a prime or None, got {p}")
-    return _ord_in(G, rows, n, p)
+    return _ord_at(G, _row_at(rows, n, p), n, p)
 
 
-def _ord_in(G: LieGroupSpec, rows: tuple[CatalogRow, ...], n: int | None, p: int | None) -> int:
-    """ord_partial1_tilde read from G's rows (_rows_for), for a checked p."""
+def _row_at(rows: tuple[CatalogRow, ...], n: int | None, p: int | None) -> CatalogRow | None:
+    """The first of G's rows (_rows_for) holding at p, or None: one scan finds both cells."""
     for row in rows:
         if row._holds_at(p, n):
-            return row.ord_value(n)
-    raise CatalogError(f"order unknown for ({G}, {'integral' if p is None else f'p={p}'})")
+            return row
+    return None
+
+
+def _ord_at(G: LieGroupSpec, row: CatalogRow | None, n: int | None, p: int | None) -> int:
+    """ord_partial1_tilde from G's row at a checked p (_row_at)."""
+    if row is None:
+        raise CatalogError(f"order unknown for ({G}, {'integral' if p is None else f'p={p}'})")
+    return row.ord_value(n)
 
 
 def catalog_order(G: LieGroupSpec) -> tuple[int, str]:
@@ -502,16 +509,16 @@ def r_of(G: LieGroupSpec, p: int) -> int:
     """
     if not in_theriault_range(G, p):
         raise CatalogError(f"({G}, p={p}) outside the loop-filtration range")
-    return _r_in(G, *_rows_for(G), p)
+    rows, n = _rows_for(G)
+    return _r_at(G, rows, _row_at(rows, n, p), n, p)
 
 
-def _r_in(G: LieGroupSpec, rows: tuple[CatalogRow, ...], n: int | None, p: int) -> int:
-    """r_of read from G's rows (_rows_for), for (G, p) in the range."""
+def _r_at(G: LieGroupSpec, rows: tuple, row: CatalogRow | None, n: int | None, p: int) -> int:
+    """r_of from G's rows (_rows_for) and, for an exceptional G, its row at p (_row_at)."""
     if G.family in EXCEPTIONAL:
-        for row in rows:
-            if row._holds_at(p, n):
-                return row.r_value(n, p)
-        raise CatalogError(f"no r value for ({G}, p={p})")
+        if row is None:
+            raise CatalogError(f"no r value for ({G}, p={p})")
+        return row.r_value(n, p)
     if not rows:
         raise CatalogError(f"no catalog row for {G}")
     return rows[0].r_value(n, p)

@@ -45,6 +45,10 @@ _KIND_ORDER = {
 }
 
 
+def _by_atom(pair: tuple) -> tuple:  # sort key of an (atom, multiplicity) pair
+    return pair[0]._key
+
+
 def _sup(j: int) -> str:
     return str(j).translate(_SUP)
 
@@ -188,7 +192,7 @@ class SpaceExpr(Value):
                 atom = moore_gauge(atom.j, atom.k % c)  # G_k depends on k mod c only
             if mult:
                 merged[atom] = merged.get(atom, 0) + mult
-        canon = tuple(sorted(merged.items(), key=lambda am: am[0]._key))
+        canon = tuple(sorted(merged.items(), key=_by_atom) if len(merged) > 1 else merged.items())
         self.__dict__.update(atoms=canon, localization=localization, group=group, c=c)
 
     @staticmethod
@@ -206,43 +210,40 @@ class SpaceExpr(Value):
     # -- normalization -----------------------------------------------------
 
     def normalize(self) -> "SpaceExpr":
-        """Canonical form; idempotent, and the result does not depend on the
-        order the rules fire (rewrites happen before drops, so a rule never
-        sees an atom another rule has yet to produce)."""
+        """Canonical form, in one pass; idempotent. Each atom is rewritten and
+        its products then meet the drop rules, so no rule sees an atom another
+        has yet to produce and the order the rules fire does not matter. When
+        no rule fires, the expression itself comes back."""
         ctx = self.localization
         away_c = self.c is not None and ctx.inverts_all_of(self.c)
-        rewritten: list[tuple[SpaceAtom, int]] = []
-        for atom, mult in self.atoms:
-            # mapping space out of a Moore space is a looped power-map fiber
-            if atom.kind == "moore_map":
-                atom = loop_fiber(atom.j + atom.n - 1)
-            if away_c and atom.kind == "loop_fiber":
-                continue  # fiber of a now-invertible power map
-            if away_c and atom.kind == "moore_gauge":
-                # the Moore space is contractible once c is inverted, so its
-                # gauge group collapses to the group itself
-                atom = loops_g(atom.j)
-            if atom.kind == "map_cp2" and ctx.inverts(2):
-                # the suspended CP^2 splits into two spheres away from 2
-                rewritten.append((loops_g(atom.j + 2), mult))
-                rewritten.append((loops_g(atom.j + 4), mult))
-                continue
-            rewritten.append((atom, mult))
-        out: list[tuple[SpaceAtom, int]] = []
         drops_looped = ctx.kind == "rational" and self.group is not None
         top = None  # the group's top rational degree, read once, by the first looped atom
-        for atom, mult in rewritten:
-            if atom.kind in ("sphere", "em") and atom.n <= 1:
-                continue  # a point in the simply connected rational model
-            if drops_looped and atom.kind in ("loops_g", "moore_gauge"):
-                if top is None and isinstance(self.group, LieGroupSpec):
-                    top = 2 * l_of(self.group) + 1  # without building the type of G
-                elif top is None:
-                    top = max(group_degrees(self.group), default=0)
-                if atom.j >= top:
-                    continue  # looped beyond the top rational degree
-            out.append((atom, mult))
-        return SpaceExpr(tuple(out), self.localization, self.group, self.c)
+        changed, out = False, []
+        for atom, mult in self.atoms:
+            new = atom
+            if new.kind == "moore_map":  # a map out of a Moore space is a looped power-map fiber
+                new = loop_fiber(new.j + new.n - 1)
+            if away_c and new.kind == "loop_fiber":
+                changed = True  # the fiber of a now-invertible power map
+                continue
+            if away_c and new.kind == "moore_gauge":  # over a contractible Moore space: G itself
+                new = loops_g(new.j)
+            split = new.kind == "map_cp2" and ctx.inverts(2)  # the suspended CP^2 splits away from 2
+            changed = changed or split or new is not atom
+            for new in (loops_g(new.j + 2), loops_g(new.j + 4)) if split else (new,):
+                if new.kind in ("sphere", "em") and new.n <= 1:
+                    changed = True  # a point in the simply connected rational model
+                    continue
+                if drops_looped and new.kind in ("loops_g", "moore_gauge"):
+                    if top is None and isinstance(self.group, LieGroupSpec):
+                        top = 2 * l_of(self.group) + 1  # without building the type of G
+                    elif top is None:
+                        top = max(group_degrees(self.group), default=0)
+                    if new.j >= top:
+                        changed = True  # looped beyond the top rational degree
+                        continue
+                out.append((new, mult))
+        return SpaceExpr(tuple(out), self.localization, self.group, self.c) if changed else self
 
     # -- rational ranks ------------------------------------------------------
 

@@ -5,7 +5,7 @@ A subclass lists its fields as annotations, in order, and writes its own
 it computes each canonical field from its argument, runs its checks and
 stores every field once with `self.__dict__.update(...)`. That call may
 also store entries derived once from the fields (`CatalogRow.interval`,
-`SpaceAtom`'s hash and sort key); repr, equality and `replace` read only
+`SpaceAtom`'s hash and sort key, `PrimePower`'s sort key); repr, equality and `replace` read only
 fields. Only `FGAbelianGroup` keeps a second step, `__post_init__`,
 through which the benchmark counts group constructions. `Value` then
 supplies what a frozen dataclass would: a `Name(field=value, ...)` repr,

@@ -4,9 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gauge5 import FGAbelianGroup, Localization
 from gauge5.abelian import parse_machine
+from gauge5.arith import PrimePower
 
 
 def _random_group(rng: random.Random) -> FGAbelianGroup:
@@ -143,3 +146,25 @@ def test_localization_validation():
         Localization.at_prime(4)
     with pytest.raises(ValueError):
         Localization.away_from([])
+
+
+def test_torsion_is_stored_as_a_tuple_whatever_the_caller_passed():
+    for torsion in ([], [PrimePower(3, 2)], [PrimePower(3, 1), PrimePower(2, 1)]):
+        g, same = FGAbelianGroup(1, torsion), FGAbelianGroup(1, tuple(torsion))
+        assert type(g.torsion) is tuple and g.torsion == tuple(sorted(torsion, key=lambda f: f.p))
+        assert g == same and hash(g) == hash(same)
+
+
+@pytest.mark.parametrize("torsion", [(PrimePower(3, 0),), [PrimePower(2, -1)],
+                                     (PrimePower(5, 1), PrimePower(2, 0))])
+def test_a_summand_with_exponent_below_one_is_refused(torsion):
+    with pytest.raises(ValueError, match="torsion exponents must be >= 1"):
+        FGAbelianGroup(0, torsion)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((2, 3, 5, 7, 31)), st.integers(1, 6)), max_size=9))
+def test_canonical_order_is_by_prime_then_larger_powers_first(pairs):
+    summands = [PrimePower(p, e) for p, e in pairs]
+    g = FGAbelianGroup(0, summands)
+    assert g.torsion == tuple(sorted(summands, key=lambda f: (f.p, -f.e)))

@@ -16,9 +16,10 @@ from gauge5 import (
     stability_threshold,
     stable_pi_gauge,
 )
-from gauge5.bott import bott_rows, shift_multiset
+from gauge5.bott import _shifted_sums, bott_rows, shift_multiset
 from gauge5.decomposition import _away_from_c_atoms
 from gauge5.lie import _STABLE, stable_pi
+from gauge5.spaces import SpaceExpr
 
 Z = FGAbelianGroup.free
 ZERO = FGAbelianGroup.trivial()
@@ -301,3 +302,49 @@ def test_a_bott_row_is_one_group_whatever_m(monkeypatch, family):
         built.clear()
         rows = bott_rows(ManifoldSpec(15, m), family)
         assert len(built) == len(rows), (family, m)
+
+
+@pytest.mark.parametrize("family", ["SU", "Spin"])
+def test_a_spin_stable_answer_builds_one_expression(monkeypatch, family):
+    # no normalize() rule fires on a spin M's factors, so normalize returns
+    # the one expression shift_multiset built
+    built = []
+    init = SpaceExpr.__init__
+    monkeypatch.setattr(
+        SpaceExpr, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+    )
+    for c, m, ctx in itertools.product((3, 4), (1, 2, 7), ("away_c", "away_2c")):
+        M = ManifoldSpec(c, m)
+        for answer in (
+            lambda: stable_pi_gauge(StableQuery(M, family, 0, 9, ctx)),
+            lambda: bott_rows(M, family, 0, ctx),
+        ):
+            built.clear()
+            answer()
+            assert len(built) == 1, (family, c, m, ctx)
+
+
+class _ReadCounter(tuple):
+    """Bott groups that record which residues are read."""
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("M, ctx", [
+    (ManifoldSpec(3, 1), "away_c"),
+    (ManifoldSpec(3, 5), "away_c"),
+    (ManifoldSpec(4, 2), "away_c"),
+    (ManifoldSpec(3, 5, spin=False), "away_2c"),
+])
+def test_the_fold_reads_each_bott_group_it_needs_once(M, ctx):
+    local = StableQuery(M, "Spin", 0, 2, ctx).localization()
+    shifts = shift_multiset(M, local)
+    groups = _ReadCounter(_STABLE["Spin"][1])
+    for rs in (range(9, 10), range(2, 10)):
+        groups.reads = []
+        sums = _shifted_sums(groups, shifts, local, rs)
+        assert sorted(groups.reads) == sorted({(r + s) % 8 for r in rs for s, _ in shifts})
+        assert sums == [_direct_sum_oracle(M, "Spin", r, ctx) for r in rs]
+    assert len({(9 + s) % 8 for s, _ in shifts}) <= 4  # one r reads at most 4 of the 8

@@ -25,7 +25,7 @@ from gauge5 import (
     r_of,
 )
 from gauge5.arith import is_prime
-from gauge5.lie import EXCEPTIONAL, l_of, prime_cond_interval
+from gauge5.lie import EXCEPTIONAL, CatalogRow, l_of, prime_cond_interval
 from gauge5.manifold import require_not_divisible_by_6
 
 CATALOG = Path(gauge5.__file__).resolve().parent / "data" / "catalog.txt"
@@ -364,3 +364,53 @@ def test_best_bound_refuses_the_regular_ord_lookup_first(tmp_path, monkeypatch):
             (best_bound, _old_best),
         ):
             assert _outcome(route, M, G, p) == _outcome(old, M, G, p), (route.__name__, G, p)
+
+
+def test_best_bound_scans_the_exceptional_rows_once(monkeypatch):
+    # E8's row at 31 is its eighth: one scan reaches it for both the ord and
+    # the r cell (two scans made 16 calls)
+    calls = []
+    holds_at = CatalogRow._holds_at
+    monkeypatch.setattr(
+        CatalogRow, "_holds_at", lambda self, p, n: calls.append(p) or holds_at(self, p, n)
+    )
+    bound = best_bound(ManifoldSpec(c=7, m=2), LieGroupSpec("E8"), 31)
+    assert (bound.exponent, bound.route) == (30, "regular")  # a tie: regular first
+    assert bound.alternatives[0].route == "theriault"
+    assert calls == [31] * 8
+
+
+def test_exceptional_table_builds_no_group_spec(monkeypatch):
+    built = []
+    init = LieGroupSpec.__init__
+    monkeypatch.setattr(
+        LieGroupSpec, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k)
+    )
+    rows = [(r.family, r.prime_cond, r.base, r.offset) for r in exceptional_table()]
+    assert built == []
+    assert sorted(rows) == sorted(PUBLISHED_ROWS)
+
+
+_TABLE_OVERRIDE = """
+G2   -   p>=11   20   0
+G2   -   p=5     23   1
+E8   -   p>=7    60   2
+"""
+
+
+def test_exceptional_table_reads_a_mid_process_catalog_override(tmp_path, monkeypatch):
+    monkeypatch.delenv("GAUGE_CATALOG", raising=False)
+    packaged = exceptional_table()
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text(_TABLE_OVERRIDE, encoding="utf-8")
+    monkeypatch.setenv("GAUGE_CATALOG", str(catalog))  # after the packaged load
+    want = []
+    for line in filter(None, _TABLE_OVERRIDE.splitlines()):
+        family, _, cond, ord_s, r_s = line.split()
+        r, p = int(r_s), prime_cond_interval(cond)[0]
+        offset = r + nu_p(int(ord_s), p)
+        want.append((family, cond, l_of(LieGroupSpec(family)) + r + offset, offset))
+    got = [(r.family, r.prime_cond, r.base, r.offset) for r in exceptional_table()]
+    assert got == want == [("G2", "p>=11", 5, 0), ("G2", "p=5", 7, 1), ("E8", "p>=7", 33, 2)]
+    monkeypatch.delenv("GAUGE_CATALOG")
+    assert exceptional_table() == packaged

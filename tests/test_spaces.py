@@ -360,3 +360,76 @@ def test_rational_rank_sees_through_loops_and_ignores_torsion_atoms():
     assert cp.rational_rank(3) == 0
     with pytest.raises(ValueError):
         cp.rational_rank(0)
+
+
+def _two_pass_normalize(e: SpaceExpr) -> SpaceExpr:
+    """The earlier body of normalize(), kept as the oracle: every rewrite in
+    one pass, every drop in a second, and a fresh expression either way."""
+    ctx = e.localization
+    away_c = e.c is not None and ctx.inverts_all_of(e.c)
+    rewritten = []
+    for atom, mult in e.atoms:
+        if atom.kind == "moore_map":
+            atom = loop_fiber(atom.j + atom.n - 1)
+        if away_c and atom.kind == "loop_fiber":
+            continue
+        if away_c and atom.kind == "moore_gauge":
+            atom = loops_g(atom.j)
+        if atom.kind == "map_cp2" and ctx.inverts(2):
+            rewritten.append((loops_g(atom.j + 2), mult))
+            rewritten.append((loops_g(atom.j + 4), mult))
+            continue
+        rewritten.append((atom, mult))
+    out = []
+    for atom, mult in rewritten:
+        if atom.kind in ("sphere", "em") and atom.n <= 1:
+            continue
+        looped = atom.kind in ("loops_g", "moore_gauge")
+        if ctx.kind == "rational" and e.group is not None and looped:
+            if atom.j >= max(group_degrees(e.group), default=0):
+                continue
+        out.append((atom, mult))
+    return SpaceExpr(tuple(out), e.localization, e.group, e.c)
+
+
+# every localization kind, with inverted sets that hold all, some or none of c's primes
+_EVERY_LOCALIZATION = _LOCALIZATIONS + (
+    Localization.at_prime(2),
+    Localization.away_from([3]),
+    Localization.away_from([5]),
+    Localization.away_from([2, 3, 5]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_ATOMS, st.integers(1, 3)), max_size=8),
+    st.sampled_from(_EVERY_LOCALIZATION),
+    st.sampled_from(_GROUPS + (LieGroupSpec("SU", 2), LieGroupSpec("G2"))),
+    st.sampled_from([None, 2, 4, 12, 30, 3, 5, 9, 15]),
+)
+def test_one_pass_normalize_equals_the_two_pass_oracle(pairs, ctx, group, c):
+    e = SpaceExpr(tuple(pairs), localization=ctx, group=group, c=c)
+    want = _two_pass_normalize(e)
+    got = e.normalize()
+    assert got == want
+    # no rule fires exactly when the oracle changes nothing, and then e itself comes back
+    assert (got is e) == (want == e)
+    assert got.normalize() is got  # idempotent: a normal form fires no rule
+
+
+def test_normalize_returns_the_expression_itself_when_no_rule_fires():
+    G = LieGroupSpec("SU", 4)
+    for e in (
+        SpaceExpr.of([group_itself(), loops_g(5), (loops_g(2), 3), (loops_g(3), 3)],
+                     localization=Localization.away_from([2]), group=G, c=4),
+        SpaceExpr.of([moore_gauge(2, 1), loop_fiber(3), loops_g(7)], group=G, c=5),
+        SpaceExpr.of([map_cp2(1), loops_g(2)], localization=Localization.at_prime(2), c=3),
+        SpaceExpr.of([sphere_factor(3), em_factor(2)], localization=Localization.rational()),
+        SpaceExpr.of([]),
+    ):
+        assert e.normalize() is e
+        assert e.normalize().normalize() is e
+    fired = SpaceExpr.of([moore_map(3, 1), loops_g(2)], group=G, c=5)
+    normal = fired.normalize()
+    assert normal is not fired and normal.normalize() is normal

@@ -7,11 +7,21 @@ interpreters: one imports OTHER_ROOT/src and the other this checkout's src.
 The list holds every `$ gauge5` line of README.md and tests/cli_golden.txt,
 `--help` for the top level and each verb, and each query of the
 `cli_launch` benchmark stream (`bench/workloads.py::cli_block`, seeds 1-5,
-30 blocks each) in both output formats, and an `exponent` sweep: every
-`--route` over a fixed grid of groups, p and c (p = 2 and non-primes, and c
-with 6 | c, included), in both formats. For each argv the exit code, stdout
-and stderr must agree. Prints the count compared, and on a difference the
-first differing argv with both outputs; exits 1 on any difference.
+30 blocks each) in both output formats, and three sweeps, each in both
+formats:
+- `exponent`: every `--route` over a fixed grid of groups, p and c (p = 2
+  and non-primes, and c with 6 | c, included);
+- `bott`: both families over a grid of c (even, odd and a semiprime) and m,
+  spin and non-spin, `--table` and each `--r` from 2 to 10, with and
+  without `--away-2c`;
+- `decompose --normalize`: every shape (`--loops 2`, `--loops 3`,
+  `--away-from-c`) over a grid of groups, c, m, manifold flags and
+  localizations, refusals included.
+
+For each argv the exit code, stdout and stderr must agree; an exception
+that escapes `main` is recorded in place of the exit code. Prints the count
+compared, and on a difference the first differing argv with both outputs;
+exits 1 on any difference.
 
 Standard library only, and outside the test suite. It imports bench/ to
 draw the benchmark queries and writes nothing there.
@@ -39,6 +49,16 @@ EXPONENT_GROUPS = (
 EXPONENT_P = (2, 3, 4, 5, 7, 11, 13, 17, 29, 31, 37)
 EXPONENT_C = (1, 2, 5, 6, 9, 12, 25, 49, 343, 1000003 * 1000033)
 EXPONENT_ROUTES = ("regular", "theriault", "closed", "moore-fiber", "best")
+BOTT_C = (2, 3, 4, 5, 9, 12, 75, 1000003 * 1000033)
+BOTT_QUESTIONS = (["--table"],) + tuple(["--r", str(r)] for r in range(2, 11))
+DECOMPOSE_SHAPES = (["--loops", "2"], ["--loops", "3"], ["--away-from-c"])
+DECOMPOSE_GROUPS = ("SU:2", "SU:4", "Sp:2", "Spin:8", "E8")
+DECOMPOSE_C = (2, 3, 4, 5, 9, 15, 75)
+DECOMPOSE_M_FLAGS = ([], ["--non-spin"], ["--sp", "--stc"])
+DECOMPOSE_LOCALIZATIONS = (
+    [], ["--at-p", "2"], ["--at-p", "3"], ["--at-p", "5"], ["--away", "2"], ["--away", "3"],
+    ["--away", "15"], ["--rational"],
+)
 
 
 def _argv_list() -> list[list[str]]:
@@ -65,6 +85,18 @@ def _argv_list() -> list[list[str]]:
     ):
         argvs.append(["exponent", "--group", group, "--p", str(p), "--c", str(c), "--m", "2",
                       "--route", route, "--format", fmt])
+    for family, c, m, spin, question, away, fmt in itertools.product(
+        ("SU", "Spin"), BOTT_C, range(1, 6), ([], ["--non-spin"]), BOTT_QUESTIONS,
+        ([], ["--away-2c"]), ("text", "machine"),
+    ):
+        argvs.append(["bott", "--family", family, "--c", str(c), "--m", str(m), *spin, *question,
+                      *away, "--format", fmt])
+    for shape, group, c, m, flags, loc, fmt in itertools.product(
+        DECOMPOSE_SHAPES, DECOMPOSE_GROUPS, DECOMPOSE_C, (1, 2, 3), DECOMPOSE_M_FLAGS,
+        DECOMPOSE_LOCALIZATIONS, ("text", "machine"),
+    ):
+        argvs.append(["decompose", "--group", group, "--c", str(c), "--m", str(m), "--k", "7",
+                      *shape, *flags, *loc, "--normalize", "--format", fmt])
     unique = dict.fromkeys(tuple(argv) for argv in argvs)  # first occurrence, in order
     return [list(argv) for argv in unique]
 
@@ -82,6 +114,8 @@ def _child(src: str) -> None:
                 code = main(argv)
             except SystemExit as exc:  # argparse: --help and usage errors
                 code = exc.code
+            except Exception as exc:  # a traceback: compared like any output, so the argv is named
+                code = f"raised {type(exc).__name__}: {exc}"
         results.append([code, out.getvalue(), err.getvalue()])
     json.dump(results, sys.stdout)
 
