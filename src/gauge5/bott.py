@@ -77,7 +77,10 @@ def shift_multiset(M: ManifoldSpec, ctx: Localization) -> tuple[tuple[int, int],
     """Loop shifts of M's normalized away-from-c decomposition under ctx, as
     ascending (shift, multiplicity) pairs. ctx need only agree at the prime
     2 with one that inverts c (StableQuery.localization); c is not read. No
-    r or k: one multiset serves every r of a period, and every k agrees."""
+    r or k: one multiset serves every r of a period, and every k agrees.
+    A non-spin M is refused unless ctx inverts 2, as StableQuery refuses it."""
+    if not M.spin:
+        require_spin_or_away_from_2(M, ctx.inverts(2))
     shifts: list[tuple[int, int]] = []
     for atom, mult in SpaceExpr(_away_from_c_atoms(M), localization=ctx).normalize().atoms:
         if atom.kind not in ("group", "loops_g"):  # G itself is the shift j = 0

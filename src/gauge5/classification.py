@@ -91,7 +91,7 @@ class ClassificationReport(Value):
 
     def machine(self) -> str:
         head = records.record(
-            "classify", group=self.G.family + ("" if self.G.n is None else f":{self.G.n}"),
+            "classify", group=self.G.token(),
             c=self.c, ord=self.ord, validity=self.order_validity, d=self.d,
             count=self.count_integral, looped=self.looped, source=self.order_source,
         )

@@ -74,6 +74,10 @@ class LieGroupSpec(Value):
             return LieGroupSpec(fam, n)
         return LieGroupSpec(text)
 
+    def token(self) -> str:
+        """The 'family:param' text that parse reads back; machine records carry it."""
+        return self.family if self.n is None else f"{self.family}:{self.n}"
+
     def __str__(self) -> str:
         if self.n is None:
             return self.family

@@ -18,7 +18,7 @@ class Localization(Value):
     True
     >>> Localization.at_prime(5).inverts(5)
     False
-    >>> Localization.away_from([6]).inverted_primes
+    >>> Localization.away_from([6]).inverted_set
     frozenset({2, 3})
     >>> Localization.integral().inverts(7)
     False
@@ -66,10 +66,6 @@ class Localization(Value):
     def rational() -> "Localization":
         return _RATIONAL  # one shared instance, as for integral()
 
-    @property
-    def inverted_primes(self) -> frozenset[int]:
-        return self.inverted_set  # empty for every kind but away_from
-
     def inverts(self, p: int) -> bool:
         """Is the prime p a unit in this localization?"""
         if not is_prime(p):
@@ -100,7 +96,7 @@ class Localization(Value):
                 m //= p
         return m == 1
 
-    def describe(self) -> str:
+    def __str__(self) -> str:
         if self.kind == "integral":
             return "integral"
         if self.kind == "rational":
@@ -109,9 +105,6 @@ class Localization(Value):
             return f"localized at {self.prime}"
         inv = ",".join(str(p) for p in sorted(self.inverted_set))
         return f"away from {{{inv}}}"
-
-    def __str__(self) -> str:
-        return self.describe()
 
 
 _INTEGRAL, _RATIONAL = Localization("integral"), Localization("rational")

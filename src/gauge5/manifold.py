@@ -52,43 +52,6 @@ class ManifoldSpec(Value):
             single_top_cell=single_top_cell,
         )
 
-    @staticmethod
-    def parse(text: str) -> "ManifoldSpec":
-        """Parse key-value config text: 'c=5 m=2 spin=true', newline or
-        whitespace separated; keys c, m, spin, stably_parallelizable,
-        single_top_cell.
-
-        >>> ManifoldSpec.parse("c=9 m=2 spin=false stably_parallelizable=true")
-        ManifoldSpec(c=9, m=2, spin=False, stably_parallelizable=True, single_top_cell=False)
-        """
-        kwargs: dict[str, object] = {}
-        for item in text.split():
-            if "=" not in item:
-                raise ValueError(f"bad config item {item!r}, expected key=value")
-            key, _, value = item.partition("=")
-            if key in ("c", "m"):
-                kwargs[key] = int(value)
-            elif key in ("spin", "stably_parallelizable", "single_top_cell"):
-                low = value.lower()
-                if low not in ("true", "false", "1", "0", "yes", "no"):
-                    raise ValueError(f"bad boolean {value!r} for {key}")
-                kwargs[key] = low in ("true", "1", "yes")
-            else:
-                raise ValueError(f"unknown manifold key {key!r}")
-        if "c" not in kwargs or "m" not in kwargs:
-            raise ValueError("manifold config needs at least c and m")
-        return ManifoldSpec(**kwargs)  # type: ignore[arg-type]
-
-    def describe(self) -> str:
-        flags = [
-            "spin" if self.spin else "non-spin",
-        ]
-        if self.stably_parallelizable:
-            flags.append("stably parallelizable")
-        if self.single_top_cell:
-            flags.append("single top cell")
-        return f"M(c={self.c}, m={self.m}; {', '.join(flags)})"
-
 
 # -- hypotheses ----------------------------------------------------------------
 
@@ -308,7 +271,7 @@ _WEDGE_KIND_ORDER = {"sphere": 0, "moore": 1, "opaque": 2}
 class WedgeExpr(Value):
     """A formal wedge of atoms, kept in canonical multiset order.
 
-    >>> w = WedgeExpr.of(sphere(4), moore(6, 5), sphere(4))
+    >>> w = WedgeExpr((sphere(4), moore(6, 5), sphere(4)))
     >>> str(w)
     'S^4 ∨ S^4 ∨ P^6(5)'
     """
@@ -320,10 +283,6 @@ class WedgeExpr(Value):
             sorted(atoms, key=lambda a: (_WEDGE_KIND_ORDER[a.kind], a.n or 0, a.c or 0, a.tag))
         )
         self.__dict__.update(atoms=canon)
-
-    @staticmethod
-    def of(*atoms: WedgeAtom) -> "WedgeExpr":
-        return WedgeExpr(tuple(atoms))
 
     def reduced_homology(self) -> dict[int, FGAbelianGroup]:
         """Degreewise direct sum over the atoms; trivial degrees omitted."""

@@ -164,11 +164,8 @@ class RationalGroupModel(Value):
         """rank of pi_d(G) tensor Q."""
         return self.exterior_degrees.count(d) + self.polynomial_degrees.count(d)
 
-    def is_finite_dimensional(self) -> bool:
-        return not self.polynomial_degrees
-
     def require_finite_dimensional(self) -> None:
-        if not self.is_finite_dimensional():
+        if self.polynomial_degrees:
             raise HypothesisError(
                 "rational homology must be finite dimensional:"
                 f" polynomial generators {list(self.polynomial_degrees)} present"

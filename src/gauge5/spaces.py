@@ -201,12 +201,6 @@ class SpaceExpr(Value):
         pairs = tuple((item, 1) if isinstance(item, SpaceAtom) else item for item in atoms)
         return SpaceExpr(pairs, localization or Localization.integral(), group, c)
 
-    def multiplicity(self, atom: SpaceAtom) -> int:
-        for a, m in self.atoms:
-            if a == atom:
-                return m
-        return 0
-
     # -- normalization -----------------------------------------------------
 
     def normalize(self) -> "SpaceExpr":
@@ -334,7 +328,7 @@ def _machine_group(group) -> str | None:
     if group is None:
         return None
     if isinstance(group, LieGroupSpec):
-        return f"lie:{group.family}" + ("" if group.n is None else f":{group.n}")
+        return f"lie:{group.token()}"
     ext = ",".join(str(d) for d in group.exterior_degrees)
     poly = ",".join(str(d) for d in group.polynomial_degrees)
     return f"model:{ext}/{poly}"

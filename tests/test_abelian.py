@@ -137,8 +137,8 @@ def test_localization_describe_and_inverts():
     assert Localization.rational().inverts(97)
     at3 = Localization.at_prime(3)
     assert at3.inverts(2) and not at3.inverts(3)
-    assert Localization.integral().inverted_primes == frozenset()
-    assert Localization.away_from([6]).inverted_primes == frozenset({2, 3})
+    assert Localization.integral().inverted_set == frozenset()
+    assert Localization.away_from([6]).inverted_set == frozenset({2, 3})
 
 
 def test_localization_validation():

@@ -250,6 +250,20 @@ def test_query_validation():
         StableQuery(M, "Spin", 0, 3, "rational")
 
 
+@pytest.mark.parametrize("c", [2, 3, 4, 15])
+def test_shift_multiset_refuses_a_non_spin_manifold_as_the_query_does(c):
+    # the same hypothesis, in the same words, whichever entry point is asked
+    M = ManifoldSpec(c, 2, spin=False)
+    with pytest.raises(HypothesisError) as query:
+        StableQuery(M, "Spin", 0, 3)
+    for ctx in (Localization.integral(), Localization.at_prime(2)):
+        with pytest.raises(HypothesisError) as multiset:
+            shift_multiset(M, ctx)
+        assert str(multiset.value) == str(query.value)
+    for ctx in (Localization.away_from([2]), Localization.at_prime(3), Localization.rational()):
+        assert shift_multiset(M, ctx) == shift_multiset(ManifoldSpec(c, 2), ctx)
+
+
 def test_bott_table_text():
     text = bott_table(ManifoldSpec(5, 3), "Spin", 0)
     assert "r ≡ 6 (mod 8): Z ⊕ Z/2 ⊕ Z/2 ⊕ Z/2 ⊕ Z/2" in text

@@ -109,6 +109,13 @@ def test_parse_round_trip():
         LieGroupSpec.parse("G2:7")
 
 
+@pytest.mark.parametrize("text", ["SU:2", "SU:14", "Sp:1", "Spin:5", "Spin:8", "G2", "F4", "E8"])
+def test_token_is_the_inverse_of_parse(text):
+    G = LieGroupSpec.parse(text)
+    assert G.token() == text
+    assert LieGroupSpec.parse(G.token()) == G
+
+
 def test_pi4():
     two = FGAbelianGroup.cyclic(2)
     zero = FGAbelianGroup.trivial()

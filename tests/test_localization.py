@@ -18,6 +18,17 @@ def test_integral_and_rational_are_one_shared_instance_each():
     assert Localization.integral() == Localization("integral")
     assert Localization.rational() == Localization("rational")
 
+
+@pytest.mark.parametrize("ctx, text", [
+    (Localization.integral(), "integral"),
+    (Localization.rational(), "rational"),
+    (Localization.at_prime(5), "localized at 5"),
+    (Localization.away_from([6]), "away from {2,3}"),
+    (Localization.away_from([35, 2]), "away from {2,5,7}"),
+])
+def test_each_kind_prints_its_context(ctx, text):
+    assert str(ctx) == text
+
 contexts = st.one_of(
     st.just(Localization.integral()),
     st.just(Localization.rational()),

@@ -58,11 +58,6 @@ def test_manifold_validation_and_parse():
         ManifoldSpec(1, 1)
     with pytest.raises(ValueError):
         ManifoldSpec(5, 0)
-    parsed = ManifoldSpec.parse("c=5 m=3 spin=false stably_parallelizable=true")
-    assert parsed == ManifoldSpec(5, 3, spin=False, stably_parallelizable=True)
-    assert ManifoldSpec(5, 3).describe() == "M(c=5, m=3; spin)"
-    with pytest.raises(ValueError):
-        ManifoldSpec.parse("c=5 bogus=1")
 
 
 def test_bundle_classes_is_cyclic_of_order_c():

@@ -70,10 +70,10 @@ def test_model_parsing_and_degrees():
     assert G.all_degrees() == (3, 4, 5)
     assert G.rank_pi(3) == 1 and G.rank_pi(4) == 1 and G.rank_pi(6) == 0
     assert len(G.exterior_degrees) + len(G.polynomial_degrees) == 3
-    assert not G.is_finite_dimensional()
+    assert G.polynomial_degrees
     lean = RationalGroupModel.parse("3/")
     assert str(lean) == "Λ(3)"
-    assert lean.is_finite_dimensional()
+    assert not lean.polynomial_degrees
     assert RationalGroupModel.from_lie(LieGroupSpec.parse("SU:4")) == RationalGroupModel((3, 5, 7))
     assert RationalGroupModel.from_lie(LieGroupSpec.parse("Spin:8")) == RationalGroupModel((3, 7, 7, 11))
 

@@ -340,15 +340,11 @@ def test_no_record_is_written_outside_the_codec():
     assert stray == []
 
 
-# ManifoldSpec.parse reads `c=5 m=2` configuration text, which has no tag
-CONFIG_PARSERS = {("manifold.py", "parse")}
-
-
 def test_no_record_is_split_outside_the_codec():
     stray = []
     for name, tree in _codec_free_trees():
         for func in ast.walk(tree):
-            if not isinstance(func, ast.FunctionDef) or (name, func.name) in CONFIG_PARSERS:
+            if not isinstance(func, ast.FunctionDef):
                 continue
             stray += [
                 f"{name}:{node.lineno}"

@@ -9,8 +9,10 @@ lie._pi4_is_z2, which pi4 and pi4_is_trivial both call. "r is at least the
 stable family's least r" is checked only by lie._stable_family, which
 stable_pi, stability_threshold and StableQuery call. GcdClass has one
 construction path, its __init__. Only spaces._LOOPS holds prebuilt G and
-Omega^j G atoms, which loops_g and group_itself return. The scans below fail
-if a later change re-derives any of these facts somewhere else.
+Omega^j G atoms, which loops_g and group_itself return. A Lie group's
+'family:param' token is written only by LieGroupSpec.token, the inverse of
+LieGroupSpec.parse. The scans below fail if a later change re-derives any of
+these facts somewhere else.
 """
 
 import ast
@@ -139,3 +141,19 @@ def test_only_spaces_holds_a_table_of_loop_atoms():
             if isinstance(stmt, ast.Assign) and any(map(_builds_loop_atom, ast.walk(stmt.value))):
                 tables.add((path.name, ast.unparse(stmt.targets[0])))
     assert tables == {("spaces.py", "_LOOPS")}
+
+
+def _formats_group_token(node) -> bool:
+    # f"...:{G.n}" or f"{family}:{n}": a ':' piece followed by a group parameter
+    if not isinstance(node, ast.JoinedStr):
+        return False
+    return any(
+        isinstance(a, ast.Constant) and a.value.endswith(":")
+        and isinstance(b, ast.FormattedValue)
+        and (ast.unparse(b.value) == "n" or ast.unparse(b.value).endswith(".n"))
+        for a, b in zip(node.values, node.values[1:])
+    )
+
+
+def test_the_group_token_is_written_only_by_its_parser_inverse():
+    assert _sites(_formats_group_token) == {("lie.py", "token")}

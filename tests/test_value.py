@@ -57,7 +57,7 @@ CASES = [
     (sphere(4), "WedgeAtom(kind='sphere', n=4, c=None, tag='', ledger=())"),
     (moore(6, 5), "WedgeAtom(kind='moore', n=6, c=5, tag='', ledger=())"),
     (
-        WedgeExpr.of(sphere(4), moore(6, 5)),
+        WedgeExpr((sphere(4), moore(6, 5))),
         "WedgeExpr(atoms=(WedgeAtom(kind='sphere', n=4, c=None, tag='', ledger=()),"
         " WedgeAtom(kind='moore', n=6, c=5, tag='', ledger=())))",
     ),

@@ -7,7 +7,7 @@ interpreters: one imports OTHER_ROOT/src and the other this checkout's src.
 The list holds every `$ gauge5` line of README.md and tests/cli_golden.txt,
 `--help` for the top level and each verb, and each query of the
 `cli_launch` benchmark stream (`bench/workloads.py::cli_block`, seeds 1-5,
-30 blocks each) in both output formats, and three sweeps, each in both
+30 blocks each) in both output formats, and six sweeps, each in both
 formats:
 - `exponent`: every `--route` over a fixed grid of groups, p and c (p = 2
   and non-primes, and c with 6 | c, included);
@@ -16,7 +16,15 @@ formats:
   without `--away-2c`;
 - `decompose --normalize`: every shape (`--loops 2`, `--loops 3`,
   `--away-from-c`) over a grid of groups, c, m, manifold flags and
-  localizations, refusals included.
+  localizations, refusals included;
+- `classify`: `--moore`, and `--loops 2`/`3` (the latter with `--sp`) under
+  every localization (pi_4 refusals, which print the context, included),
+  then `--same-type` and `--trivial` (with and without `--p`), over a grid
+  of groups, c and m;
+- `rational`: every `--op` (and `--q` for `rank`), based and not, over Lie
+  groups and models with and without polynomial generators, from M and from
+  a Hilbert series;
+- `moore --suspension` 2, 3 and 4 over a grid of c, m and manifold flags.
 
 For each argv the exit code, stdout and stderr must agree; an exception
 that escapes `main` is recorded in place of the exit code. Prints the count
@@ -59,6 +67,32 @@ DECOMPOSE_LOCALIZATIONS = (
     [], ["--at-p", "2"], ["--at-p", "3"], ["--at-p", "5"], ["--away", "2"], ["--away", "3"],
     ["--away", "15"], ["--rational"],
 )
+CLASSIFY_GROUPS = ("SU:2", "SU:3", "SU:4", "Sp:2", "Spin:5", "Spin:8", "G2", "E8")
+CLASSIFY_C = (2, 3, 4, 5, 9, 12, 15, 25, 75)
+CLASSIFY_QUESTIONS = (
+    (["--moore"],)
+    + tuple(["--m", m, *loops, *loc] for m in ("1", "2")
+            for loops in (["--loops", "2"], ["--loops", "3", "--sp"])
+            for loc in DECOMPOSE_LOCALIZATIONS)
+    + (["--moore", "--same-type", "1", "2"], ["--moore", "--same-type", "0", "5"],
+       ["--moore", "--trivial"])
+    + tuple(["--moore", "--trivial", "--p", p] for p in ("3", "5", "7"))
+)
+RATIONAL_GROUPS = (
+    ["--group", "SU:4"], ["--group", "Spin:8"], ["--group", "E8"], ["--model", "3,5,7"],
+    ["--model", "3/"], ["--model", "3,5/4"], ["--model", "/2"], ["--model", "3,7/6"],
+)
+RATIONAL_SPACES = (
+    ["--c", "2"], ["--c", "5", "--m", "3"], ["--series", "1,0,2,2,0,1"],
+    ["--series", "1,0,0,0,1"],
+)
+RATIONAL_OPS = (
+    tuple(["--op", op] for op in ("gauge", "b-star", "em", "ring-gauge", "ring-b-star"))
+    + (["--op", "rank"],)
+    + tuple(["--op", "rank", "--q", q] for q in ("3", "5", "8"))
+)
+MOORE_C = (2, 3, 4, 5, 9, 15, 25, 75)
+MOORE_FLAGS = ([], ["--non-spin"], ["--sp"], ["--stc"], ["--sp", "--stc"])
 
 
 def _argv_list() -> list[list[str]]:
@@ -97,6 +131,19 @@ def _argv_list() -> list[list[str]]:
     ):
         argvs.append(["decompose", "--group", group, "--c", str(c), "--m", str(m), "--k", "7",
                       *shape, *flags, *loc, "--normalize", "--format", fmt])
+    for group, c, question, fmt in itertools.product(
+        CLASSIFY_GROUPS, CLASSIFY_C, CLASSIFY_QUESTIONS, ("text", "machine"),
+    ):
+        argvs.append(["classify", "--group", group, "--c", str(c), *question, "--format", fmt])
+    for group, space, op, based, fmt in itertools.product(
+        RATIONAL_GROUPS, RATIONAL_SPACES, RATIONAL_OPS, ([], ["--based"]), ("text", "machine"),
+    ):
+        argvs.append(["rational", *group, *space, *op, *based, "--format", fmt])
+    for t, c, m, flags, fmt in itertools.product(
+        ("2", "3", "4"), MOORE_C, (1, 2, 3), MOORE_FLAGS, ("text", "machine"),
+    ):
+        argvs.append(["moore", "--c", str(c), "--m", str(m), *flags, "--suspension", t,
+                      "--format", fmt])
     unique = dict.fromkeys(tuple(argv) for argv in argvs)  # first occurrence, in order
     return [list(argv) for argv in unique]
 
