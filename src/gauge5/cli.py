@@ -157,6 +157,10 @@ def _run_exponent(args) -> str:
     if args.table:
         if args.table != "exceptional":
             raise ValueError(f"unknown table {args.table!r}")
+        if args.group is not None:
+            raise ValueError(
+                "--group does not combine with --table; the table lists every exceptional group"
+            )
         rows = exponents.exceptional_table()
         if args.p is not None:
             _require_odd_prime(args.p)

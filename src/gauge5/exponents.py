@@ -13,14 +13,16 @@ only (the bound is p^exponent). Three computational routes:
 plus the small fiber bound exp_moore_fiber (exponent nu_p(c)). Upper bounds
 only: nothing here is claimed sharp. The regular and theriault routes share
 one reading of (G, p, c), _routes: exp_bound_regular, exp_bound_theriault
-and best_bound (the better of the two) each make one catalog lookup.
+and best_bound (the better of the two) each make one catalog lookup. The
+exceptional table is a constant of the loaded catalog, keyed by no query
+input: its rows are built on the first call and kept in that catalog's entry.
 """
 
 from .arith import nu_p
 from .errors import HypothesisError
 from .lie import (
-    EXCEPTIONAL, LieGroupSpec, _exceptional_catalog, _family_key, _in_range, _ord_at, _r_at,
-    _require_odd_prime, _row_at, _rows_for, is_p_regular, l_of,
+    EXCEPTIONAL, LieGroupSpec, _entry, _exceptional_catalog, _family_key, _in_range, _ord_at,
+    _r_at, _require_odd_prime, _row_at, _rows_for, is_p_regular, l_of,
 )
 from .manifold import ManifoldSpec, require_not_divisible_by_6
 from .value import Value
@@ -190,13 +192,17 @@ def exceptional_table() -> list[ExponentTableRow]:
     as exp_bound_theriault, so this table is a restatement, not a second
     source of truth. Each row is evaluated at the least prime it covers;
     for a "p>=K" row that prime stands for all of them because the catalog
-    loader refuses a p>=K row whose ord has a prime factor >= K.
+    loader refuses a p>=K row whose ord has a prime factor >= K. Each call
+    returns a new list of the rows built once per loaded catalog.
     """
-    rows = []
-    for family, catalog_rows in _exceptional_catalog():
-        l = _EXCEPTIONAL_L[family]
-        for row in catalog_rows:
-            r = row.r_int
-            offset = r + nu_p(row.ord_int, row.interval[0])
-            rows.append(ExponentTableRow(family, row.prime_cond, l + r + offset, offset))
-    return rows
+    _, index, tables = _entry()
+    if "exceptional" not in tables:
+        rows = []
+        for family, catalog_rows in _exceptional_catalog(index):
+            l = _EXCEPTIONAL_L[family]
+            for row in catalog_rows:
+                r = row.r_int
+                offset = r + nu_p(row.ord_int, row.interval[0])
+                rows.append(ExponentTableRow(family, row.prime_cond, l + r + offset, offset))
+        tables["exceptional"] = tuple(rows)
+    return list(tables["exceptional"])

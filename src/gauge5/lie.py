@@ -331,8 +331,9 @@ class CatalogRow(Value):
         return self.r_int
 
 
-# path -> (rows in file order, (family key, param) -> rows a lookup reads)
-_catalog_cache: dict[str, tuple[tuple[CatalogRow, ...], dict]] = {}
+# path -> (rows in file order, (family key, param) -> rows a lookup reads,
+# name -> a table another module derives from these rows alone, on first use)
+_catalog_cache: dict[str, tuple[tuple[CatalogRow, ...], dict, dict]] = {}
 
 
 def _catalog_key(path: str | os.PathLike | None) -> str:
@@ -347,7 +348,7 @@ def load_catalog(path: str | os.PathLike | None = None) -> tuple[CatalogRow, ...
     key = _catalog_key(path)
     if key not in _catalog_cache:
         rows = _parse_catalog(key)
-        _catalog_cache[key] = rows, _index_rows(rows)
+        _catalog_cache[key] = rows, _index_rows(rows), {}
     return _catalog_cache[key][0]
 
 
@@ -440,19 +441,19 @@ def _index_rows(rows: tuple[CatalogRow, ...]) -> dict:
     return index
 
 
-def _index() -> dict:
+def _entry() -> tuple[tuple[CatalogRow, ...], dict, dict]:
     # Every lookup loads through the public load_catalog, once, so a wrapper
     # around it (bench/spans.py) sees the catalog each lookup read. The key
     # is passed in so that a lookup reads the environment only once.
     key = _catalog_key(None)
     load_catalog(key)
-    return _catalog_cache[key][1]
+    return _catalog_cache[key]
 
 
 def _rows_for(G: LieGroupSpec) -> tuple[tuple[CatalogRow, ...], int | None]:
     """Catalog rows matching G, specific-parameter rows first."""
     key, n = _family_key(G)
-    index = _index()
+    index = _entry()[1]
     return index.get((key, n)) or index.get((key, None), ()), n
 
 
@@ -528,11 +529,10 @@ def _r_at(G: LieGroupSpec, rows: tuple, row: CatalogRow | None, n: int | None, p
     return rows[0].r_value(n, p)
 
 
-def _exceptional_catalog() -> tuple[tuple[str, tuple[CatalogRow, ...]], ...]:
-    """(family, its rows in file order) for each exceptional family, from one
-    read of the catalog index; feeds the exponent-table emitter. The loader
+def _exceptional_catalog(index: dict) -> tuple[tuple[str, tuple[CatalogRow, ...]], ...]:
+    """(family, its rows in file order) for each exceptional family, from a
+    catalog index (_entry); feeds the exponent-table emitter. The loader
     has proved what the table reads of each row (_check_exceptional_row)."""
-    index = _index()
     return tuple((family, index.get((family, None), ())) for family in EXCEPTIONAL)
 
 

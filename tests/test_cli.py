@@ -144,6 +144,15 @@ def test_exponent_table_refuses_a_p_that_is_not_an_odd_prime(run, fmt, p, messag
     assert got == (1, "", f"error: {message}")
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("p", [[], ["--p", "5"]], ids=["all-p", "p5"])
+def test_exponent_table_refuses_a_group(run, fmt, p):
+    # the table lists every exceptional group; --group used to be ignored
+    got = run("exponent", "--table", "exceptional", "--group", "G2", *p, "--format", fmt)
+    message = "--group does not combine with --table; the table lists every exceptional group"
+    assert got == (1, "", f"error: {message}")
+
+
 def test_exponent_table_at_3_is_empty(run):
     # an odd prime no exceptional row covers: an empty answer, not a refusal
     assert run("exponent", "--table", "exceptional", "--p", "3") == (0, "", "")

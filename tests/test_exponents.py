@@ -24,6 +24,7 @@ from gauge5 import (
     ord_partial1_tilde,
     r_of,
 )
+from gauge5 import exponents, lie
 from gauge5.arith import is_prime
 from gauge5.lie import EXCEPTIONAL, CatalogRow, l_of, prime_cond_interval
 from gauge5.manifold import require_not_divisible_by_6
@@ -381,6 +382,7 @@ def test_best_bound_scans_the_exceptional_rows_once(monkeypatch):
 
 
 def test_exceptional_table_builds_no_group_spec(monkeypatch):
+    monkeypatch.setattr(lie, "_catalog_cache", {})  # a fresh catalog: the table is built here
     built = []
     init = LieGroupSpec.__init__
     monkeypatch.setattr(
@@ -414,3 +416,47 @@ def test_exceptional_table_reads_a_mid_process_catalog_override(tmp_path, monkey
     assert got == want == [("G2", "p>=11", 5, 0), ("G2", "p=5", 7, 1), ("E8", "p>=7", 33, 2)]
     monkeypatch.delenv("GAUGE_CATALOG")
     assert exceptional_table() == packaged
+
+
+def _count_table_rows(monkeypatch) -> list:
+    built = []
+    init = exponents.ExponentTableRow.__init__
+    monkeypatch.setattr(
+        exponents.ExponentTableRow, "__init__",
+        lambda self, *a: built.append(a[0]) or init(self, *a),
+    )
+    return built
+
+
+def test_exceptional_table_is_built_once_per_catalog(monkeypatch):
+    monkeypatch.delenv("GAUGE_CATALOG", raising=False)
+    monkeypatch.setattr(lie, "_catalog_cache", {})
+    built = _count_table_rows(monkeypatch)
+    first = exceptional_table()
+    assert len(built) == len(PUBLISHED_ROWS) == 28
+    second = exceptional_table()
+    assert len(built) == 28  # the second call builds no row
+    assert second == first and second is not first
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_clearing_a_returned_table_leaves_the_next_one_intact():
+    exceptional_table().clear()
+    got = [(r.family, r.prime_cond, r.base, r.offset) for r in exceptional_table()]
+    assert got == PUBLISHED_ROWS
+
+
+def test_a_catalog_override_builds_its_own_table_once(tmp_path, monkeypatch):
+    monkeypatch.delenv("GAUGE_CATALOG", raising=False)
+    packaged = exceptional_table()
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text(_TABLE_OVERRIDE, encoding="utf-8")
+    monkeypatch.setenv("GAUGE_CATALOG", str(catalog))
+    built = _count_table_rows(monkeypatch)
+    assert [r.family for r in exceptional_table()] == ["G2", "G2", "E8"]
+    assert exceptional_table() == exceptional_table()
+    assert built == ["G2", "G2", "E8"]  # three rows, built once
+    monkeypatch.delenv("GAUGE_CATALOG")
+    again = exceptional_table()
+    assert built == ["G2", "G2", "E8"]
+    assert len(again) == 28 and all(a is b for a, b in zip(again, packaged))

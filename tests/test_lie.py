@@ -29,6 +29,7 @@ from gauge5.errors import HypothesisError
 from gauge5.exponents import best_bound, exceptional_table, exp_bound_closed_form
 from gauge5.lie import (
     EXCEPTIONAL,
+    _entry,
     _exceptional_catalog,
     load_catalog,
     pi4,
@@ -337,7 +338,7 @@ def _exceptional_cells():
     """What the exponent table reads of each exceptional row, through the index."""
     return [
         (family, [(row.prime_cond, row.interval[0], row.ord_int, row.r_int) for row in rows])
-        for family, rows in _exceptional_catalog()
+        for family, rows in _exceptional_catalog(_entry()[1])
     ]
 
 

@@ -4,7 +4,9 @@ tests/cli_golden.txt, prints exactly what it shows.
 Each command runs through cli.main in process. The lines after a command,
 up to the next blank line or the end of its fenced block, are its expected
 stdout, compared byte for byte. An example whose last line is `...` shows
-only the start of the output and is compared as a prefix.
+only the start of the output and is compared as a prefix. An example whose
+first line starts with `error: ` is a refusal: it exits 1, prints nothing
+on stdout, and those lines are its stderr.
 """
 
 import shlex
@@ -38,6 +40,11 @@ def _examples(path: Path) -> list[tuple[str, list[str]]]:
 
 EXAMPLES = _examples(ROOT / "README.md")
 GOLDEN = _examples(ROOT / "tests" / "cli_golden.txt")
+# argv the golden file pins after the verb forms, each refused
+REFUSALS = [
+    "exponent --table exceptional --group G2 --p 5",
+    "exponent --table exceptional --group G2 --p 5 --format machine",
+]
 
 
 def test_readme_has_examples():
@@ -47,13 +54,16 @@ def test_readme_has_examples():
 def test_golden_file_pins_every_verb_form_in_both_formats():
     assert [command for command, _ in GOLDEN] == [
         full for command, _ in VERB_FORMS for full in (command, command + " --format machine")
-    ]
+    ] + REFUSALS
 
 
 def _check(command, expected, capsys):
-    assert main(shlex.split(command)) == 0
-    out = capsys.readouterr().out
-    if expected and expected[-1].strip() == "...":
+    refused = bool(expected) and expected[0].startswith("error: ")
+    assert main(shlex.split(command)) == (1 if refused else 0)
+    out, err = capsys.readouterr()
+    if refused:
+        assert (out, err) == ("", "".join(line + "\n" for line in expected))
+    elif expected and expected[-1].strip() == "...":
         head = "".join(line + "\n" for line in expected[:-1])
         assert out.startswith(head)
     else:

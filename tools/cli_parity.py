@@ -7,10 +7,12 @@ interpreters: one imports OTHER_ROOT/src and the other this checkout's src.
 The list holds every `$ gauge5` line of README.md and tests/cli_golden.txt,
 `--help` for the top level and each verb, and each query of the
 `cli_launch` benchmark stream (`bench/workloads.py::cli_block`, seeds 1-5,
-30 blocks each) in both output formats, and six sweeps, each in both
+30 blocks each) in both output formats, and seven sweeps, each in both
 formats:
 - `exponent`: every `--route` over a fixed grid of groups, p and c (p = 2
   and non-primes, and c with 6 | c, included);
+- `exponent --table exceptional`: without `--p` and at each p of that grid,
+  and once with `--group` (refused);
 - `bott`: both families over a grid of c (even, odd and a semiprime) and m,
   spin and non-spin, `--table` and each `--r` from 2 to 10, with and
   without `--away-2c`;
@@ -29,7 +31,8 @@ formats:
 For each argv the exit code, stdout and stderr must agree; an exception
 that escapes `main` is recorded in place of the exit code. Prints the count
 compared, and on a difference the first differing argv with both outputs;
-exits 1 on any difference.
+exits 1 on any difference, or when stdout is closed before the report is
+written.
 
 Standard library only, and outside the test suite. It imports bench/ to
 draw the benchmark queries and writes nothing there.
@@ -40,6 +43,7 @@ import dataclasses
 import io
 import itertools
 import json
+import os
 import random
 import shlex
 import subprocess
@@ -119,6 +123,11 @@ def _argv_list() -> list[list[str]]:
     ):
         argvs.append(["exponent", "--group", group, "--p", str(p), "--c", str(c), "--m", "2",
                       "--route", route, "--format", fmt])
+    for p, fmt in itertools.product(
+        ([],) + tuple(["--p", str(p)] for p in EXPONENT_P), ("text", "machine"),
+    ):
+        argvs.append(["exponent", "--table", "exceptional", *p, "--format", fmt])
+    argvs.append(["exponent", "--table", "exceptional", "--group", "E8"])
     for family, c, m, spin, question, away, fmt in itertools.product(
         ("SU", "Spin"), BOTT_C, range(1, 6), ([], ["--non-spin"]), BOTT_QUESTIONS,
         ([], ["--away-2c"]), ("text", "machine"),
@@ -175,11 +184,7 @@ def _run(src: Path, payload: str) -> list:
     return json.loads(proc.stdout)
 
 
-def main(other: str) -> int:
-    argvs = _argv_list()
-    payload = json.dumps(argvs)
-    theirs = _run(Path(other).resolve() / "src", payload)
-    ours = _run(ROOT / "src", payload)
+def _report(other: str, argvs: list, theirs: list, ours: list) -> int:
     print(f"compared {len(argvs)} argv")
     for argv, a, b in zip(argvs, theirs, ours):
         if a != b:
@@ -188,6 +193,22 @@ def main(other: str) -> int:
                 print(f"--- {side}: exit {code}\n{out}--- stderr\n{err}", end="")
             return 1
     return 0
+
+
+def main(other: str) -> int:
+    argvs = _argv_list()
+    payload = json.dumps(argvs)
+    theirs = _run(Path(other).resolve() / "src", payload)
+    ours = _run(ROOT / "src", payload)
+    try:
+        code = _report(other, argvs, theirs, ours)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader is gone, as in gauge5.cli.main: point stdout at devnull so
+        # the exit-time flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":
