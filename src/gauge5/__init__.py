@@ -36,7 +36,7 @@ _EXPORTS = {
     for module, names in {
         "abelian": "FGAbelianGroup",
         "arith": "divisor_count divisors factorize gcd_class legendre_valuation nu_p",
-        "bott": "StableQuery bott_table stability_threshold stable_pi_gauge",
+        "bott": "StableQuery bott_table stability_threshold stable_pi stable_pi_gauge",
         "classification": "ClassificationReport classify_looped_manifold classify_moore"
         " dirichlet_min dirichlet_oracle same_type_moore trivial_case",
         "decomposition": "gauge_away_from_c loops2_gauge loops3_gauge",
@@ -44,7 +44,7 @@ _EXPORTS = {
         "exponents": "ExponentBound best_bound exceptional_table exp_bound_closed_form"
         " exp_bound_regular exp_bound_theriault exp_moore_fiber",
         "lie": "LieGroupSpec catalog_order in_theriault_range is_p_regular l_of"
-        " ord_partial1_tilde r_of rank_of rational_degrees stable_pi type_of",
+        " ord_partial1_tilde r_of rank_of rational_degrees type_of",
         "localization": "Localization",
         "manifold": "ManifoldSpec bundle_classes homology pi6_P4 pi7_P5 pi_moore_self"
         " pi_with_coefficients suspension_image_order suspension_splitting",

@@ -1,9 +1,9 @@
 """Elementary number theory used throughout the package.
 
 Exact integer arithmetic: primality, prime factorization, p-adic
-valuations, Legendre's formula for the valuation of a factorial, divisor
-counting, and the gcd-class map that indexes principal-bundle types over
-Moore spaces.
+valuations, Legendre's formula for the valuation of a factorial (it sums
+its own base-p digits), divisor counting, and the gcd-class map that
+indexes principal-bundle types over Moore spaces.
 
 No call does work proportional to its input. `is_prime` is deterministic
 Miller-Rabin with the first 13 prime bases, proven correct below
@@ -219,25 +219,6 @@ def nu_p(m: int, p: int) -> int:
     return e
 
 
-def digit_sum(n: int, p: int) -> int:
-    """Sum of the base-p digits of n >= 0.
-
-    >>> digit_sum(10, 3)   # 10 = 101_3
-    2
-    >>> digit_sum(0, 5)
-    0
-    """
-    if not is_prime(p):
-        raise ValueError(f"digit_sum base must be prime here, got p={p}")
-    if n < 0:
-        raise ValueError(f"digit_sum needs n >= 0, got {n}")
-    s = 0
-    while n:
-        n, r = divmod(n, p)
-        s += r
-    return s
-
-
 def legendre_valuation(m: int, p: int) -> int:
     """nu_p(m!) via Legendre's identity (m - s_p(m)) / (p - 1), for m >= 0.
 
@@ -252,7 +233,11 @@ def legendre_valuation(m: int, p: int) -> int:
         raise ValueError(f"legendre_valuation needs m >= 0, got {m}")
     if not is_prime(p):
         raise ValueError(f"legendre_valuation needs a prime, got p={p}")
-    return (m - digit_sum(m, p)) // (p - 1)
+    s, n = 0, m  # s_p(m), the sum of m's base-p digits
+    while n:
+        n, digit = divmod(n, p)
+        s += digit
+    return (m - s) // (p - 1)
 
 
 def divisor_count(m: int) -> int:

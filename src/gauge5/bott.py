@@ -1,10 +1,10 @@
 """Stable homotopy of gauge groups over the 5-manifolds.
 
 For G = SU(n) or Spin(n) with n large against r, pi_r of the gauge group is
-computed by pushing the away-from-c decomposition through the stable
-homotopy of the family: each factor Omega^j G contributes
-stable_pi(family, r + j). The shift multiset comes from normalize(), so a
-normalization bug shows up here as a wrong table entry, which is the point.
+computed by pushing the away-from-c decomposition through the family's Bott
+groups (_STABLE): each factor Omega^j G contributes stable_pi(family, r + j).
+The shift multiset comes from normalize(), so a normalization bug shows up
+here as a wrong table entry, which is the point.
 
 The shift multiset depends on M and the localization only: M fixes the
 factors (G x Omega^5 G x (Omega^2 G x Omega^3 G)^(m-1), or the CP^2 form
@@ -12,25 +12,55 @@ for non-spin M) and the localization decides which of them normalize()
 splits. That is Bott periodicity for the gauge group, and it lets bott_rows
 compute the localization and the multiset once per table. Bott periodicity
 of the family folds normalize()'s (shift, multiplicity) pairs into a count
-per residue of the period (2 for SU, 8 for Spin), keeping only the residues
-the shifts hit: at most 4, as the shifts are 0, 2, 3 and 5 in both forms.
-Each Bott group is localized once, when a row first reads it, so a row is
-one group summed over at most 4 residue classes. The fold's cost does not
-grow with m: a row of about m summands costs what its output costs.
-c is read only through its parity, since every stable answer's torsion is
-2-primary (see StableQuery.localization): c is never factored, and every
-c >= 2 answers.
+per residue of its _STABLE period, keeping only the residues the shifts
+hit: at most 4, as the shifts are 0, 2, 3 and 5 in both forms. Each Bott
+group is localized once, when a row first reads it, so a row is one group
+summed over at most 4 residue classes. The fold's cost does not grow with
+m: a row of about m summands costs what its output costs. c is read only
+through its parity (see StableQuery.localization): c is never factored,
+and every c >= 2 answers.
 """
 
 from .abelian import FGAbelianGroup
 from .decomposition import _away_from_c_atoms
-from .lie import _stable_family
 from .localization import Localization
 from .manifold import ManifoldSpec, require_spin_or_away_from_2
 from .spaces import SpaceExpr
 from .value import Value
 
 _AWAY_FROM_2 = Localization.away_from([2])
+
+# Each stable family's least r and pi_r of its stable groups by residue of r:
+# SU mod 2, Spin mod 8 (as cyclic orders, 0 encoding Z and 1 the zero group).
+# Groups are immutable, so every caller shares these.
+_STABLE = {
+    "SU": (1, (FGAbelianGroup.trivial(), FGAbelianGroup.free(1))),
+    "Spin": (2, tuple(FGAbelianGroup.cyclic(n) for n in (2, 2, 1, 0, 1, 1, 1, 0))),
+}
+
+
+def _stable_family(family: str, r: int | None = None) -> tuple[int, tuple[FGAbelianGroup, ...]]:
+    """(least r, Bott groups by residue of r) of the SU or Spin family; the
+    one check that a given r is at least the family's least r."""
+    try:
+        least, groups = _STABLE[family]
+    except (KeyError, TypeError):
+        raise ValueError(f"stable families are SU and Spin, got {family!r}") from None
+    if r is not None and r < least:
+        raise ValueError(f"need r >= {least} for {family}, got {r}")
+    return least, groups
+
+
+def stable_pi(family: str, r: int) -> FGAbelianGroup:
+    """Stable pi_r for the SU or Spin family (Bott periodicity).
+
+    >>> str(stable_pi("SU", 7)), str(stable_pi("SU", 8))
+    ('Z', '0')
+    >>> str(stable_pi("Spin", 11)), str(stable_pi("Spin", 13))
+    ('Z', '0')
+    """
+    groups = _stable_family(family, r)[1]
+    return groups[r % len(groups)]
 
 
 def stability_threshold(family: str, r: int) -> int:
@@ -66,7 +96,7 @@ class StableQuery(Value):
         """Away from 2 when ctx is away_2c or c is even, else integral: the
         stable layer's one read of c, and only of c % 2. It agrees with
         inverting c (and 2, for away_2c) on every answer, because the Bott
-        groups in lie._STABLE have only 2-primary torsion and
+        groups in _STABLE have only 2-primary torsion and
         _away_from_c_atoms yields only group, loops_g and map_cp2 atoms, so
         normalize() and localize() ask the context only whether it inverts 2."""
         inverts_2 = self.ctx == "away_2c" or self.M.c % 2 == 0

@@ -59,10 +59,6 @@ class ClassificationReport(Value):
             looped=looped, order_source=order_source,
         )
 
-    def count_at(self, p: int) -> int:
-        """Type count at any prime (1 when p does not divide d)."""
-        return nu_p(self.d, p) + 1
-
     def is_single_type(self) -> bool:
         return self.d == 1
 
@@ -248,8 +244,8 @@ def classify_moore(G: LieGroupSpec, c: int) -> ClassificationReport:
     """Upper-bound type counts for gauge groups over P⁴(c).
 
     >>> r = classify_moore(LieGroupSpec("SU", 3), 9)
-    >>> r.d, r.count_integral, r.count_at(3)
-    (3, 2, 2)
+    >>> r.d, r.count_integral, r.count_at_p
+    (3, 2, ((3, 2),))
     >>> classify_moore(LieGroupSpec("G2"), 21).count_integral
     4
     """

@@ -14,6 +14,8 @@ Every verb takes --format text|machine. Machine output is one `tag key=value`
 record per line (records.py); `exponent` records omit the bound's assumptions
 and alternatives, and `wedge` records an opaque summand's tag and homology
 ledger. Hypothesis failures exit nonzero with the failed condition named on stderr.
+`exponent --table` refuses --group, and any manifold flag or --route away from
+its `_VERBS` default, rather than ignore it.
 
 Each verb's flags are declared once, as data in `_VERBS`. A well-formed argv
 is read from that table without importing argparse (`_read`); --help, usage
@@ -161,6 +163,12 @@ def _run_exponent(args) -> str:
             raise ValueError(
                 "--group does not combine with --table; the table lists every exceptional group"
             )
+        slots = _slots("exponent")  # a flag at its default reads as absent
+        ignored = [flag for flag in ("--c", "--m", "--non-spin", "--sp", "--stc", "--route")
+                   if getattr(args, slots[flag][0]) != slots[flag][1]]
+        if ignored:
+            raise ValueError(f"--table does not combine with {', '.join(ignored)};"
+                             " it reads only --p")
         rows = exponents.exceptional_table()
         if args.p is not None:
             _require_odd_prime(args.p)
@@ -362,6 +370,13 @@ _VERBS = {
 _FLAG_DEFAULTS = {None: None, "store_true": False, "store_false": True}
 
 
+def _slots(verb: str) -> dict:
+    """flag -> (namespace name, default) of each flag `_VERBS` declares for `verb`."""
+    return {flag: (kw.get("dest", flag[2:].replace("-", "_")),
+                   kw.get("default", _FLAG_DEFAULTS[kw.get("action")]))
+            for flag, kw in _VERBS[verb][1].items()}
+
+
 def _read(verb: str, argv: list[str]) -> SimpleNamespace | None:
     """The namespace `build_parser().parse_args([verb, *argv])` returns, read
     from the flags `_VERBS` declares for `verb`, or None where argparse must
@@ -373,11 +388,8 @@ def _read(verb: str, argv: list[str]) -> SimpleNamespace | None:
     missing required flag. As in argparse, a repeated flag's last value wins.
     """
     _, flags, run = _VERBS[verb]
-    dests = {flag: kw.get("dest", flag[2:].replace("-", "_")) for flag, kw in flags.items()}
-    values = {
-        dests[flag]: kw.get("default", _FLAG_DEFAULTS[kw.get("action")])
-        for flag, kw in flags.items()
-    }
+    slots = _slots(verb)
+    values = dict(slots.values())
     given = set()
     i = 0
     while i < len(argv):
@@ -403,7 +415,7 @@ def _read(verb: str, argv: list[str]) -> SimpleNamespace | None:
                 return None
             value = got if "nargs" in kw else got[0]
             i += 1 + n
-        values[dests[flag]] = value
+        values[slots[flag][0]] = value
         given.add(flag)
     if any(kw.get("required") and flag not in given for flag, kw in flags.items()):
         return None

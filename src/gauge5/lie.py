@@ -3,8 +3,8 @@
 Static data and derived predicates: the rational type (exponents of the
 sphere product), l(G) and rank, triviality of pi_4, p-regularity, the
 Theriault range, the order of the degree-4 connecting map (drives bundle
-classification over Moore spaces), the loop-power offset r(G, p) used by the
-exponent bounds, and the stable homotopy of the SU and Spin families.
+classification over Moore spaces) and the loop-power offset r(G, p) of the
+exponent bounds. The stable SU and Spin groups live in bott, their reader.
 
 Numeric rows live in data/catalog.txt (override with the GAUGE_CATALOG
 environment variable); this module parses and interprets them. Each catalog
@@ -535,37 +535,3 @@ def _exceptional_catalog(index: dict) -> tuple[tuple[str, tuple[CatalogRow, ...]
     has proved what the table reads of each row (_check_exceptional_row)."""
     return tuple((family, index.get((family, None), ())) for family in EXCEPTIONAL)
 
-
-# -- stable homotopy ---------------------------------------------------------
-
-# Each stable family's least r and pi_r of its stable groups by residue of r:
-# SU mod 2, Spin mod 8 (as cyclic orders, 0 encoding Z and 1 the zero group).
-# Groups are immutable, so every caller shares these.
-_STABLE = {
-    "SU": (1, (FGAbelianGroup.trivial(), FGAbelianGroup.free(1))),
-    "Spin": (2, tuple(FGAbelianGroup.cyclic(n) for n in (2, 2, 1, 0, 1, 1, 1, 0))),
-}
-
-
-def _stable_family(family: str, r: int | None = None) -> tuple[int, tuple[FGAbelianGroup, ...]]:
-    """(least r, Bott groups by residue of r) of the SU or Spin family; the
-    one check that a given r is at least the family's least r."""
-    try:
-        least, groups = _STABLE[family]
-    except (KeyError, TypeError):
-        raise ValueError(f"stable families are SU and Spin, got {family!r}") from None
-    if r is not None and r < least:
-        raise ValueError(f"need r >= {least} for {family}, got {r}")
-    return least, groups
-
-
-def stable_pi(family: str, r: int) -> FGAbelianGroup:
-    """Stable pi_r for the SU or Spin family (Bott periodicity).
-
-    >>> str(stable_pi("SU", 7)), str(stable_pi("SU", 8))
-    ('Z', '0')
-    >>> str(stable_pi("Spin", 11)), str(stable_pi("Spin", 13))
-    ('Z', '0')
-    """
-    groups = _stable_family(family, r)[1]
-    return groups[r % len(groups)]

@@ -12,9 +12,9 @@ integer bookkeeping:
 
 Convention used throughout: factors whose resulting degree is <= 1 are
 dropped (the loop space of S^3 twice is rationally K(Q, 1), a point in the
-simply connected modeling used here). The b_star cohomology formula is the
-one place the degree-1 case survives, since there the ring genuinely has a
-degree-1 class.
+simply connected modeling used here); _gauge_degrees is the one degree
+rule. The b_star cohomology formula is the one place the degree-1 case
+survives, since there the ring genuinely has a degree-1 class.
 """
 
 from . import records
@@ -22,13 +22,7 @@ from .errors import HypothesisError
 from .lie import LieGroupSpec, rational_degrees
 from .localization import Localization
 from .manifold import ManifoldSpec
-from .spaces import (
-    SpaceAtom,
-    SpaceExpr,
-    em_factor,
-    loops_g,
-    sphere_factor,
-)
+from .spaces import SpaceExpr, em_factor, loops_g, sphere_factor
 from .value import Value
 
 
@@ -62,10 +56,6 @@ class HilbertSeries(Value):
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         self.__dict__.update(coefficients=coeffs)
-
-    @staticmethod
-    def point() -> "HilbertSeries":
-        return HilbertSeries((1,))
 
     @staticmethod
     def sphere(n: int) -> "HilbertSeries":
@@ -213,7 +203,7 @@ def rational_gauge(X: HilbertSeries, G: RationalGroupModel, based: bool = False)
 
     >>> print(rational_gauge(HilbertSeries.sphere(4), RationalGroupModel.parse("3,5,7/")))
     G × Ω⁴G
-    >>> print(rational_gauge(HilbertSeries.point(), RationalGroupModel.parse("3/")))
+    >>> print(rational_gauge(HilbertSeries((1,)), RationalGroupModel.parse("3/")))
     G
     """
     X.require_simply_connected()
@@ -239,13 +229,6 @@ def rational_B_star(X: HilbertSeries, G: RationalGroupModel) -> SpaceExpr:
     return SpaceExpr(pairs, localization=Localization.rational(), group=G)
 
 
-def atomize(degree: int) -> SpaceAtom | None:
-    """Sphere/EM atom of the given degree; None when degree <= 1 (dropped)."""
-    if degree <= 1:
-        return None
-    return sphere_factor(degree) if degree % 2 else em_factor(degree)
-
-
 def em_expansion(X: HilbertSeries, G: RationalGroupModel, based: bool = False) -> SpaceExpr:
     """The gauge group written in irreducible rational atoms: each factor
     Omega^i (sphere or K(Q, n)) collapses to a single atom of degree d - i.
@@ -260,7 +243,8 @@ def em_expansion(X: HilbertSeries, G: RationalGroupModel, based: bool = False) -
     mults: dict[int, int] = {}  # degree -> multiplicity: one atom per degree
     for n, b in _gauge_degrees(X, G, based):
         mults[n] = mults.get(n, 0) + b
-    pairs = tuple((atomize(n), b) for n, b in mults.items())
+    # every degree is >= 2 (_gauge_degrees): odd ones are spheres, even ones K(Q, n)
+    pairs = tuple(((sphere_factor if n % 2 else em_factor)(n), b) for n, b in mults.items())
     return SpaceExpr(pairs, localization=Localization.rational(), group=G)
 
 
@@ -309,7 +293,7 @@ def rational_cohomology_ring(target: str, X: HilbertSeries, G: RationalGroupMode
 
     >>> print(rational_cohomology_ring("b_star", HilbertSeries.sphere(4), RationalGroupModel.parse("3/")))
     Q[4]
-    >>> print(rational_cohomology_ring("gauge", HilbertSeries.point(), RationalGroupModel.parse("3,5/4")))
+    >>> print(rational_cohomology_ring("gauge", HilbertSeries((1,)), RationalGroupModel.parse("3,5/4")))
     Λ(3,5) ⊗ Q[4]
     """
     if target == "gauge":

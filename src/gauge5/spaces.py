@@ -152,14 +152,9 @@ def em_factor(n: int) -> SpaceAtom:
 
 
 def group_degrees(group) -> tuple[int, ...]:
-    """Rational homotopy degrees of a group context (Lie spec or any model
-    exposing all_degrees())."""
-    if isinstance(group, LieGroupSpec):
-        return rational_degrees(group)
-    degs = getattr(group, "all_degrees", None)
-    if callable(degs):
-        return tuple(degs())
-    raise TypeError(f"no rational degrees for group context {group!r}")
+    """Rational homotopy degrees of a group context: a LieGroupSpec or a
+    rational.RationalGroupModel, the two kinds the package builds."""
+    return rational_degrees(group) if isinstance(group, LieGroupSpec) else group.all_degrees()
 
 
 class SpaceExpr(Value):

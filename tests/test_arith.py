@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gauge5 import arith, divisor_count, divisors, factorize, gcd_class, legendre_valuation, nu_p
-from gauge5.arith import MILLER_RABIN_BOUND, digit_sum, is_prime, prime_divisors
+from gauge5.arith import MILLER_RABIN_BOUND, is_prime, prime_divisors
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97)
 
@@ -93,14 +93,6 @@ def test_legendre_matches_termwise_valuations():
             assert legendre_valuation(i, p) == total, (i, p)
 
 
-def test_legendre_digit_sum_identity():
-    rng = random.Random(15)
-    for _ in range(300):
-        m = rng.randint(0, 10**6)
-        p = rng.choice(SMALL_PRIMES)
-        assert legendre_valuation(m, p) == (m - digit_sum(m, p)) // (p - 1)
-
-
 def test_legendre_edge_cases():
     assert legendre_valuation(0, 3) == 0
     assert legendre_valuation(4, 5) == 0
@@ -108,12 +100,6 @@ def test_legendre_edge_cases():
         legendre_valuation(-1, 3)
     with pytest.raises(ValueError):
         legendre_valuation(10, 4)
-
-
-def test_digit_sum():
-    assert digit_sum(0, 5) == 0
-    assert digit_sum(7, 2) == 3  # 111
-    assert digit_sum(124, 5) == 4 + 4 + 4  # 444
 
 
 def test_gcd_class_table():

@@ -16,35 +16,12 @@ from gauge5 import (
     stability_threshold,
     stable_pi_gauge,
 )
-from gauge5.bott import _shifted_sums, bott_rows, shift_multiset
+from gauge5.bott import _STABLE, _shifted_sums, bott_rows, shift_multiset, stable_pi
 from gauge5.decomposition import _away_from_c_atoms
-from gauge5.lie import _STABLE, stable_pi
 from gauge5.spaces import SpaceExpr
+from test_acceptance import _expected_spin_away_2c, _expected_spin_away_c
 
 Z = FGAbelianGroup.free
-ZERO = FGAbelianGroup.trivial()
-
-
-def _two_torsion(count: int) -> FGAbelianGroup:
-    return FGAbelianGroup.from_cyclic_orders(*([2] * count))
-
-
-def _spin_away_c(r: int, m: int) -> FGAbelianGroup:
-    by_residue = {
-        0: Z(m - 1) + _two_torsion(1),
-        1: Z(m - 1) + _two_torsion(1),
-        2: Z(1),
-        3: Z(1) + _two_torsion(1),
-        4: Z(m - 1) + _two_torsion(1),
-        5: Z(m - 1) + _two_torsion(m - 1),
-        6: Z(1) + _two_torsion(2 * m - 2),
-        7: Z(1) + _two_torsion(m - 1),
-    }
-    return by_residue[r % 8]
-
-
-def _spin_away_2c(r: int, m: int) -> FGAbelianGroup:
-    return {0: Z(m - 1), 1: Z(m - 1), 2: Z(1), 3: Z(1)}[r % 4]
 
 
 def test_su_result_is_free_of_rank_m():
@@ -62,9 +39,9 @@ def test_spin_family_tables():
         M = ManifoldSpec(5, m)
         for r in range(2, 34):
             away_c = stable_pi_gauge(StableQuery(M, "Spin", 0, r))
-            assert away_c == _spin_away_c(r, m), (r, m)
+            assert away_c == _expected_spin_away_c(r, m), (r, m)
             away_2c = stable_pi_gauge(StableQuery(M, "Spin", 0, r, "away_2c"))
-            assert away_2c == _spin_away_2c(r, m), (r, m)
+            assert away_2c == _expected_spin_away_2c(r, m), (r, m)
 
 
 def test_non_spin_manifolds_match_the_torsion_free_table():
@@ -72,7 +49,7 @@ def test_non_spin_manifolds_match_the_torsion_free_table():
         M = ManifoldSpec(5, m, spin=False)
         for r in range(2, 18):
             got = stable_pi_gauge(StableQuery(M, "Spin", 0, r, "away_2c"))
-            assert got == _spin_away_2c(r, m), (r, m)
+            assert got == _expected_spin_away_2c(r, m), (r, m)
 
 
 # every manifold flag set (m, spin) of the parity grid below, at even and odd

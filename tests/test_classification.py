@@ -33,8 +33,7 @@ def test_moore_classification_report():
     report = classify_moore(SU(3), 9)
     assert report.d == 3
     assert report.count_integral == 2
-    assert report.count_at(3) == 2
-    assert report.count_at(7) == 1
+    assert report.count_at_p == ((3, 2),)  # one type at every other prime, 7 among them
     assert report.order_source == "upper_bound_from_S4"
     assert report.classes == ((1, (1, 2, 4, 5, 7, 8)), (3, (0, 3, 6)))
 
@@ -66,7 +65,7 @@ def test_classes_partition_the_residues():
             assert report.d % g == 0
             assert all(math.gcd(k, report.d) == g for k in ks)
         for p, count in report.count_at_p:
-            assert count == report.count_at(p)
+            assert count == nu_p(report.d, p) + 1
 
 
 def test_same_type_examples():
@@ -198,7 +197,7 @@ def test_trivial_case_forces_one_type_at_p():
             continue
         report = classify_moore(G, c)
         if report.d % p != 0:
-            assert report.count_at(p) == 1
+            assert dict(report.count_at_p).get(p, 1) == 1
 
 
 def test_dirichlet_oracle_examples():
@@ -340,6 +339,32 @@ def test_the_looped_report_is_the_moore_report_looped(G, c, m, parallel, i, ctx)
     except HypothesisError:
         return
     assert got == classify_moore(G, c).replace(looped=i)
+
+
+def _depends_on_d(report) -> tuple:
+    """What classify_moore's report keeps when c moves with d = gcd(ord, c)
+    fixed: each class's size is phi(d/g)·c/d, so size·d/c is kept."""
+    classes = []
+    for g, members in report.classes:
+        assert members.size * report.d % report.c == 0
+        classes.append((g, members.size * report.d // report.c))
+    return (report.ord, report.order_validity, report.d, report.count_integral,
+            report.count_at_p, tuple(classes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_TWELVE_GROUPS),
+    st.integers(min_value=2, max_value=10**4),
+    st.integers(min_value=1, max_value=10**3),
+    st.integers(min_value=0, max_value=10**4),
+    st.integers(min_value=0, max_value=10**4),
+)
+def test_the_classification_depends_on_c_only_through_d(G, c, t, k, l):
+    report = classify_moore(G, c)
+    shifted = c + t * report.ord  # gcd(ord, c + t·ord) = gcd(ord, c)
+    assert _depends_on_d(classify_moore(G, shifted)) == _depends_on_d(report)
+    assert same_type_moore(k, l, G, shifted) == same_type_moore(k, l, G, c)
 
 
 def test_classify_moore_factors_d_once(monkeypatch):

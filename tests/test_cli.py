@@ -153,6 +153,36 @@ def test_exponent_table_refuses_a_group(run, fmt, p):
     assert got == (1, "", f"error: {message}")
 
 
+_IGNORED_BY_TABLE = {
+    "--c": ["--c", "25"], "--m": ["--m", "2"], "--non-spin": ["--non-spin"], "--sp": ["--sp"],
+    "--stc": ["--stc"], "--route": ["--route", "regular"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("p", [[], ["--p", "7"]], ids=["all-p", "p7"])
+@pytest.mark.parametrize("flag", list(_IGNORED_BY_TABLE))
+def test_exponent_table_refuses_each_flag_it_would_ignore(run, fmt, p, flag):
+    got = run("exponent", "--table", "exceptional", *p, *_IGNORED_BY_TABLE[flag], "--format", fmt)
+    assert got == (1, "", f"error: --table does not combine with {flag}; it reads only --p")
+
+
+def test_exponent_table_names_every_ignored_flag_in_declared_order(run):
+    # --route=closed is read by argparse, not by cli._read: both paths refuse alike
+    got = run("exponent", "--table", "exceptional", "--route=closed", "--stc", "--c", "5")
+    assert got == (1, "", "error: --table does not combine with --c, --stc, --route;"
+                          " it reads only --p")
+
+
+def test_exponent_table_passes_flags_given_at_their_defaults(run):
+    # --c 1, --m 1 and --route best are what an absent flag reads as
+    want = run("exponent", "--table", "exceptional", "--p", "7")
+    assert want[0] == 0 and want[1]
+    got = run("exponent", "--table", "exceptional", "--p", "7", "--c", "1", "--m", "1",
+              "--route", "best")
+    assert got == want
+
+
 def test_exponent_table_at_3_is_empty(run):
     # an odd prime no exceptional row covers: an empty answer, not a refusal
     assert run("exponent", "--table", "exceptional", "--p", "3") == (0, "", "")

@@ -28,6 +28,7 @@ from gauge5 import exponents, lie
 from gauge5.arith import is_prime
 from gauge5.lie import EXCEPTIONAL, CatalogRow, l_of, prime_cond_interval
 from gauge5.manifold import require_not_divisible_by_6
+from test_acceptance import _manifold_with_valuation
 
 CATALOG = Path(gauge5.__file__).resolve().parent / "data" / "catalog.txt"
 
@@ -67,10 +68,6 @@ PUBLISHED_ROWS = [
     ("E8", "p=31", 30, 1),
     ("E8", "p>=37", 29, 0),
 ]
-
-
-def _manifold_with_valuation(p: int, nu: int) -> ManifoldSpec:
-    return ManifoldSpec(p**nu if nu else 2, 1)
 
 
 def test_regular_route_examples():

@@ -19,13 +19,13 @@ from gauge5.rational import (
     HilbertSeries,
     RationalGroupModel,
     _gauge_degrees,
-    atomize,
     em_expansion,
     rational_B_star,
     rational_cohomology_ring,
     rational_gauge,
     rational_rank_formula,
 )
+from test_bott import _outcome
 
 
 def _random_series(rng: random.Random) -> HilbertSeries:
@@ -50,7 +50,7 @@ def test_series_basics():
     S4 = HilbertSeries.sphere(4)
     assert [S4.coefficient(i) for i in range(6)] == [1, 0, 0, 0, 1, 0]
     assert S4.degree() == 4
-    assert HilbertSeries.point().degree() == 0
+    assert HilbertSeries((1,)).degree() == 0
     assert HilbertSeries((1, 0, 1, 0)) == HilbertSeries((1, 0, 1))
     assert str(HilbertSeries((1, 0, 2, 2, 0, 1))) == "1 + 2t^2 + 2t^3 + t^5"
     assert HilbertSeries.parse("1,0,2,2,0,1") == HilbertSeries((1, 0, 2, 2, 0, 1))
@@ -92,7 +92,7 @@ def test_gauge_model_shapes():
     S4 = HilbertSeries.sphere(4)
     assert rational_gauge(S4, G).pretty() == "G × Ω⁴G"
     assert rational_gauge(S4, G, based=True).pretty() == "Ω⁴G"
-    assert rational_gauge(HilbertSeries.point(), G).pretty() == "G"
+    assert rational_gauge(HilbertSeries((1,)), G).pretty() == "G"
     assert rational_B_star(S4, G).pretty() == "Ω³G"
     wedge = HilbertSeries((1, 0, 1, 1))
     assert rational_gauge(wedge, G, based=True).pretty() == "Ω²G × Ω³G"
@@ -156,7 +156,7 @@ def test_ring_examples():
     assert str(rational_cohomology_ring("b_star", S4, RationalGroupModel.parse("3/"))) == "Q[4]"
     assert str(rational_cohomology_ring("gauge", S4, RationalGroupModel.parse("3/"))) == "Λ(3)"
     assert str(rational_cohomology_ring("b_star", S4, RationalGroupModel.parse("3,5"))) == "Q[2,4,6]"
-    led = rational_cohomology_ring("gauge", HilbertSeries.point(), RationalGroupModel.parse("3,5/4"))
+    led = rational_cohomology_ring("gauge", HilbertSeries((1,)), RationalGroupModel.parse("3,5/4"))
     assert str(led) == "Λ(3,5) ⊗ Q[4]"
     assert led.generators == ((3, "exterior"), (4, "polynomial"), (5, "exterior"))
     assert "generator degree=3 kind=exterior" in led.machine()
@@ -219,13 +219,6 @@ def _ledger_off_em_expansion(X: HilbertSeries, G: RationalGroupModel) -> Generat
     return GeneratorLedger(tuple(gens))
 
 
-def _ring_outcome(fn, *args):
-    try:
-        return "ok", fn(*args)
-    except (HypothesisError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(0, 3), max_size=9),
@@ -235,13 +228,16 @@ def _ring_outcome(fn, *args):
 def test_the_gauge_ring_equals_the_ledger_read_off_em_expansion(betti, ext, poly):
     X = HilbertSeries((1, *betti))  # b_1 > 0 is refused alike
     G = RationalGroupModel(tuple(2 * e + 1 for e in ext), tuple(2 * e for e in poly))
-    want = _ring_outcome(_ledger_off_em_expansion, X, G)
-    assert _ring_outcome(rational_cohomology_ring, "gauge", X, G) == want
+    want = _outcome(_ledger_off_em_expansion, X, G)
+    assert _outcome(rational_cohomology_ring, "gauge", X, G) == want
 
 
 def _em_per_pair(X: HilbertSeries, G: RationalGroupModel, based: bool) -> spaces.SpaceExpr:
     """em_expansion as it was once built: one atom per (degree, multiplicity) pair."""
-    pairs = tuple((atomize(n), b) for n, b in _gauge_degrees(X, G, based))
+    pairs = tuple(
+        ((spaces.sphere_factor if n % 2 else spaces.em_factor)(n), b)
+        for n, b in _gauge_degrees(X, G, based)
+    )
     return spaces.SpaceExpr(pairs, localization=Localization.rational(), group=G)
 
 
@@ -255,6 +251,6 @@ def _em_per_pair(X: HilbertSeries, G: RationalGroupModel, based: bool) -> spaces
 def test_em_expansion_equals_the_per_pair_construction(betti, ext, poly, based):
     X = HilbertSeries((1, *betti))  # b_1 > 0 is refused alike
     G = RationalGroupModel(tuple(2 * e + 1 for e in ext), tuple(2 * e for e in poly))
-    want = _ring_outcome(_em_per_pair, X, G, based)
-    got = _ring_outcome(em_expansion, X, G, based)
+    want = _outcome(_em_per_pair, X, G, based)
+    got = _outcome(em_expansion, X, G, based)
     assert (got[0], repr(got[1])) == (want[0], repr(want[1]))

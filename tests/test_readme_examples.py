@@ -44,6 +44,8 @@ GOLDEN = _examples(ROOT / "tests" / "cli_golden.txt")
 REFUSALS = [
     "exponent --table exceptional --group G2 --p 5",
     "exponent --table exceptional --group G2 --p 5 --format machine",
+    "exponent --table exceptional --p 13 --c 25 --route regular --non-spin",
+    "exponent --table exceptional --p 13 --c 25 --route regular --non-spin --format machine",
 ]
 
 

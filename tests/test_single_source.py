@@ -1,12 +1,13 @@
-"""Each Lie-family fact is read in one function.
+"""Each Lie-family fact is read in one function, and each table in one module.
 
 Spin's parity is read only by lie._family_key, which maps Spin(2n+1) to
 ('SpinOdd', n) and Spin(2n) to ('SpinEven', n); every per-family formula
 branches on that key. "p is an odd prime" is checked only by
 lie._require_odd_prime, which every odd-primary entry point calls. Which
 groups have pi_4 = Z/2 (SU(2), every Sp(n), Spin(5)) is stated only by
-lie._pi4_is_z2, which pi4 and pi4_is_trivial both call. "r is at least the
-stable family's least r" is checked only by lie._stable_family, which
+lie._pi4_is_z2, which pi4 and pi4_is_trivial both call. The Bott groups,
+bott._STABLE, are defined and read only in bott, and "r is at least the
+stable family's least r" is checked only by bott._stable_family, which
 stable_pi, stability_threshold and StableQuery call. GcdClass has one
 construction path, its __init__. Only spaces._LOOPS holds prebuilt G and
 Omega^j G atoms, which loops_g and group_itself return. A Lie group's
@@ -110,7 +111,30 @@ def _compares_r_with_least(node) -> bool:
 
 
 def test_r_is_compared_with_the_least_stable_r_only_by_the_family_lookup():
-    assert _sites(_compares_r_with_least) == {("lie.py", "_stable_family")}
+    assert _sites(_compares_r_with_least) == {("bott.py", "_stable_family")}
+
+
+def _names_the_bott_groups(node) -> bool:
+    # _STABLE or _stable_family, as a name, an attribute, a definition or an import
+    names = {"_STABLE", "_stable_family"}
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Attribute):
+        return node.attr in names
+    if isinstance(node, ast.FunctionDef):
+        return node.name in names
+    return isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names)
+
+
+def test_the_bott_groups_live_only_in_bott():
+    assert {where for where, _ in _sites(_names_the_bott_groups)} == {"bott.py"}
+    tree = ast.parse((SRC / "bott.py").read_text(encoding="utf-8"))
+    from_lie = [
+        a.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "lie"
+        for a in node.names
+    ]
+    assert not [name for name in from_lie if name.startswith("_")]
 
 
 def test_gcd_class_is_built_only_through_its_constructor():

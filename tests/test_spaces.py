@@ -26,6 +26,7 @@ from gauge5.spaces import (
     parse_machine,
     sphere_factor,
 )
+from test_acceptance import _random_atom
 
 SRC = Path(gauge5.__file__).resolve().parent.parent
 
@@ -45,25 +46,6 @@ _GROUPS = (
     RationalGroupModel.parse("3,5"),
     RationalGroupModel.parse("3/4"),
 )
-
-
-def _random_atom(rng: random.Random):
-    kind = rng.randrange(8)
-    if kind == 0:
-        return group_itself()
-    if kind == 1:
-        return loops_g(rng.randint(0, 9))
-    if kind == 2:
-        return loop_fiber(rng.randint(0, 9))
-    if kind == 3:
-        return moore_gauge(rng.randint(0, 6), rng.randint(0, 8))
-    if kind == 4:
-        return moore_map(rng.randint(2, 6), rng.randint(0, 5))
-    if kind == 5:
-        return map_cp2(rng.randint(0, 6))
-    if kind == 6:
-        return sphere_factor(rng.randint(0, 9))
-    return em_factor(rng.randint(0, 9))
 
 
 def _random_expr(rng: random.Random) -> SpaceExpr:

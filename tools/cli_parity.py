@@ -12,7 +12,8 @@ formats:
 - `exponent`: every `--route` over a fixed grid of groups, p and c (p = 2
   and non-primes, and c with 6 | c, included);
 - `exponent --table exceptional`: without `--p` and at each p of that grid,
-  and once with `--group` (refused);
+  once with `--group` (refused), and with each manifold flag and `--route`
+  away from its default (refused), with and without `--p 7`;
 - `bott`: both families over a grid of c (even, odd and a semiprime) and m,
   spin and non-spin, `--table` and each `--r` from 2 to 10, with and
   without `--away-2c`;
@@ -61,6 +62,10 @@ EXPONENT_GROUPS = (
 EXPONENT_P = (2, 3, 4, 5, 7, 11, 13, 17, 29, 31, 37)
 EXPONENT_C = (1, 2, 5, 6, 9, 12, 25, 49, 343, 1000003 * 1000033)
 EXPONENT_ROUTES = ("regular", "theriault", "closed", "moore-fiber", "best")
+# the exponent flags the exceptional table does not read, each away from its default
+TABLE_IGNORED = (
+    ["--c", "25"], ["--m", "2"], ["--non-spin"], ["--sp"], ["--stc"], ["--route", "regular"],
+)
 BOTT_C = (2, 3, 4, 5, 9, 12, 75, 1000003 * 1000033)
 BOTT_QUESTIONS = (["--table"],) + tuple(["--r", str(r)] for r in range(2, 11))
 DECOMPOSE_SHAPES = (["--loops", "2"], ["--loops", "3"], ["--away-from-c"])
@@ -128,6 +133,10 @@ def _argv_list() -> list[list[str]]:
     ):
         argvs.append(["exponent", "--table", "exceptional", *p, "--format", fmt])
     argvs.append(["exponent", "--table", "exceptional", "--group", "E8"])
+    for flag, p, fmt in itertools.product(
+        TABLE_IGNORED, ([], ["--p", "7"]), ("text", "machine"),
+    ):
+        argvs.append(["exponent", "--table", "exceptional", *p, *flag, "--format", fmt])
     for family, c, m, spin, question, away, fmt in itertools.product(
         ("SU", "Spin"), BOTT_C, range(1, 6), ([], ["--non-spin"]), BOTT_QUESTIONS,
         ([], ["--away-2c"]), ("text", "machine"),
