@@ -12,7 +12,7 @@ Submodules:
   manifold        homology, Moore-space homotopy, suspension splittings
   spaces          formal product expressions and their normal form
   decomposition   the three looped-gauge-group decompositions
-  classification  homotopy-type counting and the Dirichlet oracle
+  classification  homotopy-type counting and the Dirichlet minimum
   exponents       homotopy-exponent upper bounds
   bott            stable homotopy via Bott periodicity
   rational        Hilbert-series rational models
@@ -35,16 +35,16 @@ _EXPORTS = {
     name: module
     for module, names in {
         "abelian": "FGAbelianGroup",
-        "arith": "divisor_count divisors factorize gcd_class legendre_valuation nu_p",
+        "arith": "divisor_count factorize gcd_class legendre_valuation nu_p",
         "bott": "StableQuery bott_table stability_threshold stable_pi stable_pi_gauge",
         "classification": "ClassificationReport classify_looped_manifold classify_moore"
-        " dirichlet_min dirichlet_oracle same_type_moore trivial_case",
+        " dirichlet_min same_type_moore trivial_case",
         "decomposition": "gauge_away_from_c loops2_gauge loops3_gauge",
         "errors": "CatalogError HypothesisError",
         "exponents": "ExponentBound best_bound exceptional_table exp_bound_closed_form"
         " exp_bound_regular exp_bound_theriault exp_moore_fiber",
         "lie": "LieGroupSpec catalog_order in_theriault_range is_p_regular l_of"
-        " ord_partial1_tilde r_of rank_of rational_degrees type_of",
+        " ord_partial1_tilde r_of rational_degrees type_of",
         "localization": "Localization",
         "manifold": "ManifoldSpec bundle_classes homology pi6_P4 pi7_P5 pi_moore_self"
         " pi_with_coefficients suspension_image_order suspension_splitting",

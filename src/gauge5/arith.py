@@ -254,18 +254,6 @@ def divisor_count(m: int) -> int:
     return out
 
 
-def divisors(m: int) -> tuple[int, ...]:
-    """All positive divisors of m >= 1, ascending.
-
-    >>> divisors(21)
-    (1, 3, 7, 21)
-    """
-    ds = [1]
-    for f in factorize(m):
-        ds = [d * f.p**k for d in ds for k in range(f.e + 1)]
-    return tuple(sorted(ds))
-
-
 def gcd_class(k: int, d: int) -> int:
     """The bundle-type invariant gcd(k mod d, d), with gcd(0, d) = d.
 

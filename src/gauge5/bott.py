@@ -120,8 +120,8 @@ def shift_multiset(M: ManifoldSpec, ctx: Localization) -> tuple[tuple[int, int],
 
 
 def _shifted_sums(groups, shifts, ctx: Localization, rs) -> list[FGAbelianGroup]:
-    """[direct_sum([stable_pi(family, r + s) for s, n in shifts for _ in
-    range(n)]).localize(ctx) for r in rs], each built as one group. groups
+    """[(the direct sum of stable_pi(family, r + s), n times, over (s, n) in
+    shifts).localize(ctx) for r in rs], each built as one group. groups
     are the family's Bott groups by residue of r: the shifts s = i mod their
     period each contribute groups[(r + i) % period], so the (shift,
     multiplicity) pairs are folded into a count per residue hit once, and

@@ -332,28 +332,13 @@ def trivial_case(G: LieGroupSpec, p: int, c: int) -> bool:
     return in_range and nu_p(math.gcd(ord_value, c), p) == 1
 
 
-# -- the arithmetic-progression oracle ----------------------------------------
-
-
-def dirichlet_oracle(k: int, ord_value: int, c: int, N: int) -> set[int]:
-    """{ gcd(ord, k + c i) : 0 <= i <= N }, by direct enumeration.
-
-    >>> min(dirichlet_oracle(1, 24, 9, 100))
-    1
-    >>> min(dirichlet_oracle(3, 24, 9, 100))
-    3
-    >>> min(dirichlet_oracle(0, 24, 9, 100))
-    3
-    """
-    if c < 2 or ord_value < 1 or N < 1:
-        raise ValueError("need c >= 2, ord >= 1, N >= 1")
-    return {math.gcd(ord_value, k + c * i) for i in range(N + 1)}
+# -- the arithmetic-progression minimum ---------------------------------------
 
 
 def dirichlet_min(k: int, ord_value: int, c: int, N: int) -> int:
-    """min(dirichlet_oracle(k, ord, c, N)), stopping early when the floor
-    gcd(k, ord, c) is reached (every term is divisible by it, so nothing
-    smaller can appear later)."""
+    """min of gcd(ord, k + c i) over 0 <= i <= N, stopping early when the
+    floor gcd(k, ord, c) is reached (every term is divisible by it, so
+    nothing smaller can appear later)."""
     if c < 2 or ord_value < 1 or N < 1:
         raise ValueError("need c >= 2, ord >= 1, N >= 1")
     floor = math.gcd(k, math.gcd(ord_value, c))

@@ -11,11 +11,12 @@ One verb per computation family:
   homology   integral homology of the manifold
 
 Every verb takes --format text|machine. Machine output is one `tag key=value`
-record per line (records.py); `exponent` records omit the bound's assumptions
-and alternatives, and `wedge` records an opaque summand's tag and homology
-ledger. Hypothesis failures exit nonzero with the failed condition named on stderr.
-`exponent --table` refuses --group, and any manifold flag or --route away from
-its `_VERBS` default, rather than ignore it.
+record per line (records.py). Two records omit what the text shows: `exponent`
+leaves out the bound's assumptions and alternatives, and `wedge` leaves out an
+opaque summand's tag and homology ledger. Hypothesis failures exit nonzero with
+the failed condition named on stderr. `exponent --table` refuses --group, and
+any manifold flag or --route away from its `_VERBS` default, rather than
+ignore it.
 
 Each verb's flags are declared once, as data in `_VERBS`. A well-formed argv
 is read from that table without importing argparse (`_read`); --help, usage

@@ -140,20 +140,6 @@ def l_of(G: LieGroupSpec) -> int:
     return 2 * n - 1  # Sp(n) and Spin(2n+1)
 
 
-def rank_of(G: LieGroupSpec) -> int:
-    """rank(G) = len(type_of(G)), read per family without building the type.
-
-    >>> rank_of(LieGroupSpec("SU", 10**12)), rank_of(LieGroupSpec("Spin", 9))
-    (999999999999, 4)
-    """
-    key, n = _family_key(G)
-    if key == "SU":
-        return n - 1
-    if key in EXCEPTIONAL:
-        return len(_EXCEPTIONAL_TYPE[key])
-    return n  # Sp(n), Spin(2n+1) and Spin(2n)
-
-
 def rational_degrees(G: LieGroupSpec) -> tuple[int, ...]:
     """Degrees of the rational sphere factors, 2 n_i + 1."""
     return tuple(2 * n + 1 for n in type_of(G))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gauge5 import arith, divisor_count, divisors, factorize, gcd_class, legendre_valuation, nu_p
+from gauge5 import arith, divisor_count, factorize, gcd_class, legendre_valuation, nu_p
 from gauge5.arith import MILLER_RABIN_BOUND, is_prime, prime_divisors
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97)
@@ -65,13 +65,11 @@ def test_prime_divisors():
     assert prime_divisors(1) == ()
 
 
-def test_divisors_sorted_complete_and_counted():
+def test_divisor_count_counts_every_divisor():
     rng = random.Random(13)
     for _ in range(200):
         m = rng.randint(1, 5000)
-        ds = divisors(m)
-        assert ds == tuple(sorted(d for d in range(1, m + 1) if m % d == 0))
-        assert len(ds) == divisor_count(m)
+        assert divisor_count(m) == sum(1 for d in range(1, m + 1) if m % d == 0)
 
 
 def test_divisor_count_multiplicative_on_coprimes():

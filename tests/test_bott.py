@@ -128,10 +128,9 @@ def _inverting_c(M: ManifoldSpec, family: str, rs: range, ctx: str) -> list:
     StableQuery(M, family, 0, rs[0], ctx)  # validated and refused as stable_pi_gauge is
     local = Localization.away_from([2, M.c] if ctx == "away_2c" else [M.c])
     shifts = shift_multiset(M, local)
+    zero = FGAbelianGroup.trivial()
     return [
-        FGAbelianGroup.direct_sum(
-            [stable_pi(family, r + s) for s, n in shifts for _ in range(n)]
-        ).localize(local)
+        sum((stable_pi(family, r + s) for s, n in shifts for _ in range(n)), zero).localize(local)
         for r in rs
     ]
 
@@ -256,8 +255,8 @@ def _direct_sum_oracle(M: ManifoldSpec, family: str, r: int, ctx: str) -> FGAbel
     over every shift of the multiset, then localized."""
     local = StableQuery(M, family, 0, r, ctx).localization()
     shifts = shift_multiset(M, local)
-    summands = [stable_pi(family, r + s) for s, n in shifts for _ in range(n)]
-    return FGAbelianGroup.direct_sum(summands).localize(local)
+    summands = (stable_pi(family, r + s) for s, n in shifts for _ in range(n))
+    return sum(summands, FGAbelianGroup.trivial()).localize(local)
 
 
 @settings(max_examples=120, deadline=None)

@@ -17,13 +17,12 @@ from gauge5 import (
     classify_looped_manifold,
     classify_moore,
     dirichlet_min,
-    dirichlet_oracle,
     divisor_count,
     same_type_moore,
     trivial_case,
 )
 from gauge5 import arith, classification
-from gauge5.arith import divisors, nu_p, prime_divisors
+from gauge5.arith import nu_p, prime_divisors
 from gauge5.classification import GcdClass
 
 SU = lambda n: LieGroupSpec("SU", n)
@@ -200,12 +199,9 @@ def test_trivial_case_forces_one_type_at_p():
             assert dict(report.count_at_p).get(p, 1) == 1
 
 
-def test_dirichlet_oracle_examples():
-    assert min(dirichlet_oracle(1, 24, 9, 100)) == 1
-    assert min(dirichlet_oracle(3, 24, 9, 100)) == 3
-    oracle0 = dirichlet_oracle(0, 24, 9, 100)
-    assert min(oracle0) == 3
-    assert 24 in oracle0  # the i = 0 term gcd(24, 0) = 24
+def _dirichlet_oracle(k: int, ord_value: int, c: int, N: int) -> set[int]:
+    """{ gcd(ord, k + c i) : 0 <= i <= N }, by direct enumeration."""
+    return {math.gcd(ord_value, k + c * i) for i in range(N + 1)}
 
 
 def test_dirichlet_min_agrees_with_the_full_enumeration():
@@ -215,7 +211,7 @@ def test_dirichlet_min_agrees_with_the_full_enumeration():
         c = rng.randint(2, 60)
         k = rng.randrange(c)
         n = 400
-        assert dirichlet_min(k, ordv, c, n) == min(dirichlet_oracle(k, ordv, c, n))
+        assert dirichlet_min(k, ordv, c, n) == min(_dirichlet_oracle(k, ordv, c, n))
 
 
 def test_dirichlet_min_attains_the_gcd_floor():
@@ -272,8 +268,12 @@ def test_lazy_classes_equal_the_enumerated_ones():
                     assert (k in members) == (k in ks)
 
 
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def test_lazy_class_comparison_and_hash():
-    triples = [(c, d, g) for c in range(2, 25) for d in divisors(c) for g in divisors(d)]
+    triples = [(c, d, g) for c in range(2, 25) for d in _divisors(c) for g in _divisors(d)]
     classes = [GcdClass(*t) for t in triples]
     for a in classes:
         for b in classes:
@@ -316,7 +316,7 @@ def test_one_factorization_gives_what_the_factoring_helpers_gave(G, c):
     d = report.d
     assert report.count_integral == divisor_count(d)
     assert report.count_at_p == tuple((p, nu_p(d, p) + 1) for p in prime_divisors(d))
-    assert [g for g, _ in report.classes] == list(divisors(d))
+    assert [g for g, _ in report.classes] == _divisors(d)
     for g, members in report.classes:
         alone = GcdClass(c, d, g)
         assert members == alone and hash(members) == hash(alone)

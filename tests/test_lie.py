@@ -18,7 +18,6 @@ from gauge5 import (
     legendre_valuation,
     ord_partial1_tilde,
     r_of,
-    rank_of,
     rational_degrees,
     stable_pi,
     type_of,
@@ -67,25 +66,23 @@ def test_type_table():
         assert type_of(group) == expected, group
 
 
-def test_rank_and_l_are_read_off_the_type():
+def test_l_and_degrees_are_read_off_the_type():
     for group, expected in TYPE_TABLE:
-        assert rank_of(group) == len(expected)
         assert l_of(group) == max(expected)
         assert rational_degrees(group) == tuple(sorted(2 * n + 1 for n in expected))
 
 
 @pytest.mark.parametrize("family", lie.FAMILIES)
-def test_rank_and_l_closed_forms_match_the_type(family):
-    """`l_of` and `rank_of` never build the type; they agree with it for
-    every parameter up to 500."""
+def test_l_closed_form_matches_the_type(family):
+    """`l_of` never builds the type; it agrees with it for every parameter
+    up to 500."""
     if family in EXCEPTIONAL:
         groups = [LieGroupSpec(family)]
     else:
         low = {"SU": 2, "Sp": 1, "Spin": 5}[family]
         groups = [LieGroupSpec(family, n) for n in range(low, 501)]
     for group in groups:
-        t = type_of(group)
-        assert (l_of(group), rank_of(group)) == (max(t), len(t)), group
+        assert l_of(group) == max(type_of(group)), group
 
 
 def test_spec_validation():

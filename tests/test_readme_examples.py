@@ -7,8 +7,13 @@ stdout, compared byte for byte. An example whose last line is `...` shows
 only the start of the output and is compared as a prefix. An example whose
 first line starts with `error: ` is a refusal: it exits 1, prints nothing
 on stdout, and those lines are its stderr.
+
+Each fenced `pycon` block of README.md runs as a doctest of its own, read
+up to its closing fence.
 """
 
+import doctest
+import re
 import shlex
 from pathlib import Path
 
@@ -38,7 +43,17 @@ def _examples(path: Path) -> list[tuple[str, list[str]]]:
     return examples
 
 
+def _pycon_blocks(path: Path) -> list[tuple[int, str]]:
+    """(line number of the opening fence, body) of each fenced pycon block."""
+    text = path.read_text(encoding="utf-8")
+    return [
+        (text.count("\n", 0, block.start()) + 1, block[1])
+        for block in re.finditer(r"^```pycon\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    ]
+
+
 EXAMPLES = _examples(ROOT / "README.md")
+PYCON = _pycon_blocks(ROOT / "README.md")
 GOLDEN = _examples(ROOT / "tests" / "cli_golden.txt")
 # argv the golden file pins after the verb forms, each refused
 REFUSALS = [
@@ -80,3 +95,11 @@ def test_readme_example(command, expected, capsys):
 @pytest.mark.parametrize("command, expected", GOLDEN, ids=[cmd for cmd, _ in GOLDEN])
 def test_golden_verb_form(command, expected, capsys):
     _check(command, expected, capsys)
+
+
+@pytest.mark.parametrize("start, body", PYCON, ids=[f"README.md:{n}" for n, _ in PYCON])
+def test_readme_pycon_block(start, body):
+    test = doctest.DocTestParser().get_doctest(body, {}, f"README.md:{start}", "README.md", start)
+    report: list[str] = []
+    runner = doctest.DocTestRunner()
+    assert test.examples and runner.run(test, out=report.append).failed == 0, "".join(report)

@@ -14,9 +14,15 @@ Omega^j G atoms, which loops_g and group_itself return. A Lie group's
 'family:param' token is written only by LieGroupSpec.token, the inverse of
 LieGroupSpec.parse. The scans below fail if a later change re-derives any of
 these facts somewhere else.
+
+The last scan keeps the library free of code nothing reaches: every def in
+src/gauge5 is named by other library code, exported, or listed in ALLOWLIST
+with its reason; every import in src/gauge5 and tests/ is read by code, not
+only by a doctest; and every parameter of a library function is read.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import gauge5
@@ -181,3 +187,82 @@ def _formats_group_token(node) -> bool:
 
 def test_the_group_token_is_written_only_by_its_parser_inverse():
     assert _sites(_formats_group_token) == {("lie.py", "token")}
+
+
+# qualified def, or function(parameter), that no library code reaches -> why it stays
+ALLOWLIST = {
+    "abelian.parse_machine": "bench/queries.py calls it",
+    "spaces.parse_machine": "bench/queries.py calls it",
+    "spaces.SpaceExpr.rational_rank": "bench/queries.py calls it",
+    "spaces.SpaceExpr.of": "tests/test_acceptance.py builds its random expressions with it",
+    "spaces.moore_map": "tests/test_acceptance.py builds its random expressions with it",
+    "manifold.WedgeExpr.reduced_homology": "tests/test_manifold.py checks the splittings with it",
+    "decomposition.gauge_away_from_c(k)": "bench/queries.py passes it by position",
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _names(node) -> Counter:
+    """How often each bare name is used under node, as a variable or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _reads(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _defs(tree):
+    """(qualname, node) of each top-level function or class, and of each
+    non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not _is_dunder(method.name):
+                    yield f"{node.name}.{method.name}", method
+
+
+def _unreached() -> set[str]:
+    """Defs no other library code names, imports nothing reads and library
+    parameters their function never reads. Names match bare, so a def that
+    shares its name with a reached one hides: this is a lower bound."""
+    library = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    tests = Path(__file__).resolve().parent
+    modules = library | {
+        p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(tests.glob("*.py"))
+    }
+    named = sum(map(_names, library.values()), Counter())  # counted once per name
+    found = set()
+    for module, tree in library.items():
+        for qualname, node in _defs(tree):
+            if _is_dunder(node.name) or qualname in gauge5.__all__:
+                continue
+            if named[node.name] == _names(node)[node.name]:  # named only inside itself
+                found.add(f"{module}.{qualname}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not _is_dunder(node.name):
+                args = node.args
+                params = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                unread = {a.arg for a in params if a} - _reads(node) - {"self", "cls"}
+                found.update(f"{module}.{node.name}({name})" for name in unread)
+    for module, tree in modules.items():
+        read = _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:  # a doctest's use is a string, not a read
+                        found.add(f"{module} imports {name}")
+    return found
+
+
+def test_every_def_import_and_parameter_is_reached():
+    # equality, not inclusion: an entry that no longer needs its reason fails too
+    assert _unreached() == set(ALLOWLIST)

@@ -30,10 +30,9 @@ formats:
 - `moore --suspension` 2, 3 and 4 over a grid of c, m and manifold flags.
 
 For each argv the exit code, stdout and stderr must agree; an exception
-that escapes `main` is recorded in place of the exit code. Prints the count
-compared, and on a difference the first differing argv with both outputs;
-exits 1 on any difference, or when stdout is closed before the report is
-written.
+that escapes `main` is recorded in place of the exit code. Prints every
+differing argv with both outputs, then one `N of M argv differ` line; exits
+1 on any difference, or when stdout is closed before the report is written.
 
 Standard library only, and outside the test suite. It imports bench/ to
 draw the benchmark queries and writes nothing there.
@@ -194,14 +193,15 @@ def _run(src: Path, payload: str) -> list:
 
 
 def _report(other: str, argvs: list, theirs: list, ours: list) -> int:
-    print(f"compared {len(argvs)} argv")
+    differ = 0
     for argv, a, b in zip(argvs, theirs, ours):
         if a != b:
-            print(f"first difference: gauge5 {shlex.join(argv)}")
+            differ += 1
+            print(f"difference: gauge5 {shlex.join(argv)}")
             for side, (code, out, err) in ((other, a), ("this checkout", b)):
                 print(f"--- {side}: exit {code}\n{out}--- stderr\n{err}", end="")
-            return 1
-    return 0
+    print(f"{differ} of {len(argvs)} argv differ")
+    return 1 if differ else 0
 
 
 def main(other: str) -> int:
