@@ -46,6 +46,15 @@ def test_direct_sum_laws():
         assert a + zero == a
 
 
+def test_sum_adds_free_ranks_and_joins_torsion_summands():
+    rng = random.Random(23)
+    for _ in range(200):
+        a, b = _random_group(rng), _random_group(rng)
+        assert (a + b).free_rank == a.free_rank + b.free_rank
+        summands = sorted((f.p, -f.e) for g in (a, b) for f in g.torsion)
+        assert [(f.p, -f.e) for f in (a + b).torsion] == summands
+
+
 def test_torsion_orders_are_prime_powers_in_canonical_order():
     g = FGAbelianGroup.free(1) + FGAbelianGroup.from_cyclic_orders(12, 2)
     assert tuple(f.value() for f in g.torsion) == (4, 2, 3)

@@ -15,15 +15,18 @@ Omega^j G atoms, which loops_g and group_itself return. A Lie group's
 LieGroupSpec.parse. The scans below fail if a later change re-derives any of
 these facts somewhere else.
 
-The last scan keeps the library free of code nothing reaches: every def in
+The last scans keep the library free of code nothing reaches: every def in
 src/gauge5 is named by other library code, exported, or listed in ALLOWLIST
 with its reason; every import in src/gauge5 and tests/ is read by code, not
 only by a doctest; and every parameter of a library function is read.
 """
 
 import ast
+import functools
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import gauge5
 
@@ -229,15 +232,11 @@ def _defs(tree):
                     yield f"{node.name}.{method.name}", method
 
 
-def _unreached() -> set[str]:
+def _unreached(library: dict, tests: dict) -> set[str]:
     """Defs no other library code names, imports nothing reads and library
-    parameters their function never reads. Names match bare, so a def that
-    shares its name with a reached one hides: this is a lower bound."""
-    library = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    tests = Path(__file__).resolve().parent
-    modules = library | {
-        p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(tests.glob("*.py"))
-    }
+    parameters their function never reads, given the parsed library and test
+    modules by name. Names match bare, so a def that shares its name with a
+    reached one hides: this is a lower bound."""
     named = sum(map(_names, library.values()), Counter())  # counted once per name
     found = set()
     for module, tree in library.items():
@@ -252,7 +251,7 @@ def _unreached() -> set[str]:
                 params = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
                 unread = {a.arg for a in params if a} - _reads(node) - {"self", "cls"}
                 found.update(f"{module}.{node.name}({name})" for name in unread)
-    for module, tree in modules.items():
+    for module, tree in (library | tests).items():
         read = _reads(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -263,6 +262,35 @@ def _unreached() -> set[str]:
     return found
 
 
-def test_every_def_import_and_parameter_is_reached():
-    # equality, not inclusion: an entry that no longer needs its reason fails too
-    assert _unreached() == set(ALLOWLIST)
+@functools.cache
+def _unreached_in_repo() -> frozenset[str]:
+    def parse(paths):
+        return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(paths)}
+
+    tests = Path(__file__).resolve().parent
+    return frozenset(_unreached(parse(SRC.glob("*.py")), parse(tests.glob("*.py"))))
+
+
+def _kind(entry: str) -> str:
+    return "import" if " imports " in entry else "parameter" if "(" in entry else "def"
+
+
+# equality with ALLOWLIST, not inclusion: an entry that no longer needs its reason fails too
+@pytest.mark.parametrize("kind", ["def", "import", "parameter"])
+def test_every_def_import_and_parameter_is_reached(kind):
+    found = {e for e in _unreached_in_repo() if _kind(e) == kind}
+    assert found == {e for e in ALLOWLIST if _kind(e) == kind}
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("def lcm_of(a, b):\n    return a * b\n", {"m.lcm_of"}),
+        ("from math import gcd\n\ndef f(a):\n    return a\n\nf(1)\n", {"m imports gcd"}),
+        ("def f(a, c):\n    return a\n\nf(1, 2)\n", {"m.f(c)"}),
+    ],
+    ids=["unreferenced-def", "unused-import", "unread-parameter"],
+)
+def test_the_scan_flags_each_kind_of_unreached_code(source, flagged):
+    tree = ast.parse(source)
+    assert _unreached({"m": tree}, {}) == flagged
