@@ -103,14 +103,12 @@ class StableQuery(Value):
         return _AWAY_FROM_2 if inverts_2 else Localization.integral()
 
 
-def shift_multiset(M: ManifoldSpec, ctx: Localization) -> tuple[tuple[int, int], ...]:
+def _shift_multiset(M: ManifoldSpec, ctx: Localization) -> tuple[tuple[int, int], ...]:
     """Loop shifts of M's normalized away-from-c decomposition under ctx, as
-    ascending (shift, multiplicity) pairs. ctx need only agree at the prime
-    2 with one that inverts c (StableQuery.localization); c is not read. No
-    r or k: one multiset serves every r of a period, and every k agrees.
-    A non-spin M is refused unless ctx inverts 2, as StableQuery refuses it."""
-    if not M.spin:
-        require_spin_or_away_from_2(M, ctx.inverts(2))
+    ascending (shift, multiplicity) pairs. ctx is the localization of a
+    StableQuery, which has refused a non-spin M unless ctx inverts 2; it
+    need only agree at 2 with one that inverts c, and c is not read. No r
+    or k: one multiset serves every r of a period, and every k agrees."""
     shifts: list[tuple[int, int]] = []
     for atom, mult in SpaceExpr(_away_from_c_atoms(M), localization=ctx).normalize().atoms:
         if atom.kind not in ("group", "loops_g"):  # G itself is the shift j = 0
@@ -156,7 +154,7 @@ def stable_pi_gauge(q: StableQuery) -> FGAbelianGroup:
     'Z ⊕ Z/2 ⊕ Z/2'
     """
     ctx = q.localization()
-    return _shifted_sums(_stable_family(q.family)[1], shift_multiset(q.M, ctx), ctx, [q.r])[0]
+    return _shifted_sums(_stable_family(q.family)[1], _shift_multiset(q.M, ctx), ctx, [q.r])[0]
 
 
 def bott_rows(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> list:
@@ -172,7 +170,7 @@ def bott_rows(M: ManifoldSpec, family: str, k: int = 0, ctx: str = "away_c") -> 
     # away from 2 the Z/2s vanish and Spin's period halves
     period = 4 if family == "Spin" and ctx == "away_2c" else len(groups)
     rs = range(least, least + period)
-    sums = _shifted_sums(groups, shift_multiset(M, local), local, rs)
+    sums = _shifted_sums(groups, _shift_multiset(M, local), local, rs)
     return [(r, period, value) for r, value in zip(rs, sums)]
 
 

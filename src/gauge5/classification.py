@@ -20,6 +20,7 @@ from .lie import EXCEPTIONAL, LieGroupSpec, _family_key, _require_odd_prime, cat
 from .localization import Localization
 from .manifold import (
     ManifoldSpec,
+    require_moore_order,
     require_not_divisible_by_6,
     require_odd,
     require_pi4_trivial,
@@ -96,7 +97,7 @@ class ClassificationReport(Value):
         return "\n".join([head, *at_p, *classes])
 
 
-class GcdClass(Sequence):
+class GcdClass(Value, Sequence):
     """The k in range(c) with gcd(k, d) = g (gcd(0, d) = d), ascending, for
     g dividing d dividing c, without building them.
 
@@ -114,11 +115,14 @@ class GcdClass(Sequence):
     >>> cls == (1, 2, 4, 5, 7, 8)
     True
 
-    A class equals a tuple with the same members but hashes apart from it:
+    Equality and hashing read the members, not the fields c, d and g. A
+    class equals a tuple with the same members but hashes apart from it:
     hashing the tuple would cost O(c).
     """
 
-    __slots__ = ("c", "d", "g", "_mobius", "_phi")
+    c: int
+    d: int
+    g: int
 
     def __init__(self, c: int, d: int, g: int, *, _primes=None) -> None:
         # _primes: d/g's primes, ascending, from a caller that has them (_gcd_classes)
@@ -126,19 +130,7 @@ class GcdClass(Sequence):
         for p in prime_divisors(d // g) if _primes is None else _primes:
             mobius += [(e * p, -mu) for e, mu in mobius]
         phi = sum(mu * (d // g // e) for e, mu in mobius)
-        # write-once slots, set past the __setattr__ that refuses every later write
-        for name, value in zip(self.__slots__, (c, d, g, tuple(mobius), phi)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"GcdClass is immutable: cannot set {name}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild from (c, d, g): restoring the slots one by one would set them
-        return GcdClass, (self.c, self.d, self.g)
-
-    def __repr__(self) -> str:
-        return f"GcdClass(c={self.c}, d={self.d}, g={self.g})"
+        self.__dict__.update(c=c, d=d, g=g, _mobius=tuple(mobius), _phi=phi)
 
     @property
     def size(self) -> int:
@@ -218,12 +210,6 @@ def _gcd_classes(c: int, d: int, factors) -> tuple[tuple[int, GcdClass], ...]:
     return tuple((g, GcdClass(c, d, g, _primes=primes)) for g, primes in divs)
 
 
-def _require_moore_order(c: int) -> None:
-    """P⁴(c) needs c >= 2; each Moore-space entry point checks it first."""
-    if c < 2:
-        raise ValueError(f"c must be >= 2, got {c}")
-
-
 def same_type_moore(k: int, l: int, G: LieGroupSpec, c: int) -> bool:
     """Sufficient condition for the k-th and l-th gauge groups over the
     4-dimensional mod-c Moore space to be p-locally equivalent at every p.
@@ -234,7 +220,7 @@ def same_type_moore(k: int, l: int, G: LieGroupSpec, c: int) -> bool:
     >>> same_type_moore(0, 1, G, 9)
     False
     """
-    _require_moore_order(c)
+    require_moore_order(c)
     ord_value, _ = catalog_order(G)
     d = math.gcd(ord_value, c)
     return gcd_class(k, d) == gcd_class(l, d)
@@ -255,7 +241,7 @@ def classify_moore(G: LieGroupSpec, c: int) -> ClassificationReport:
 def _classify(G: LieGroupSpec, c: int, looped: int | None = None) -> ClassificationReport:
     """classify_moore's report, for Omega^looped over M when looped is set;
     d is factored once for the counts and every class."""
-    _require_moore_order(c)
+    require_moore_order(c)
     ord_value, validity = catalog_order(G)
     d = math.gcd(ord_value, c)
     factors = factorize(d)
@@ -316,7 +302,7 @@ def trivial_case(G: LieGroupSpec, p: int, c: int) -> bool:
     >>> trivial_case(LieGroupSpec("F4"), 5, 13)
     True
     """
-    _require_moore_order(c)
+    require_moore_order(c)
     _require_odd_prime(p)
     ord_value, _ = catalog_order(G)
     if G.family in EXCEPTIONAL:

@@ -38,7 +38,6 @@ import sys
 from types import SimpleNamespace
 
 from . import records
-from .errors import CatalogError, HypothesisError
 
 
 def _manifold_flags(c_default: int | None = None) -> dict:
@@ -453,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         output = args.run(args)
-    except (HypothesisError, CatalogError, ValueError) as exc:
+    except ValueError as exc:  # the base of HypothesisError and CatalogError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

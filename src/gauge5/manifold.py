@@ -56,10 +56,15 @@ class ManifoldSpec(Value):
 # -- hypotheses ----------------------------------------------------------------
 
 
-def require_odd(c: int) -> None:
-    """2 ∤ c (c >= 2 is checked first, for callers holding a bare c)."""
+def require_moore_order(c: int) -> None:
+    """c >= 2: the one check of a Moore space's order, for callers holding a bare c."""
     if c < 2:
-        raise HypothesisError(f"Moore space order must be >= 2, got {c}")
+        raise ValueError(f"c must be >= 2, got {c}")
+
+
+def require_odd(c: int) -> None:
+    """2 ∤ c, after require_moore_order, so a bare c below 2 is refused first."""
+    require_moore_order(c)
     if c % 2 == 0:
         raise HypothesisError(f"hypothesis 2 ∤ c fails: c = {c}")
 

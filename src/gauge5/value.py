@@ -5,15 +5,16 @@ A subclass lists its fields as annotations, in order, and writes its own
 it computes each canonical field from its argument, runs its checks and
 stores every field once with `self.__dict__.update(...)`. That call may
 also store entries derived once from the fields (`CatalogRow.interval`,
-`SpaceAtom`'s hash and sort key, `PrimePower`'s sort key); repr, equality and `replace` read only
-fields. Only `FGAbelianGroup` keeps a second step, `__post_init__`,
-through which the benchmark counts group constructions. `Value` then
-supplies what a frozen dataclass would: a `Name(field=value, ...)` repr,
-equality with instances of the same class, a hash of the field tuple,
-refusal of assignment and deletion, and `replace`. Only `operator` is
-imported, so importing the package pays neither for `dataclasses` (which
-pulls in `inspect`, `ast`, `dis` and `tokenize`) nor for generating
-methods per class.
+`SpaceAtom`'s hash and sort key, `PrimePower`'s sort key, `GcdClass`'s
+Mobius terms); repr and `replace` read only fields. Only `FGAbelianGroup`
+keeps a second step, `__post_init__`, through which the benchmark counts
+group constructions. `Value` then supplies what a frozen dataclass would:
+a `Name(field=value, ...)` repr, equality with instances of the same class
+and a hash of the field tuple (unless the class writes its own, as
+`GcdClass` does to compare members), refusal of assignment and deletion,
+and `replace`. Only `operator` is imported, so importing the package pays
+neither for `dataclasses` (which pulls in `inspect`, `ast`, `dis` and
+`tokenize`) nor for generating methods per class.
 
 >>> class Pair(Value):
 ...     a: int

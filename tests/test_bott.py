@@ -12,11 +12,12 @@ from gauge5 import (
     Localization,
     ManifoldSpec,
     StableQuery,
+    bott,
     bott_table,
     stability_threshold,
     stable_pi_gauge,
 )
-from gauge5.bott import _STABLE, _shifted_sums, bott_rows, shift_multiset, stable_pi
+from gauge5.bott import _STABLE, _shift_multiset, _shifted_sums, bott_rows, stable_pi
 from gauge5.decomposition import _away_from_c_atoms
 from gauge5.spaces import SpaceExpr
 from test_acceptance import _expected_spin_away_2c, _expected_spin_away_c
@@ -115,7 +116,7 @@ def test_shift_multiset_is_one_per_period():
         for r in range(low, low + period):
             kind, q = _outcome(StableQuery, M, family, 0, r, ctx)
             if kind == "ok":
-                outcomes.add(_outcome(shift_multiset, q.M, q.localization()))
+                outcomes.add(_outcome(_shift_multiset, q.M, q.localization()))
             else:
                 outcomes.add((kind, q))
         assert len(outcomes) == 1, (c, m, spin, family, ctx, outcomes)
@@ -127,7 +128,7 @@ def _inverting_c(M: ManifoldSpec, family: str, rs: range, ctx: str) -> list:
     stable layer read c only through its parity. It factors c."""
     StableQuery(M, family, 0, rs[0], ctx)  # validated and refused as stable_pi_gauge is
     local = Localization.away_from([2, M.c] if ctx == "away_2c" else [M.c])
-    shifts = shift_multiset(M, local)
+    shifts = _shift_multiset(M, local)
     zero = FGAbelianGroup.trivial()
     return [
         sum((stable_pi(family, r + s) for s, n in shifts for _ in range(n)), zero).localize(local)
@@ -227,17 +228,27 @@ def test_query_validation():
 
 
 @pytest.mark.parametrize("c", [2, 3, 4, 15])
-def test_shift_multiset_refuses_a_non_spin_manifold_as_the_query_does(c):
-    # the same hypothesis, in the same words, whichever entry point is asked
+def test_shift_multiset_of_a_non_spin_manifold_inverting_2_is_the_spin_one(c):
+    # the non-spin form splits like the spin one wherever 2 is inverted
     M = ManifoldSpec(c, 2, spin=False)
-    with pytest.raises(HypothesisError) as query:
-        StableQuery(M, "Spin", 0, 3)
-    for ctx in (Localization.integral(), Localization.at_prime(2)):
-        with pytest.raises(HypothesisError) as multiset:
-            shift_multiset(M, ctx)
-        assert str(multiset.value) == str(query.value)
     for ctx in (Localization.away_from([2]), Localization.at_prime(3), Localization.rational()):
-        assert shift_multiset(M, ctx) == shift_multiset(ManifoldSpec(c, 2), ctx)
+        assert _shift_multiset(M, ctx) == _shift_multiset(ManifoldSpec(c, 2), ctx)
+
+
+@pytest.mark.parametrize("answer", ["stable_pi_gauge", "bott_rows"])
+def test_a_non_spin_manifold_is_checked_once_per_answer(monkeypatch, answer):
+    # StableQuery is the stable layer's one spin check: the multiset trusts it
+    calls = []
+    check = bott.require_spin_or_away_from_2
+    monkeypatch.setattr(
+        bott, "require_spin_or_away_from_2", lambda *a: calls.append(1) or check(*a)
+    )
+    M = ManifoldSpec(15, 3, spin=False)
+    if answer == "stable_pi_gauge":
+        stable_pi_gauge(StableQuery(M, "Spin", 0, 6, "away_2c"))
+    else:
+        bott_rows(M, "Spin", 0, "away_2c")
+    assert len(calls) == 1
 
 
 def test_bott_table_text():
@@ -254,7 +265,7 @@ def _direct_sum_oracle(M: ManifoldSpec, family: str, r: int, ctx: str) -> FGAbel
     """pi_r as bott_rows and stable_pi_gauge once computed it: a direct sum
     over every shift of the multiset, then localized."""
     local = StableQuery(M, family, 0, r, ctx).localization()
-    shifts = shift_multiset(M, local)
+    shifts = _shift_multiset(M, local)
     summands = (stable_pi(family, r + s) for s, n in shifts for _ in range(n))
     return sum(summands, FGAbelianGroup.trivial()).localize(local)
 
@@ -297,7 +308,7 @@ def test_a_bott_row_is_one_group_whatever_m(monkeypatch, family):
 @pytest.mark.parametrize("family", ["SU", "Spin"])
 def test_a_spin_stable_answer_builds_one_expression(monkeypatch, family):
     # no normalize() rule fires on a spin M's factors, so normalize returns
-    # the one expression shift_multiset built
+    # the one expression _shift_multiset built
     built = []
     init = SpaceExpr.__init__
     monkeypatch.setattr(
@@ -330,7 +341,7 @@ class _ReadCounter(tuple):
 ])
 def test_the_fold_reads_each_bott_group_it_needs_once(M, ctx):
     local = StableQuery(M, "Spin", 0, 2, ctx).localization()
-    shifts = shift_multiset(M, local)
+    shifts = _shift_multiset(M, local)
     groups = _ReadCounter(_STABLE["Spin"][1])
     for rs in (range(9, 10), range(2, 10)):
         groups.reads = []

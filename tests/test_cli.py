@@ -25,7 +25,6 @@ from gauge5 import cli
 from gauge5.cli import build_parser, main
 from gauge5.lie import LieGroupSpec
 from gauge5.manifold import homology, suspension_image_order
-from gauge5.errors import CatalogError, HypothesisError
 from gauge5.rational import HilbertSeries, RationalGroupModel, rational_rank_formula
 from test_readme_examples import EXAMPLES
 
@@ -538,7 +537,7 @@ def _full_parser_main(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
         output = args.run(args)
-    except (HypothesisError, CatalogError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if output:

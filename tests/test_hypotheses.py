@@ -2,22 +2,32 @@
 
 manifold.py's require_* helpers are the only code that raises a
 HypothesisError naming a hypothesis; every entry point that checks the same
-hypothesis therefore refuses with the same message.
+hypothesis therefore refuses with the same message. The order c >= 2 of a
+Moore space given as a bare c is checked by require_moore_order alone, with
+a plain ValueError.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-import gauge5
 from gauge5 import HypothesisError, LieGroupSpec, Localization, ManifoldSpec
-from gauge5.classification import classify_looped_manifold
+from gauge5.classification import (
+    classify_looped_manifold,
+    classify_moore,
+    same_type_moore,
+    trivial_case,
+)
 from gauge5.decomposition import loops2_gauge
 from gauge5.exponents import best_bound, exp_bound_regular, exp_bound_theriault
-from gauge5.manifold import bundle_classes
-
-SRC = Path(gauge5.__file__).resolve().parent
+from gauge5.manifold import (
+    bundle_classes,
+    pi6_P4,
+    pi_moore_self,
+    pi_with_coefficients,
+    suspension_image_order,
+)
+from test_single_source import library_trees
 
 
 def _message_head(node: ast.expr) -> str:
@@ -32,8 +42,7 @@ def _message_head(node: ast.expr) -> str:
 def _hypothesis_raises() -> list[tuple[str, str, int]]:
     """(file, enclosing function, line) of each raise HypothesisError("hypothesis ...")."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in library_trees().items():
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -44,7 +53,7 @@ def _hypothesis_raises() -> list[tuple[str, str, int]]:
                 if not (isinstance(call.func, ast.Name) and call.func.id == "HypothesisError"):
                     continue
                 if call.args and _message_head(call.args[0]).startswith("hypothesis"):
-                    found.append((path.name, func.name, node.lineno))
+                    found.append((name, func.name, node.lineno))
     return found
 
 
@@ -57,7 +66,7 @@ def test_hypotheses_are_raised_only_by_the_manifold_helpers():
 
 def test_bott_raises_no_hypothesis_error_itself():
     # the stable layer's one hypothesis, spin or 2 inverted, is a manifold helper
-    tree = ast.parse((SRC / "bott.py").read_text(encoding="utf-8"))
+    tree = library_trees()["bott.py"]
     raised = [
         node.lineno
         for node in ast.walk(tree)
@@ -67,9 +76,10 @@ def test_bott_raises_no_hypothesis_error_itself():
     assert raised == []
 
 
-def _refusal(call) -> str:
-    with pytest.raises(HypothesisError) as info:
+def _refusal(call, error=HypothesisError) -> str:
+    with pytest.raises(error) as info:
         call()
+    assert info.type is error
     return str(info.value)
 
 
@@ -95,3 +105,17 @@ def test_nontrivial_pi4_is_refused_with_one_message(ctx):
     }
     assert len(messages) == 1
     assert messages.pop().startswith("hypothesis pi_4(G) = 0 fails: pi_4(Sp(2)) = Z/2")
+
+
+def test_a_moore_order_below_2_is_refused_with_one_message():
+    G = LieGroupSpec("SU", 3)
+    messages = {
+        _refusal(lambda: classify_moore(G, 1), ValueError),
+        _refusal(lambda: same_type_moore(0, 1, G, 1), ValueError),
+        _refusal(lambda: trivial_case(G, 5, 1), ValueError),
+        _refusal(lambda: pi_moore_self(3, 1), ValueError),
+        _refusal(lambda: pi6_P4(1), ValueError),
+        _refusal(lambda: suspension_image_order(1), ValueError),
+        _refusal(lambda: pi_with_coefficients("P3@4", 1), ValueError),
+    }
+    assert messages == {"c must be >= 2, got 1"}

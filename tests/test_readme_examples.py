@@ -61,6 +61,18 @@ REFUSALS = [
     "exponent --table exceptional --group G2 --p 5 --format machine",
     "exponent --table exceptional --p 13 --c 25 --route regular --non-spin",
     "exponent --table exceptional --p 13 --c 25 --route regular --non-spin --format machine",
+    *[
+        full
+        for command in (
+            "classify --c 5 --m 2 --group SU:3",  # no --loops
+            "decompose --c 5 --m 2 --group SU:4",  # no form
+            "bott --c 5 --m 2 --family SU",  # no --r
+            "rational --c 5 --m 3 --group SU:4 --op rank",  # no --q
+            "classify --moore --group SU:x --c 9",  # a bad group parameter
+            "moore --c 1",  # a Moore order below 2
+        )
+        for full in (command, command + " --format machine")
+    ],
 ]
 
 

@@ -8,11 +8,9 @@ expression records must rebuild the value the library computes.
 import ast
 import re
 import shlex
-from pathlib import Path
 
 import pytest
 
-import gauge5
 from gauge5 import abelian, records, spaces
 from gauge5.bott import StableQuery, bott_rows, stable_pi_gauge
 from gauge5.cli import main
@@ -34,8 +32,8 @@ from gauge5.rational import (
     rational_B_star,
     rational_gauge,
 )
+from test_single_source import library_trees
 
-SRC = Path(gauge5.__file__).resolve().parent
 
 # -- the grammar ---------------------------------------------------------------
 
@@ -164,6 +162,7 @@ VERB_FORMS = [
     ("homology --c 12 --m 3", lambda: list(homology(ManifoldSpec(12, 3)))),
     # classify
     ("classify --moore --group SU:3 --c 9 --same-type 1 4", list),
+    ("classify --moore --group SU:3 --c 9 --same-type 0 1", list),
     ("classify --moore --group G2 --c 5 --trivial --p 5", list),
     ("classify --c 5 --m 2 --group SU:3 --loops 2", list),
     ("classify --c 5 --m 2 --sp --group SU:3 --loops 3", list),
@@ -174,6 +173,10 @@ VERB_FORMS = [
             ManifoldSpec(9, 4, stably_parallelizable=True, single_top_cell=True),
             SP3, 0, Localization.at_prime(3),
         ),
+    ),
+    (
+        "decompose --c 5 --m 2 --group SU:4 --k 1 --loops 2 --rational",
+        lambda: loops2_gauge(M52, SU4, 1, Localization.rational()),
     ),
     ("decompose --c 5 --m 2 --group SU:4 --away-from-c", lambda: gauge_away_from_c(M52, SU4, 0)),
     (
@@ -325,9 +328,7 @@ def _string_heads(tree: ast.AST):
 
 
 def _codec_free_trees():
-    for path in sorted(SRC.glob("*.py")):
-        if path.name != "records.py":
-            yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+    return [(name, tree) for name, tree in library_trees().items() if name != "records.py"]
 
 
 def test_no_record_is_written_outside_the_codec():

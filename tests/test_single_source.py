@@ -8,17 +8,22 @@ groups have pi_4 = Z/2 (SU(2), every Sp(n), Spin(5)) is stated only by
 lie._pi4_is_z2, which pi4 and pi4_is_trivial both call. The Bott groups,
 bott._STABLE, are defined and read only in bott, and "r is at least the
 stable family's least r" is checked only by bott._stable_family, which
-stable_pi, stability_threshold and StableQuery call. GcdClass has one
-construction path, its __init__. Only spaces._LOOPS holds prebuilt G and
-Omega^j G atoms, which loops_g and group_itself return. A Lie group's
-'family:param' token is written only by LieGroupSpec.token, the inverse of
-LieGroupSpec.parse. The scans below fail if a later change re-derives any of
-these facts somewhere else.
+stable_pi, stability_threshold and StableQuery call. No library code
+calls GcdClass.__new__: its __init__ alone builds a class, and copy and
+pickle restore one as they restore every Value. Only spaces._LOOPS holds
+prebuilt G and Omega^j G atoms, which loops_g and group_itself return. A
+Lie group's 'family:param' token is written only by LieGroupSpec.token, the
+inverse of LieGroupSpec.parse. The scans below fail if a later change
+re-derives any of these facts somewhere else.
 
 The last scans keep the library free of code nothing reaches: every def in
 src/gauge5 is named by other library code, exported, or listed in ALLOWLIST
 with its reason; every import in src/gauge5 and tests/ is read by code, not
 only by a doctest; and every parameter of a library function is read.
+
+Every source scan of the suite, here and in test_hypotheses, test_records
+and test_value, reads the library through `library_trees`, which parses
+each module once per run.
 """
 
 import ast
@@ -33,6 +38,13 @@ import gauge5
 SRC = Path(gauge5.__file__).resolve().parent
 
 
+@functools.cache
+def library_trees() -> dict[str, ast.Module]:
+    """File name -> parsed tree of each module of src/gauge5, in name order.
+    Shared by every caller, so a scan must not change a tree."""
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
 def _sites(match) -> set[tuple[str, str | None]]:
     """(file, innermost enclosing function) of each node `match` accepts."""
     found = set()
@@ -45,8 +57,8 @@ def _sites(match) -> set[tuple[str, str | None]]:
         for child in ast.iter_child_nodes(node):
             visit(child, where, func)
 
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    for name, tree in library_trees().items():
+        visit(tree, name, None)
     return found
 
 
@@ -100,7 +112,7 @@ def _reads_pi4_family(node) -> bool:
 
 def test_pi4_family_is_read_only_by_its_predicate():
     assert _sites(_reads_pi4_family) == {("lie.py", "_pi4_is_z2")}
-    tree = ast.parse((SRC / "lie.py").read_text(encoding="utf-8"))
+    tree = library_trees()["lie.py"]
     funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     for name in ("pi4", "pi4_is_trivial"):
         calls = {ast.unparse(c.func) for c in ast.walk(funcs[name]) if isinstance(c, ast.Call)}
@@ -137,7 +149,7 @@ def _names_the_bott_groups(node) -> bool:
 
 def test_the_bott_groups_live_only_in_bott():
     assert {where for where, _ in _sites(_names_the_bott_groups)} == {"bott.py"}
-    tree = ast.parse((SRC / "bott.py").read_text(encoding="utf-8"))
+    tree = library_trees()["bott.py"]
     from_lie = [
         a.name for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "lie"
@@ -147,7 +159,7 @@ def test_the_bott_groups_live_only_in_bott():
 
 
 def test_gcd_class_is_built_only_through_its_constructor():
-    tree = ast.parse((SRC / "classification.py").read_text(encoding="utf-8"))
+    tree = library_trees()["classification.py"]
     assert not [
         ast.unparse(node) for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "__new__"
@@ -169,10 +181,10 @@ def _builds_loop_atom(node) -> bool:
 def test_only_spaces_holds_a_table_of_loop_atoms():
     # a module-level value that builds G or Omega^j G atoms is a table of them
     tables = set()
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+    for name, tree in library_trees().items():
+        for stmt in tree.body:
             if isinstance(stmt, ast.Assign) and any(map(_builds_loop_atom, ast.walk(stmt.value))):
-                tables.add((path.name, ast.unparse(stmt.targets[0])))
+                tables.add((name, ast.unparse(stmt.targets[0])))
     assert tables == {("spaces.py", "_LOOPS")}
 
 
@@ -264,11 +276,12 @@ def _unreached(library: dict, tests: dict) -> set[str]:
 
 @functools.cache
 def _unreached_in_repo() -> frozenset[str]:
-    def parse(paths):
-        return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(paths)}
-
-    tests = Path(__file__).resolve().parent
-    return frozenset(_unreached(parse(SRC.glob("*.py")), parse(tests.glob("*.py"))))
+    library = {name.removesuffix(".py"): tree for name, tree in library_trees().items()}
+    tests = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(Path(__file__).resolve().parent.glob("*.py"))
+    }
+    return frozenset(_unreached(library, tests))
 
 
 def _kind(entry: str) -> str:

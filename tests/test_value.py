@@ -16,7 +16,7 @@ import gauge5
 from gauge5.abelian import FGAbelianGroup
 from gauge5.arith import PrimePower
 from gauge5.bott import StableQuery
-from gauge5.classification import ClassificationReport, classify_moore
+from gauge5.classification import ClassificationReport, GcdClass, classify_moore
 from gauge5.exponents import ExponentBound, ExponentTableRow, best_bound, exceptional_table
 from gauge5.lie import CatalogRow, LieGroupSpec, load_catalog
 from gauge5.localization import Localization
@@ -24,6 +24,7 @@ from gauge5.manifold import ManifoldSpec, WedgeAtom, WedgeExpr, moore, opaque, s
 from gauge5.rational import GeneratorLedger, HilbertSeries, RationalGroupModel
 from gauge5.spaces import SpaceAtom, SpaceExpr, loops_g, moore_gauge, sphere_factor
 from gauge5.value import Value
+from test_single_source import library_trees
 
 SRC = Path(gauge5.__file__).resolve().parent
 M = ManifoldSpec(5, 2)
@@ -93,6 +94,7 @@ CASES = [
         " classes=((1, GcdClass(c=9, d=3, g=1)), (3, GcdClass(c=9, d=3, g=3))),"
         " looped=None, order_source='upper_bound_from_S4')",
     ),
+    (GcdClass(9, 3, 1), "GcdClass(c=9, d=3, g=1)"),
     (
         ExponentBound(5, 4, "regular"),
         "ExponentBound(p=5, exponent=4, route='regular', assumptions=(), alternatives=())",
@@ -127,7 +129,7 @@ def test_every_value_class_is_covered():
     covered = {type(v) for v in VALUES}
     # the module's own doctest defines a subclass too
     assert covered == {c for c in Value.__subclasses__() if c.__module__ != "gauge5.value"}
-    assert len(covered) == 17
+    assert len(covered) == 18
 
 
 @pytest.mark.parametrize("value, expected", CASES, ids=IDS)
@@ -135,13 +137,26 @@ def test_repr_is_the_dataclass_repr(value, expected):
     assert repr(value) == expected
 
 
-@pytest.mark.parametrize("value", VALUES, ids=IDS)
+# GcdClass writes its own equality and hash, which read its members
+FIELD_EQ = [v for v in VALUES if not isinstance(v, GcdClass)]
+
+
+@pytest.mark.parametrize("value", FIELD_EQ, ids=[type(v).__name__ for v in FIELD_EQ])
 def test_eq_and_hash_are_those_of_the_field_tuple(value):
     twin = value.replace()
     assert twin is not value and twin == value and not twin != value
     assert hash(value) == hash(_fields(value)) == hash(twin)
     assert value != _fields(value)  # another class never compares equal
     assert value.__eq__(_fields(value)) is NotImplemented
+
+
+def test_gcd_class_replace_rebuilds_an_equal_class():
+    # its equality and hash read the members (tests/test_classification.py)
+    value = GcdClass(9, 3, 1)
+    twin = value.replace()
+    assert twin is not value and twin == value and not twin != value
+    assert hash(twin) == hash(value)
+    assert value.replace(g=3) == GcdClass(9, 3, 3) != value
 
 
 def test_values_of_different_classes_never_compare_equal():
@@ -283,8 +298,8 @@ def test_cold_catalog_load_imports_exactly_these_modules():
 def _import_sites(module: str) -> list[str]:
     """file:line of each import of `module` (or a submodule) in the package."""
     hits = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in library_trees().items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -292,7 +307,7 @@ def _import_sites(module: str) -> list[str]:
             else:
                 continue
             if any(n.split(".")[0] == module for n in names):
-                hits.append(f"{path.name}:{node.lineno}")
+                hits.append(f"{name}:{node.lineno}")
     return hits
 
 
