@@ -325,8 +325,9 @@ def dirichlet_min(k: int, ord_value: int, c: int, N: int) -> int:
     """min of gcd(ord, k + c i) over 0 <= i <= N, stopping early when the
     floor gcd(k, ord, c) is reached (every term is divisible by it, so
     nothing smaller can appear later)."""
-    if c < 2 or ord_value < 1 or N < 1:
-        raise ValueError("need c >= 2, ord >= 1, N >= 1")
+    require_moore_order(c)
+    if ord_value < 1 or N < 1:
+        raise ValueError("need ord >= 1, N >= 1")
     floor = math.gcd(k, math.gcd(ord_value, c))
     best: int | None = None
     for i in range(N + 1):

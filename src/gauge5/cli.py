@@ -25,14 +25,12 @@ errors and argv the reader does not model go to the argparse parser that
 argparse's own.
 
 A `gauge5` process enters through `launch`, not `main`: once the answer is
-written it freezes the garbage collector, so interpreter shutdown does not
-walk every object the process built; reference counting still frees
-them, and no output changes. `main` leaves
-the collector alone, because tests, the benchmark and library code call it
-in process and need a normal collector afterwards.
+flushed it ends the process with `os._exit`, so the interpreter's
+finalization (atexit handlers, module teardown, the exit-time collection)
+never runs; no output changes. `main` returns like any function, because
+tests, the benchmark and code that embeds gauge5 call it in process.
 """
 
-import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -465,13 +463,18 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def launch() -> int:
-    """The process entry (`gauge5`, `python -m gauge5.cli`): `main`, then a
-    frozen collector, so the exit-time collection skips what `main` built."""
+def launch():
+    """The process entry (`gauge5`, `python -m gauge5.cli`): `main`, a flush,
+    then `os._exit` with its code (1 if the flush meets a closed pipe), so no
+    finalization runs. argparse's SystemExit (--help, usage errors) and an
+    unexpected exception leave through the normal interpreter exit."""
+    code = main()
     try:
-        return main()
-    finally:
-        gc.freeze()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

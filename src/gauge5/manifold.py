@@ -43,8 +43,7 @@ class ManifoldSpec(Value):
         stably_parallelizable: bool = False,
         single_top_cell: bool = False,
     ) -> None:
-        if c < 2:
-            raise ValueError(f"c must be >= 2 (finite nontrivial pi_1), got {c}")
+        require_moore_order(c)  # a finite nontrivial pi_1
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         self.__dict__.update(
@@ -57,7 +56,7 @@ class ManifoldSpec(Value):
 
 
 def require_moore_order(c: int) -> None:
-    """c >= 2: the one check of a Moore space's order, for callers holding a bare c."""
+    """c >= 2: the one check of the order c, of pi_1(M) or of a Moore space."""
     if c < 2:
         raise ValueError(f"c must be >= 2, got {c}")
 
@@ -231,8 +230,10 @@ class WedgeAtom(Value):
             raise ValueError(f"unknown wedge atom kind {kind!r}")
         if kind in ("sphere", "moore") and (n is None or n < 2):
             raise ValueError(f"wedge atom dimension must be >= 2, got {n}")
-        if kind == "moore" and (c is None or c < 2):
-            raise ValueError(f"Moore atom order must be >= 2, got {c}")
+        if kind == "moore":
+            if c is None:
+                raise ValueError("Moore atom needs an order c")
+            require_moore_order(c)
         # each kind takes only the fields it reads: atoms that print alike compare equal
         if c is not None and kind != "moore":
             raise ValueError(f"{kind} atom takes no order c, got c={c}")

@@ -28,6 +28,7 @@ from . import records
 from .arith import is_prime
 from .lie import LieGroupSpec, l_of, rational_degrees
 from .localization import Localization
+from .manifold import require_moore_order
 from .value import Value
 
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -177,8 +178,8 @@ class SpaceExpr(Value):
         group: object | None = None,
         c: int | None = None,
     ) -> None:
-        if c is not None and c < 2:
-            raise ValueError(f"c must be >= 2 when present, got {c}")
+        if c is not None:
+            require_moore_order(c)
         merged: dict[SpaceAtom, int] = {}
         for atom, mult in atoms:
             if mult < 0:

@@ -7,7 +7,6 @@ the CLI can never drift from the functions it fronts.
 import argparse
 import ast
 import contextlib
-import gc
 import io
 import os
 import shlex
@@ -26,7 +25,7 @@ from gauge5.cli import build_parser, main
 from gauge5.lie import LieGroupSpec
 from gauge5.manifold import homology, suspension_image_order
 from gauge5.rational import HilbertSeries, RationalGroupModel, rational_rank_formula
-from test_readme_examples import EXAMPLES
+from test_readme_examples import EXAMPLES, REFUSALS
 
 
 @pytest.fixture
@@ -416,6 +415,7 @@ def test_bott_at_a_huge_m_answers_in_bounded_memory(argv, out):
 ENTRY_CASES = (
     [(shlex.split(command), 0) for command, _ in EXAMPLES]
     + [(["decompose", "--group", "SU:4", "--c", "6", "--m", "2", "--loops", "2"], 1)]
+    + [(shlex.split(command), 1) for command in REFUSALS]
     + [(["homology", "--c", "x"], 2)]
     + [(["decompose", "--help"], 0)]
 )
@@ -430,21 +430,67 @@ def test_a_process_prints_what_main_prints(capsys, argv, code):
     assert proc.returncode == code
 
 
-def test_main_leaves_the_collector_unfrozen(run):
-    before = gc.get_freeze_count()
+@pytest.fixture
+def exits(monkeypatch, capsys):
+    """Each `os._exit(code)` call as (code, stdout, stderr written by then);
+    the patched exit returns, so no test ends the test process."""
+    calls = []
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append((code, *capsys.readouterr())))
+    return calls
+
+
+def test_main_returns_and_never_calls_os_exit(run, exits):
     assert run("homology", "--c", "12", "--m", "3")[0] == 0
-    assert gc.get_freeze_count() == before
+    assert exits == []
 
 
 @pytest.mark.parametrize(
-    "argv, code", [(["homology", "--c", "12"], 0), (["--help"], 0)], ids=["answer", "help"]
+    "argv, code, out, err",
+    [
+        (["homology", "--c", "12", "--m", "3"], 0, "H_0 = Z\n", ""),
+        (["moore", "--c", "1"], 1, "", "error: c must be >= 2, got 1\n"),
+    ],
+    ids=["answer", "refusal"],
 )
-def test_launch_freezes_the_collector_after_main(monkeypatch, capsys, argv, code):
-    frozen = []
-    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr().out))
+def test_launch_exits_with_mains_code_after_the_output(monkeypatch, exits, argv, code, out, err):
     monkeypatch.setattr(sys, "argv", ["gauge5", *argv])
-    assert _outcome(capsys, lambda _: cli.launch(), argv)[0] == code
-    assert len(frozen) == 1 and frozen[0]  # once, after the answer was written
+    cli.launch()
+    assert len(exits) == 1
+    got_code, got_out, got_err = exits[0]
+    assert (got_code, got_err) == (code, err) and got_out.startswith(out)
+
+
+def test_launch_exits_1_when_the_flush_meets_a_closed_pipe(monkeypatch, exits):
+    class Closed(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "argv", ["gauge5", "homology", "--c", "12"])
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    monkeypatch.setattr(sys, "stdout", Closed())
+    cli.launch()
+    assert [code for code, _, _ in exits] == [1]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["homology", "--c", "x"], 2)],
+                         ids=["help", "usage"])
+def test_help_and_usage_errors_leave_launch_by_system_exit(monkeypatch, exits, argv, code):
+    monkeypatch.setattr(sys, "argv", ["gauge5", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli.launch()
+    assert info.value.code == code and exits == []
+
+
+def test_an_exception_from_a_runner_propagates_without_os_exit(monkeypatch, exits):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    help_text, flags, _ = cli._VERBS["homology"]
+    monkeypatch.setitem(cli._VERBS, "homology", (help_text, flags, boom))
+    monkeypatch.setattr(sys, "argv", ["gauge5", "homology", "--c", "12"])
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.launch()
+    assert exits == []
 
 
 def test_the_installed_script_is_the_main_block_entry():

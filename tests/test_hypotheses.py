@@ -2,8 +2,8 @@
 
 manifold.py's require_* helpers are the only code that raises a
 HypothesisError naming a hypothesis; every entry point that checks the same
-hypothesis therefore refuses with the same message. The order c >= 2 of a
-Moore space given as a bare c is checked by require_moore_order alone, with
+hypothesis therefore refuses with the same message. The order c >= 2, of
+pi_1(M) or of a Moore space, is checked by require_moore_order alone, with
 a plain ValueError.
 """
 
@@ -15,12 +15,15 @@ from gauge5 import HypothesisError, LieGroupSpec, Localization, ManifoldSpec
 from gauge5.classification import (
     classify_looped_manifold,
     classify_moore,
+    dirichlet_min,
     same_type_moore,
     trivial_case,
 )
 from gauge5.decomposition import loops2_gauge
 from gauge5.exponents import best_bound, exp_bound_regular, exp_bound_theriault
+from gauge5.spaces import SpaceExpr
 from gauge5.manifold import (
+    WedgeAtom,
     bundle_classes,
     pi6_P4,
     pi_moore_self,
@@ -117,5 +120,9 @@ def test_a_moore_order_below_2_is_refused_with_one_message():
         _refusal(lambda: pi6_P4(1), ValueError),
         _refusal(lambda: suspension_image_order(1), ValueError),
         _refusal(lambda: pi_with_coefficients("P3@4", 1), ValueError),
+        _refusal(lambda: ManifoldSpec(1, 2), ValueError),
+        _refusal(lambda: SpaceExpr((), c=1), ValueError),
+        _refusal(lambda: WedgeAtom("moore", n=4, c=1), ValueError),
+        _refusal(lambda: dirichlet_min(1, 24, 1, 3), ValueError),
     }
     assert messages == {"c must be >= 2, got 1"}

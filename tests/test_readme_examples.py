@@ -70,6 +70,7 @@ REFUSALS = [
             "rational --c 5 --m 3 --group SU:4 --op rank",  # no --q
             "classify --moore --group SU:x --c 9",  # a bad group parameter
             "moore --c 1",  # a Moore order below 2
+            "homology --c 1",  # an order of pi_1(M) below 2
         )
         for full in (command, command + " --format machine")
     ],

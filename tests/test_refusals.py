@@ -53,9 +53,8 @@ REFUSALS = [
     ),
     # arith, classification, exponents
     (lambda: gcd_class(1, 0), ValueError, "gcd_class needs d >= 1, got 0"),
-    (lambda: dirichlet_min(1, 24, 1, 3), ValueError, "need c >= 2, ord >= 1, N >= 1"),
-    (lambda: dirichlet_min(1, 0, 5, 3), ValueError, "need c >= 2, ord >= 1, N >= 1"),
-    (lambda: dirichlet_min(1, 24, 5, 0), ValueError, "need c >= 2, ord >= 1, N >= 1"),
+    (lambda: dirichlet_min(1, 0, 5, 3), ValueError, "need ord >= 1, N >= 1"),
+    (lambda: dirichlet_min(1, 24, 5, 0), ValueError, "need ord >= 1, N >= 1"),
     (lambda: ExponentBound(5, -1, "regular"), ValueError, "exponent must be >= 0, got -1"),
     # lie, and the catalog loader
     (lambda: LieGroupSpec.parse("SU:x"), ValueError, "bad group parameter 'x' in 'SU:x'"),
@@ -74,7 +73,7 @@ REFUSALS = [
     # manifold
     (lambda: WedgeAtom("disk"), ValueError, "unknown wedge atom kind 'disk'"),
     (lambda: WedgeAtom("sphere", n=1), ValueError, "wedge atom dimension must be >= 2, got 1"),
-    (lambda: WedgeAtom("moore", n=4, c=1), ValueError, "Moore atom order must be >= 2, got 1"),
+    (lambda: WedgeAtom("moore", n=4), ValueError, "Moore atom needs an order c"),
     # rational
     (lambda: HilbertSeries((1, -1)), ValueError, "Betti numbers must be nonnegative"),
     (lambda: GeneratorLedger(((3, "free"),)), ValueError, "unknown generator kind 'free'"),

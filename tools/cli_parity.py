@@ -1,6 +1,6 @@
 """Compare what `gauge5` prints here against another checkout of the repo.
 
-    python3 tools/cli_parity.py OTHER_ROOT
+    python3 tools/cli_parity.py OTHER_ROOT [--expect FILE]
 
 One argv list runs through `gauge5.cli.main`, in process, in two child
 interpreters: one imports OTHER_ROOT/src and the other this checkout's src.
@@ -33,6 +33,13 @@ For each argv the exit code, stdout and stderr must agree; an exception
 that escapes `main` is recorded in place of the exit code. Prints every
 differing argv with both outputs, then one `N of M argv differ` line; exits
 1 on any difference, or when stdout is closed before the report is written.
+
+With `--expect FILE`, a change's intended differences are declared: FILE
+holds one argv per line (blank lines skipped), split with `shlex`, and each
+joins the list if it is not already there. The report then names every
+differing argv FILE does not list (`unexpected:`) and every argv FILE lists
+that does not differ (`missing:`), and the tool exits 0 only when the
+differing argv are exactly FILE's.
 
 Standard library only, and outside the test suite. It imports bench/ to
 draw the benchmark queries and writes nothing there.
@@ -192,25 +199,40 @@ def _run(src: Path, payload: str) -> list:
     return json.loads(proc.stdout)
 
 
-def _report(other: str, argvs: list, theirs: list, ours: list) -> int:
-    differ = 0
+def _report(other: str, argvs: list, theirs: list, ours: list, expected: list | None) -> int:
+    differing = []
     for argv, a, b in zip(argvs, theirs, ours):
         if a != b:
-            differ += 1
+            differing.append(argv)
             print(f"difference: gauge5 {shlex.join(argv)}")
             for side, (code, out, err) in ((other, a), ("this checkout", b)):
                 print(f"--- {side}: exit {code}\n{out}--- stderr\n{err}", end="")
-    print(f"{differ} of {len(argvs)} argv differ")
-    return 1 if differ else 0
+    print(f"{len(differing)} of {len(argvs)} argv differ")
+    if expected is None:
+        return 1 if differing else 0
+    listed, found = set(map(tuple, expected)), set(map(tuple, differing))
+    unexpected = [argv for argv in differing if tuple(argv) not in listed]
+    missing = [argv for argv in expected if tuple(argv) not in found]
+    for label, group in (("unexpected", unexpected), ("missing", missing)):
+        for argv in group:
+            print(f"{label}: gauge5 {shlex.join(argv)}")
+    print(f"{len(unexpected)} unexpected, {len(missing)} missing of {len(expected)} expected")
+    return 1 if unexpected or missing else 0
 
 
-def main(other: str) -> int:
+def main(other: str, expect: str | None = None) -> int:
     argvs = _argv_list()
+    expected = None
+    if expect is not None:
+        lines = Path(expect).read_text(encoding="utf-8").splitlines()
+        expected = [shlex.split(line) for line in lines if line.strip()]
+        known = set(map(tuple, argvs))
+        argvs += [argv for argv in expected if tuple(argv) not in known]
     payload = json.dumps(argvs)
     theirs = _run(Path(other).resolve() / "src", payload)
     ours = _run(ROOT / "src", payload)
     try:
-        code = _report(other, argvs, theirs, ours)
+        code = _report(other, argvs, theirs, ours, expected)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
     except BrokenPipeError:
         # the reader is gone, as in gauge5.cli.main: point stdout at devnull so
@@ -225,5 +247,7 @@ if __name__ == "__main__":
         _child(sys.argv[2])
     elif len(sys.argv) == 2:
         sys.exit(main(sys.argv[1]))
+    elif len(sys.argv) == 4 and sys.argv[2] == "--expect":
+        sys.exit(main(sys.argv[1], sys.argv[3]))
     else:
         sys.exit(__doc__)
