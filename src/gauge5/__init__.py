@@ -9,7 +9,7 @@ Submodules:
   abelian         finitely generated abelian groups in canonical form
   localization    which primes are invertible
   lie             the group catalog: types, orders, loop offsets
-  manifold        homology, Moore-space homotopy, suspension splittings
+  manifold        homology, the pi_4(G) = 0 check, Moore spaces, suspensions
   spaces          formal product expressions and their normal form
   decomposition   the three looped-gauge-group decompositions
   classification  homotopy-type counting and the Dirichlet minimum

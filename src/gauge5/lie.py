@@ -1,10 +1,12 @@
 """Catalog of simply connected compact simple Lie groups.
 
 Static data and derived predicates: the rational type (exponents of the
-sphere product), l(G) and rank, triviality of pi_4, p-regularity, the
-Theriault range, the order of the degree-4 connecting map (drives bundle
+sphere product), l(G) and rank, which groups have pi_4 = Z/2, p-regularity,
+the Theriault range, the order of the degree-4 connecting map (drives bundle
 classification over Moore spaces) and the loop-power offset r(G, p) of the
-exponent bounds. The stable SU and Spin groups live in bott, their reader.
+exponent bounds. The group pi_4(G) and its vanishing test live in manifold,
+beside the one check of pi_4(G) = 0; the stable SU and Spin groups live in
+bott, their reader.
 
 Numeric rows live in data/catalog.txt (override with the GAUGE_CATALOG
 environment variable); this module parses and interprets them. Each catalog
@@ -18,10 +20,8 @@ of scanning the file's rows.
 import math
 import os
 
-from .abelian import FGAbelianGroup
 from .arith import MILLER_RABIN_BOUND, is_prime, legendre_valuation, prime_divisors
 from .errors import CatalogError
-from .localization import Localization
 from .value import Value
 
 FAMILIES = ("SU", "Sp", "Spin", "G2", "F4", "E6", "E7", "E8")
@@ -152,25 +152,6 @@ def _pi4_is_z2(G: LieGroupSpec) -> bool:
     """Is pi_4(G) = Z/2? True for SU(2), every Sp(n) and Spin(5); every
     other G has pi_4(G) = 0. The one statement of which groups carry pi_4."""
     return (G.family == "SU" and G.n == 2) or G.family == "Sp" or (G.family == "Spin" and G.n == 5)
-
-
-def pi4(G: LieGroupSpec) -> FGAbelianGroup:
-    """Integral pi_4: Z/2 where _pi4_is_z2 says so, else 0."""
-    return FGAbelianGroup.cyclic(2) if _pi4_is_z2(G) else FGAbelianGroup.trivial()
-
-
-def pi4_is_trivial(G: LieGroupSpec, ctx: Localization) -> bool:
-    """Does pi_4(G) vanish in the localization?
-
-    Equal to pi4(G).localize(ctx).is_trivial() without building a group:
-    pi_4 is Z/2 or 0, and localizing drops the Z/2 exactly when ctx inverts 2.
-
-    >>> pi4_is_trivial(LieGroupSpec("Sp", 2), Localization.integral())
-    False
-    >>> pi4_is_trivial(LieGroupSpec("Sp", 2), Localization.away_from([2]))
-    True
-    """
-    return not _pi4_is_z2(G) or ctx.inverts(2)
 
 
 def is_p_regular(G: LieGroupSpec, p: int) -> bool:

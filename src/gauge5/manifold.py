@@ -16,7 +16,7 @@ from math import gcd
 
 from .abelian import FGAbelianGroup
 from .errors import HypothesisError
-from .lie import LieGroupSpec, pi4, pi4_is_trivial
+from .lie import LieGroupSpec, _pi4_is_z2
 from .localization import Localization
 from .value import Value
 
@@ -100,6 +100,25 @@ def require_spin_or_away_from_2(M: ManifoldSpec, away_from_2: bool) -> None:
     """M spin, or 2 inverted: the non-spin form splits only away from 2."""
     if not M.spin and not away_from_2:
         raise HypothesisError("non-spin manifolds need localization away from 2c")
+
+
+def pi4(G: LieGroupSpec) -> FGAbelianGroup:
+    """Integral pi_4: Z/2 where lie._pi4_is_z2 says so, else 0."""
+    return FGAbelianGroup.cyclic(2) if _pi4_is_z2(G) else FGAbelianGroup.trivial()
+
+
+def pi4_is_trivial(G: LieGroupSpec, ctx: Localization) -> bool:
+    """Does pi_4(G) vanish in the localization?
+
+    Equal to pi4(G).localize(ctx).is_trivial() without building a group:
+    pi_4 is Z/2 or 0, and localizing drops the Z/2 exactly when ctx inverts 2.
+
+    >>> pi4_is_trivial(LieGroupSpec("Sp", 2), Localization.integral())
+    False
+    >>> pi4_is_trivial(LieGroupSpec("Sp", 2), Localization.away_from([2]))
+    True
+    """
+    return not _pi4_is_z2(G) or ctx.inverts(2)
 
 
 def require_pi4_trivial(G: LieGroupSpec, ctx: Localization) -> None:

@@ -26,6 +26,7 @@ from gauge5.lie import LieGroupSpec
 from gauge5.manifold import homology, suspension_image_order
 from gauge5.rational import HilbertSeries, RationalGroupModel, rational_rank_formula
 from test_readme_examples import EXAMPLES, REFUSALS
+from test_value import loaded_after
 
 
 @pytest.fixture
@@ -737,26 +738,38 @@ def test_the_reader_agrees_with_argparse_or_defers_to_it(argv):
     assert got is None or vars(got) == _parse_full(argv)
 
 
-def _loaded_after(code: str, prefix: str = "gauge5.") -> list[str]:
-    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
-    env = dict(os.environ, PYTHONPATH=str(Path(gauge5.__file__).resolve().parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60,
-        check=True,
-    ).stdout
-    return ast.literal_eval(out.splitlines()[-1])
-
-
 def test_bare_import_loads_no_submodule():
-    assert _loaded_after("import gauge5") == []
+    assert loaded_after("import gauge5") == ["gauge5"]
 
 
-def test_a_homology_launch_loads_only_what_homology_needs():
-    code = "from gauge5.cli import main; main(['homology', '--c', '12', '--m', '3'])"
-    loaded = _loaded_after(code, prefix="")
-    assert "gauge5.manifold" in loaded and "argparse" not in loaded
-    unused = ("bott", "classification", "decomposition", "exponents", "rational", "spaces")
-    assert [m for m in loaded if m.startswith("gauge5.") and m.split(".")[1] in unused] == []
+# every launch loads these; each verb adds the modules it computes with
+_LAUNCH_CORE = "abelian arith cli errors lie localization manifold records value"
+# one README argv per verb -> the other gauge5 modules its launch loads
+LAUNCH_MODULES = {
+    "decompose --c 5 --m 2 --group SU:4 --k 1 --loops 2": "decomposition spaces",
+    "classify --moore --group SU:3 --c 9": "classification",
+    "exponent --group SU:4 --p 5 --c 25": "exponents",
+    "bott --c 5 --m 3 --family Spin --table": "bott decomposition spaces",
+    "rational --series 1,0,0,0,1 --model 3,5,7": "rational spaces",
+    "moore --c 9": "",
+    "homology --c 12 --m 3": "",
+}
+
+
+def test_the_launch_table_has_one_readme_argv_per_verb():
+    assert sorted(argv.split()[0] for argv in LAUNCH_MODULES) == sorted(cli._VERBS)
+    assert set(LAUNCH_MODULES) <= {command for command, _ in EXAMPLES}
+
+
+@pytest.mark.parametrize("argv", LAUNCH_MODULES)
+def test_a_launch_loads_exactly_what_its_verb_needs(argv):
+    code = f"from gauge5.cli import main; main({shlex.split(argv)!r})"
+    loaded = loaded_after(code, prefix="")
+    names = f"{_LAUNCH_CORE} {LAUNCH_MODULES[argv]}".split()
+    assert [m for m in loaded if m.startswith("gauge5")] == sorted(
+        ["gauge5", *(f"gauge5.{n}" for n in names)]
+    )
+    assert "argparse" not in loaded
 
 
 PUBLIC_NAMES = """
@@ -795,4 +808,4 @@ def test_submodules_resolve_after_a_bare_import():
         f"{[f'gauge5.{n}' for n in names]!r}\n"
         "gauge5.lie.load_catalog()"
     )
-    assert {f"gauge5.{n}" for n in names} <= set(_loaded_after(code))
+    assert {f"gauge5.{n}" for n in names} <= set(loaded_after(code))

@@ -31,12 +31,10 @@ from gauge5.lie import (
     _entry,
     _exceptional_catalog,
     load_catalog,
-    pi4,
-    pi4_is_trivial,
     prime_cond_holds,
     prime_cond_interval,
 )
-from gauge5.manifold import ManifoldSpec, require_pi4_trivial
+from gauge5.manifold import ManifoldSpec, pi4, pi4_is_trivial, require_pi4_trivial
 
 SU = lambda n: LieGroupSpec("SU", n)
 Sp = lambda n: LieGroupSpec("Sp", n)

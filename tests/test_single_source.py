@@ -5,16 +5,16 @@ Spin's parity is read only by lie._family_key, which maps Spin(2n+1) to
 branches on that key. "p is an odd prime" is checked only by
 lie._require_odd_prime, which every odd-primary entry point calls. Which
 groups have pi_4 = Z/2 (SU(2), every Sp(n), Spin(5)) is stated only by
-lie._pi4_is_z2, which pi4 and pi4_is_trivial both call. The Bott groups,
-bott._STABLE, are defined and read only in bott, and "r is at least the
-stable family's least r" is checked only by bott._stable_family, which
-stable_pi, stability_threshold and StableQuery call. No library code
-calls GcdClass.__new__: its __init__ alone builds a class, and copy and
-pickle restore one as they restore every Value. Only spaces._LOOPS holds
-prebuilt G and Omega^j G atoms, which loops_g and group_itself return. A
-Lie group's 'family:param' token is written only by LieGroupSpec.token, the
-inverse of LieGroupSpec.parse. The scans below fail if a later change
-re-derives any of these facts somewhere else.
+lie._pi4_is_z2, which manifold.pi4 and manifold.pi4_is_trivial both
+call. The Bott groups, bott._STABLE, are defined and read only in bott,
+and "r is at least the stable family's least r" is checked only by
+bott._stable_family, which stable_pi, stability_threshold and StableQuery
+call. No library code calls GcdClass.__new__: its __init__ alone builds a
+class, and copy and pickle restore one as they restore every Value. Only
+spaces._LOOPS holds prebuilt G and Omega^j G atoms, which loops_g and
+group_itself return. A Lie group's 'family:param' token is written only by
+LieGroupSpec.token, the inverse of LieGroupSpec.parse. The scans below fail
+if a later change re-derives any of these facts somewhere else.
 
 The last scans keep the library free of code nothing reaches: every def in
 src/gauge5 is named by other library code, exported, or listed in ALLOWLIST
@@ -112,7 +112,7 @@ def _reads_pi4_family(node) -> bool:
 
 def test_pi4_family_is_read_only_by_its_predicate():
     assert _sites(_reads_pi4_family) == {("lie.py", "_pi4_is_z2")}
-    tree = library_trees()["lie.py"]
+    tree = library_trees()["manifold.py"]
     funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     for name in ("pi4", "pi4_is_trivial"):
         calls = {ast.unparse(c.func) for c in ast.walk(funcs[name]) if isinstance(c, ast.Call)}

@@ -266,32 +266,30 @@ def test_values_are_built_in_one_step():
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib", "argparse", "__future__")
 
 
-def _probe(code: str) -> str:
-    """What a fresh `python -S` running `code` prints, with the package on its path."""
-    return subprocess.run(
-        [sys.executable, "-S", "-c", code],
+def loaded_after(code: str, prefix: str = "gauge5") -> list[str]:
+    """The sorted names, starting with `prefix`, of the modules a fresh
+    `python -S` holds once it has run `code`, with the package on its path."""
+    probe = f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
-    ).stdout.strip()
+    ).stdout
+    return ast.literal_eval(out.splitlines()[-1])
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():
-    probe = f"import sys, gauge5.cli; print(sorted(set(sys.modules) & set({HEAVY!r})))"
-    assert _probe(probe) == "[]"
+    assert set(loaded_after("import gauge5.cli", prefix="")) & set(HEAVY) == set()
 
 
 def test_cold_catalog_load_imports_exactly_these_modules():
-    # the cold path every verb pays: a module added to it shows up here
-    probe = (
-        "import sys, gauge5; gauge5.lie.load_catalog();"
-        " print(' '.join(sorted(m for m in sys.modules if m.startswith('gauge5'))))"
-    )
-    assert _probe(probe).split() == [
-        "gauge5", "gauge5.abelian", "gauge5.arith", "gauge5.errors", "gauge5.lie",
-        "gauge5.localization", "gauge5.records", "gauge5.value",
+    # `import gauge5` plus the first load_catalog(), the path setup_s times: a
+    # module added to it shows up here
+    assert loaded_after("import gauge5; gauge5.lie.load_catalog()") == [
+        "gauge5", "gauge5.arith", "gauge5.errors", "gauge5.lie", "gauge5.value",
     ]
 
 
