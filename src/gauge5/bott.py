@@ -23,6 +23,7 @@ and every c >= 2 answers.
 
 from .abelian import FGAbelianGroup
 from .decomposition import _away_from_c_atoms
+from .errors import require_listable
 from .localization import Localization
 from .manifold import ManifoldSpec, require_spin_or_away_from_2
 from .spaces import SpaceExpr
@@ -131,7 +132,7 @@ def _shifted_sums(groups, shifts, ctx: Localization, rs) -> list[FGAbelianGroup]
     local: dict[int, tuple] = {}  # residue of r + s -> (free rank, kept torsion)
     sums = []
     for r in rs:
-        rank, torsion = 0, []
+        rank, listed, hit = 0, 0, []
         for i, n in counts.items():
             g = (r + i) % period
             if g not in local:
@@ -139,6 +140,12 @@ def _shifted_sums(groups, shifts, ctx: Localization, rs) -> list[FGAbelianGroup]
                 local[g] = group.free_rank, [f for f in group.torsion if not ctx.inverts(f.p)]
             free, kept = local[g]
             rank += n * free
+            if kept:  # each torsion summand prints on its own
+                listed += n * len(kept)
+                hit.append((kept, n))
+        require_listable(listed + (rank > 0))  # Z^rank prints once
+        torsion = []
+        for kept, n in hit:
             torsion += kept * n
         sums.append(FGAbelianGroup(rank, tuple(torsion)))
     return sums

@@ -21,8 +21,8 @@ input: its rows are built on the first call and kept in that catalog's entry.
 from .arith import nu_p
 from .errors import HypothesisError
 from .lie import (
-    EXCEPTIONAL, LieGroupSpec, _entry, _exceptional_catalog, _family_key, _in_range, _ord_at,
-    _r_at, _require_odd_prime, _row_at, _rows_for, is_p_regular, l_of,
+    EXCEPTIONAL, LieGroupSpec, _entry, _exceptional_catalog, _family_key, _in_range, _l_at,
+    _ord_at, _r_at, _require_odd_prime, _row_at, _rows_for, is_p_regular, l_of,
 )
 from .manifold import ManifoldSpec, require_not_divisible_by_6
 from .value import Value
@@ -166,10 +166,6 @@ def best_bound(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
 
 # -- the exceptional-group table ----------------------------------------------
 
-# l(G) per exceptional family, read through l_of once, at import (the catalog holds ord and r)
-_EXCEPTIONAL_L = {family: l_of(LieGroupSpec(family)) for family in EXCEPTIONAL}
-
-
 class ExponentTableRow(Value):
     family: str
     prime_cond: str  # "p=5" or "p>=11"
@@ -199,7 +195,7 @@ def exceptional_table() -> list[ExponentTableRow]:
     if "exceptional" not in tables:
         rows = []
         for family, catalog_rows in _exceptional_catalog(index):
-            l = _EXCEPTIONAL_L[family]
+            l = _l_at(family, None)  # l(G) of an exceptional family key; the catalog holds the rest
             for row in catalog_rows:
                 r = row.r_int
                 offset = r + nu_p(row.ord_int, row.interval[0])

@@ -10,11 +10,12 @@ bott, their reader.
 
 Numeric rows live in data/catalog.txt (override with the GAUGE_CATALOG
 environment variable); this module parses and interprets them. Each catalog
-path is parsed, checked and indexed once: its rows are grouped by (family
-key, parameter), specific rows before * rows and each group in file order,
-and every p=K / p>=K tag is resolved to its prime interval and every
-integer cell parsed on the row. A lookup then reads one short group instead
-of scanning the file's rows.
+path is parsed, checked and indexed once. A CatalogRow is the one check of
+a row's tag and cells, and resolves its p=K / p>=K tag to a prime interval
+and its integer cells once; the loader checks only the raw columns and
+repeats, and names the file and line of any refusal. The rows are grouped
+by (family key, parameter), specific rows before * rows and each group in
+file order, so a lookup reads one short group instead of every row.
 """
 
 import math
@@ -130,7 +131,11 @@ def l_of(G: LieGroupSpec) -> int:
     >>> l_of(LieGroupSpec("SU", 10**12)), l_of(LieGroupSpec("Spin", 8)), l_of(LieGroupSpec("E8"))
     (999999999999, 5, 29)
     """
-    key, n = _family_key(G)
+    return _l_at(*_family_key(G))
+
+
+def _l_at(key: str, n: int | None) -> int:
+    """l_of for G's family key and parameter (_family_key)."""
     if key == "SU":
         return n - 1
     if key == "SpinEven":
@@ -232,10 +237,13 @@ def prime_cond_interval(tag: str) -> tuple[int, float]:
     >>> prime_cond_interval("p=5"), prime_cond_interval("p>=11")
     ((5, 5), (11, inf))
     """
-    if tag.startswith("p>="):
-        return int(tag[3:]), math.inf
-    if tag.startswith("p="):
-        return int(tag[2:]), int(tag[2:])
+    try:
+        if tag.startswith("p>="):
+            return int(tag[3:]), math.inf
+        if tag.startswith("p="):
+            return int(tag[2:]), int(tag[2:])
+    except ValueError:  # 'p>=x', 'p=': a malformed K is an unknown condition too
+        pass
     raise CatalogError(f"unknown prime condition {tag!r}")
 
 
@@ -255,6 +263,10 @@ def prime_cond_holds(tag: str, p: int, n: int | None = None) -> bool:
 
 
 class CatalogRow(Value):
+    """One catalog row, checked whole as it is built: the one check of a row's
+    tag and cells. The loader adds what reads raw text (columns, family,
+    parameter), the repeat check and the file:line of a refusal."""
+
     family_key: str
     param: int | None  # None means any n (a * row) or no parameter (a - row)
     prime_cond: str
@@ -264,18 +276,38 @@ class CatalogRow(Value):
     def __init__(
         self, family_key: str, param: int | None, prime_cond: str, ord_spec: str, r_spec: str
     ) -> None:
-        self.__dict__.update(
+        interval = None  # the (least, greatest) prime of a p=K / p>=K tag; the others read n
+        if prime_cond != "all" and prime_cond not in _RANGE_TAGS:
+            interval = prime_cond_interval(prime_cond)
+            if not (interval[0] < MILLER_RABIN_BOUND and is_prime(interval[0])):
+                raise CatalogError(f"{prime_cond} needs a prime K, got K = {interval[0]}")
+        ord_int = int(ord_spec) if ord_spec.isdecimal() else None  # None for a formula
+        if ord_int is None and ord_spec not in _ORD_FORMULAS:
+            raise CatalogError(f"unknown ord spec {ord_spec!r}")
+        r_int = int(r_spec) if r_spec.isdecimal() else None
+        if r_int is None and r_spec not in _R_FORMULAS:
+            raise CatalogError(f"unknown r spec {r_spec!r}")
+        if family_key in EXCEPTIONAL:
+            # what the exceptional lookups and the exponent table read: a prime
+            # interval, integer cells, ord >= 1 and, on a p>=K row, an ord free of
+            # primes >= K, so that its least prime K stands for every prime it covers
+            if interval is None:
+                raise CatalogError(f"{family_key} needs a p=K or p>=K tag, got {prime_cond!r}")
+            if ord_int is None or r_int is None:
+                raise CatalogError(
+                    f"{family_key} needs integer ord and r, got {ord_spec!r} and {r_spec!r}"
+                )
+            if ord_int < 1:
+                raise CatalogError(f"{family_key} needs ord >= 1, got {ord_spec}")
+            least = interval[0]
+            if interval[1] == math.inf and any(q >= least for q in prime_divisors(ord_int)):
+                raise CatalogError(
+                    f"{family_key} {prime_cond} needs ord free of primes >= {least}, so that"
+                    f" p = {least} stands for every prime it covers; got ord {ord_spec}"
+                )
+        self.__dict__.update(  # the last three derived once, not fields
             family_key=family_key, param=param, prime_cond=prime_cond, ord_spec=ord_spec,
-            r_spec=r_spec,
-            # not fields, parsed here once: the (least, greatest) prime of a
-            # p=K / p>=K tag (None for the tags that need n), and the integer
-            # ord and r cells (None for a formula)
-            interval=(
-                None if prime_cond == "all" or prime_cond in _RANGE_TAGS
-                else prime_cond_interval(prime_cond)
-            ),
-            ord_int=int(ord_spec) if ord_spec.isdecimal() else None,
-            r_int=int(r_spec) if r_spec.isdecimal() else None,
+            r_spec=r_spec, interval=interval, ord_int=ord_int, r_int=r_int,
         )
 
     def _holds_at(self, p: int | None, n: int | None) -> bool:
@@ -328,68 +360,32 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise CatalogError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-        fam, param_s, primes, ord_s, r_s = parts
-        if fam not in _FAMILY_KEYS:
-            raise CatalogError(f"{path}:{lineno}: unknown family {fam!r}")
-        if fam in EXCEPTIONAL:
-            if param_s != "-":
-                raise CatalogError(
-                    f"{path}:{lineno}: {fam} takes no parameter; write -, got {param_s!r}"
-                )
-            param = None
-        elif param_s == "*":
-            param = None
-        else:
-            try:
-                param = int(param_s)
-            except ValueError:
-                raise CatalogError(
-                    f"{path}:{lineno}: {fam} needs an integer parameter or *, got {param_s!r}"
-                ) from None
         try:
-            row = CatalogRow(fam, param, primes, ord_s, r_s)  # parses the tag
-        except (CatalogError, ValueError):
-            raise CatalogError(f"{path}:{lineno}: unknown prime condition {primes!r}") from None
-        if row.interval is not None:  # a p=K or p>=K tag
-            K = row.interval[0]
-            if not (K < MILLER_RABIN_BOUND and is_prime(K)):
-                raise CatalogError(f"{path}:{lineno}: {primes} needs a prime K, got K = {K}")
-        if row.ord_int is None and ord_s not in _ORD_FORMULAS:
-            raise CatalogError(f"{path}:{lineno}: unknown ord spec {ord_s!r}")
-        if row.r_int is None and r_s not in _R_FORMULAS:
-            raise CatalogError(f"{path}:{lineno}: unknown r spec {r_s!r}")
-        if fam in EXCEPTIONAL:
-            _check_exceptional_row(row, f"{path}:{lineno}")
-        first = seen.setdefault((fam, param, primes), lineno)
-        if first != lineno:
-            raise CatalogError(f"{path}:{lineno}: repeats line {first} ({fam} {param_s} {primes})")
+            parts = line.split()
+            if len(parts) != 5:
+                raise CatalogError(f"expected 5 columns, got {len(parts)}")
+            fam, param_s, primes, ord_s, r_s = parts
+            if fam not in _FAMILY_KEYS:
+                raise CatalogError(f"unknown family {fam!r}")
+            param = None  # a - or * row
+            if fam in EXCEPTIONAL:
+                if param_s != "-":
+                    raise CatalogError(f"{fam} takes no parameter; write -, got {param_s!r}")
+            elif param_s != "*":
+                try:
+                    param = int(param_s)
+                except ValueError:
+                    raise CatalogError(
+                        f"{fam} needs an integer parameter or *, got {param_s!r}"
+                    ) from None
+            row = CatalogRow(fam, param, primes, ord_s, r_s)  # checks the tag and cells
+            first = seen.setdefault((fam, param, primes), lineno)
+            if first != lineno:
+                raise CatalogError(f"repeats line {first} ({fam} {param_s} {primes})")
+        except CatalogError as exc:
+            raise CatalogError(f"{path}:{lineno}: {exc}") from None
         rows.append(row)
     return tuple(rows)
-
-
-def _check_exceptional_row(row: CatalogRow, where: str) -> None:
-    """What the exceptional lookups and the exponent table read of every
-    exceptional row: a prime interval, integer cells, ord >= 1, and, for a
-    p>=K row, an ord with no prime factor >= K, so that nu_p(ord) = 0 at
-    every prime the row covers and its least prime K stands for them all."""
-    fam, primes, ord_s = row.family_key, row.prime_cond, row.ord_spec
-    if row.interval is None:
-        raise CatalogError(f"{where}: {fam} needs a p=K or p>=K tag, got {primes!r}")
-    if row.ord_int is None or row.r_int is None:
-        raise CatalogError(
-            f"{where}: {fam} needs integer ord and r, got {ord_s!r} and {row.r_spec!r}"
-        )
-    if row.ord_int < 1:
-        raise CatalogError(f"{where}: {fam} needs ord >= 1, got {ord_s}")
-    least = row.interval[0]
-    if row.interval[1] == math.inf and any(q >= least for q in prime_divisors(row.ord_int)):
-        raise CatalogError(
-            f"{where}: {fam} {primes} needs ord free of primes >= {least}, so that"
-            f" p = {least} stands for every prime it covers; got ord {ord_s}"
-        )
 
 
 def _index_rows(rows: tuple[CatalogRow, ...]) -> dict:
@@ -498,7 +494,7 @@ def _r_at(G: LieGroupSpec, rows: tuple, row: CatalogRow | None, n: int | None, p
 
 def _exceptional_catalog(index: dict) -> tuple[tuple[str, tuple[CatalogRow, ...]], ...]:
     """(family, its rows in file order) for each exceptional family, from a
-    catalog index (_entry); feeds the exponent-table emitter. The loader
-    has proved what the table reads of each row (_check_exceptional_row)."""
+    catalog index (_entry); feeds the exponent-table emitter. Each row has
+    proved what the table reads of it (CatalogRow)."""
     return tuple((family, index.get((family, None), ())) for family in EXCEPTIONAL)
 

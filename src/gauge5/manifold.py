@@ -15,7 +15,7 @@ theory is checked and worded; every other module calls them.
 from math import gcd
 
 from .abelian import FGAbelianGroup
-from .errors import HypothesisError
+from .errors import HypothesisError, require_listable
 from .lie import LieGroupSpec, _pi4_is_z2
 from .localization import Localization
 from .value import Value
@@ -337,24 +337,21 @@ def suspension_splitting(M: ManifoldSpec, t: int) -> WedgeExpr:
     c, m = M.c, M.m
     if t == 2:
         require_odd(c)
-        atoms = [moore(6, c), moore(4, c)]
-        atoms += [sphere(5), sphere(4)] * (m - 1)
-        return WedgeExpr(tuple(atoms))
-    if t == 3:
+        atoms, spheres, times = [moore(6, c), moore(4, c)], [sphere(5), sphere(4)], m - 1
+    elif t == 3:
         require_coprime_to_6(c)
         require_m_at_least_2(M)
         # The remainder complex: its reduced homology is what is left of the
         # shifted homology of M after the split-off summands are removed.
         Z = FGAbelianGroup.free(1)
         rest = opaque("suspended core", {5: Z, 6: Z, 8: Z})
-        atoms = [rest, moore(5, c), moore(7, c)]
-        atoms += [sphere(6), sphere(5)] * (m - 2)
-        return WedgeExpr(tuple(atoms))
-    if t == 4:
+        atoms, spheres, times = [rest, moore(5, c), moore(7, c)], [sphere(6), sphere(5)], m - 2
+    elif t == 4:
         require_odd(c)
         require_single_top_cell(M)
         require_stably_parallelizable(M)
-        atoms = [sphere(9), moore(8, c), moore(6, c)]
-        atoms += [sphere(7), sphere(6)] * (m - 1)
-        return WedgeExpr(tuple(atoms))
-    raise ValueError(f"suspension splitting only for t in 2..4, got {t}")
+        atoms, spheres, times = [sphere(9), moore(8, c), moore(6, c)], [sphere(7), sphere(6)], m - 1
+    else:
+        raise ValueError(f"suspension splitting only for t in 2..4, got {t}")
+    require_listable(len(atoms) + len(spheres) * times)
+    return WedgeExpr(tuple(atoms + spheres * times))

@@ -18,7 +18,7 @@ survives, since there the ring genuinely has a degree-1 class.
 """
 
 from . import records
-from .errors import HypothesisError
+from .errors import HypothesisError, require_listable
 from .lie import LieGroupSpec, rational_degrees
 from .localization import Localization
 from .manifold import ManifoldSpec
@@ -297,22 +297,20 @@ def rational_cohomology_ring(target: str, X: HilbertSeries, G: RationalGroupMode
     Λ(3,5) ⊗ Q[4]
     """
     if target == "gauge":
-        return GeneratorLedger(tuple(
-            (n, "exterior" if n % 2 else "polynomial")
-            for n, b in _gauge_degrees(X, G)
-            for _ in range(b)
-        ))
-    if target != "b_star":
+        counted = [(n, "exterior" if n % 2 else "polynomial", b) for n, b in _gauge_degrees(X, G)]
+    elif target != "b_star":
         raise ValueError(f"target must be gauge or b_star, got {target!r}")
-    X.require_simply_connected()
-    G.require_finite_dimensional()
-    gens = []
-    for a in G.exterior_degrees:
-        for k in range(0, a // 2 + 1):
-            odd_b = X.coefficient(2 * k + 1)
-            if odd_b and a - 2 * k >= 1:
-                gens.extend([(a - 2 * k, "exterior")] * odd_b)
-            even_b = X.coefficient(2 * k)
-            if even_b and a - 2 * k + 1 >= 2:
-                gens.extend([(a - 2 * k + 1, "polynomial")] * even_b)
-    return GeneratorLedger(tuple(gens))
+    else:
+        X.require_simply_connected()
+        G.require_finite_dimensional()
+        counted = []  # (degree, kind, multiplicity)
+        for a in G.exterior_degrees:
+            for k in range(0, a // 2 + 1):
+                odd_b = X.coefficient(2 * k + 1)
+                if odd_b and a - 2 * k >= 1:
+                    counted.append((a - 2 * k, "exterior", odd_b))
+                even_b = X.coefficient(2 * k)
+                if even_b and a - 2 * k + 1 >= 2:
+                    counted.append((a - 2 * k + 1, "polynomial", even_b))
+    require_listable(sum(b for _, _, b in counted))
+    return GeneratorLedger(tuple((d, kind) for d, kind, b in counted for _ in range(b)))

@@ -9,6 +9,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -20,12 +21,18 @@ from hypothesis import strategies as st
 
 import gauge5
 from gauge5 import ManifoldSpec, StableQuery, abelian, records, spaces, stable_pi_gauge
-from gauge5 import cli
+from gauge5 import cli, errors
 from gauge5.cli import build_parser, main
+from gauge5.errors import LISTED_BOUND
 from gauge5.lie import LieGroupSpec
-from gauge5.manifold import homology, suspension_image_order
-from gauge5.rational import HilbertSeries, RationalGroupModel, rational_rank_formula
-from test_readme_examples import EXAMPLES, REFUSALS
+from gauge5.manifold import homology, suspension_image_order, suspension_splitting
+from gauge5.rational import (
+    HilbertSeries,
+    RationalGroupModel,
+    rational_cohomology_ring,
+    rational_rank_formula,
+)
+from test_readme_examples import EXAMPLES, HUGE_M, REFUSALS
 from test_value import loaded_after
 
 
@@ -409,6 +416,58 @@ def test_bott_at_a_huge_m_answers_in_bounded_memory(argv, out):
     # the Bott fold reads normalize's (shift, multiplicity) pairs; the 2m
     # shifts it once expanded them into would not fit under the cap
     assert _capped(f"bott --c 3 --m 100000000 {argv}") == (0, out + "\n", "")
+
+
+@pytest.mark.parametrize("argv", HUGE_M)
+def test_an_answer_past_the_listed_bound_is_refused_in_bounded_memory(argv):
+    # counted before it is built: one error line, no MemoryError traceback
+    code, out, err = _capped(argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(
+        rf"error: the answer would list \d+ summands or generators; the bound is {LISTED_BOUND}\n",
+        err,
+    )
+
+
+# a verb's answer from the library, built the way the verb builds it
+LISTED_ANSWERS = {
+    "bott Spin r=5": lambda: stable_pi_gauge(StableQuery(ManifoldSpec(3, 4), "Spin", 0, 5)),
+    "bott Spin r=6": lambda: stable_pi_gauge(StableQuery(ManifoldSpec(3, 4), "Spin", 0, 6)),
+    "bott SU r=5": lambda: stable_pi_gauge(StableQuery(ManifoldSpec(3, 4), "SU", 0, 5)),
+    "moore t=2": lambda: suspension_splitting(ManifoldSpec(3, 4), 2),
+    "moore t=3": lambda: suspension_splitting(ManifoldSpec(5, 4), 3),
+    "moore t=4": lambda: suspension_splitting(
+        ManifoldSpec(3, 4, stably_parallelizable=True, single_top_cell=True), 4
+    ),
+    "ring-gauge": lambda: _ring("gauge"),
+    "ring-b-star": lambda: _ring("b_star"),
+}
+
+
+def _ring(target):
+    X = HilbertSeries.for_manifold(ManifoldSpec(3, 4))
+    return rational_cohomology_ring(target, X, RationalGroupModel.from_lie(LieGroupSpec("SU", 4)))
+
+
+def _listed(answer) -> int:
+    """How many summands or generators `answer` prints, one by one."""
+    if isinstance(answer, abelian.FGAbelianGroup):
+        return (answer.free_rank > 0) + len(answer.torsion)  # Z^k prints once
+    return len(answer.atoms if hasattr(answer, "atoms") else answer.generators)
+
+
+@pytest.mark.parametrize("build", LISTED_ANSWERS.values(), ids=LISTED_ANSWERS)
+def test_the_bound_counts_exactly_what_an_answer_lists(monkeypatch, build):
+    answer = build()
+    n = _listed(answer)
+    monkeypatch.setattr(errors, "LISTED_BOUND", n)
+    assert build() == answer
+    monkeypatch.setattr(errors, "LISTED_BOUND", n - 1)
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == (
+        f"the answer would list {n} summands or generators; the bound is {n - 1}"
+    )
 
 
 # -- the process entry ----------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Homotopy-exponent upper bounds: three routes and the exceptional table."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -388,6 +391,21 @@ def test_exceptional_table_builds_no_group_spec(monkeypatch):
     rows = [(r.family, r.prime_cond, r.base, r.offset) for r in exceptional_table()]
     assert built == []
     assert sorted(rows) == sorted(PUBLISHED_ROWS)
+
+
+def test_importing_exponents_builds_no_group_spec():
+    # l(G) of an exceptional family is read when its table rows are built, not at import
+    code = (
+        "from gauge5 import lie; built = []; init = lie.LieGroupSpec.__init__\n"
+        "lie.LieGroupSpec.__init__ = lambda self, *a: built.append(a) or init(self, *a)\n"
+        "import gauge5.exponents; print(built)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gauge5.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
 
 
 _TABLE_OVERRIDE = """

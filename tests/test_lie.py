@@ -28,6 +28,7 @@ from gauge5.errors import HypothesisError
 from gauge5.exponents import best_bound, exceptional_table, exp_bound_closed_form
 from gauge5.lie import (
     EXCEPTIONAL,
+    CatalogRow,
     _entry,
     _exceptional_catalog,
     load_catalog,
@@ -277,6 +278,85 @@ def test_catalog_keeps_rows_that_differ_in_one_column(tmp_path):
         encoding="utf-8",
     )
     assert len(load_catalog(path)) == 6
+
+
+# (cells of a row built directly, the loader's refusal of that row minus its file:line)
+ROW_REFUSALS = [
+    (("SU", 4, "q>=3", "60", "0"), "unknown prime condition 'q>=3'"),
+    (("SU", 4, "p>=x", "60", "0"), "unknown prime condition 'p>=x'"),
+    (("SU", 4, "p=", "60", "0"), "unknown prime condition 'p='"),
+    (("SU", 4, "p=4", "60", "0"), "p=4 needs a prime K, got K = 4"),
+    (("G2", None, "p>=9", "21", "0"), "p>=9 needs a prime K, got K = 9"),
+    (("G2", None, "p=5", "bogus", "1"), "unknown ord spec 'bogus'"),
+    (("SU", 3, "all", "24", "r!"), "unknown r spec 'r!'"),
+    (("G2", None, "all", "21", "1"), "G2 needs a p=K or p>=K tag, got 'all'"),
+    (("G2", None, "p=5", "n(n^2-1)", "1"), "G2 needs integer ord and r, got 'n(n^2-1)' and '1'"),
+    (("G2", None, "p=5", "0", "1"), "G2 needs ord >= 1, got 0"),
+    (
+        ("G2", None, "p>=5", "21", "0"),
+        "G2 p>=5 needs ord free of primes >= 5, so that p = 5 stands for every prime it"
+        " covers; got ord 21",
+    ),
+]
+
+
+@pytest.mark.parametrize("cells, message", ROW_REFUSALS, ids=[m for _, m in ROW_REFUSALS])
+def test_a_row_built_directly_refuses_what_the_loader_refuses(tmp_path, cells, message):
+    # the row is the one check: built outside the loader it refuses at once,
+    # with the loader's text, rather than fail at a later lookup
+    with pytest.raises(CatalogError) as direct:
+        CatalogRow(*cells)
+    assert str(direct.value) == message
+    family, param, *rest = cells
+    path = tmp_path / "catalog.txt"
+    column = "-" if param is None else str(param)
+    path.write_text(" ".join([family, column, *rest]) + "\n", encoding="utf-8")
+    with pytest.raises(CatalogError) as loaded:
+        load_catalog(path)
+    assert str(loaded.value) == f"{path}:1: {message}"
+
+
+@pytest.mark.parametrize("tag", ["p>=x", "p=", "p=5x", "q>=3", "any"])
+def test_a_malformed_tag_is_an_unknown_prime_condition(tag):
+    with pytest.raises(CatalogError) as info:
+        prime_cond_interval(tag)
+    assert info.type is CatalogError and str(info.value) == f"unknown prime condition {tag!r}"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # columns before family, family before parameter, ...
+        ("Su 3 all 24", ":1: expected 5 columns, got 4"),
+        ("Su x all 24 0", ":1: unknown family 'Su'"),
+        ("Su 3 q>=3 24 0", ":1: unknown family 'Su'"),
+        # ... parameter before tag and before the exceptional premises, ...
+        ("SU x q>=3 24 0", ":1: SU needs an integer parameter or *, got 'x'"),
+        ("G2 3 all 21 1", ":1: G2 takes no parameter; write -, got '3'"),
+        # ... tag before K's primality and the cells, K before the cells, ...
+        ("SU 3 p>=x n^3 0", ":1: unknown prime condition 'p>=x'"),
+        ("SU 4 p=4 n^3 0", ":1: p=4 needs a prime K, got K = 4"),
+        ("G2 - p=4 0 1", ":1: p=4 needs a prime K, got K = 4"),
+        # ... ord before r, the cells before the exceptional premises, ...
+        ("SU 3 all n^3 r!", ":1: unknown ord spec 'n^3'"),
+        ("G2 - all n^3 1", ":1: unknown ord spec 'n^3'"),
+        ("G2 - all 21 r!", ":1: unknown r spec 'r!'"),
+        # ... within the premises the tag before the integer cells and ord >= 1, ...
+        ("G2 - all n(n^2-1) 1", ":1: G2 needs a p=K or p>=K tag, got 'all'"),
+        ("G2 - all 0 1", ":1: G2 needs a p=K or p>=K tag, got 'all'"),
+        # ... and every rule of a row before the repeat check
+        ("SU 3 all 24 0\nSU 3 all n^3 0", ":2: unknown ord spec 'n^3'"),
+        ("G2 - p=5 21 1\nG2 - p=5 0 1", ":2: G2 needs ord >= 1, got 0"),
+    ],
+)
+def test_a_row_breaking_two_rules_is_refused_for_the_earlier(tmp_path, rows, message):
+    # the order is columns, family, parameter, tag, K, ord, r, the exceptional
+    # premises, repeat: a fold of the checks cannot reorder them unseen
+    path = tmp_path / "catalog.txt"
+    path.write_text(rows + "\n", encoding="utf-8")
+    with pytest.raises(CatalogError) as info:
+        load_catalog(path)
+    assert str(info.value) == f"{path}{message}"
 
 
 # -- the (family, param) index against a linear scan -------------------------------

@@ -55,6 +55,16 @@ def _pycon_blocks(path: Path) -> list[tuple[int, str]]:
 EXAMPLES = _examples(ROOT / "README.md")
 PYCON = _pycon_blocks(ROOT / "README.md")
 GOLDEN = _examples(ROOT / "tests" / "cli_golden.txt")
+# answers that would list more summands or generators than errors.LISTED_BOUND
+HUGE_M = [
+    "bott --family Spin --c 3 --m 100000000 --r 5",
+    "bott --family Spin --c 3 --m 100000000 --table",
+    "moore --c 3 --m 100000000 --suspension 2",
+    "moore --c 5 --m 100000000 --suspension 3",
+    "moore --c 3 --m 100000000 --sp --stc --suspension 4",
+    "rational --group SU:4 --op ring-gauge --c 3 --m 100000000",
+    "rational --group SU:4 --op ring-b-star --c 3 --m 100000000",
+]
 # argv the golden file pins after the verb forms, each refused
 REFUSALS = [
     "exponent --table exceptional --group G2 --p 5",
@@ -74,6 +84,7 @@ REFUSALS = [
         )
         for full in (command, command + " --format machine")
     ],
+    *[full for command in HUGE_M for full in (command, command + " --format machine")],
 ]
 
 
