@@ -160,14 +160,15 @@ def parse_machine(line: str) -> FGAbelianGroup:
     >>> parse_machine(g.machine()) == g
     True
     """
-    tag, fields = records.parse(line)
+    tag, found = records.parse(line)
     if tag != "group":
         raise ValueError(f"not a group record: {line!r}")
+    free, listed = records.fields(found, line, "free", "torsion")
     torsion = []
-    for chunk in filter(None, fields.get("torsion", "").split(",")):
+    for chunk in filter(None, listed.split(",")):
         p, _, e = chunk.partition("^")  # '2' and '2^1^3' leave a malformed exponent
         f = PrimePower(records.integer(p, "torsion", line), records.integer(e, "torsion", line))
         if not is_prime(f.p):  # the constructor trusts its bases; outside text may not be prime
             raise ValueError(f"field 'torsion' needs prime bases, got {f.p}: {line!r}")
         torsion.append(f)
-    return FGAbelianGroup(records.integer(fields.get("free", "0"), "free", line), tuple(torsion))
+    return FGAbelianGroup(records.integer(free, "free", line), tuple(torsion))

@@ -124,13 +124,15 @@ def _shifted_sums(groups, shifts, ctx: Localization, rs) -> list[FGAbelianGroup]
     are the family's Bott groups by residue of r: the shifts s = i mod their
     period each contribute groups[(r + i) % period], so the (shift,
     multiplicity) pairs are folded into a count per residue hit once, and
-    each Bott group a row reads is localized once, on its first read."""
+    each Bott group a row reads is localized once, on its first read. Every
+    row is counted before any is built: a row, and then all of them
+    together, may list at most errors.LISTED_BOUND summands."""
     period = len(groups)
     counts: dict[int, int] = {}
     for s, n in shifts:
         counts[s % period] = counts.get(s % period, 0) + n
     local: dict[int, tuple] = {}  # residue of r + s -> (free rank, kept torsion)
-    sums = []
+    rows, total = [], 0
     for r in rs:
         rank, listed, hit = 0, 0, []
         for i, n in counts.items():
@@ -143,7 +145,13 @@ def _shifted_sums(groups, shifts, ctx: Localization, rs) -> list[FGAbelianGroup]
             if kept:  # each torsion summand prints on its own
                 listed += n * len(kept)
                 hit.append((kept, n))
-        require_listable(listed + (rank > 0))  # Z^rank prints once
+        listed += rank > 0  # Z^rank prints once
+        require_listable(listed)
+        rows.append((rank, hit))
+        total += listed
+    require_listable(total)  # the whole table prints
+    sums = []
+    for rank, hit in rows:
         torsion = []
         for kept, n in hit:
             torsion += kept * n

@@ -6,23 +6,26 @@ only (the bound is p^exponent). Three computational routes:
   regular      needs G p-regular; exponent nu_p(ord) + max(l(G), nu_p(c)),
                plus 1 for SU(2) and SU(3)
   theriault    needs (G, p) in the loop-filtration range; exponent
-               r + nu_p(ord) + max(r + l(G), nu_p(c))
+               r + nu_p(ord) + max(r + l(G), nu_p(c)) = max(A, nu_p(c) + B)
+               with the arms (A, B) of _arms
   closed_form  the relaxed matrix-family formulas; evaluated as stated,
                with no range check
 
 plus the small fiber bound exp_moore_fiber (exponent nu_p(c)). Upper bounds
 only: nothing here is claimed sharp. The regular and theriault routes share
 one reading of (G, p, c), _routes: exp_bound_regular, exp_bound_theriault
-and best_bound (the better of the two) each make one catalog lookup. The
-exceptional table is a constant of the loaded catalog, keyed by no query
-input: its rows are built on the first call and kept in that catalog's entry.
+and best_bound (the better of the two) each make one catalog lookup,
+lie._lookup. The exceptional table stores each row's arms from _arms, the
+function the theriault route evaluates; it is a constant of the loaded
+catalog, keyed by no query input: its rows are built on the first call and
+kept in that catalog's entry.
 """
 
 from .arith import nu_p
 from .errors import HypothesisError
 from .lie import (
-    EXCEPTIONAL, LieGroupSpec, _entry, _exceptional_catalog, _family_key, _in_range, _l_at,
-    _ord_at, _r_at, _require_odd_prime, _row_at, _rows_for, is_p_regular, l_of,
+    EXCEPTIONAL, LieGroupSpec, _entry, _family_key, _l_at, _lookup, _ord_at, _r_at,
+    _require_odd_prime, in_theriault_range, is_p_regular, l_of,
 )
 from .manifold import ManifoldSpec, require_not_divisible_by_6
 from .value import Value
@@ -56,12 +59,12 @@ class ExponentBound(Value):
 def _routes(M: ManifoldSpec, G: LieGroupSpec, p: int, regular: bool, theriault: bool) -> list:
     """(exponent, route, assumptions) of each asked route that applies, regular
     first: the one reading of (G, p, c) behind every route. 6 ∤ c and the odd
-    prime p are checked once, G's catalog rows resolved and scanned once, and
+    prime p are checked once, (G, p) resolved once (lie._lookup), and
     l(G), nu_p(c), nu_p(ord) read once; if no asked route applies, one
     HypothesisError joins their refusals."""
     require_not_divisible_by_6(M.c)
     is_regular = is_p_regular(G, p)  # the one check that p is an odd prime
-    in_range = _in_range(*_family_key(G), p)
+    in_range = in_theriault_range(G, p)
     refusals = []
     if regular and not is_regular:
         refusals.append(f"{G} is not p-regular at p = {p}; try the theriault route")
@@ -69,8 +72,7 @@ def _routes(M: ManifoldSpec, G: LieGroupSpec, p: int, regular: bool, theriault: 
         refusals.append(f"({G}, p = {p}) outside the loop-filtration range")
     if len(refusals) == regular + theriault:
         raise HypothesisError("; ".join(refusals))
-    rows, n = _rows_for(G)
-    row = _row_at(rows, n, p)  # one scan: the ord cell, and an exceptional G's r cell
+    row, rows, n = _lookup(G, p)  # one scan: the ord cell, and an exceptional G's r cell
     l, nu_c, nu_ord, found = l_of(G), nu_p(M.c, p), None, []
     if regular and is_regular:  # its ord lookup refuses before the r lookup below
         nu_ord = nu_p(_ord_at(G, row, n, p), p)
@@ -80,11 +82,19 @@ def _routes(M: ManifoldSpec, G: LieGroupSpec, p: int, regular: bool, theriault: 
             assumptions += ("low-rank SU adjustment (+1)",)
         found.append((exponent, "regular", assumptions))
     if theriault and in_range:
-        r = _r_at(G, rows, row, n, p)
+        r = _r_at(G, row, rows, n, p)
         nu_ord = nu_p(_ord_at(G, row, n, p), p) if nu_ord is None else nu_ord
+        base, offset = _arms(r, nu_ord, l)
         assumptions = (f"({G}, p = {p}) in the loop-filtration range",)
-        found.append((r + nu_ord + max(r + l, nu_c), "theriault", assumptions))
+        found.append((max(base, nu_c + offset), "theriault", assumptions))
     return found
+
+
+def _arms(r: int, nu_ord: int, l: int) -> tuple[int, int]:
+    """The arms (A, B) = (2r + nu_p(ord) + l(G), r + nu_p(ord)) of the
+    loop-filtration exponent r + nu_p(ord) + max(r + l(G), nu_p(c)), which
+    is max(A, nu_p(c) + B): the one statement of its arithmetic."""
+    return 2 * r + nu_ord + l, r + nu_ord
 
 
 def exp_bound_regular(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
@@ -184,21 +194,20 @@ def exceptional_table() -> list[ExponentTableRow]:
     """One row per (exceptional family, prime condition): the bound as a
     piecewise max in nu_p(c).
 
-    The base/offset arms come from the catalog through the same arithmetic
-    as exp_bound_theriault, so this table is a restatement, not a second
-    source of truth. Each row is evaluated at the least prime it covers;
-    for a "p>=K" row that prime stands for all of them because the catalog
-    loader refuses a p>=K row whose ord has a prime factor >= K. Each call
-    returns a new list of the rows built once per loaded catalog.
+    Each row's base and offset are the arms (_arms) that exp_bound_theriault
+    evaluates, read from the same catalog cells. Each row is evaluated at
+    the least prime it covers; for a "p>=K" row that prime stands for all of
+    them because the catalog loader refuses a p>=K row whose ord has a prime
+    factor >= K. Each call returns a new list of the rows built once per
+    loaded catalog.
     """
     _, index, tables = _entry()
     if "exceptional" not in tables:
         rows = []
-        for family, catalog_rows in _exceptional_catalog(index):
+        for family in EXCEPTIONAL:
             l = _l_at(family, None)  # l(G) of an exceptional family key; the catalog holds the rest
-            for row in catalog_rows:
-                r = row.r_int
-                offset = r + nu_p(row.ord_int, row.interval[0])
-                rows.append(ExponentTableRow(family, row.prime_cond, l + r + offset, offset))
+            for row in index.get((family, None), ()):
+                base, offset = _arms(row.r_int, nu_p(row.ord_int, row.interval[0]), l)
+                rows.append(ExponentTableRow(family, row.prime_cond, base, offset))
         tables["exceptional"] = tuple(rows)
     return list(tables["exceptional"])

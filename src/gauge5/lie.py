@@ -12,10 +12,13 @@ Numeric rows live in data/catalog.txt (override with the GAUGE_CATALOG
 environment variable); this module parses and interprets them. Each catalog
 path is parsed, checked and indexed once. A CatalogRow is the one check of
 a row's tag and cells, and resolves its p=K / p>=K tag to a prime interval
-and its integer cells once; the loader checks only the raw columns and
-repeats, and names the file and line of any refusal. The rows are grouped
-by (family key, parameter), specific rows before * rows and each group in
-file order, so a lookup reads one short group instead of every row.
+and its integer cells once; the loader checks only the raw columns, the
+repeats and the ord copies that rows restate (_ord_clash), and names the
+file and line of any refusal. The rows are grouped by (family key,
+parameter), specific rows before * rows and each group in file order.
+_lookup is the one resolution of (G, p) that every catalog reader makes:
+one index read of G's short group, and one scan for its first row that
+holds at p.
 """
 
 import math
@@ -185,11 +188,7 @@ def in_theriault_range(G: LieGroupSpec, p: int) -> bool:
     False
     """
     _require_odd_prime(p)
-    return _in_range(*_family_key(G), p)
-
-
-def _in_range(key: str, n: int | None, p: int) -> bool:
-    """in_theriault_range for G's family key and parameter, at an odd prime p."""
+    key, n = _family_key(G)
     bound = (p - 1) * (p - 2)
     if key == "SU":
         return n - 1 <= bound
@@ -354,6 +353,7 @@ def load_catalog(path: str | os.PathLike | None = None) -> tuple[CatalogRow, ...
 def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
     rows: list[CatalogRow] = []
     seen: dict[tuple[str, int | None, str], int] = {}  # (family, param, primes) -> line
+    earlier: dict[str, list[tuple[int, CatalogRow]]] = {}  # family -> (line, row) so far
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -382,10 +382,47 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
             first = seen.setdefault((fam, param, primes), lineno)
             if first != lineno:
                 raise CatalogError(f"repeats line {first} ({fam} {param_s} {primes})")
+            for other_line, other in earlier.setdefault(fam, []):
+                clash = _ord_clash(row, other, other_line)
+                if clash:
+                    raise CatalogError(clash)
+            if fam not in EXCEPTIONAL or not earlier[fam]:  # one ord: the first row holds it
+                earlier[fam].append((lineno, row))
         except CatalogError as exc:
             raise CatalogError(f"{path}:{lineno}: {exc}") from None
         rows.append(row)
     return tuple(rows)
+
+
+def _ord_clash(row: CatalogRow, other: CatalogRow, other_line: int) -> str | None:
+    """How row contradicts the ord of `other`, a row of its family on an
+    earlier line, or None. An exceptional group's rows restate its one ord;
+    a specific row restates each * row's ord at its n, p-locally at each
+    prime where both rows hold. Other pairs restate nothing."""
+    n = at = None  # at: where the two ords differ, once found
+    if row.family_key in EXCEPTIONAL:
+        if row.ord_int != other.ord_int:
+            at = ""
+    elif (row.param is None) != (other.param is None):
+        n = row.param if other.param is None else other.param
+        a, b = row.ord_value(n), other.ord_value(n)
+        if a != b and min(a, b) >= 1:  # ord 0 has no p-local reading
+            g = math.gcd(a, b)
+            for q in prime_divisors(a // g * (b // g)):  # the primes where a and b differ
+                if prime_cond_holds(row.prime_cond, q, n) and prime_cond_holds(
+                    other.prime_cond, q, n
+                ):
+                    at = f" at p = {q}"
+                    break
+    if at is None:
+        return None
+
+    def text(r: CatalogRow) -> str:
+        value = "" if r.ord_int is not None else f" = {r.ord_value(n)}"
+        param = "" if n is None else f" {'*' if r.param is None else r.param}"
+        return f"{r.family_key}{param} ord {r.ord_spec}{value}"
+
+    return f"{text(row)} differs{at} from line {other_line}'s {text(other)}"
 
 
 def _index_rows(rows: tuple[CatalogRow, ...]) -> dict:
@@ -413,11 +450,17 @@ def _entry() -> tuple[tuple[CatalogRow, ...], dict, dict]:
     return _catalog_cache[key]
 
 
-def _rows_for(G: LieGroupSpec) -> tuple[tuple[CatalogRow, ...], int | None]:
-    """Catalog rows matching G, specific-parameter rows first."""
+def _lookup(G: LieGroupSpec, p: int | None) -> tuple[CatalogRow | None, tuple, int | None]:
+    """(the first of G's catalog rows that holds at p, or None; G's rows,
+    specific-parameter rows first; G's parameter n): the one resolution of
+    (G, p) behind every catalog reader, one index read and one scan."""
     key, n = _family_key(G)
     index = _entry()[1]
-    return index.get((key, n)) or index.get((key, None), ()), n
+    rows = index.get((key, n)) or index.get((key, None), ())
+    for row in rows:
+        if row._holds_at(p, n):
+            return row, rows, n
+    return None, rows, n
 
 
 def ord_partial1_tilde(G: LieGroupSpec, p: int | None = None) -> int:
@@ -431,22 +474,14 @@ def ord_partial1_tilde(G: LieGroupSpec, p: int | None = None) -> int:
     >>> ord_partial1_tilde(LieGroupSpec("G2"), 5)
     21
     """
-    rows, n = _rows_for(G)
+    row, _, n = _lookup(G, p)
     if p is not None and not is_prime(p):
         raise ValueError(f"expected a prime or None, got {p}")
-    return _ord_at(G, _row_at(rows, n, p), n, p)
-
-
-def _row_at(rows: tuple[CatalogRow, ...], n: int | None, p: int | None) -> CatalogRow | None:
-    """The first of G's rows (_rows_for) holding at p, or None: one scan finds both cells."""
-    for row in rows:
-        if row._holds_at(p, n):
-            return row
-    return None
+    return _ord_at(G, row, n, p)
 
 
 def _ord_at(G: LieGroupSpec, row: CatalogRow | None, n: int | None, p: int | None) -> int:
-    """ord_partial1_tilde from G's row at a checked p (_row_at)."""
+    """ord_partial1_tilde from G's row at a checked p (_lookup)."""
     if row is None:
         raise CatalogError(f"order unknown for ({G}, {'integral' if p is None else f'p={p}'})")
     return row.ord_value(n)
@@ -458,7 +493,7 @@ def catalog_order(G: LieGroupSpec) -> tuple[int, str]:
     Classification uses this as an upper-bound order even when the row is
     only a p-local statement; callers must surface the validity tag.
     """
-    rows, n = _rows_for(G)
+    _, rows, n = _lookup(G, None)
     if not rows:
         raise CatalogError(f"no catalog row for {G}")
     row = rows[0]
@@ -477,12 +512,11 @@ def r_of(G: LieGroupSpec, p: int) -> int:
     """
     if not in_theriault_range(G, p):
         raise CatalogError(f"({G}, p={p}) outside the loop-filtration range")
-    rows, n = _rows_for(G)
-    return _r_at(G, rows, _row_at(rows, n, p), n, p)
+    return _r_at(G, *_lookup(G, p), p)
 
 
-def _r_at(G: LieGroupSpec, rows: tuple, row: CatalogRow | None, n: int | None, p: int) -> int:
-    """r_of from G's rows (_rows_for) and, for an exceptional G, its row at p (_row_at)."""
+def _r_at(G: LieGroupSpec, row: CatalogRow | None, rows: tuple, n: int | None, p: int) -> int:
+    """r_of from G's row at p and rows (_lookup); a classical G reads its first row."""
     if G.family in EXCEPTIONAL:
         if row is None:
             raise CatalogError(f"no r value for ({G}, p={p})")
@@ -490,11 +524,3 @@ def _r_at(G: LieGroupSpec, rows: tuple, row: CatalogRow | None, n: int | None, p
     if not rows:
         raise CatalogError(f"no catalog row for {G}")
     return rows[0].r_value(n, p)
-
-
-def _exceptional_catalog(index: dict) -> tuple[tuple[str, tuple[CatalogRow, ...]], ...]:
-    """(family, its rows in file order) for each exceptional family, from a
-    catalog index (_entry); feeds the exponent-table emitter. Each row has
-    proved what the table reads of it (CatalogRow)."""
-    return tuple((family, index.get((family, None), ())) for family in EXCEPTIONAL)
-

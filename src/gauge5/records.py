@@ -21,16 +21,38 @@ def record(tag: str, **fields) -> str:
 
 
 def parse(line: str) -> tuple[str, dict[str, str]]:
-    """The tag and the fields of one line; readers convert the values."""
+    """The tag and the fields of one line; readers convert the values. A
+    line names each field once."""
     tag, *items = line.split()  # an empty line raises ValueError here
-    try:
-        return tag, dict(item.split("=", 1) for item in items)
-    except ValueError:
-        raise ValueError(f"record item without '=' in {line!r}") from None
+    found: dict[str, str] = {}
+    for item in items:
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"record item without '=' in {line!r}")
+        if key in found:
+            raise ValueError(f"machine record repeats field {key!r}: {line!r}")
+        found[key] = value
+    return tag, found
 
 
-def integer(value: str, key: str, line: str) -> int:
-    """A field's value as an integer; a malformed number is refused by field and line."""
+def fields(found: dict[str, str], line: str, *keys: str) -> list[str]:
+    """The values of `keys` among a parsed line's fields, in that order: the
+    one strict read of a record. A missing key is refused first, in the
+    order of keys, then a field no key names."""
+    for key in keys:
+        if key not in found:
+            raise ValueError(f"machine record lacks field {key!r}: {line!r}")
+    for key in found:
+        if key not in keys:
+            raise ValueError(f"machine record has unknown field {key!r}: {line!r}")
+    return [found[key] for key in keys]
+
+
+def integer(value: str, key: str, line: str, absent: bool = False) -> int | None:
+    """A field's value as an integer, or None for `-` if the field may be
+    absent; a malformed number is refused by field and line."""
+    if absent and value == "-":
+        return None
     try:
         return int(value)
     except ValueError:

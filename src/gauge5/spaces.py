@@ -355,28 +355,22 @@ def parse_machine(text: str) -> SpaceExpr:
         line = raw.strip()
         if not line:
             continue
-        tag, fields = records.parse(line)
-
-        def get(key: str) -> str:
-            if key not in fields:
-                raise ValueError(f"machine record lacks field {key!r}: {line!r}")
-            return fields[key]
-
-        def number(key: str, absent: bool = False) -> int | None:  # '-' is None if absent
-            value = get(key)
-            return None if absent and value == "-" else records.integer(value, key, line)
-
+        tag, found = records.parse(line)
         if tag == "expr":
+            ctx, group, c = records.fields(found, line, "localization", "group", "c")
             header = dict(
-                localization=_parse_localization(get("localization"), line),
-                group=_parse_group(get("group")),
-                c=number("c", absent=True),
+                localization=_parse_localization(ctx, line),
+                group=_parse_group(group),
+                c=records.integer(c, "c", line, absent=True),
             )
         elif tag == "atom":
+            kind, j, k, n, mult = records.fields(found, line, "kind", "j", "k", "n", "mult")
             atom = SpaceAtom(
-                get("kind"), j=number("j"), k=number("k", absent=True), n=number("n", absent=True)
+                kind, j=records.integer(j, "j", line),
+                k=records.integer(k, "k", line, absent=True),
+                n=records.integer(n, "n", line, absent=True),
             )
-            pairs.append((atom, number("mult")))
+            pairs.append((atom, records.integer(mult, "mult", line)))
         else:
             raise ValueError(f"bad machine record {line!r}")
     if header is None:

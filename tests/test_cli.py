@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import gauge5
 from gauge5 import ManifoldSpec, StableQuery, abelian, records, spaces, stable_pi_gauge
+from gauge5.bott import bott_rows
 from gauge5 import cli, errors
 from gauge5.cli import build_parser, main
 from gauge5.errors import LISTED_BOUND
@@ -434,6 +435,8 @@ LISTED_ANSWERS = {
     "bott Spin r=5": lambda: stable_pi_gauge(StableQuery(ManifoldSpec(3, 4), "Spin", 0, 5)),
     "bott Spin r=6": lambda: stable_pi_gauge(StableQuery(ManifoldSpec(3, 4), "Spin", 0, 6)),
     "bott SU r=5": lambda: stable_pi_gauge(StableQuery(ManifoldSpec(3, 4), "SU", 0, 5)),
+    # a table is counted whole: each of its rows lists fewer than all of them
+    "bott Spin table": lambda: [value for _, _, value in bott_rows(ManifoldSpec(3, 4), "Spin")],
     "moore t=2": lambda: suspension_splitting(ManifoldSpec(3, 4), 2),
     "moore t=3": lambda: suspension_splitting(ManifoldSpec(5, 4), 3),
     "moore t=4": lambda: suspension_splitting(
@@ -451,6 +454,8 @@ def _ring(target):
 
 def _listed(answer) -> int:
     """How many summands or generators `answer` prints, one by one."""
+    if isinstance(answer, list):
+        return sum(map(_listed, answer))
     if isinstance(answer, abelian.FGAbelianGroup):
         return (answer.free_rank > 0) + len(answer.torsion)  # Z^k prints once
     return len(answer.atoms if hasattr(answer, "atoms") else answer.generators)

@@ -409,8 +409,8 @@ def test_importing_exponents_builds_no_group_spec():
 
 
 _TABLE_OVERRIDE = """
-G2   -   p>=11   20   0
-G2   -   p=5     23   1
+G2   -   p>=11   4    0
+G2   -   p=5     4    1
 E8   -   p>=7    60   2
 """
 

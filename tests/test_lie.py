@@ -1,6 +1,7 @@
 """Lie group catalog: types, connecting-map orders, exponent offsets."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,6 @@ from gauge5.lie import (
     EXCEPTIONAL,
     CatalogRow,
     _entry,
-    _exceptional_catalog,
     load_catalog,
     prime_cond_holds,
     prime_cond_interval,
@@ -194,6 +194,14 @@ def test_catalog_order_reports_validity():
     assert catalog_order(LieGroupSpec("E8")) == (7**2 * 11**2 * 13 * 19 * 31, "p=7")
 
 
+@pytest.mark.parametrize("family", EXCEPTIONAL)
+def test_one_exceptional_row_holds_exactly_in_the_loop_filtration_range(family):
+    G, rows = LieGroupSpec(family), [r for r in load_catalog() if r.family_key == family]
+    for p in (q for q in range(3, 200) if is_prime(q)):
+        holding = [r.prime_cond for r in rows if prime_cond_holds(r.prime_cond, p)]
+        assert len(holding) == in_theriault_range(G, p), (p, holding)
+
+
 def test_prime_conditions():
     assert prime_cond_holds("all", 3)
     assert prime_cond_holds("p=5", 5) and not prime_cond_holds("p=5", 7)
@@ -273,11 +281,75 @@ def test_catalog_keeps_p_at_least_k_rows_whose_ord_is_free_of_primes_from_k(tmp_
 def test_catalog_keeps_rows_that_differ_in_one_column(tmp_path):
     path = tmp_path / "catalog.txt"
     path.write_text(
-        "SU  3  all  24  0\nSU  3  p=5  24  0\nSU  4  all  60  0\nSU  *  all  6  0\n"
+        "SU  3  all  24  0\nSU  3  p=5  24  0\nSU  4  all  60  0\nSU  *  all  n(n^2-1)  0\n"
         "G2  -  p=5  21  1\nF4  -  p=5  21  1\n",
         encoding="utf-8",
     )
     assert len(load_catalog(path)) == 6
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # an exceptional group has one ord, restated on each of its rows
+        ("G2  -  p=5  21  1\nG2  -  p=7  22  0", ":2: G2 ord 22 differs from line 1's G2 ord 21"),
+        ("E8  -  p=7  45398353  2\nE8  -  p=11  45398353  1\nE8  -  p=17  45398351  1",
+         ":3: E8 ord 45398351 differs from line 1's E8 ord 45398353"),
+        # a specific row restates its * row's ord at each prime where both hold,
+        # whichever comes first
+        ("SU  2  p>=3  9  0\nSU  *  su_range  n(n^2-1)  0",
+         ":2: SU * ord n(n^2-1) = 6 differs at p = 3 from line 1's SU 2 ord 9"),
+        ("SU  *  su_range  n(n^2-1)  0\nSU  5  all  600  0",
+         ":2: SU 5 ord 600 differs at p = 5 from line 1's SU * ord n(n^2-1) = 120"),
+        ("SU  *  all  6  0\nSU  3  all  24  0",
+         ":2: SU 3 ord 24 differs at p = 2 from line 1's SU * ord 6"),
+        # the repeat check comes first
+        ("G2  -  p=5  21  1\nG2  -  p=5  22  1", ":2: repeats line 1 (G2 - p=5)"),
+    ],
+)
+def test_catalog_refuses_rows_that_restate_an_ord_differently(tmp_path, rows, message):
+    path = tmp_path / "catalog.txt"
+    path.write_text(rows + "\n", encoding="utf-8")
+    with pytest.raises(CatalogError) as info:
+        load_catalog(path)
+    assert str(info.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # 48 and 24 differ only at 2, where su_range does not hold
+        "SU  3  all  48  0\nSU  *  su_range  n(n^2-1)  0",
+        # p=5 and p>=7 share no prime
+        "SU  4  p=5  35  0\nSU  *  p>=7  n(n^2-1)  0",
+        # ord 0, here n(n^2-1) at n = 1, has no p-local reading to compare
+        "SU  1  p>=3  5  0\nSU  *  su_range  n(n^2-1)  0",
+        # two specific rows, or two * rows, restate nothing of each other
+        "SU  4  p=5  35  0\nSU  4  p=7  11  0\nSU  *  p>=11  7  0\nSU  *  p=3  9  0",
+    ],
+)
+def test_catalog_keeps_rows_that_restate_an_ord_p_locally(tmp_path, rows):
+    path = tmp_path / "catalog.txt"
+    path.write_text(rows + "\n", encoding="utf-8")
+    assert len(load_catalog(path)) == rows.count("\n") + 1
+
+
+def test_a_planted_ord_typo_fails_the_packaged_catalog(tmp_path):
+    # one copy of E8's ord, on its p=17 row, changed to 491 * 92461
+    text = Path(lie._DEFAULT_CATALOG).read_text(encoding="utf-8")
+    planted = re.sub(r"(?m)^(E8 +- +p=17 +)45398353", r"\g<1>45398351", text)
+    lines = planted.splitlines()
+    first, typo = (
+        next(i for i, line in enumerate(lines, 1) if re.match(pattern, line))
+        for pattern in (r"E8 +- +p=7 ", r"E8 +- +p=17 ")
+    )
+    path = tmp_path / "catalog.txt"
+    path.write_text(planted, encoding="utf-8")
+    with pytest.raises(CatalogError) as info:
+        load_catalog(path)
+    assert str(info.value) == (
+        f"{path}:{typo}: E8 ord 45398351 differs from line {first}'s E8 ord 45398353"
+    )
 
 
 # (cells of a row built directly, the loader's refusal of that row minus its file:line)
@@ -411,9 +483,13 @@ def _oracle_r(G, p):
 
 def _exceptional_cells():
     """What the exponent table reads of each exceptional row, through the index."""
+    index = _entry()[1]
     return [
-        (family, [(row.prime_cond, row.interval[0], row.ord_int, row.r_int) for row in rows])
-        for family, rows in _exceptional_catalog(_entry()[1])
+        (family, [
+            (row.prime_cond, row.interval[0], row.ord_int, row.r_int)
+            for row in index.get((family, None), ())
+        ])
+        for family in EXCEPTIONAL
     ]
 
 
@@ -463,19 +539,21 @@ def _index_answers():
     return got, want
 
 
+# rows that restate each ord as the loader requires: SU(4)'s agree with every
+# * row on the primes where both hold, and G2's share one ord
 _OVERRIDE = """
-SU        4   p=5              61           1
+SU        4   p=5              35           1
 SU        *   p>=7             n(n^2-1)     nu_p((n-1)!)
-SU        4   all              62           2
-SU        *   all              9            0
+SU        4   all              30           2
+SU        *   all              30           0
 SU        *   p=5              n(n^2-1)     3
 Sp        2   symp_range       11           3
 SpinOdd   *   su_range         n(2n+1)      nu_p((2n-1)!)
 SpinEven  *   p=5              (n-1)(2n-1)  nu_p((2n-3)!)
 SpinEven  6   p>=3             5            0
 G2        -   p>=11            20           0
-G2        -   p=5              23           1
-G2        -   p=13             24           2
+G2        -   p=5              20           1
+G2        -   p=13             20           2
 E8        -   p>=7             60           2
 """
 
@@ -492,7 +570,7 @@ def test_catalog_index_matches_a_linear_scan(tmp_path, monkeypatch):
     overridden, want = _index_answers()
     assert overridden == want
     assert overridden != packaged
-    assert ord_partial1_tilde(SU(4)) == 62 and ord_partial1_tilde(SU(4), 5) == 61
+    assert ord_partial1_tilde(SU(4)) == 30 and ord_partial1_tilde(SU(4), 5) == 35
     # no Sp(3) row: a refusal naming the group, not an IndexError
     assert _outcome(r_of, Sp(3), 5) == ("CatalogError", "no catalog row for Sp(3)")
 
@@ -587,8 +665,7 @@ def test_spin_2n_plus_1_and_sp_n_read_the_same_formulas():
     for n in range(2, 31):
         spin, sp = Spin(2 * n + 1), Sp(n)
         assert type_of(spin) == type_of(sp), n
-        spin_rows, _ = lie._rows_for(spin)
-        sp_rows, _ = lie._rows_for(sp)
+        spin_rows, sp_rows = (lie._lookup(G, None)[1] for G in (spin, sp))
         assert spin_rows and [(r.prime_cond, r.ord_spec, r.r_spec) for r in spin_rows] == [
             (r.prime_cond, r.ord_spec, r.r_spec) for r in sp_rows
         ], n

@@ -59,6 +59,8 @@ GOLDEN = _examples(ROOT / "tests" / "cli_golden.txt")
 HUGE_M = [
     "bott --family Spin --c 3 --m 100000000 --r 5",
     "bott --family Spin --c 3 --m 100000000 --table",
+    # no row lists 10^6 summands, but the eight of them list 2,000,008
+    "bott --family Spin --c 3 --m 500000 --table",
     "moore --c 3 --m 100000000 --suspension 2",
     "moore --c 5 --m 100000000 --suspension 3",
     "moore --c 3 --m 100000000 --sp --stc --suspension 4",

@@ -69,24 +69,45 @@ def test_record_refuses_whitespace_in_a_value(value):
         records.record("t", a=value)
 
 
-@pytest.mark.parametrize("line", ["group free=1 torsion", "", "   "])
+@pytest.mark.parametrize(
+    "line", ["group free=1 torsion", "", "   ", "group free=1 free=2 torsion=", "t a=1 b=2 a=1"]
+)
 def test_parse_refuses_malformed_lines(line):
     with pytest.raises(ValueError):
         records.parse(line)
 
 
 @pytest.mark.parametrize(
-    "text, field, line",
+    "read, text, fault, line",
     [
         # the expr header lacks c=, the atom lacks k=, n= and mult=
-        ("expr localization=integral group=-\natom kind=group j=0", "c", "expr"),
-        ("expr localization=integral group=- c=-\natom kind=group j=0", "k", "atom"),
-        ("expr localization=integral group=-\natom kind=group j=0 k=- n=- mult=1", "c", "expr"),
+        (spaces.parse_machine, "expr localization=integral group=-\natom kind=group j=0",
+         "lacks field 'c'", 0),
+        (spaces.parse_machine, "expr localization=integral group=- c=-\natom kind=group j=0",
+         "lacks field 'k'", 1),
+        (spaces.parse_machine,
+         "expr localization=integral group=-\natom kind=group j=0 k=- n=- mult=1",
+         "lacks field 'c'", 0),
+        # a bare tag is not the zero group, nor one field alone a group
+        (abelian.parse_machine, "group", "lacks field 'free'", 0),
+        (abelian.parse_machine, "group torsion=2^1", "lacks field 'free'", 0),
+        (abelian.parse_machine, "group free=1", "lacks field 'torsion'", 0),
+        # every field is read: an unknown one is refused ...
+        (abelian.parse_machine, "group free=0 torsion= extra=9", "has unknown field 'extra'", 0),
+        (spaces.parse_machine, "expr localization=integral group=- c=- order=3",
+         "has unknown field 'order'", 0),
+        (spaces.parse_machine, "expr localization=integral group=- c=-\n"
+         "atom kind=group j=0 k=- n=- mult=1 c=5", "has unknown field 'c'", 1),
+        # ... and so is a repeated one, which no longer lets the last one win
+        (abelian.parse_machine, "group free=1 torsion= free=0", "repeats field 'free'", 0),
+        (spaces.parse_machine, "expr localization=integral group=- c=5 c=7",
+         "repeats field 'c'", 0),
     ],
 )
-def test_parse_machine_names_a_missing_field(text, field, line):
-    with pytest.raises(ValueError, match=f"lacks field '{field}': '{line} "):
-        spaces.parse_machine(text)
+def test_readers_name_a_missing_unknown_or_repeated_field(read, text, fault, line):
+    with pytest.raises(ValueError) as info:
+        read(text)
+    assert str(info.value) == f"machine record {fault}: {text.splitlines()[line]!r}"
 
 
 @pytest.mark.parametrize(

@@ -13,8 +13,12 @@ call. No library code calls GcdClass.__new__: its __init__ alone builds a
 class, and copy and pickle restore one as they restore every Value. Only
 spaces._LOOPS holds prebuilt G and Omega^j G atoms, which loops_g and
 group_itself return. A Lie group's 'family:param' token is written only by
-LieGroupSpec.token, the inverse of LieGroupSpec.parse. The scans below fail
-if a later change re-derives any of these facts somewhere else.
+LieGroupSpec.token, the inverse of LieGroupSpec.parse. Which catalog row
+answers (G, p) is decided only by lie._lookup, the one caller of
+CatalogRow._holds_at, and the loop-filtration arms (A, B) only by
+exponents._arms, which the theriault route and the exceptional table both
+call. The scans below fail if a later change re-derives any of these facts
+somewhere else.
 
 The last scans keep the library free of code nothing reaches: every def in
 src/gauge5 is named by other library code, exported, or listed in ALLOWLIST
@@ -202,6 +206,23 @@ def _formats_group_token(node) -> bool:
 
 def test_the_group_token_is_written_only_by_its_parser_inverse():
     assert _sites(_formats_group_token) == {("lie.py", "token")}
+
+
+def _calls(name: str):
+    """A match for a call of `name`, bare or as an attribute."""
+    def match(node) -> bool:
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+    return match
+
+
+def test_only_the_lookup_scans_catalog_rows():
+    assert _sites(_calls("_holds_at")) == {("lie.py", "_lookup")}
+
+
+def test_the_loop_filtration_arms_are_computed_once_for_both_readers():
+    assert _sites(_calls("_arms")) == {
+        ("exponents.py", "_routes"), ("exponents.py", "exceptional_table")
+    }
 
 
 # qualified def, or function(parameter), that no library code reaches -> why it stays
