@@ -7,7 +7,7 @@ only (the bound is p^exponent). Three computational routes:
                plus 1 for SU(2) and SU(3)
   theriault    needs (G, p) in the loop-filtration range; exponent
                r + nu_p(ord) + max(r + l(G), nu_p(c)) = max(A, nu_p(c) + B)
-               with the arms (A, B) of _arms
+               with the arms (A, B) of lie._arms
   closed_form  the relaxed matrix-family formulas; evaluated as stated,
                with no range check
 
@@ -15,16 +15,16 @@ plus the small fiber bound exp_moore_fiber (exponent nu_p(c)). Upper bounds
 only: nothing here is claimed sharp. The regular and theriault routes share
 one reading of (G, p, c), _routes: exp_bound_regular, exp_bound_theriault
 and best_bound (the better of the two) each make one catalog lookup,
-lie._lookup. The exceptional table stores each row's arms from _arms, the
-function the theriault route evaluates; it is a constant of the loaded
-catalog, keyed by no query input: its rows are built on the first call and
-kept in that catalog's entry.
+lie._lookup. The exceptional table holds each catalog row's published arms,
+which the loader checked against lie._arms; it is a constant of the loaded
+catalog, keyed by no query input: built on the first call and kept in that
+catalog's entry.
 """
 
 from .arith import nu_p
 from .errors import HypothesisError
 from .lie import (
-    EXCEPTIONAL, LieGroupSpec, _entry, _family_key, _l_at, _lookup, _ord_at, _r_at,
+    EXCEPTIONAL, LieGroupSpec, _arms, _entry, _family_key, _lookup, _ord_at, _r_at,
     _require_odd_prime, in_theriault_range, is_p_regular, l_of,
 )
 from .manifold import ManifoldSpec, require_not_divisible_by_6
@@ -88,13 +88,6 @@ def _routes(M: ManifoldSpec, G: LieGroupSpec, p: int, regular: bool, theriault: 
         assumptions = (f"({G}, p = {p}) in the loop-filtration range",)
         found.append((max(base, nu_c + offset), "theriault", assumptions))
     return found
-
-
-def _arms(r: int, nu_ord: int, l: int) -> tuple[int, int]:
-    """The arms (A, B) = (2r + nu_p(ord) + l(G), r + nu_p(ord)) of the
-    loop-filtration exponent r + nu_p(ord) + max(r + l(G), nu_p(c)), which
-    is max(A, nu_p(c) + B): the one statement of its arithmetic."""
-    return 2 * r + nu_ord + l, r + nu_ord
 
 
 def exp_bound_regular(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
@@ -194,20 +187,16 @@ def exceptional_table() -> list[ExponentTableRow]:
     """One row per (exceptional family, prime condition): the bound as a
     piecewise max in nu_p(c).
 
-    Each row's base and offset are the arms (_arms) that exp_bound_theriault
-    evaluates, read from the same catalog cells. Each row is evaluated at
-    the least prime it covers; for a "p>=K" row that prime stands for all of
-    them because the catalog loader refuses a p>=K row whose ord has a prime
-    factor >= K. Each call returns a new list of the rows built once per
-    loaded catalog.
+    Each row's base and offset are the catalog row's published arms (A, B),
+    which the loader checked against the arms exp_bound_theriault evaluates
+    at every prime the row covers (lie.CatalogRow). Each call returns a new
+    list of the rows built once per loaded catalog.
     """
     _, index, tables = _entry()
     if "exceptional" not in tables:
-        rows = []
-        for family in EXCEPTIONAL:
-            l = _l_at(family, None)  # l(G) of an exceptional family key; the catalog holds the rest
-            for row in index.get((family, None), ()):
-                base, offset = _arms(row.r_int, nu_p(row.ord_int, row.interval[0]), l)
-                rows.append(ExponentTableRow(family, row.prime_cond, base, offset))
-        tables["exceptional"] = tuple(rows)
+        tables["exceptional"] = tuple(
+            ExponentTableRow(family, row.prime_cond, *map(int, row.cells))
+            for family in EXCEPTIONAL
+            for row in index.get((family, None), ())
+        )
     return list(tables["exceptional"])

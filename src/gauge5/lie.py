@@ -1,30 +1,28 @@
 """Catalog of simply connected compact simple Lie groups.
 
 Static data and derived predicates: the rational type (exponents of the
-sphere product), l(G) and rank, which groups have pi_4 = Z/2, p-regularity,
-the Theriault range, the order of the degree-4 connecting map (drives bundle
-classification over Moore spaces) and the loop-power offset r(G, p) of the
-exponent bounds. The group pi_4(G) and its vanishing test live in manifold,
-beside the one check of pi_4(G) = 0; the stable SU and Spin groups live in
-bott, their reader.
+sphere product), l(G) and rank, p-regularity, the Theriault range, the
+order of the degree-4 connecting map (drives bundle classification over
+Moore spaces) and the loop-power offset r(G, p) of the exponent bounds.
+pi_4(G) lives in manifold, and the stable SU and Spin groups in bott.
 
 Numeric rows live in data/catalog.txt (override with the GAUGE_CATALOG
 environment variable); this module parses and interprets them. Each catalog
 path is parsed, checked and indexed once. A CatalogRow is the one check of
-a row's tag and cells, and resolves its p=K / p>=K tag to a prime interval
-and its integer cells once; the loader checks only the raw columns, the
-repeats and the ord copies that rows restate (_ord_clash), and names the
-file and line of any refusal. The rows are grouped by (family key,
-parameter), specific rows before * rows and each group in file order.
-_lookup is the one resolution of (G, p) that every catalog reader makes:
-one index read of G's short group, and one scan for its first row that
-holds at p.
+a row's tag and cells; an exceptional row derives r = B - nu_K(ord) from its
+published arms (A, B) and its group's one ord line, and checks them against
+_arms. The loader checks the raw columns, the ord lines, the repeats and the
+ord a specific row restates of its * row (_ord_clash), and names the file
+and line of any refusal. The rows are grouped by (family key, parameter),
+specific rows first, each group in file order. _lookup is the one
+resolution of (G, p) of every catalog reader but catalog_order: one index
+read (_rows) and one scan for G's first row that holds at p.
 """
 
 import math
 import os
 
-from .arith import MILLER_RABIN_BOUND, is_prime, legendre_valuation, prime_divisors
+from .arith import MILLER_RABIN_BOUND, is_prime, legendre_valuation, nu_p, prime_divisors
 from .errors import CatalogError
 from .value import Value
 
@@ -139,12 +137,12 @@ def l_of(G: LieGroupSpec) -> int:
 
 def _l_at(key: str, n: int | None) -> int:
     """l_of for G's family key and parameter (_family_key)."""
+    if n is None:  # an exceptional key
+        return _EXCEPTIONAL_TYPE[key][-1]
     if key == "SU":
         return n - 1
     if key == "SpinEven":
         return 2 * n - 3
-    if key in EXCEPTIONAL:
-        return _EXCEPTIONAL_TYPE[key][-1]
     return 2 * n - 1  # Sp(n) and Spin(2n+1)
 
 
@@ -153,13 +151,7 @@ def rational_degrees(G: LieGroupSpec) -> tuple[int, ...]:
     return tuple(2 * n + 1 for n in type_of(G))
 
 
-# -- pi_4 and regularity -----------------------------------------------------
-
-
-def _pi4_is_z2(G: LieGroupSpec) -> bool:
-    """Is pi_4(G) = Z/2? True for SU(2), every Sp(n) and Spin(5); every
-    other G has pi_4(G) = 0. The one statement of which groups carry pi_4."""
-    return (G.family == "SU" and G.n == 2) or G.family == "Sp" or (G.family == "Spin" and G.n == 5)
+# -- regularity --------------------------------------------------------------
 
 
 def is_p_regular(G: LieGroupSpec, p: int) -> bool:
@@ -227,7 +219,7 @@ _RANGE_TAGS = {
     "symp_range": lambda n, p: p >= 3 and 2 * n <= (p - 1) ** 2 + 1,
     "spin_even_range": lambda n, p: p >= 5 and 2 * (n - 1) <= (p - 1) ** 2 + 1,
 }
-_FAMILY_KEYS = ("SU", "Sp", "SpinOdd", "SpinEven", "G2", "F4", "E6", "E7", "E8")
+_FAMILY_KEYS = frozenset(("SU", "Sp", "SpinOdd", "SpinEven", "G2", "F4", "E6", "E7", "E8"))
 
 
 def prime_cond_interval(tag: str) -> tuple[int, float]:
@@ -240,7 +232,7 @@ def prime_cond_interval(tag: str) -> tuple[int, float]:
         if tag.startswith("p>="):
             return int(tag[3:]), math.inf
         if tag.startswith("p="):
-            return int(tag[2:]), int(tag[2:])
+            return (int(tag[2:]),) * 2  # K is the least and the greatest prime
     except ValueError:  # 'p>=x', 'p=': a malformed K is an unknown condition too
         pass
     raise CatalogError(f"unknown prime condition {tag!r}")
@@ -264,16 +256,16 @@ def prime_cond_holds(tag: str, p: int, n: int | None = None) -> bool:
 class CatalogRow(Value):
     """One catalog row, checked whole as it is built: the one check of a row's
     tag and cells. The loader adds what reads raw text (columns, family,
-    parameter), the repeat check and the file:line of a refusal."""
+    parameter, ord lines), the repeat check and the file:line of a refusal."""
 
     family_key: str
     param: int | None  # None means any n (a * row) or no parameter (a - row)
     prime_cond: str
-    ord_spec: str
-    r_spec: str
+    ord_spec: str  # an exceptional row's is its group's, from the ord line
+    cells: tuple[str, ...]  # (r,) on a classical row, the published (A, B) on an exceptional one
 
     def __init__(
-        self, family_key: str, param: int | None, prime_cond: str, ord_spec: str, r_spec: str
+        self, family_key: str, param: int | None, prime_cond: str, ord_spec: str, cells: tuple
     ) -> None:
         interval = None  # the (least, greatest) prime of a p=K / p>=K tag; the others read n
         if prime_cond != "all" and prime_cond not in _RANGE_TAGS:
@@ -283,18 +275,20 @@ class CatalogRow(Value):
         ord_int = int(ord_spec) if ord_spec.isdecimal() else None  # None for a formula
         if ord_int is None and ord_spec not in _ORD_FORMULAS:
             raise CatalogError(f"unknown ord spec {ord_spec!r}")
-        r_int = int(r_spec) if r_spec.isdecimal() else None
-        if r_int is None and r_spec not in _R_FORMULAS:
-            raise CatalogError(f"unknown r spec {r_spec!r}")
-        if family_key in EXCEPTIONAL:
-            # what the exceptional lookups and the exponent table read: a prime
-            # interval, integer cells, ord >= 1 and, on a p>=K row, an ord free of
-            # primes >= K, so that its least prime K stands for every prime it covers
+        if family_key not in _EXCEPTIONAL_TYPE:  # a classical row
+            (r_spec,) = cells
+            r_int = int(r_spec) if r_spec.isdecimal() else None
+            if r_int is None and r_spec not in _R_FORMULAS:
+                raise CatalogError(f"unknown r spec {r_spec!r}")
+        else:
+            # what the exceptional lookups and the table read: a prime interval, integer cells,
+            # ord >= 1, a p>=K ord free of primes >= K (K stands for them all), arms that fit at K
             if interval is None:
                 raise CatalogError(f"{family_key} needs a p=K or p>=K tag, got {prime_cond!r}")
-            if ord_int is None or r_int is None:
+            a_spec, b_spec = cells
+            if ord_int is None or not (a_spec.isdecimal() and b_spec.isdecimal()):
                 raise CatalogError(
-                    f"{family_key} needs integer ord and r, got {ord_spec!r} and {r_spec!r}"
+                    f"{family_key} needs integer ord, A and B, got {ord_spec!r} and {cells}"
                 )
             if ord_int < 1:
                 raise CatalogError(f"{family_key} needs ord >= 1, got {ord_spec}")
@@ -304,9 +298,18 @@ class CatalogRow(Value):
                     f"{family_key} {prime_cond} needs ord free of primes >= {least}, so that"
                     f" p = {least} stands for every prime it covers; got ord {ord_spec}"
                 )
+            A, B = int(a_spec), int(b_spec)
+            nu_ord = nu_p(ord_int, least)
+            r_int = B - nu_ord
+            want = _arms(r_int, nu_ord, _l_at(family_key, None))[0]
+            if r_int < 0 or A != want:
+                raise CatalogError(
+                    f"{family_key} {prime_cond} needs r = B - nu_{least}(ord {ord_spec}) = {r_int}"
+                    f" >= 0 and A = B + r + l(G) = {want}; got A = {A}"
+                )
         self.__dict__.update(  # the last three derived once, not fields
             family_key=family_key, param=param, prime_cond=prime_cond, ord_spec=ord_spec,
-            r_spec=r_spec, interval=interval, ord_int=ord_int, r_int=r_int,
+            cells=cells, interval=interval, ord_int=ord_int, r_int=r_int,
         )
 
     def _holds_at(self, p: int | None, n: int | None) -> bool:
@@ -325,8 +328,14 @@ class CatalogRow(Value):
 
     def r_value(self, n: int | None, p: int) -> int:
         if self.r_int is None:
-            return _R_FORMULAS[self.r_spec](n, p)
+            return _R_FORMULAS[self.cells[0]](n, p)
         return self.r_int
+
+
+def _arms(r: int, nu_ord: int, l: int) -> tuple[int, int]:
+    """The arms (A, B) = (2r + nu_p(ord) + l, r + nu_p(ord)) of the loop-filtration exponent
+    r + nu_p(ord) + max(r + l, nu_p(c)) = max(A, nu_p(c) + B): its arithmetic, stated once."""
+    return 2 * r + nu_ord + l, r + nu_ord
 
 
 # path -> (rows in file order, (family key, param) -> rows a lookup reads,
@@ -353,24 +362,35 @@ def load_catalog(path: str | os.PathLike | None = None) -> tuple[CatalogRow, ...
 def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
     rows: list[CatalogRow] = []
     seen: dict[tuple[str, int | None, str], int] = {}  # (family, param, primes) -> line
-    earlier: dict[str, list[tuple[int, CatalogRow]]] = {}  # family -> (line, row) so far
+    earlier: dict[str, list[tuple[int, CatalogRow]]] = {}  # classical family -> (line, row) so far
+    ords: dict[str, tuple[int, str]] = {}  # exceptional family -> (line, ord) of its ord line
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if raw.startswith("#"):  # a comment line, the most common kind
+            continue
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
         try:
-            parts = line.split()
+            if len(parts) == 3 and parts[1] == "ord" and parts[0] in EXCEPTIONAL:
+                fam = parts[0]  # "family ord N": an exceptional group's one ord, before its rows
+                if fam in ords:
+                    raise CatalogError(f"repeats line {ords[fam][0]} ({fam} ord)")
+                ords[fam] = lineno, parts[2]
+                continue
             if len(parts) != 5:
                 raise CatalogError(f"expected 5 columns, got {len(parts)}")
-            fam, param_s, primes, ord_s, r_s = parts
+            fam, param_s, primes, ord_s, cell = parts
             if fam not in _FAMILY_KEYS:
                 raise CatalogError(f"unknown family {fam!r}")
-            param = None  # a - or * row
-            if fam in EXCEPTIONAL:
+            param, cells = None, (cell,)  # a - or * row; a classical row's r
+            if fam in _EXCEPTIONAL_TYPE:
                 if param_s != "-":
                     raise CatalogError(f"{fam} takes no parameter; write -, got {param_s!r}")
+                if fam not in ords:
+                    raise CatalogError(f"{fam} row before its ord line ({fam} ord N)")
+                ord_s, cells = ords[fam][1], (ord_s, cell)  # the row's cells are A and B
             elif param_s != "*":
                 try:
                     param = int(param_s)
@@ -378,15 +398,15 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
                     raise CatalogError(
                         f"{fam} needs an integer parameter or *, got {param_s!r}"
                     ) from None
-            row = CatalogRow(fam, param, primes, ord_s, r_s)  # checks the tag and cells
+            row = CatalogRow(fam, param, primes, ord_s, cells)  # checks the tag and cells
             first = seen.setdefault((fam, param, primes), lineno)
             if first != lineno:
                 raise CatalogError(f"repeats line {first} ({fam} {param_s} {primes})")
-            for other_line, other in earlier.setdefault(fam, []):
-                clash = _ord_clash(row, other, other_line)
-                if clash:
-                    raise CatalogError(clash)
-            if fam not in EXCEPTIONAL or not earlier[fam]:  # one ord: the first row holds it
+            if fam not in _EXCEPTIONAL_TYPE:  # an exceptional row restates no ord
+                for other_line, other in earlier.setdefault(fam, []):
+                    clash = _ord_clash(row, other, other_line)
+                    if clash:
+                        raise CatalogError(clash)
                 earlier[fam].append((lineno, row))
         except CatalogError as exc:
             raise CatalogError(f"{path}:{lineno}: {exc}") from None
@@ -395,34 +415,24 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
 
 
 def _ord_clash(row: CatalogRow, other: CatalogRow, other_line: int) -> str | None:
-    """How row contradicts the ord of `other`, a row of its family on an
-    earlier line, or None. An exceptional group's rows restate its one ord;
-    a specific row restates each * row's ord at its n, p-locally at each
-    prime where both rows hold. Other pairs restate nothing."""
-    n = at = None  # at: where the two ords differ, once found
-    if row.family_key in EXCEPTIONAL:
-        if row.ord_int != other.ord_int:
-            at = ""
-    elif (row.param is None) != (other.param is None):
-        n = row.param if other.param is None else other.param
-        a, b = row.ord_value(n), other.ord_value(n)
-        if a != b and min(a, b) >= 1:  # ord 0 has no p-local reading
-            g = math.gcd(a, b)
-            for q in prime_divisors(a // g * (b // g)):  # the primes where a and b differ
-                if prime_cond_holds(row.prime_cond, q, n) and prime_cond_holds(
-                    other.prime_cond, q, n
-                ):
-                    at = f" at p = {q}"
-                    break
-    if at is None:
+    """How a classical row contradicts `other`, a row of its family on an earlier line, or
+    None: a specific row restates each * row's ord at its n, p-locally where both hold."""
+    if (row.param is None) == (other.param is None):
+        return None
+    n = row.param if other.param is None else other.param
+    a, b = row.ord_value(n), other.ord_value(n)
+    if a == b or min(a, b) < 1:  # ord 0 has no p-local reading
         return None
 
     def text(r: CatalogRow) -> str:
         value = "" if r.ord_int is not None else f" = {r.ord_value(n)}"
-        param = "" if n is None else f" {'*' if r.param is None else r.param}"
-        return f"{r.family_key}{param} ord {r.ord_spec}{value}"
+        return f"{r.family_key} {'*' if r.param is None else r.param} ord {r.ord_spec}{value}"
 
-    return f"{text(row)} differs{at} from line {other_line}'s {text(other)}"
+    g = math.gcd(a, b)
+    for q in prime_divisors(a // g * (b // g)):  # the primes where a and b differ
+        if prime_cond_holds(row.prime_cond, q, n) and prime_cond_holds(other.prime_cond, q, n):
+            return f"{text(row)} differs at p = {q} from line {other_line}'s {text(other)}"
+    return None
 
 
 def _index_rows(rows: tuple[CatalogRow, ...]) -> dict:
@@ -450,13 +460,18 @@ def _entry() -> tuple[tuple[CatalogRow, ...], dict, dict]:
     return _catalog_cache[key]
 
 
-def _lookup(G: LieGroupSpec, p: int | None) -> tuple[CatalogRow | None, tuple, int | None]:
-    """(the first of G's catalog rows that holds at p, or None; G's rows,
-    specific-parameter rows first; G's parameter n): the one resolution of
-    (G, p) behind every catalog reader, one index read and one scan."""
+def _rows(G: LieGroupSpec) -> tuple[tuple, int | None]:
+    """(G's catalog rows, specific-parameter rows first; G's parameter n)."""
     key, n = _family_key(G)
     index = _entry()[1]
-    rows = index.get((key, n)) or index.get((key, None), ())
+    return index.get((key, n)) or index.get((key, None), ()), n
+
+
+def _lookup(G: LieGroupSpec, p: int | None) -> tuple[CatalogRow | None, tuple, int | None]:
+    """(the first of G's catalog rows that holds at p, or None; G's rows
+    (_rows); G's parameter n): the one resolution of (G, p) behind every
+    catalog reader but catalog_order, one index read and one scan."""
+    rows, n = _rows(G)
     for row in rows:
         if row._holds_at(p, n):
             return row, rows, n
@@ -493,7 +508,7 @@ def catalog_order(G: LieGroupSpec) -> tuple[int, str]:
     Classification uses this as an upper-bound order even when the row is
     only a p-local statement; callers must surface the validity tag.
     """
-    _, rows, n = _lookup(G, None)
+    rows, n = _rows(G)  # the first row: no scan
     if not rows:
         raise CatalogError(f"no catalog row for {G}")
     row = rows[0]

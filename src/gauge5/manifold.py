@@ -16,7 +16,6 @@ from math import gcd
 
 from .abelian import FGAbelianGroup
 from .errors import HypothesisError, require_listable
-from .lie import LieGroupSpec, _pi4_is_z2
 from .localization import Localization
 from .value import Value
 
@@ -102,17 +101,23 @@ def require_spin_or_away_from_2(M: ManifoldSpec, away_from_2: bool) -> None:
         raise HypothesisError("non-spin manifolds need localization away from 2c")
 
 
-def pi4(G: LieGroupSpec) -> FGAbelianGroup:
-    """Integral pi_4: Z/2 where lie._pi4_is_z2 says so, else 0."""
+def _pi4_is_z2(G: "LieGroupSpec") -> bool:
+    """The one statement of which G have pi_4(G) = Z/2: SU(2), every Sp(n), Spin(5)."""
+    return (G.family == "SU" and G.n == 2) or G.family == "Sp" or (G.family == "Spin" and G.n == 5)
+
+
+def pi4(G: "LieGroupSpec") -> FGAbelianGroup:
+    """Integral pi_4: Z/2 where _pi4_is_z2 says so, else 0."""
     return FGAbelianGroup.cyclic(2) if _pi4_is_z2(G) else FGAbelianGroup.trivial()
 
 
-def pi4_is_trivial(G: LieGroupSpec, ctx: Localization) -> bool:
+def pi4_is_trivial(G: "LieGroupSpec", ctx: Localization) -> bool:
     """Does pi_4(G) vanish in the localization?
 
     Equal to pi4(G).localize(ctx).is_trivial() without building a group:
     pi_4 is Z/2 or 0, and localizing drops the Z/2 exactly when ctx inverts 2.
 
+    >>> from gauge5.lie import LieGroupSpec
     >>> pi4_is_trivial(LieGroupSpec("Sp", 2), Localization.integral())
     False
     >>> pi4_is_trivial(LieGroupSpec("Sp", 2), Localization.away_from([2]))
@@ -121,7 +126,7 @@ def pi4_is_trivial(G: LieGroupSpec, ctx: Localization) -> bool:
     return not _pi4_is_z2(G) or ctx.inverts(2)
 
 
-def require_pi4_trivial(G: LieGroupSpec, ctx: Localization) -> None:
+def require_pi4_trivial(G: "LieGroupSpec", ctx: Localization) -> None:
     """pi_4(G) = 0 in the localization ctx."""
     if not pi4_is_trivial(G, ctx):
         raise HypothesisError(
@@ -142,10 +147,11 @@ def homology(M: ManifoldSpec) -> list[FGAbelianGroup]:
 
 
 def bundle_classes(
-    M: ManifoldSpec, G: LieGroupSpec, ctx: Localization | None = None
+    M: ManifoldSpec, G: "LieGroupSpec", ctx: Localization | None = None
 ) -> FGAbelianGroup:
     """Principal G-bundles over M up to isomorphism: Z/c when pi_4(G) = 0.
 
+    >>> from gauge5.lie import LieGroupSpec
     >>> str(bundle_classes(ManifoldSpec(c=7, m=2), LieGroupSpec("SU", 3)))
     'Z/7'
     """

@@ -807,14 +807,14 @@ def test_bare_import_loads_no_submodule():
 
 
 # every launch loads these; each verb adds the modules it computes with
-_LAUNCH_CORE = "abelian arith cli errors lie localization manifold records value"
+_LAUNCH_CORE = "abelian arith cli errors localization manifold records value"
 # one README argv per verb -> the other gauge5 modules its launch loads
 LAUNCH_MODULES = {
-    "decompose --c 5 --m 2 --group SU:4 --k 1 --loops 2": "decomposition spaces",
-    "classify --moore --group SU:3 --c 9": "classification",
-    "exponent --group SU:4 --p 5 --c 25": "exponents",
-    "bott --c 5 --m 3 --family Spin --table": "bott decomposition spaces",
-    "rational --series 1,0,0,0,1 --model 3,5,7": "rational spaces",
+    "decompose --c 5 --m 2 --group SU:4 --k 1 --loops 2": "decomposition lie spaces",
+    "classify --moore --group SU:3 --c 9": "classification lie",
+    "exponent --group SU:4 --p 5 --c 25": "exponents lie",
+    "bott --c 5 --m 3 --family Spin --table": "bott decomposition lie spaces",
+    "rational --series 1,0,0,0,1 --model 3,5,7": "lie rational spaces",
     "moore --c 9": "",
     "homology --c 12 --m 3": "",
 }

@@ -1,7 +1,6 @@
 """Homotopy-exponent upper bounds: three routes and the exceptional table."""
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,8 +31,6 @@ from gauge5.arith import is_prime
 from gauge5.lie import EXCEPTIONAL, CatalogRow, l_of, prime_cond_interval
 from gauge5.manifold import require_not_divisible_by_6
 from test_acceptance import _manifold_with_valuation
-
-CATALOG = Path(gauge5.__file__).resolve().parent / "data" / "catalog.txt"
 
 SU = lambda n: LieGroupSpec("SU", n)
 Sp = lambda n: LieGroupSpec("Sp", n)
@@ -176,7 +173,7 @@ def test_exceptional_table_rows_evaluate_like_theriault():
     for family, cond, base, offset in PUBLISHED_ROWS:
         G = LieGroupSpec(family)
         p = int(cond[3:]) if cond.startswith("p>=") else int(cond[2:])
-        for nu in (0, 1, 4, 9):
+        for nu in range(41):
             M = _manifold_with_valuation(p, nu)
             assert exp_bound_theriault(M, G, p).exponent == max(base, nu + offset), (
                 family,
@@ -235,39 +232,6 @@ def test_closed_form_dominates_theriault_for_unitary_groups():
                 closed = exp_bound_closed_form(SU(n), p, M.c).exponent
                 the = exp_bound_theriault(M, SU(n), p).exponent
                 assert closed >= the, (n, p, nu)
-
-
-# -- the catalog's own arithmetic as an oracle ---------------------------------
-
-# An exceptional row and its comment, e.g.
-#   F4   -   p=5     325   1   # 1+2+max(1+11, v) = max(15, v+3)
-_COMMENTED_ROW = re.compile(
-    r"(?P<fam>\w+)\s+-\s+(?P<cond>p>?=\d+)\s+(?P<ord>\d+)\s+(?P<r>\d+)\s+"
-    r"#\s*(?P<r1>\d+)\+(?P<nu>\d+)\+max\((?P<r2>\d+)\+(?P<l>\d+), v\)"
-    r" = max\((?P<A>\d+), v(?:\+(?P<B>\d+))?\)$"
-)
-
-
-def test_catalog_comments_restate_the_theriault_exponent():
-    lines = CATALOG.read_text(encoding="utf-8").splitlines()
-    rows = [line for line in lines if line.partition(" ")[0] in EXCEPTIONAL]
-    assert len(rows) == 28
-    with_offset = 0
-    for line in rows:
-        m = _COMMENTED_ROW.fullmatch(line)
-        assert m, line
-        G, ord_value, r = LieGroupSpec(m["fam"]), int(m["ord"]), int(m["r"])
-        p = prime_cond_interval(m["cond"])[0]
-        A, B = int(m["A"]), int(m["B"] or 0)
-        assert int(m["r1"]) == int(m["r2"]) == r, line
-        assert int(m["nu"]) == nu_p(ord_value, p), line
-        assert int(m["l"]) == l_of(G), line
-        assert (B, A) == (r + nu_p(ord_value, p), B + r + l_of(G)), line
-        for v in range(41):
-            got = exp_bound_theriault(_manifold_with_valuation(p, v), G, p).exponent
-            assert got == max(A, v + B), (line, v)
-        with_offset += r > 0
-    assert with_offset == 18
 
 
 # -- the one reading against the composition it replaced ----------------------
@@ -353,7 +317,7 @@ def test_best_bound_refuses_the_regular_ord_lookup_first(tmp_path, monkeypatch):
     # the regular route's ord lookup refuses before the theriault route's r
     # lookup would, as when best_bound tried the two public routes in turn
     catalog = tmp_path / "catalog.txt"
-    catalog.write_text("SU 4 p=7 60 0\nE8 - p=7 45398353 2\n", encoding="utf-8")
+    catalog.write_text("SU 4 p=7 60 0\nE8 ord 45398353\nE8 - p=7 35 4\n", encoding="utf-8")
     monkeypatch.setenv("GAUGE_CATALOG", str(catalog))
     M, E8 = ManifoldSpec(5, 2), LieGroupSpec("E8")
     assert _outcome(best_bound, M, E8, 31) == (CatalogError, "order unknown for (E8, p=31)")
@@ -409,9 +373,11 @@ def test_importing_exponents_builds_no_group_spec():
 
 
 _TABLE_OVERRIDE = """
-G2   -   p>=11   4    0
-G2   -   p=5     4    1
-E8   -   p>=7    60   2
+G2   ord   4
+G2   -   p>=11   5    0
+G2   -   p=5     7    1
+E8   ord   60
+E8   -   p>=7    33   2
 """
 
 
@@ -421,14 +387,8 @@ def test_exceptional_table_reads_a_mid_process_catalog_override(tmp_path, monkey
     catalog = tmp_path / "catalog.txt"
     catalog.write_text(_TABLE_OVERRIDE, encoding="utf-8")
     monkeypatch.setenv("GAUGE_CATALOG", str(catalog))  # after the packaged load
-    want = []
-    for line in filter(None, _TABLE_OVERRIDE.splitlines()):
-        family, _, cond, ord_s, r_s = line.split()
-        r, p = int(r_s), prime_cond_interval(cond)[0]
-        offset = r + nu_p(int(ord_s), p)
-        want.append((family, cond, l_of(LieGroupSpec(family)) + r + offset, offset))
     got = [(r.family, r.prime_cond, r.base, r.offset) for r in exceptional_table()]
-    assert got == want == [("G2", "p>=11", 5, 0), ("G2", "p=5", 7, 1), ("E8", "p>=7", 33, 2)]
+    assert got == [("G2", "p>=11", 5, 0), ("G2", "p=5", 7, 1), ("E8", "p>=7", 33, 2)]
     monkeypatch.delenv("GAUGE_CATALOG")
     assert exceptional_table() == packaged
 

@@ -194,6 +194,17 @@ def test_catalog_order_reports_validity():
     assert catalog_order(LieGroupSpec("E8")) == (7**2 * 11**2 * 13 * 19 * 31, "p=7")
 
 
+def test_catalog_order_reads_the_first_row_without_a_scan(monkeypatch):
+    calls = []
+    holds_at = CatalogRow._holds_at
+    monkeypatch.setattr(
+        CatalogRow, "_holds_at", lambda self, p, n: calls.append(p) or holds_at(self, p, n)
+    )
+    assert catalog_order(LieGroupSpec("E8")) == (45398353, "p=7")
+    assert catalog_order(SU(4)) == (60, "su_range")
+    assert calls == []
+
+
 @pytest.mark.parametrize("family", EXCEPTIONAL)
 def test_one_exceptional_row_holds_exactly_in_the_loop_filtration_range(family):
     G, rows = LieGroupSpec(family), [r for r in load_catalog() if r.family_key == family]
@@ -211,14 +222,6 @@ def test_prime_conditions():
         prime_cond_holds("q>=3", 5)
 
 
-@pytest.mark.parametrize("tag", ["q>=3", "p>=x", "p=", "any"])
-def test_catalog_rejects_unknown_prime_conditions_at_load(tmp_path, tag):
-    path = tmp_path / "catalog.txt"
-    path.write_text(f"SU  3  all  24  0\nSU  4  {tag}  60  0\n", encoding="utf-8")
-    with pytest.raises(CatalogError, match=f":2: unknown prime condition '{tag}'"):
-        load_catalog(path)
-
-
 @pytest.mark.parametrize(
     "rows, message",
     [
@@ -226,17 +229,18 @@ def test_catalog_rejects_unknown_prime_conditions_at_load(tmp_path, tag):
         ("SU  -  all  99  0", r":1: SU needs an integer parameter or \*, got '-'"),
         ("Sp  x  all  99  0", r":1: Sp needs an integer parameter or \*, got 'x'"),
         # an exceptional row no lookup could ever reach
-        ("G2  3  p=5  21  1", ":1: G2 takes no parameter; write -, got '3'"),
-        ("E8  *  p=7  21  1", r":1: E8 takes no parameter; write -, got '\*'"),
+        ("G2  ord  21\nG2  3  p=5  7  1", ":2: G2 takes no parameter; write -, got '3'"),
+        ("E8  *  p=7  35  4", r":1: E8 takes no parameter; write -, got '\*'"),
         # a repeated (family, param, primes): the later row was silently shadowed
         ("SU  3  all  24  0\nSU  3  all  77  0", r":2: repeats line 1 \(SU 3 all\)"),
-        ("G2  -  p=5  21  1\nG2  -  p=5  22  1", r":2: repeats line 1 \(G2 - p=5\)"),
-        # the exceptional lookups read a prime interval; these tags have none
-        ("G2  -  su_range  21  1", ":1: G2 needs a p=K or p>=K tag, got 'su_range'"),
-        ("G2  -  all  21  1", ":1: G2 needs a p=K or p>=K tag, got 'all'"),
+        ("G2  ord  21\nG2  -  p=5  7  1\nG2  -  p=5  7  1", r":3: repeats line 2 \(G2 - p=5\)"),
+        # the exceptional lookups read a prime interval; su_range has none
+        ("G2  ord  21\nG2  -  su_range  7  1", ":2: G2 needs a p=K or p>=K tag, got 'su_range'"),
         # the formulas read n, which an exceptional group does not have
-        ("G2  -  p=5  n(n^2-1)  1", r":1: G2 needs integer ord and r, got 'n\(n\^2-1\)' and '1'"),
-        ("G2  -  p=5  21  nu_p((n-1)!)", r":1: G2 needs integer ord and r, got '21' and 'nu_p"),
+        ("G2  ord  21\nG2  -  p=5  7  nu_p((n-1)!)",
+         r":2: G2 needs integer ord, A and B, got '21' and \('7', 'nu_p"),
+        # a catalog format 1 row: ord and r where A and B stand, and no ord line
+        ("E8  -  p=7  45398353  2", r":1: E8 row before its ord line \(E8 ord N\)"),
     ],
 )
 def test_catalog_refuses_rows_no_lookup_can_serve(tmp_path, rows, message):
@@ -246,34 +250,12 @@ def test_catalog_refuses_rows_no_lookup_can_serve(tmp_path, rows, message):
         load_catalog(path)
 
 
-@pytest.mark.parametrize(
-    "rows, message",
-    [
-        # K names the prime a p=K or p>=K row covers first
-        ("SU  4  p=4  60  0", ":1: p=4 needs a prime K, got K = 4"),
-        ("G2  -  p=4  21  0", ":1: p=4 needs a prime K, got K = 4"),
-        ("SU  3  all  24  0\nG2  -  p>=9  21  0", ":2: p>=9 needs a prime K, got K = 9"),
-        ("G2  -  p=1  21  0", ":1: p=1 needs a prime K, got K = 1"),
-        ("G2  -  p>=0  21  0", ":1: p>=0 needs a prime K, got K = 0"),
-        # the exponent table evaluates a p>=K row at K alone
-        ("G2  -  p>=5  21  0", ":1: G2 p>=5 needs ord free of primes >= 5, so that p = 5"
-                               " stands for every prime it covers; got ord 21"),
-        ("E8  -  p>=31  45398353  0", ":1: E8 p>=31 needs ord free of primes >= 31"),
-        ("G2  -  p>=5  0  0", ":1: G2 needs ord >= 1, got 0"),
-        ("G2  -  p=5  0  1", ":1: G2 needs ord >= 1, got 0"),
-    ],
-)
-def test_catalog_refuses_rows_the_table_would_misread(tmp_path, rows, message):
-    path = tmp_path / "catalog.txt"
-    path.write_text(rows + "\n", encoding="utf-8")
-    with pytest.raises(CatalogError, match=re.escape(str(path) + message)):
-        load_catalog(path)
-
-
 def test_catalog_keeps_p_at_least_k_rows_whose_ord_is_free_of_primes_from_k(tmp_path):
     path = tmp_path / "catalog.txt"
     path.write_text(
-        "G2  -  p>=11  21  0\nE8  -  p>=37  45398353  0\nSU  2  p>=3  3  0\n", encoding="utf-8"
+        "G2  ord  21\nG2  -  p>=11  5  0\nE8  ord  45398353\nE8  -  p>=37  29  0\n"
+        "SU  2  p>=3  3  0\n",
+        encoding="utf-8",
     )
     assert len(load_catalog(path)) == 3  # only exceptional rows carry the table's premise
 
@@ -282,7 +264,7 @@ def test_catalog_keeps_rows_that_differ_in_one_column(tmp_path):
     path = tmp_path / "catalog.txt"
     path.write_text(
         "SU  3  all  24  0\nSU  3  p=5  24  0\nSU  4  all  60  0\nSU  *  all  n(n^2-1)  0\n"
-        "G2  -  p=5  21  1\nF4  -  p=5  21  1\n",
+        "G2  ord  21\nG2  -  p=5  7  1\nF4  ord  21\nF4  -  p=5  13  1\n",
         encoding="utf-8",
     )
     assert len(load_catalog(path)) == 6
@@ -291,10 +273,6 @@ def test_catalog_keeps_rows_that_differ_in_one_column(tmp_path):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        # an exceptional group has one ord, restated on each of its rows
-        ("G2  -  p=5  21  1\nG2  -  p=7  22  0", ":2: G2 ord 22 differs from line 1's G2 ord 21"),
-        ("E8  -  p=7  45398353  2\nE8  -  p=11  45398353  1\nE8  -  p=17  45398351  1",
-         ":3: E8 ord 45398351 differs from line 1's E8 ord 45398353"),
         # a specific row restates its * row's ord at each prime where both hold,
         # whichever comes first
         ("SU  2  p>=3  9  0\nSU  *  su_range  n(n^2-1)  0",
@@ -304,7 +282,8 @@ def test_catalog_keeps_rows_that_differ_in_one_column(tmp_path):
         ("SU  *  all  6  0\nSU  3  all  24  0",
          ":2: SU 3 ord 24 differs at p = 2 from line 1's SU * ord 6"),
         # the repeat check comes first
-        ("G2  -  p=5  21  1\nG2  -  p=5  22  1", ":2: repeats line 1 (G2 - p=5)"),
+        ("SU  *  all  n(n^2-1)  0\nSU  3  all  24  0\nSU  3  all  48  0",
+         ":3: repeats line 2 (SU 3 all)"),
     ],
 )
 def test_catalog_refuses_rows_that_restate_an_ord_differently(tmp_path, rows, message):
@@ -334,58 +313,92 @@ def test_catalog_keeps_rows_that_restate_an_ord_p_locally(tmp_path, rows):
     assert len(load_catalog(path)) == rows.count("\n") + 1
 
 
-def test_a_planted_ord_typo_fails_the_packaged_catalog(tmp_path):
-    # one copy of E8's ord, on its p=17 row, changed to 491 * 92461
-    text = Path(lie._DEFAULT_CATALOG).read_text(encoding="utf-8")
-    planted = re.sub(r"(?m)^(E8 +- +p=17 +)45398353", r"\g<1>45398351", text)
-    lines = planted.splitlines()
-    first, typo = (
-        next(i for i, line in enumerate(lines, 1) if re.match(pattern, line))
-        for pattern in (r"E8 +- +p=7 ", r"E8 +- +p=17 ")
-    )
-    path = tmp_path / "catalog.txt"
-    path.write_text(planted, encoding="utf-8")
-    with pytest.raises(CatalogError) as info:
-        load_catalog(path)
-    assert str(info.value) == (
-        f"{path}:{typo}: E8 ord 45398351 differs from line {first}'s E8 ord 45398353"
-    )
+_ARMS = "needs r = B - nu_{}(ord {}) = {} >= 0 and A = B + r + l(G) = {}; got A = {}"
 
-
-# (cells of a row built directly, the loader's refusal of that row minus its file:line)
-ROW_REFUSALS = [
-    (("SU", 4, "q>=3", "60", "0"), "unknown prime condition 'q>=3'"),
-    (("SU", 4, "p>=x", "60", "0"), "unknown prime condition 'p>=x'"),
-    (("SU", 4, "p=", "60", "0"), "unknown prime condition 'p='"),
-    (("SU", 4, "p=4", "60", "0"), "p=4 needs a prime K, got K = 4"),
-    (("G2", None, "p>=9", "21", "0"), "p>=9 needs a prime K, got K = 9"),
-    (("G2", None, "p=5", "bogus", "1"), "unknown ord spec 'bogus'"),
-    (("SU", 3, "all", "24", "r!"), "unknown r spec 'r!'"),
-    (("G2", None, "all", "21", "1"), "G2 needs a p=K or p>=K tag, got 'all'"),
-    (("G2", None, "p=5", "n(n^2-1)", "1"), "G2 needs integer ord and r, got 'n(n^2-1)' and '1'"),
-    (("G2", None, "p=5", "0", "1"), "G2 needs ord >= 1, got 0"),
-    (
-        ("G2", None, "p>=5", "21", "0"),
-        "G2 p>=5 needs ord free of primes >= 5, so that p = 5 stands for every prime it"
-        " covers; got ord 21",
-    ),
+# (a line of the packaged catalog, what it becomes, the refused line's pattern,
+# the refusal minus file:line): the mutant's last line that matches is refused,
+# and {} in the refusal is its first
+CATALOG_MUTANTS = [
+    # E8's one ord, as 491 * 92461: nu_7 drops to 0, so its first row's A no longer fits
+    ("E8 +ord +45398353", "E8 ord 45398351", "E8 +- +p=7 ",
+     "E8 p=7 " + _ARMS.format(7, 45398351, 4, 37, 35)),
+    # E8 p=17's published A, then its B
+    ("(E8 +- +p=17 +)31", r"\g<1>30", "E8 +- +p=17 ",
+     "E8 p=17 " + _ARMS.format(17, 45398353, 1, 31, 30)),
+    ("(E8 +- +p=17 +31 +)1", r"\g<1>2", "E8 +- +p=17 ",
+     "E8 p=17 " + _ARMS.format(17, 45398353, 2, 33, 31)),
+    # G2's ord line moved below its first row, and a second E8 ord line
+    ("(G2 +ord .*)\n(G2 .*)", r"\g<2>\n\g<1>", "G2 +- +p=5 ",
+     "G2 row before its ord line (G2 ord N)"),
+    ("(E8 +- +p=7 .*)", r"\g<1>\nE8 ord 45398353", "E8 +ord ", "repeats line {} (E8 ord)"),
+    # an ord line on a classical family, and E8's p=7 row as catalog format 1 wrote it
+    ("(SU .*)", r"SU ord 6\n\g<1>", "SU +ord ", "expected 5 columns, got 3"),
+    ("E8 +- +p=7 .*", "E8 - p=7 45398353 2", "E8 +- +p=7 ",
+     "E8 p=7 " + _ARMS.format(7, 45398353, 0, 31, 45398353)),
+    # F4's ord with nu_5 dropped from 2 to 1, and E6 p>=17's B raised to 1
+    ("F4 +ord +325", "F4 ord 65", "F4 +- +p=5 ", "F4 p=5 " + _ARMS.format(5, 65, 2, 16, 15)),
+    ("(E6 +- +p>=17 +11 +)0", r"\g<1>1", "E6 +- +p>=17 ",
+     "E6 p>=17 " + _ARMS.format(17, 2275, 1, 13, 11)),
 ]
 
 
-@pytest.mark.parametrize("cells, message", ROW_REFUSALS, ids=[m for _, m in ROW_REFUSALS])
-def test_a_row_built_directly_refuses_what_the_loader_refuses(tmp_path, cells, message):
+@pytest.mark.parametrize("old, new, refused, message", CATALOG_MUTANTS,
+                         ids=[new for _, new, _, _ in CATALOG_MUTANTS])
+def test_a_mutant_of_the_packaged_catalog_fails_the_load(tmp_path, old, new, refused, message):
+    text = Path(lie._DEFAULT_CATALOG).read_text(encoding="utf-8")
+    mutant = re.sub(f"(?m)^{old}", new, text, count=1)
+    lines = [i for i, row in enumerate(mutant.splitlines(), 1) if re.match(refused, row)]
+    path = tmp_path / "catalog.txt"
+    path.write_text(mutant, encoding="utf-8")
+    with pytest.raises(CatalogError) as info:
+        load_catalog(path)
+    assert str(info.value) == f"{path}:{lines[-1]}: {message.format(lines[0])}"
+
+
+# (the fields of a row built directly, the loader's refusal of that row minus its file:line)
+ROW_REFUSALS = [
+    (("SU", 4, "q>=3", "60", ("0",)), "unknown prime condition 'q>=3'"),
+    (("SU", 4, "p>=x", "60", ("0",)), "unknown prime condition 'p>=x'"),
+    (("SU", 4, "p=", "60", ("0",)), "unknown prime condition 'p='"),
+    (("SU", 4, "any", "60", ("0",)), "unknown prime condition 'any'"),
+    (("SU", 4, "p=4", "60", ("0",)), "p=4 needs a prime K, got K = 4"),
+    (("G2", None, "p>=9", "21", ("5", "0")), "p>=9 needs a prime K, got K = 9"),
+    (("G2", None, "p=1", "21", ("7", "1")), "p=1 needs a prime K, got K = 1"),
+    (("G2", None, "p>=0", "21", ("5", "0")), "p>=0 needs a prime K, got K = 0"),
+    (("G2", None, "p=5", "bogus", ("7", "1")), "unknown ord spec 'bogus'"),
+    (("SU", 3, "all", "24", ("r!",)), "unknown r spec 'r!'"),
+    (("G2", None, "all", "21", ("7", "1")), "G2 needs a p=K or p>=K tag, got 'all'"),
+    (("G2", None, "p=5", "n(n^2-1)", ("7", "1")),
+     "G2 needs integer ord, A and B, got 'n(n^2-1)' and ('7', '1')"),
+    (("G2", None, "p=5", "0", ("7", "1")), "G2 needs ord >= 1, got 0"),
+    # the exponent table reads a p>=K row at K alone
+    (("G2", None, "p>=5", "21", ("7", "1")), "G2 p>=5 needs ord free of primes >= 5, so that"
+     " p = 5 stands for every prime it covers; got ord 21"),
+    (("E8", None, "p>=31", "45398353", ("30", "1")), "E8 p>=31 needs ord free of primes >= 31,"
+     " so that p = 31 stands for every prime it covers; got ord 45398353"),
+    # the published arms (A, B) are the loop-filtration exponent's at K
+    (("G2", None, "p=7", "21", ("6", "0")), "G2 p=7 " + _ARMS.format(7, 21, -1, 4, 6)),
+    (("G2", None, "p=5", "21", ("8", "1")), "G2 p=5 " + _ARMS.format(5, 21, 1, 7, 8)),
+]
+
+
+@pytest.mark.parametrize("fields, message", ROW_REFUSALS, ids=[m for _, m in ROW_REFUSALS])
+def test_a_row_built_directly_refuses_what_the_loader_refuses(tmp_path, fields, message):
     # the row is the one check: built outside the loader it refuses at once,
     # with the loader's text, rather than fail at a later lookup
     with pytest.raises(CatalogError) as direct:
-        CatalogRow(*cells)
+        CatalogRow(*fields)
     assert str(direct.value) == message
-    family, param, *rest = cells
+    family, param, primes, ord_spec, cells = fields
+    if param is None:  # an exceptional row: its group's ord line, then the row
+        text, line = f"{family} ord {ord_spec}\n{family} - {primes} {' '.join(cells)}", 2
+    else:
+        text, line = f"{family} {param} {primes} {ord_spec} {cells[0]}", 1
     path = tmp_path / "catalog.txt"
-    column = "-" if param is None else str(param)
-    path.write_text(" ".join([family, column, *rest]) + "\n", encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8")
     with pytest.raises(CatalogError) as loaded:
         load_catalog(path)
-    assert str(loaded.value) == f"{path}:1: {message}"
+    assert str(loaded.value) == f"{path}:{line}: {message}"
 
 
 @pytest.mark.parametrize("tag", ["p>=x", "p=", "p=5x", "q>=3", "any"])
@@ -402,28 +415,34 @@ def test_a_malformed_tag_is_an_unknown_prime_condition(tag):
         ("Su 3 all 24", ":1: expected 5 columns, got 4"),
         ("Su x all 24 0", ":1: unknown family 'Su'"),
         ("Su 3 q>=3 24 0", ":1: unknown family 'Su'"),
-        # ... parameter before tag and before the exceptional premises, ...
+        # ... parameter before the ord line, tag and the exceptional premises, ...
         ("SU x q>=3 24 0", ":1: SU needs an integer parameter or *, got 'x'"),
         ("G2 3 all 21 1", ":1: G2 takes no parameter; write -, got '3'"),
+        # ... the ord line before tag, ...
+        ("G2 - p=4 n^3 x", ":1: G2 row before its ord line (G2 ord N)"),
         # ... tag before K's primality and the cells, K before the cells, ...
         ("SU 3 p>=x n^3 0", ":1: unknown prime condition 'p>=x'"),
         ("SU 4 p=4 n^3 0", ":1: p=4 needs a prime K, got K = 4"),
-        ("G2 - p=4 0 1", ":1: p=4 needs a prime K, got K = 4"),
+        ("G2 ord 0\nG2 - p=4 5 0", ":2: p=4 needs a prime K, got K = 4"),
         # ... ord before r, the cells before the exceptional premises, ...
         ("SU 3 all n^3 r!", ":1: unknown ord spec 'n^3'"),
-        ("G2 - all n^3 1", ":1: unknown ord spec 'n^3'"),
-        ("G2 - all 21 r!", ":1: unknown r spec 'r!'"),
-        # ... within the premises the tag before the integer cells and ord >= 1, ...
-        ("G2 - all n(n^2-1) 1", ":1: G2 needs a p=K or p>=K tag, got 'all'"),
-        ("G2 - all 0 1", ":1: G2 needs a p=K or p>=K tag, got 'all'"),
+        ("G2 ord n^3\nG2 - all 7 1", ":2: unknown ord spec 'n^3'"),
+        # ... within the premises the tag before the integer cells, they before
+        # ord >= 1, which comes before a p>=K ord's primes, then the arms, ...
+        ("G2 ord n(n^2-1)\nG2 - all 7 1", ":2: G2 needs a p=K or p>=K tag, got 'all'"),
+        ("G2 ord 0\nG2 - all 7 1", ":2: G2 needs a p=K or p>=K tag, got 'all'"),
+        ("G2 ord 0\nG2 - p=5 x 1", ":2: G2 needs integer ord, A and B, got '0' and ('x', '1')"),
+        ("G2 ord 0\nG2 - p>=5 99 9", ":2: G2 needs ord >= 1, got 0"),
+        ("G2 ord 21\nG2 - p>=5 99 0", ":2: G2 p>=5 needs ord free of primes >= 5, so that"
+                                       " p = 5 stands for every prime it covers; got ord 21"),
         # ... and every rule of a row before the repeat check
         ("SU 3 all 24 0\nSU 3 all n^3 0", ":2: unknown ord spec 'n^3'"),
-        ("G2 - p=5 21 1\nG2 - p=5 0 1", ":2: G2 needs ord >= 1, got 0"),
+        ("G2 ord 21\nG2 - p=5 7 1\nG2 - p=5 8 1", ":3: G2 p=5 " + _ARMS.format(5, 21, 1, 7, 8)),
     ],
 )
 def test_a_row_breaking_two_rules_is_refused_for_the_earlier(tmp_path, rows, message):
-    # the order is columns, family, parameter, tag, K, ord, r, the exceptional
-    # premises, repeat: a fold of the checks cannot reorder them unseen
+    # the order is columns, family, parameter, ord line, tag, K, ord, r, the
+    # exceptional premises, repeat: a fold of the checks cannot reorder them unseen
     path = tmp_path / "catalog.txt"
     path.write_text(rows + "\n", encoding="utf-8")
     with pytest.raises(CatalogError) as info:
@@ -485,10 +504,7 @@ def _exceptional_cells():
     """What the exponent table reads of each exceptional row, through the index."""
     index = _entry()[1]
     return [
-        (family, [
-            (row.prime_cond, row.interval[0], row.ord_int, row.r_int)
-            for row in index.get((family, None), ())
-        ])
+        (family, [(row.prime_cond, row.cells) for row in index.get((family, None), ())])
         for family in EXCEPTIONAL
     ]
 
@@ -496,8 +512,7 @@ def _exceptional_cells():
 def _oracle_exceptional_cells():
     return [
         (family, [
-            (row.prime_cond, prime_cond_interval(row.prime_cond)[0], int(row.ord_spec),
-             int(row.r_spec))
+            (row.prime_cond, row.cells)
             for row in load_catalog()
             if row.family_key == family
         ])
@@ -540,7 +555,7 @@ def _index_answers():
 
 
 # rows that restate each ord as the loader requires: SU(4)'s agree with every
-# * row on the primes where both hold, and G2's share one ord
+# * row on the primes where both hold, and G2's and E8's arms fit their ords
 _OVERRIDE = """
 SU        4   p=5              35           1
 SU        *   p>=7             n(n^2-1)     nu_p((n-1)!)
@@ -551,10 +566,12 @@ Sp        2   symp_range       11           3
 SpinOdd   *   su_range         n(2n+1)      nu_p((2n-1)!)
 SpinEven  *   p=5              (n-1)(2n-1)  nu_p((2n-3)!)
 SpinEven  6   p>=3             5            0
-G2        -   p>=11            20           0
-G2        -   p=5              20           1
-G2        -   p=13             20           2
-E8        -   p>=7             60           2
+G2        ord 20
+G2        -   p>=11            5            0
+G2        -   p=5              8            2
+G2        -   p=13             9            2
+E8        ord 60
+E8        -   p>=7             33           2
 """
 
 
@@ -666,8 +683,8 @@ def test_spin_2n_plus_1_and_sp_n_read_the_same_formulas():
         spin, sp = Spin(2 * n + 1), Sp(n)
         assert type_of(spin) == type_of(sp), n
         spin_rows, sp_rows = (lie._lookup(G, None)[1] for G in (spin, sp))
-        assert spin_rows and [(r.prime_cond, r.ord_spec, r.r_spec) for r in spin_rows] == [
-            (r.prime_cond, r.ord_spec, r.r_spec) for r in sp_rows
+        assert spin_rows and [(r.prime_cond, r.ord_spec, r.cells) for r in spin_rows] == [
+            (r.prime_cond, r.ord_spec, r.cells) for r in sp_rows
         ], n
         for p in odd_primes:
             assert in_theriault_range(spin, p) == in_theriault_range(sp, p), (n, p)

@@ -5,7 +5,7 @@ Spin's parity is read only by lie._family_key, which maps Spin(2n+1) to
 branches on that key. "p is an odd prime" is checked only by
 lie._require_odd_prime, which every odd-primary entry point calls. Which
 groups have pi_4 = Z/2 (SU(2), every Sp(n), Spin(5)) is stated only by
-lie._pi4_is_z2, which manifold.pi4 and manifold.pi4_is_trivial both
+manifold._pi4_is_z2, which manifold.pi4 and manifold.pi4_is_trivial both
 call. The Bott groups, bott._STABLE, are defined and read only in bott,
 and "r is at least the stable family's least r" is checked only by
 bott._stable_family, which stable_pi, stability_threshold and StableQuery
@@ -16,9 +16,9 @@ group_itself return. A Lie group's 'family:param' token is written only by
 LieGroupSpec.token, the inverse of LieGroupSpec.parse. Which catalog row
 answers (G, p) is decided only by lie._lookup, the one caller of
 CatalogRow._holds_at, and the loop-filtration arms (A, B) only by
-exponents._arms, which the theriault route and the exceptional table both
-call. The scans below fail if a later change re-derives any of these facts
-somewhere else.
+lie._arms, which the theriault route evaluates and each exceptional catalog
+row checks its published arms against. The scans below fail if a later
+change re-derives any of these facts somewhere else.
 
 The last scans keep the library free of code nothing reaches: every def in
 src/gauge5 is named by other library code, exported, or listed in ALLOWLIST
@@ -115,7 +115,7 @@ def _reads_pi4_family(node) -> bool:
 
 
 def test_pi4_family_is_read_only_by_its_predicate():
-    assert _sites(_reads_pi4_family) == {("lie.py", "_pi4_is_z2")}
+    assert _sites(_reads_pi4_family) == {("manifold.py", "_pi4_is_z2")}
     tree = library_trees()["manifold.py"]
     funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     for name in ("pi4", "pi4_is_trivial"):
@@ -220,9 +220,7 @@ def test_only_the_lookup_scans_catalog_rows():
 
 
 def test_the_loop_filtration_arms_are_computed_once_for_both_readers():
-    assert _sites(_calls("_arms")) == {
-        ("exponents.py", "_routes"), ("exponents.py", "exceptional_table")
-    }
+    assert _sites(_calls("_arms")) == {("exponents.py", "_routes"), ("lie.py", "__init__")}
 
 
 # qualified def, or function(parameter), that no library code reaches -> why it stays

@@ -48,7 +48,7 @@ CASES = [
     (
         load_catalog()[0],
         "CatalogRow(family_key='SU', param=2, prime_cond='p>=3', ord_spec='3',"
-        " r_spec='nu_p((n-1)!)')",
+        " cells=('nu_p((n-1)!)',))",
     ),
     (M, "ManifoldSpec(c=5, m=2, spin=True, stably_parallelizable=False, single_top_cell=False)"),
     (

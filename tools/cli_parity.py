@@ -65,7 +65,7 @@ EXPONENT_GROUPS = (
     "SU:2", "SU:3", "SU:4", "SU:7", "SU:14", "Sp:1", "Sp:2", "Sp:5", "Spin:5", "Spin:7",
     "Spin:8", "Spin:12", "G2", "F4", "E6", "E7", "E8",
 )
-EXPONENT_P = (2, 3, 4, 5, 7, 11, 13, 17, 29, 31, 37)
+EXPONENT_P = (2, 3, 4, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 EXPONENT_C = (1, 2, 5, 6, 9, 12, 25, 49, 343, 1000003 * 1000033)
 EXPONENT_ROUTES = ("regular", "theriault", "closed", "moore-fiber", "best")
 # the exponent flags the exceptional table does not read, each away from its default
@@ -82,7 +82,9 @@ DECOMPOSE_LOCALIZATIONS = (
     [], ["--at-p", "2"], ["--at-p", "3"], ["--at-p", "5"], ["--away", "2"], ["--away", "3"],
     ["--away", "15"], ["--rational"],
 )
-CLASSIFY_GROUPS = ("SU:2", "SU:3", "SU:4", "Sp:2", "Spin:5", "Spin:8", "G2", "E8")
+CLASSIFY_GROUPS = (
+    "SU:2", "SU:3", "SU:4", "Sp:2", "Spin:5", "Spin:8", "G2", "F4", "E6", "E7", "E8",
+)
 CLASSIFY_C = (2, 3, 4, 5, 9, 12, 15, 25, 75)
 CLASSIFY_QUESTIONS = (
     (["--moore"],)
