@@ -152,7 +152,7 @@ def _run_decompose(args) -> str:
 
 def _run_exponent(args) -> str:
     from . import exponents
-    from .lie import LieGroupSpec, _require_odd_prime, prime_cond_holds
+    from .lie import LieGroupSpec, _require_odd_prime, prime_cond_interval
 
     if args.table:
         if args.table != "exceptional":
@@ -170,7 +170,8 @@ def _run_exponent(args) -> str:
         rows = exponents.exceptional_table()
         if args.p is not None:
             _require_odd_prime(args.p)
-            rows = [row for row in rows if prime_cond_holds(row.prime_cond, args.p)]
+            rows = [row for row in rows
+                    if (bounds := prime_cond_interval(row.prime_cond))[0] <= args.p <= bounds[1]]
         if args.format == "machine":
             return "\n".join(
                 records.record(

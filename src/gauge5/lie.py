@@ -9,11 +9,13 @@ pi_4(G) lives in manifold, and the stable SU and Spin groups in bott.
 Numeric rows live in data/catalog.txt (override with the GAUGE_CATALOG
 environment variable); this module parses and interprets them. Each catalog
 path is parsed, checked and indexed once. A CatalogRow is the one check of
-a row's tag and cells; an exceptional row derives r = B - nu_K(ord) from its
-published arms (A, B) and its group's one ord line, and checks them against
-_arms. The loader checks the raw columns, the ord lines, the repeats and the
-ord a specific row restates of its * row (_ord_clash), and names the file
-and line of any refusal. The rows are grouped by (family key, parameter),
+a row's tag and cells; it reads its tag once, at build, and _holds_at is the
+one answer to which primes it covers. An exceptional row derives r = B -
+nu_K(ord) from its published arms (A, B) and its group's one ord line, and
+checks them against _arms. The loader checks the raw columns, each ord line
+on its own line, repeats (tags naming the same primes) and the ord a
+specific row restates of its * row (_ord_clash), and names the file and
+line of any refusal. The rows are grouped by (family key, parameter),
 specific rows first, each group in file order. _lookup is the one
 resolution of (G, p) of every catalog reader but catalog_order: one index
 read (_rows) and one scan for G's first row that holds at p.
@@ -238,19 +240,14 @@ def prime_cond_interval(tag: str) -> tuple[int, float]:
     raise CatalogError(f"unknown prime condition {tag!r}")
 
 
-def prime_cond_holds(tag: str, p: int, n: int | None = None) -> bool:
-    """Does the catalog prime condition `tag` hold at p, for the family
-    parameter n (read by the range tags only)?
-
-    >>> prime_cond_holds("p>=11", 13), prime_cond_holds("p=5", 7)
-    (True, False)
-    """
-    if tag == "all":
-        return True
-    if tag in _RANGE_TAGS:
-        return _RANGE_TAGS[tag](n, p)
-    least, greatest = prime_cond_interval(tag)
-    return least <= p <= greatest
+def _exceptional_ord(family_key: str, ord_spec: str) -> int:
+    """An exceptional group's ord: an integer >= 1, the rule its ord line and its rows keep."""
+    if not ord_spec.isdecimal():
+        raise CatalogError(f"{family_key} needs an integer ord, got {ord_spec!r}")
+    ord_int = int(ord_spec)
+    if ord_int < 1:
+        raise CatalogError(f"{family_key} needs ord >= 1, got {ord_spec}")
+    return ord_int
 
 
 class CatalogRow(Value):
@@ -272,10 +269,10 @@ class CatalogRow(Value):
             interval = prime_cond_interval(prime_cond)
             if not (interval[0] < MILLER_RABIN_BOUND and is_prime(interval[0])):
                 raise CatalogError(f"{prime_cond} needs a prime K, got K = {interval[0]}")
-        ord_int = int(ord_spec) if ord_spec.isdecimal() else None  # None for a formula
-        if ord_int is None and ord_spec not in _ORD_FORMULAS:
-            raise CatalogError(f"unknown ord spec {ord_spec!r}")
         if family_key not in _EXCEPTIONAL_TYPE:  # a classical row
+            ord_int = int(ord_spec) if ord_spec.isdecimal() else None  # None for a formula
+            if ord_int is None and ord_spec not in _ORD_FORMULAS:
+                raise CatalogError(f"unknown ord spec {ord_spec!r}")
             (r_spec,) = cells
             r_int = int(r_spec) if r_spec.isdecimal() else None
             if r_int is None and r_spec not in _R_FORMULAS:
@@ -286,12 +283,11 @@ class CatalogRow(Value):
             if interval is None:
                 raise CatalogError(f"{family_key} needs a p=K or p>=K tag, got {prime_cond!r}")
             a_spec, b_spec = cells
-            if ord_int is None or not (a_spec.isdecimal() and b_spec.isdecimal()):
+            if not (a_spec.isdecimal() and b_spec.isdecimal()):
                 raise CatalogError(
                     f"{family_key} needs integer ord, A and B, got {ord_spec!r} and {cells}"
                 )
-            if ord_int < 1:
-                raise CatalogError(f"{family_key} needs ord >= 1, got {ord_spec}")
+            ord_int = _exceptional_ord(family_key, ord_spec)
             least = interval[0]
             if interval[1] == math.inf and any(q >= least for q in prime_divisors(ord_int)):
                 raise CatalogError(
@@ -313,13 +309,14 @@ class CatalogRow(Value):
         )
 
     def _holds_at(self, p: int | None, n: int | None) -> bool:
-        """prime_cond_holds for this row's tag, without parsing it again;
-        p = None asks whether the row holds at every prime."""
+        """Does this row hold at the prime p, for the family parameter n (read by the range
+        tags only)? p = None asks whether it holds at every prime. The tag was read once, at
+        build; this is the one answer to it."""
         if p is None:
             return self.prime_cond == "all"
-        if self.interval is None:
-            return prime_cond_holds(self.prime_cond, p, n)
-        return self.interval[0] <= p <= self.interval[1]
+        if self.interval is not None:
+            return self.interval[0] <= p <= self.interval[1]
+        return self.prime_cond == "all" or _RANGE_TAGS[self.prime_cond](n, p)
 
     def ord_value(self, n: int | None) -> int:
         if self.ord_int is None:
@@ -361,7 +358,7 @@ def load_catalog(path: str | os.PathLike | None = None) -> tuple[CatalogRow, ...
 
 def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
     rows: list[CatalogRow] = []
-    seen: dict[tuple[str, int | None, str], int] = {}  # (family, param, primes) -> line
+    seen: dict[tuple, int] = {}  # (family, param, the primes its tag names) -> line
     earlier: dict[str, list[tuple[int, CatalogRow]]] = {}  # classical family -> (line, row) so far
     ords: dict[str, tuple[int, str]] = {}  # exceptional family -> (line, ord) of its ord line
     with open(path, encoding="utf-8") as fh:
@@ -375,6 +372,7 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
         try:
             if len(parts) == 3 and parts[1] == "ord" and parts[0] in EXCEPTIONAL:
                 fam = parts[0]  # "family ord N": an exceptional group's one ord, before its rows
+                _exceptional_ord(fam, parts[2])
                 if fam in ords:
                     raise CatalogError(f"repeats line {ords[fam][0]} ({fam} ord)")
                 ords[fam] = lineno, parts[2]
@@ -399,7 +397,7 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
                         f"{fam} needs an integer parameter or *, got {param_s!r}"
                     ) from None
             row = CatalogRow(fam, param, primes, ord_s, cells)  # checks the tag and cells
-            first = seen.setdefault((fam, param, primes), lineno)
+            first = seen.setdefault((fam, param, row.interval or primes), lineno)
             if first != lineno:
                 raise CatalogError(f"repeats line {first} ({fam} {param_s} {primes})")
             if fam not in _EXCEPTIONAL_TYPE:  # an exceptional row restates no ord
@@ -430,7 +428,7 @@ def _ord_clash(row: CatalogRow, other: CatalogRow, other_line: int) -> str | Non
 
     g = math.gcd(a, b)
     for q in prime_divisors(a // g * (b // g)):  # the primes where a and b differ
-        if prime_cond_holds(row.prime_cond, q, n) and prime_cond_holds(other.prime_cond, q, n):
+        if row._holds_at(q, n) and other._holds_at(q, n):
             return f"{text(row)} differs at p = {q} from line {other_line}'s {text(other)}"
     return None
 

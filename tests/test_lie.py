@@ -32,7 +32,6 @@ from gauge5.lie import (
     CatalogRow,
     _entry,
     load_catalog,
-    prime_cond_holds,
     prime_cond_interval,
 )
 from gauge5.manifold import ManifoldSpec, pi4, pi4_is_trivial, require_pi4_trivial
@@ -209,17 +208,45 @@ def test_catalog_order_reads_the_first_row_without_a_scan(monkeypatch):
 def test_one_exceptional_row_holds_exactly_in_the_loop_filtration_range(family):
     G, rows = LieGroupSpec(family), [r for r in load_catalog() if r.family_key == family]
     for p in (q for q in range(3, 200) if is_prime(q)):
-        holding = [r.prime_cond for r in rows if prime_cond_holds(r.prime_cond, p)]
+        holding = [r.prime_cond for r in rows if r._holds_at(p, None)]
         assert len(holding) == in_theriault_range(G, p), (p, holding)
 
 
-def test_prime_conditions():
-    assert prime_cond_holds("all", 3)
-    assert prime_cond_holds("p=5", 5) and not prime_cond_holds("p=5", 7)
-    assert prime_cond_holds("p>=11", 11) and not prime_cond_holds("p>=11", 7)
-    assert prime_cond_holds("su_range", 5, 17) and not prime_cond_holds("su_range", 5, 18)
-    with pytest.raises(CatalogError):
-        prime_cond_holds("q>=3", 5)
+def _row(family_key, tag):
+    """A built row of `family_key` with prime tag `tag` and cells that pass its checks."""
+    if family_key in EXCEPTIONAL:
+        return CatalogRow(family_key, None, tag, "21", ("5", "0"))
+    return CatalogRow(family_key, None, tag, "6", ("0",))
+
+
+# (family key, tag, p, n, does the row hold?): each tag kind on both sides of its boundary
+HOLDS_AT = [
+    ("SU", "all", None, 4, True),
+    ("SU", "all", 3, 4, True),
+    ("SU", "p>=3", None, 4, False),  # p = None asks for every prime
+    ("SU", "su_range", None, 4, False),
+    ("G2", "p=5", 5, None, True),
+    ("G2", "p=5", 7, None, False),
+    ("G2", "p>=11", 13, None, True),
+    ("G2", "p>=11", 11, None, True),
+    ("G2", "p>=11", 7, None, False),
+    ("SU", "p=05", 5, 4, True),  # K is read as an integer, however it is spelt
+    ("SU", "p=+5", 7, 4, False),
+    ("SU", "su_range", 5, 17, True),  # n <= (p-1)^2 + 1 = 17
+    ("SU", "su_range", 5, 18, False),
+    ("Sp", "symp_range", 5, 8, True),  # 2n <= 17
+    ("Sp", "symp_range", 5, 9, False),
+    ("Sp", "symp_range", 3, 2, True),  # 2n <= 5
+    ("Sp", "symp_range", 3, 3, False),
+    ("SpinEven", "spin_even_range", 5, 9, True),  # 2(n-1) <= 17
+    ("SpinEven", "spin_even_range", 5, 10, False),
+    ("SpinEven", "spin_even_range", 3, 2, False),  # p >= 5
+]
+
+
+@pytest.mark.parametrize("family_key, tag, p, n, holds", HOLDS_AT)
+def test_a_built_row_answers_where_its_tag_holds(family_key, tag, p, n, holds):
+    assert _row(family_key, tag)._holds_at(p, n) is holds
 
 
 @pytest.mark.parametrize(
@@ -234,6 +261,14 @@ def test_prime_conditions():
         # a repeated (family, param, primes): the later row was silently shadowed
         ("SU  3  all  24  0\nSU  3  all  77  0", r":2: repeats line 1 \(SU 3 all\)"),
         ("G2  ord  21\nG2  -  p=5  7  1\nG2  -  p=5  7  1", r":3: repeats line 2 \(G2 - p=5\)"),
+        # a repeat is two tags naming the same primes, however K is spelt
+        ("SU  4  p=5  60  0\nSU  4  p=+5  99  0", r":2: repeats line 1 \(SU 4 p=\+5\)"),
+        ("G2  ord  21\nG2  -  p=5  7  1\nG2  -  p=05  7  1", r":3: repeats line 2 \(G2 - p=05\)"),
+        ("G2  ord  21\nG2  -  p>=11  5  0\nG2  -  p>=011  5  0",
+         r":3: repeats line 2 \(G2 - p>=011\)"),
+        # an ord line is checked where it is written, though no row of its group reads it
+        ("E8  ord  0\nSU  3  all  24  0", ":1: E8 needs ord >= 1, got 0"),
+        ("E8  ord  x\nSU  3  all  24  0", ":1: E8 needs an integer ord, got 'x'"),
         # the exceptional lookups read a prime interval; su_range has none
         ("G2  ord  21\nG2  -  su_range  7  1", ":2: G2 needs a p=K or p>=K tag, got 'su_range'"),
         # the formulas read n, which an exceptional group does not have
@@ -365,12 +400,11 @@ ROW_REFUSALS = [
     (("G2", None, "p>=9", "21", ("5", "0")), "p>=9 needs a prime K, got K = 9"),
     (("G2", None, "p=1", "21", ("7", "1")), "p=1 needs a prime K, got K = 1"),
     (("G2", None, "p>=0", "21", ("5", "0")), "p>=0 needs a prime K, got K = 0"),
-    (("G2", None, "p=5", "bogus", ("7", "1")), "unknown ord spec 'bogus'"),
+    (("SU", 4, "p=5", "bogus", ("0",)), "unknown ord spec 'bogus'"),
     (("SU", 3, "all", "24", ("r!",)), "unknown r spec 'r!'"),
     (("G2", None, "all", "21", ("7", "1")), "G2 needs a p=K or p>=K tag, got 'all'"),
-    (("G2", None, "p=5", "n(n^2-1)", ("7", "1")),
-     "G2 needs integer ord, A and B, got 'n(n^2-1)' and ('7', '1')"),
-    (("G2", None, "p=5", "0", ("7", "1")), "G2 needs ord >= 1, got 0"),
+    (("G2", None, "p=5", "21", ("7", "x")),
+     "G2 needs integer ord, A and B, got '21' and ('7', 'x')"),
     # the exponent table reads a p>=K row at K alone
     (("G2", None, "p>=5", "21", ("7", "1")), "G2 p>=5 needs ord free of primes >= 5, so that"
      " p = 5 stands for every prime it covers; got ord 21"),
@@ -401,6 +435,23 @@ def test_a_row_built_directly_refuses_what_the_loader_refuses(tmp_path, fields, 
     assert str(loaded.value) == f"{path}:{line}: {message}"
 
 
+@pytest.mark.parametrize(
+    "ord_spec, message",
+    [("0", "needs ord >= 1, got 0"), ("n(n^2-1)", "needs an integer ord, got 'n(n^2-1)'")],
+)
+def test_an_exceptional_ord_is_refused_on_its_line_by_the_rule_a_row_keeps(
+    tmp_path, ord_spec, message
+):
+    with pytest.raises(CatalogError) as direct:
+        CatalogRow("G2", None, "p=5", ord_spec, ("7", "1"))
+    assert str(direct.value) == f"G2 {message}"
+    path = tmp_path / "catalog.txt"
+    path.write_text(f"G2 ord {ord_spec}\nG2 - p=5 7 1\n", encoding="utf-8")
+    with pytest.raises(CatalogError) as loaded:
+        load_catalog(path)
+    assert str(loaded.value) == f"{path}:1: G2 {message}"
+
+
 @pytest.mark.parametrize("tag", ["p>=x", "p=", "p=5x", "q>=3", "any"])
 def test_a_malformed_tag_is_an_unknown_prime_condition(tag):
     with pytest.raises(CatalogError) as info:
@@ -418,21 +469,20 @@ def test_a_malformed_tag_is_an_unknown_prime_condition(tag):
         # ... parameter before the ord line, tag and the exceptional premises, ...
         ("SU x q>=3 24 0", ":1: SU needs an integer parameter or *, got 'x'"),
         ("G2 3 all 21 1", ":1: G2 takes no parameter; write -, got '3'"),
+        # ... an ord line's value before every rule of its rows, ...
+        ("G2 ord 0\nG2 - q>=3 7 1", ":1: G2 needs ord >= 1, got 0"),
+        ("G2 ord n^3\nG2 - all 7 1", ":1: G2 needs an integer ord, got 'n^3'"),
         # ... the ord line before tag, ...
         ("G2 - p=4 n^3 x", ":1: G2 row before its ord line (G2 ord N)"),
         # ... tag before K's primality and the cells, K before the cells, ...
         ("SU 3 p>=x n^3 0", ":1: unknown prime condition 'p>=x'"),
         ("SU 4 p=4 n^3 0", ":1: p=4 needs a prime K, got K = 4"),
-        ("G2 ord 0\nG2 - p=4 5 0", ":2: p=4 needs a prime K, got K = 4"),
+        ("G2 ord 21\nG2 - p=4 5 0", ":2: p=4 needs a prime K, got K = 4"),
         # ... ord before r, the cells before the exceptional premises, ...
         ("SU 3 all n^3 r!", ":1: unknown ord spec 'n^3'"),
-        ("G2 ord n^3\nG2 - all 7 1", ":2: unknown ord spec 'n^3'"),
-        # ... within the premises the tag before the integer cells, they before
-        # ord >= 1, which comes before a p>=K ord's primes, then the arms, ...
-        ("G2 ord n(n^2-1)\nG2 - all 7 1", ":2: G2 needs a p=K or p>=K tag, got 'all'"),
-        ("G2 ord 0\nG2 - all 7 1", ":2: G2 needs a p=K or p>=K tag, got 'all'"),
-        ("G2 ord 0\nG2 - p=5 x 1", ":2: G2 needs integer ord, A and B, got '0' and ('x', '1')"),
-        ("G2 ord 0\nG2 - p>=5 99 9", ":2: G2 needs ord >= 1, got 0"),
+        # ... within the premises the tag before the integer cells, a p>=K ord's
+        # primes, then the arms, ...
+        ("G2 ord 21\nG2 - all x 1", ":2: G2 needs a p=K or p>=K tag, got 'all'"),
         ("G2 ord 21\nG2 - p>=5 99 0", ":2: G2 p>=5 needs ord free of primes >= 5, so that"
                                        " p = 5 stands for every prime it covers; got ord 21"),
         # ... and every rule of a row before the repeat check
@@ -450,7 +500,38 @@ def test_a_row_breaking_two_rules_is_refused_for_the_earlier(tmp_path, rows, mes
     assert str(info.value) == f"{path}{message}"
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # an exceptional row built directly, whose ord no ord line checked first:
+        # K before the cells, the tag before the integer cells, they before the ord
+        (("G2", None, "p=4", "0", ("5", "0")), "p=4 needs a prime K, got K = 4"),
+        (("G2", None, "all", "n(n^2-1)", ("7", "1")), "G2 needs a p=K or p>=K tag, got 'all'"),
+        (("G2", None, "all", "0", ("7", "1")), "G2 needs a p=K or p>=K tag, got 'all'"),
+        (("G2", None, "p=5", "0", ("x", "1")),
+         "G2 needs integer ord, A and B, got '0' and ('x', '1')"),
+        (("G2", None, "p>=5", "0", ("99", "9")), "G2 needs ord >= 1, got 0"),
+    ],
+)
+def test_a_built_row_breaking_two_rules_is_refused_for_the_earlier(fields, message):
+    with pytest.raises(CatalogError) as info:
+        CatalogRow(*fields)
+    assert str(info.value) == message
+
+
 # -- the (family, param) index against a linear scan -------------------------------
+
+
+def _oracle_holds(tag, p, n):
+    """The catalog header's reading of a prime tag, apart from the reader under test."""
+    if tag == "all":
+        return True
+    if tag.startswith("p>="):
+        return p >= int(tag[3:])
+    if tag.startswith("p="):
+        return p == int(tag[2:])
+    width = {"su_range": n, "symp_range": 2 * n, "spin_even_range": 2 * (n - 1)}[tag]
+    return p >= (5 if tag == "spin_even_range" else 3) and width <= (p - 1) ** 2 + 1
 
 
 def _oracle_rows(G):
@@ -474,7 +555,7 @@ def _oracle_ord(G, p=None):
     if not is_prime(p):
         raise ValueError(f"expected a prime or None, got {p}")
     for row in rows:
-        if prime_cond_holds(row.prime_cond, p, n):
+        if _oracle_holds(row.prime_cond, p, n):
             return row.ord_value(n)
     raise CatalogError(f"order unknown for ({G}, p={p})")
 
@@ -492,7 +573,7 @@ def _oracle_r(G, p):
     rows, n = _oracle_rows(G)
     if G.family in EXCEPTIONAL:
         for row in rows:
-            if prime_cond_holds(row.prime_cond, p, n):
+            if _oracle_holds(row.prime_cond, p, n):
                 return row.r_value(n, p)
         raise CatalogError(f"no r value for ({G}, p={p})")
     if not rows:  # the scan raised IndexError here

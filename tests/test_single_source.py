@@ -14,11 +14,12 @@ class, and copy and pickle restore one as they restore every Value. Only
 spaces._LOOPS holds prebuilt G and Omega^j G atoms, which loops_g and
 group_itself return. A Lie group's 'family:param' token is written only by
 LieGroupSpec.token, the inverse of LieGroupSpec.parse. Which catalog row
-answers (G, p) is decided only by lie._lookup, the one caller of
-CatalogRow._holds_at, and the loop-filtration arms (A, B) only by
-lie._arms, which the theriault route evaluates and each exceptional catalog
-row checks its published arms against. The scans below fail if a later
-change re-derives any of these facts somewhere else.
+answers (G, p) is decided only by lie._lookup; which primes a row covers,
+only by CatalogRow._holds_at, from the tag the row read once at build, and
+only _lookup and the loader's lie._ord_clash ask it; and the loop-filtration
+arms (A, B) only by lie._arms, which the theriault route evaluates and each
+exceptional catalog row checks its published arms against. The scans below
+fail if a later change re-derives any of these facts somewhere else.
 
 The last scans keep the library free of code nothing reaches: every def in
 src/gauge5 is named by other library code, exported, or listed in ALLOWLIST
@@ -215,8 +216,8 @@ def _calls(name: str):
     return match
 
 
-def test_only_the_lookup_scans_catalog_rows():
-    assert _sites(_calls("_holds_at")) == {("lie.py", "_lookup")}
+def test_only_the_lookup_and_the_ord_clash_ask_where_a_row_holds():
+    assert _sites(_calls("_holds_at")) == {("lie.py", "_lookup"), ("lie.py", "_ord_clash")}
 
 
 def test_the_loop_filtration_arms_are_computed_once_for_both_readers():
