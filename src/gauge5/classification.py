@@ -6,9 +6,10 @@ condition for a p-local equivalence, and class counts are upper bounds.
 The connecting-map order feeding d = gcd(ord, c) is the degree-4 sphere
 value, which the Moore-space order only divides; gcd classes taken with
 respect to a multiple refine those of a divisor, so sufficiency survives
-and the counts stay honest upper bounds. Reports carry order_source =
-"upper_bound_from_S4" to keep that visible. No two gauge groups are ever
-asserted inequivalent.
+and the counts stay honest upper bounds. A report's machine record carries
+source=upper_bound_from_S4, and its table says "upper bound from the sphere
+case", to keep that visible. No two gauge groups are ever asserted
+inequivalent.
 """
 
 import math
@@ -39,7 +40,6 @@ class ClassificationReport(Value):
     count_at_p: tuple[tuple[int, int], ...]  # (p, nu_p(d) + 1) for p | d
     classes: tuple[tuple[int, "GcdClass"], ...]  # (gcd value, members)
     looped: int | None  # loop degree when the count is for Omega^i over M
-    order_source: str
 
     def __init__(
         self,
@@ -52,12 +52,11 @@ class ClassificationReport(Value):
         count_at_p: tuple[tuple[int, int], ...],
         classes: tuple[tuple[int, "GcdClass"], ...],
         looped: int | None = None,
-        order_source: str = "upper_bound_from_S4",
     ) -> None:
         self.__dict__.update(
             G=G, c=c, ord=ord, order_validity=order_validity, d=d,
             count_integral=count_integral, count_at_p=count_at_p, classes=classes,
-            looped=looped, order_source=order_source,
+            looped=looped,
         )
 
     def is_single_type(self) -> bool:
@@ -90,7 +89,7 @@ class ClassificationReport(Value):
         head = records.record(
             "classify", group=self.G.token(),
             c=self.c, ord=self.ord, validity=self.order_validity, d=self.d,
-            count=self.count_integral, looped=self.looped, source=self.order_source,
+            count=self.count_integral, looped=self.looped, source="upper_bound_from_S4",
         )
         at_p = [records.record("at_p", p=p, count=count) for p, count in self.count_at_p]
         classes = [records.record("class", gcd=g, size=m.size, rep=m[0]) for g, m in self.classes]

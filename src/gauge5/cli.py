@@ -152,7 +152,7 @@ def _run_decompose(args) -> str:
 
 def _run_exponent(args) -> str:
     from . import exponents
-    from .lie import LieGroupSpec, _require_odd_prime, prime_cond_interval
+    from .lie import LieGroupSpec, _require_odd_prime
 
     if args.table:
         if args.table != "exceptional":
@@ -170,8 +170,7 @@ def _run_exponent(args) -> str:
         rows = exponents.exceptional_table()
         if args.p is not None:
             _require_odd_prime(args.p)
-            rows = [row for row in rows
-                    if (bounds := prime_cond_interval(row.prime_cond))[0] <= args.p <= bounds[1]]
+            rows = [row for row in rows if row._holds_at(args.p, None)]
         if args.format == "machine":
             return "\n".join(
                 records.record(
@@ -179,9 +178,11 @@ def _run_exponent(args) -> str:
                 )
                 for r in rows
             )
-        return "\n".join(
-            f"{r.family:4} {r.prime_cond:6} exp <= p^{r.bound_text()}" for r in rows
-        )
+        lines = []
+        for r in rows:
+            nu = f"ν_p(c)+{r.offset}" if r.offset else "ν_p(c)"
+            lines.append(f"{r.family:4} {r.prime_cond:6} exp <= p^max({r.base}, {nu})")
+        return "\n".join(lines)
     if args.group is None or args.p is None:
         raise ValueError("need --group and --p (or --table exceptional)")
     G = LieGroupSpec.parse(args.group)

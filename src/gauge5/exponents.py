@@ -15,16 +15,15 @@ plus the small fiber bound exp_moore_fiber (exponent nu_p(c)). Upper bounds
 only: nothing here is claimed sharp. The regular and theriault routes share
 one reading of (G, p, c), _routes: exp_bound_regular, exp_bound_theriault
 and best_bound (the better of the two) each make one catalog lookup,
-lie._lookup. The exceptional table holds each catalog row's published arms,
-which the loader checked against lie._arms; it is a constant of the loaded
-catalog, keyed by no query input: built on the first call and kept in that
-catalog's entry.
+lie._lookup, which returns the one row that holds at p. The exceptional
+table is the loaded catalog's exceptional rows themselves, whose published
+arms (A, B) the loader checked against lie._arms as it built each row.
 """
 
 from .arith import nu_p
 from .errors import HypothesisError
 from .lie import (
-    EXCEPTIONAL, LieGroupSpec, _arms, _entry, _family_key, _lookup, _ord_at, _r_at,
+    EXCEPTIONAL, CatalogRow, LieGroupSpec, _arms, _entry, _family_key, _lookup, _ord_at, _r_at,
     _require_odd_prime, in_theriault_range, is_p_regular, l_of,
 )
 from .manifold import ManifoldSpec, require_not_divisible_by_6
@@ -72,7 +71,7 @@ def _routes(M: ManifoldSpec, G: LieGroupSpec, p: int, regular: bool, theriault: 
         refusals.append(f"({G}, p = {p}) outside the loop-filtration range")
     if len(refusals) == regular + theriault:
         raise HypothesisError("; ".join(refusals))
-    row, rows, n = _lookup(G, p)  # one scan: the ord cell, and an exceptional G's r cell
+    row, n = _lookup(G, p)  # one scan: the row whose ord and r cells both routes read
     l, nu_c, nu_ord, found = l_of(G), nu_p(M.c, p), None, []
     if regular and is_regular:  # its ord lookup refuses before the r lookup below
         nu_ord = nu_p(_ord_at(G, row, n, p), p)
@@ -82,7 +81,7 @@ def _routes(M: ManifoldSpec, G: LieGroupSpec, p: int, regular: bool, theriault: 
             assumptions += ("low-rank SU adjustment (+1)",)
         found.append((exponent, "regular", assumptions))
     if theriault and in_range:
-        r = _r_at(G, row, rows, n, p)
+        r = _r_at(G, row, n, p)
         nu_ord = nu_p(_ord_at(G, row, n, p), p) if nu_ord is None else nu_ord
         base, offset = _arms(r, nu_ord, l)
         assumptions = (f"({G}, p = {p}) in the loop-filtration range",)
@@ -169,34 +168,13 @@ def best_bound(M: ManifoldSpec, G: LieGroupSpec, p: int) -> ExponentBound:
 
 # -- the exceptional-group table ----------------------------------------------
 
-class ExponentTableRow(Value):
-    family: str
-    prime_cond: str  # "p=5" or "p>=11"
-    base: int  # the constant arm of the max
-    offset: int  # exponent is max(base, nu_p(c) + offset)
+def exceptional_table() -> list[CatalogRow]:
+    """The loaded catalog's exceptional rows, in EXCEPTIONAL order and each
+    family's in file order. A row's bound is max(row.base, nu_p(c) + row.offset).
 
-    def __init__(self, family: str, prime_cond: str, base: int, offset: int) -> None:
-        self.__dict__.update(family=family, prime_cond=prime_cond, base=base, offset=offset)
-
-    def bound_text(self) -> str:
-        nu = "ν_p(c)" if self.offset == 0 else f"ν_p(c)+{self.offset}"
-        return f"max({self.base}, {nu})"
-
-
-def exceptional_table() -> list[ExponentTableRow]:
-    """One row per (exceptional family, prime condition): the bound as a
-    piecewise max in nu_p(c).
-
-    Each row's base and offset are the catalog row's published arms (A, B),
-    which the loader checked against the arms exp_bound_theriault evaluates
-    at every prime the row covers (lie.CatalogRow). Each call returns a new
-    list of the rows built once per loaded catalog.
+    base and offset are the row's published arms (A, B), which the loader
+    checked against the arms exp_bound_theriault evaluates at every prime the
+    row covers (lie.CatalogRow). Each call returns a new list of those rows.
     """
-    _, index, tables = _entry()
-    if "exceptional" not in tables:
-        tables["exceptional"] = tuple(
-            ExponentTableRow(family, row.prime_cond, *map(int, row.cells))
-            for family in EXCEPTIONAL
-            for row in index.get((family, None), ())
-        )
-    return list(tables["exceptional"])
+    index = _entry()[1]
+    return [row for family in EXCEPTIONAL for row in index.get((family, None), ())]

@@ -10,15 +10,17 @@ Numeric rows live in data/catalog.txt (override with the GAUGE_CATALOG
 environment variable); this module parses and interprets them. Each catalog
 path is parsed, checked and indexed once. A CatalogRow is the one check of
 a row's tag and cells; it reads its tag once, at build, and _holds_at is the
-one answer to which primes it covers. An exceptional row derives r = B -
-nu_K(ord) from its published arms (A, B) and its group's one ord line, and
-checks them against _arms. The loader checks the raw columns, each ord line
-on its own line, repeats (tags naming the same primes) and the ord a
-specific row restates of its * row (_ord_clash), and names the file and
+one answer to which primes it covers. An exceptional row keeps its
+published arms (A, B) as base and offset, derives r = B - nu_K(ord) from
+them and its group's one ord line, and checks them against _arms; these rows
+are the exceptional exponent table. The loader checks the raw columns, each
+ord line on its own line, repeats (tags naming the same primes) and the ord
+a specific row restates of its * row (_ord_clash), and names the file and
 line of any refusal. The rows are grouped by (family key, parameter),
 specific rows first, each group in file order. _lookup is the one
 resolution of (G, p) of every catalog reader but catalog_order: one index
-read (_rows) and one scan for G's first row that holds at p.
+read (_rows) and one scan, which returns G's first row that holds at p and
+nothing else, so an ord or r is read only from a row that holds.
 """
 
 import math
@@ -224,29 +226,13 @@ _RANGE_TAGS = {
 _FAMILY_KEYS = frozenset(("SU", "Sp", "SpinOdd", "SpinEven", "G2", "F4", "E6", "E7", "E8"))
 
 
-def prime_cond_interval(tag: str) -> tuple[int, float]:
-    """The least and greatest prime covered by a 'p=K' or 'p>=K' tag.
-
-    >>> prime_cond_interval("p=5"), prime_cond_interval("p>=11")
-    ((5, 5), (11, inf))
-    """
-    try:
-        if tag.startswith("p>="):
-            return int(tag[3:]), math.inf
-        if tag.startswith("p="):
-            return (int(tag[2:]),) * 2  # K is the least and the greatest prime
-    except ValueError:  # 'p>=x', 'p=': a malformed K is an unknown condition too
-        pass
-    raise CatalogError(f"unknown prime condition {tag!r}")
-
-
-def _exceptional_ord(family_key: str, ord_spec: str) -> int:
+def _exceptional_ord(family: str, ord_spec: str) -> int:
     """An exceptional group's ord: an integer >= 1, the rule its ord line and its rows keep."""
     if not ord_spec.isdecimal():
-        raise CatalogError(f"{family_key} needs an integer ord, got {ord_spec!r}")
+        raise CatalogError(f"{family} needs an integer ord, got {ord_spec!r}")
     ord_int = int(ord_spec)
     if ord_int < 1:
-        raise CatalogError(f"{family_key} needs ord >= 1, got {ord_spec}")
+        raise CatalogError(f"{family} needs ord >= 1, got {ord_spec}")
     return ord_int
 
 
@@ -255,21 +241,28 @@ class CatalogRow(Value):
     tag and cells. The loader adds what reads raw text (columns, family,
     parameter, ord lines), the repeat check and the file:line of a refusal."""
 
-    family_key: str
+    family: str  # the file's family column: SpinOdd and SpinEven for Spin
     param: int | None  # None means any n (a * row) or no parameter (a - row)
     prime_cond: str
     ord_spec: str  # an exceptional row's is its group's, from the ord line
     cells: tuple[str, ...]  # (r,) on a classical row, the published (A, B) on an exceptional one
 
     def __init__(
-        self, family_key: str, param: int | None, prime_cond: str, ord_spec: str, cells: tuple
+        self, family: str, param: int | None, prime_cond: str, ord_spec: str, cells: tuple
     ) -> None:
         interval = None  # the (least, greatest) prime of a p=K / p>=K tag; the others read n
         if prime_cond != "all" and prime_cond not in _RANGE_TAGS:
-            interval = prime_cond_interval(prime_cond)
-            if not (interval[0] < MILLER_RABIN_BOUND and is_prime(interval[0])):
-                raise CatalogError(f"{prime_cond} needs a prime K, got K = {interval[0]}")
-        if family_key not in _EXCEPTIONAL_TYPE:  # a classical row
+            open_ended = prime_cond.startswith("p>=")
+            k = prime_cond[3:] if open_ended else prime_cond[2:] if prime_cond[:2] == "p=" else ""
+            try:
+                least = int(k)  # K, the least prime the tag covers
+            except ValueError:  # 'any', 'p>=x', 'p=': no K, or a malformed one
+                raise CatalogError(f"unknown prime condition {prime_cond!r}") from None
+            interval = least, math.inf if open_ended else least
+            if not (least < MILLER_RABIN_BOUND and is_prime(least)):
+                raise CatalogError(f"{prime_cond} needs a prime K, got K = {least}")
+        base = offset = None  # the published arms (A, B) of an exceptional row
+        if family not in _EXCEPTIONAL_TYPE:  # a classical row
             ord_int = int(ord_spec) if ord_spec.isdecimal() else None  # None for a formula
             if ord_int is None and ord_spec not in _ORD_FORMULAS:
                 raise CatalogError(f"unknown ord spec {ord_spec!r}")
@@ -281,32 +274,36 @@ class CatalogRow(Value):
             # what the exceptional lookups and the table read: a prime interval, integer cells,
             # ord >= 1, a p>=K ord free of primes >= K (K stands for them all), arms that fit at K
             if interval is None:
-                raise CatalogError(f"{family_key} needs a p=K or p>=K tag, got {prime_cond!r}")
+                raise CatalogError(f"{family} needs a p=K or p>=K tag, got {prime_cond!r}")
             a_spec, b_spec = cells
             if not (a_spec.isdecimal() and b_spec.isdecimal()):
                 raise CatalogError(
-                    f"{family_key} needs integer ord, A and B, got {ord_spec!r} and {cells}"
+                    f"{family} needs integer ord, A and B, got {ord_spec!r} and {cells}"
                 )
-            ord_int = _exceptional_ord(family_key, ord_spec)
-            least = interval[0]
+            ord_int = _exceptional_ord(family, ord_spec)
             if interval[1] == math.inf and any(q >= least for q in prime_divisors(ord_int)):
                 raise CatalogError(
-                    f"{family_key} {prime_cond} needs ord free of primes >= {least}, so that"
+                    f"{family} {prime_cond} needs ord free of primes >= {least}, so that"
                     f" p = {least} stands for every prime it covers; got ord {ord_spec}"
                 )
-            A, B = int(a_spec), int(b_spec)
+            base, offset = int(a_spec), int(b_spec)
             nu_ord = nu_p(ord_int, least)
-            r_int = B - nu_ord
-            want = _arms(r_int, nu_ord, _l_at(family_key, None))[0]
-            if r_int < 0 or A != want:
+            r_int = offset - nu_ord
+            want = _arms(r_int, nu_ord, _l_at(family, None))[0]
+            if r_int < 0 or base != want:
                 raise CatalogError(
-                    f"{family_key} {prime_cond} needs r = B - nu_{least}(ord {ord_spec}) = {r_int}"
-                    f" >= 0 and A = B + r + l(G) = {want}; got A = {A}"
+                    f"{family} {prime_cond} needs r = B - nu_{least}(ord {ord_spec}) = {r_int}"
+                    f" >= 0 and A = B + r + l(G) = {want}; got A = {base}"
                 )
-        self.__dict__.update(  # the last three derived once, not fields
-            family_key=family_key, param=param, prime_cond=prime_cond, ord_spec=ord_spec,
-            cells=cells, interval=interval, ord_int=ord_int, r_int=r_int,
+        self.__dict__.update(  # the last five derived once, not fields
+            family=family, param=param, prime_cond=prime_cond, ord_spec=ord_spec, cells=cells,
+            interval=interval, ord_int=ord_int, r_int=r_int, base=base, offset=offset,
         )
+
+    @property
+    def family_key(self) -> str:
+        """The family column under its earlier name, which bench/spans.py reads."""
+        return self.family
 
     def _holds_at(self, p: int | None, n: int | None) -> bool:
         """Does this row hold at the prime p, for the family parameter n (read by the range
@@ -335,9 +332,8 @@ def _arms(r: int, nu_ord: int, l: int) -> tuple[int, int]:
     return 2 * r + nu_ord + l, r + nu_ord
 
 
-# path -> (rows in file order, (family key, param) -> rows a lookup reads,
-# name -> a table another module derives from these rows alone, on first use)
-_catalog_cache: dict[str, tuple[tuple[CatalogRow, ...], dict, dict]] = {}
+# path -> (rows in file order, (family key, param) -> rows a lookup reads)
+_catalog_cache: dict[str, tuple[tuple[CatalogRow, ...], dict]] = {}
 
 
 def _catalog_key(path: str | os.PathLike | None) -> str:
@@ -352,7 +348,7 @@ def load_catalog(path: str | os.PathLike | None = None) -> tuple[CatalogRow, ...
     key = _catalog_key(path)
     if key not in _catalog_cache:
         rows = _parse_catalog(key)
-        _catalog_cache[key] = rows, _index_rows(rows), {}
+        _catalog_cache[key] = rows, _index_rows(rows)
     return _catalog_cache[key][0]
 
 
@@ -424,7 +420,7 @@ def _ord_clash(row: CatalogRow, other: CatalogRow, other_line: int) -> str | Non
 
     def text(r: CatalogRow) -> str:
         value = "" if r.ord_int is not None else f" = {r.ord_value(n)}"
-        return f"{r.family_key} {'*' if r.param is None else r.param} ord {r.ord_spec}{value}"
+        return f"{r.family} {'*' if r.param is None else r.param} ord {r.ord_spec}{value}"
 
     g = math.gcd(a, b)
     for q in prime_divisors(a // g * (b // g)):  # the primes where a and b differ
@@ -440,16 +436,16 @@ def _index_rows(rows: tuple[CatalogRow, ...]) -> dict:
     specific: dict[tuple[str, int], list[CatalogRow]] = {}
     for row in rows:
         if row.param is None:
-            general.setdefault(row.family_key, []).append(row)
+            general.setdefault(row.family, []).append(row)
         else:
-            specific.setdefault((row.family_key, row.param), []).append(row)
+            specific.setdefault((row.family, row.param), []).append(row)
     index: dict = {(fam, None): tuple(group) for fam, group in general.items()}
     for (fam, n), group in specific.items():
         index[fam, n] = tuple(group + general.get(fam, []))
     return index
 
 
-def _entry() -> tuple[tuple[CatalogRow, ...], dict, dict]:
+def _entry() -> tuple[tuple[CatalogRow, ...], dict]:
     # Every lookup loads through the public load_catalog, once, so a wrapper
     # around it (bench/spans.py) sees the catalog each lookup read. The key
     # is passed in so that a lookup reads the environment only once.
@@ -465,15 +461,15 @@ def _rows(G: LieGroupSpec) -> tuple[tuple, int | None]:
     return index.get((key, n)) or index.get((key, None), ()), n
 
 
-def _lookup(G: LieGroupSpec, p: int | None) -> tuple[CatalogRow | None, tuple, int | None]:
-    """(the first of G's catalog rows that holds at p, or None; G's rows
-    (_rows); G's parameter n): the one resolution of (G, p) behind every
-    catalog reader but catalog_order, one index read and one scan."""
+def _lookup(G: LieGroupSpec, p: int | None) -> tuple[CatalogRow | None, int | None]:
+    """(the first of G's catalog rows (_rows) that holds at p, or None; G's
+    parameter n): the one resolution of (G, p) behind every catalog reader
+    but catalog_order, one index read and one scan."""
     rows, n = _rows(G)
     for row in rows:
         if row._holds_at(p, n):
-            return row, rows, n
-    return None, rows, n
+            return row, n
+    return None, n
 
 
 def ord_partial1_tilde(G: LieGroupSpec, p: int | None = None) -> int:
@@ -487,7 +483,7 @@ def ord_partial1_tilde(G: LieGroupSpec, p: int | None = None) -> int:
     >>> ord_partial1_tilde(LieGroupSpec("G2"), 5)
     21
     """
-    row, _, n = _lookup(G, p)
+    row, n = _lookup(G, p)
     if p is not None and not is_prime(p):
         raise ValueError(f"expected a prime or None, got {p}")
     return _ord_at(G, row, n, p)
@@ -528,12 +524,8 @@ def r_of(G: LieGroupSpec, p: int) -> int:
     return _r_at(G, *_lookup(G, p), p)
 
 
-def _r_at(G: LieGroupSpec, row: CatalogRow | None, rows: tuple, n: int | None, p: int) -> int:
-    """r_of from G's row at p and rows (_lookup); a classical G reads its first row."""
-    if G.family in EXCEPTIONAL:
-        if row is None:
-            raise CatalogError(f"no r value for ({G}, p={p})")
-        return row.r_value(n, p)
-    if not rows:
-        raise CatalogError(f"no catalog row for {G}")
-    return rows[0].r_value(n, p)
+def _r_at(G: LieGroupSpec, row: CatalogRow | None, n: int | None, p: int) -> int:
+    """r_of from G's row at p (_lookup)."""
+    if row is None:
+        raise CatalogError(f"no r value for ({G}, p={p})")
+    return row.r_value(n, p)

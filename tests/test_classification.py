@@ -33,7 +33,8 @@ def test_moore_classification_report():
     assert report.d == 3
     assert report.count_integral == 2
     assert report.count_at_p == ((3, 2),)  # one type at every other prime, 7 among them
-    assert report.order_source == "upper_bound_from_S4"
+    assert "order_source" not in report._fields  # one value for every report: not a field
+    assert report.machine().splitlines()[0].endswith(" source=upper_bound_from_S4")
     assert report.classes == ((1, (1, 2, 4, 5, 7, 8)), (3, (0, 3, 6)))
 
 

@@ -33,6 +33,7 @@ from gauge5.rational import (
     rational_cohomology_ring,
     rational_rank_formula,
 )
+from test_exponents import PUBLISHED_ROWS
 from test_readme_examples import EXAMPLES, HUGE_M, REFUSALS
 from test_value import loaded_after
 
@@ -139,6 +140,27 @@ def test_exponent_table_filter(run):
     code, text, _ = run("exponent", "--table", "exceptional", "--p", "11")
     assert code == 0
     assert len(text.splitlines()) == 5  # G2, F4, E6, E7, E8 all cover p = 11
+
+
+def _published_lines(p: int, fmt: str) -> list[str]:
+    """The published rows whose tag covers p, as `exponent --table exceptional` prints them."""
+    lines = []
+    for family, cond, base, offset in PUBLISHED_ROWS:
+        least = int(cond.removeprefix("p>=").removeprefix("p="))
+        if p == least or (cond.startswith("p>=") and p > least):
+            nu = f"ν_p(c)+{offset}" if offset else "ν_p(c)"
+            lines.append(
+                f"exprow family={family} primes={cond} base={base} offset={offset}"
+                if fmt == "machine" else f"{family:4} {cond:6} exp <= p^max({base}, {nu})"
+            )
+    return lines
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59])
+def test_exponent_table_at_p_lists_the_published_rows_covering_p(run, fmt, p):
+    got = run("exponent", "--table", "exceptional", "--p", str(p), "--format", fmt)
+    assert got == (0, "\n".join(_published_lines(p, fmt)), "")
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])

@@ -26,9 +26,9 @@ from gauge5 import (
     ord_partial1_tilde,
     r_of,
 )
-from gauge5 import exponents, lie
+from gauge5 import lie
 from gauge5.arith import is_prime
-from gauge5.lie import EXCEPTIONAL, CatalogRow, l_of, prime_cond_interval
+from gauge5.lie import EXCEPTIONAL, CatalogRow, l_of, load_catalog
 from gauge5.manifold import require_not_divisible_by_6
 from test_acceptance import _manifold_with_valuation
 
@@ -185,7 +185,7 @@ def test_exceptional_table_rows_evaluate_like_theriault():
 def test_each_p_at_least_k_row_holds_at_every_prime_it_covers():
     # the table evaluates such a row at K; the loader's premise makes that exact
     for row in exceptional_table():
-        least, greatest = prime_cond_interval(row.prime_cond)
+        least, greatest = row.interval
         G = LieGroupSpec(row.family)
         for p in (q for q in range(least, 110) if q <= greatest and is_prime(q)):
             for nu in (0, 3, 40):
@@ -393,24 +393,29 @@ def test_exceptional_table_reads_a_mid_process_catalog_override(tmp_path, monkey
     assert exceptional_table() == packaged
 
 
-def _count_table_rows(monkeypatch) -> list:
+def _count_rows_built(monkeypatch) -> list:
     built = []
-    init = exponents.ExponentTableRow.__init__
-    monkeypatch.setattr(
-        exponents.ExponentTableRow, "__init__",
-        lambda self, *a: built.append(a[0]) or init(self, *a),
-    )
+    init = CatalogRow.__init__
+    monkeypatch.setattr(CatalogRow, "__init__", lambda self, *a: built.append(a[0]) or init(self, *a))
     return built
 
 
-def test_exceptional_table_is_built_once_per_catalog(monkeypatch):
+def test_exceptional_table_is_the_loaded_catalogs_own_rows():
+    loaded = load_catalog()
+    want = [row for family in EXCEPTIONAL for row in loaded if row.family == family]
+    table = exceptional_table()
+    assert len(table) == len(want) == len(PUBLISHED_ROWS)
+    assert all(got is row for got, row in zip(table, want))
+
+
+def test_exceptional_table_builds_nothing_per_call(monkeypatch):
     monkeypatch.delenv("GAUGE_CATALOG", raising=False)
     monkeypatch.setattr(lie, "_catalog_cache", {})
-    built = _count_table_rows(monkeypatch)
+    built = _count_rows_built(monkeypatch)
     first = exceptional_table()
-    assert len(built) == len(PUBLISHED_ROWS) == 28
+    assert len(built) == len(load_catalog())  # the catalog's own rows, built by its one load
     second = exceptional_table()
-    assert len(built) == 28  # the second call builds no row
+    assert len(built) == len(load_catalog())  # the second call builds no row
     assert second == first and second is not first
     assert all(a is b for a, b in zip(first, second))
 
@@ -421,16 +426,18 @@ def test_clearing_a_returned_table_leaves_the_next_one_intact():
     assert got == PUBLISHED_ROWS
 
 
-def test_a_catalog_override_builds_its_own_table_once(tmp_path, monkeypatch):
+def test_a_catalog_override_table_is_its_own_rows_built_by_its_load(tmp_path, monkeypatch):
     monkeypatch.delenv("GAUGE_CATALOG", raising=False)
     packaged = exceptional_table()
     catalog = tmp_path / "catalog.txt"
     catalog.write_text(_TABLE_OVERRIDE, encoding="utf-8")
     monkeypatch.setenv("GAUGE_CATALOG", str(catalog))
-    built = _count_table_rows(monkeypatch)
-    assert [r.family for r in exceptional_table()] == ["G2", "G2", "E8"]
-    assert exceptional_table() == exceptional_table()
-    assert built == ["G2", "G2", "E8"]  # three rows, built once
+    built = _count_rows_built(monkeypatch)
+    table = exceptional_table()
+    assert [r.family for r in table] == ["G2", "G2", "E8"]
+    assert exceptional_table() == table
+    assert all(a is b for a, b in zip(table, load_catalog()))
+    assert built == ["G2", "G2", "E8"]  # the override's three rows, built once, by its load
     monkeypatch.delenv("GAUGE_CATALOG")
     again = exceptional_table()
     assert built == ["G2", "G2", "E8"]

@@ -26,13 +26,14 @@ from gauge5 import (
 from gauge5.arith import is_prime
 from gauge5.classification import trivial_case
 from gauge5.errors import HypothesisError
-from gauge5.exponents import best_bound, exceptional_table, exp_bound_closed_form
+from gauge5.exponents import (
+    best_bound, exceptional_table, exp_bound_closed_form, exp_bound_theriault,
+)
 from gauge5.lie import (
     EXCEPTIONAL,
     CatalogRow,
     _entry,
     load_catalog,
-    prime_cond_interval,
 )
 from gauge5.manifold import ManifoldSpec, pi4, pi4_is_trivial, require_pi4_trivial
 
@@ -206,17 +207,17 @@ def test_catalog_order_reads_the_first_row_without_a_scan(monkeypatch):
 
 @pytest.mark.parametrize("family", EXCEPTIONAL)
 def test_one_exceptional_row_holds_exactly_in_the_loop_filtration_range(family):
-    G, rows = LieGroupSpec(family), [r for r in load_catalog() if r.family_key == family]
+    G, rows = LieGroupSpec(family), [r for r in load_catalog() if r.family == family]
     for p in (q for q in range(3, 200) if is_prime(q)):
         holding = [r.prime_cond for r in rows if r._holds_at(p, None)]
         assert len(holding) == in_theriault_range(G, p), (p, holding)
 
 
-def _row(family_key, tag):
-    """A built row of `family_key` with prime tag `tag` and cells that pass its checks."""
-    if family_key in EXCEPTIONAL:
-        return CatalogRow(family_key, None, tag, "21", ("5", "0"))
-    return CatalogRow(family_key, None, tag, "6", ("0",))
+def _row(family, tag):
+    """A built row of `family` with prime tag `tag` and cells that pass its checks."""
+    if family in EXCEPTIONAL:
+        return CatalogRow(family, None, tag, "21", ("5", "0"))
+    return CatalogRow(family, None, tag, "6", ("0",))
 
 
 # (family key, tag, p, n, does the row hold?): each tag kind on both sides of its boundary
@@ -244,9 +245,9 @@ HOLDS_AT = [
 ]
 
 
-@pytest.mark.parametrize("family_key, tag, p, n, holds", HOLDS_AT)
-def test_a_built_row_answers_where_its_tag_holds(family_key, tag, p, n, holds):
-    assert _row(family_key, tag)._holds_at(p, n) is holds
+@pytest.mark.parametrize("family, tag, p, n, holds", HOLDS_AT)
+def test_a_built_row_answers_where_its_tag_holds(family, tag, p, n, holds):
+    assert _row(family, tag)._holds_at(p, n) is holds
 
 
 @pytest.mark.parametrize(
@@ -452,10 +453,10 @@ def test_an_exceptional_ord_is_refused_on_its_line_by_the_rule_a_row_keeps(
     assert str(loaded.value) == f"{path}:1: G2 {message}"
 
 
-@pytest.mark.parametrize("tag", ["p>=x", "p=", "p=5x", "q>=3", "any"])
+@pytest.mark.parametrize("tag", ["p>=x", "p=", "p=5x", "q>=3", "any", "5"])
 def test_a_malformed_tag_is_an_unknown_prime_condition(tag):
     with pytest.raises(CatalogError) as info:
-        prime_cond_interval(tag)
+        _row("SU", tag)
     assert info.type is CatalogError and str(info.value) == f"unknown prime condition {tag!r}"
 
 
@@ -540,7 +541,7 @@ def _oracle_rows(G):
         key, n = ("SpinOdd" if G.n % 2 else "SpinEven"), G.n // 2
     else:
         key, n = G.family, G.n
-    rows = [r for r in load_catalog() if r.family_key == key and (r.param is None or r.param == n)]
+    rows = [r for r in load_catalog() if r.family == key and (r.param is None or r.param == n)]
     rows.sort(key=lambda r: r.param is None)
     return tuple(rows), n
 
@@ -571,14 +572,10 @@ def _oracle_r(G, p):
     if not in_theriault_range(G, p):
         raise CatalogError(f"({G}, p={p}) outside the loop-filtration range")
     rows, n = _oracle_rows(G)
-    if G.family in EXCEPTIONAL:
-        for row in rows:
-            if _oracle_holds(row.prime_cond, p, n):
-                return row.r_value(n, p)
-        raise CatalogError(f"no r value for ({G}, p={p})")
-    if not rows:  # the scan raised IndexError here
-        raise CatalogError(f"no catalog row for {G}")
-    return rows[0].r_value(n, p)
+    for row in rows:  # the first row that holds at p, for every family
+        if _oracle_holds(row.prime_cond, p, n):
+            return row.r_value(n, p)
+    raise CatalogError(f"no r value for ({G}, p={p})")
 
 
 def _exceptional_cells():
@@ -595,7 +592,7 @@ def _oracle_exceptional_cells():
         (family, [
             (row.prime_cond, row.cells)
             for row in load_catalog()
-            if row.family_key == family
+            if row.family == family
         ])
         for family in EXCEPTIONAL
     ]
@@ -669,12 +666,24 @@ def test_catalog_index_matches_a_linear_scan(tmp_path, monkeypatch):
     assert overridden == want
     assert overridden != packaged
     assert ord_partial1_tilde(SU(4)) == 30 and ord_partial1_tilde(SU(4), 5) == 35
-    # no Sp(3) row: a refusal naming the group, not an IndexError
-    assert _outcome(r_of, Sp(3), 5) == ("CatalogError", "no catalog row for Sp(3)")
+    # no Sp(3) row: a refusal naming the group and p, not an IndexError
+    assert _outcome(r_of, Sp(3), 5) == ("CatalogError", "no r value for (Sp(3), p=5)")
 
     monkeypatch.delenv("GAUGE_CATALOG")
     again, want = _index_answers()
     assert again == want == packaged
+
+
+def test_r_is_read_from_the_row_that_holds_at_p(tmp_path, monkeypatch):
+    # SU(4)'s first row holds only at 5; at 7, r is the * row's, which holds there
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("SU 4 p=5 60 2\nSU * su_range n(n^2-1) nu_p((n-1)!)\n", encoding="utf-8")
+    monkeypatch.setenv("GAUGE_CATALOG", str(catalog))
+    assert r_of(SU(4), 5) == 2
+    assert r_of(SU(4), 7) == legendre_valuation(3, 7) == 0
+    assert _outcome(r_of, SU(4), 7) == _outcome(_oracle_r, SU(4), 7)
+    # the theriault route reads the same row: r + nu_7(60) + max(r + l, nu_7(c)) = 3
+    assert exp_bound_theriault(ManifoldSpec(5, 2), SU(4), 7).exponent == 3
 
 
 def test_each_lookup_loads_the_catalog_once(monkeypatch):
@@ -763,7 +772,7 @@ def test_spin_2n_plus_1_and_sp_n_read_the_same_formulas():
     for n in range(2, 31):
         spin, sp = Spin(2 * n + 1), Sp(n)
         assert type_of(spin) == type_of(sp), n
-        spin_rows, sp_rows = (lie._lookup(G, None)[1] for G in (spin, sp))
+        spin_rows, sp_rows = (lie._rows(G)[0] for G in (spin, sp))
         assert spin_rows and [(r.prime_cond, r.ord_spec, r.cells) for r in spin_rows] == [
             (r.prime_cond, r.ord_spec, r.cells) for r in sp_rows
         ], n

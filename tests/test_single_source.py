@@ -14,9 +14,10 @@ class, and copy and pickle restore one as they restore every Value. Only
 spaces._LOOPS holds prebuilt G and Omega^j G atoms, which loops_g and
 group_itself return. A Lie group's 'family:param' token is written only by
 LieGroupSpec.token, the inverse of LieGroupSpec.parse. Which catalog row
-answers (G, p) is decided only by lie._lookup; which primes a row covers,
-only by CatalogRow._holds_at, from the tag the row read once at build, and
-only _lookup and the loader's lie._ord_clash ask it; and the loop-filtration
+answers (G, p) is decided only by lie._lookup; a prime tag's K is read only
+by CatalogRow.__init__, once, as the row is built; which primes a row
+covers, only by CatalogRow._holds_at, and only _lookup, the loader's
+lie._ord_clash and the CLI's exceptional table filter ask it; and the loop-filtration
 arms (A, B) only by lie._arms, which the theriault route evaluates and each
 exceptional catalog row checks its published arms against. The scans below
 fail if a later change re-derives any of these facts somewhere else.
@@ -216,8 +217,22 @@ def _calls(name: str):
     return match
 
 
-def test_only_the_lookup_and_the_ord_clash_ask_where_a_row_holds():
-    assert _sites(_calls("_holds_at")) == {("lie.py", "_lookup"), ("lie.py", "_ord_clash")}
+def test_only_the_lookup_the_ord_clash_and_the_table_filter_ask_where_a_row_holds():
+    assert _sites(_calls("_holds_at")) == {
+        ("lie.py", "_lookup"), ("lie.py", "_ord_clash"), ("cli.py", "_run_exponent"),
+    }
+
+
+def _tests_a_tag_prefix(node) -> bool:
+    # a call or comparison with 'p=' or 'p>=', the prefixes before a prime tag's K
+    operands = node.args if isinstance(node, ast.Call) else getattr(node, "comparators", ())
+    return any(isinstance(a, ast.Constant) and a.value in ("p=", "p>=") for a in operands)
+
+
+def test_a_prime_tag_is_parsed_only_as_its_row_is_built():
+    assert _sites(_tests_a_tag_prefix) == {("lie.py", "__init__")}
+    # the tag parser that the CLI once called a second time is folded into CatalogRow
+    assert not _sites(lambda node: "prime_cond_interval" in _names(node))
 
 
 def test_the_loop_filtration_arms_are_computed_once_for_both_readers():
@@ -233,6 +248,7 @@ ALLOWLIST = {
     "spaces.moore_map": "tests/test_acceptance.py builds its random expressions with it",
     "manifold.WedgeExpr.reduced_homology": "tests/test_manifold.py checks the splittings with it",
     "decomposition.gauge_away_from_c(k)": "bench/queries.py passes it by position",
+    "lie.CatalogRow.family_key": "bench/spans.py reads it, the family column's earlier name",
 }
 
 

@@ -17,7 +17,7 @@ from gauge5.abelian import FGAbelianGroup
 from gauge5.arith import PrimePower
 from gauge5.bott import StableQuery
 from gauge5.classification import ClassificationReport, GcdClass, classify_moore
-from gauge5.exponents import ExponentBound, ExponentTableRow, best_bound, exceptional_table
+from gauge5.exponents import ExponentBound, best_bound
 from gauge5.lie import CatalogRow, LieGroupSpec, load_catalog
 from gauge5.localization import Localization
 from gauge5.manifold import ManifoldSpec, WedgeAtom, WedgeExpr, moore, opaque, sphere
@@ -47,7 +47,7 @@ CASES = [
     (LieGroupSpec("E8"), "LieGroupSpec(family='E8', n=None)"),
     (
         load_catalog()[0],
-        "CatalogRow(family_key='SU', param=2, prime_cond='p>=3', ord_spec='3',"
+        "CatalogRow(family='SU', param=2, prime_cond='p>=3', ord_spec='3',"
         " cells=('nu_p((n-1)!)',))",
     ),
     (M, "ManifoldSpec(c=5, m=2, spin=True, stably_parallelizable=False, single_top_cell=False)"),
@@ -92,7 +92,7 @@ CASES = [
         "ClassificationReport(G=LieGroupSpec(family='SU', n=3), c=9, ord=24,"
         " order_validity='all', d=3, count_integral=2, count_at_p=((3, 2),),"
         " classes=((1, GcdClass(c=9, d=3, g=1)), (3, GcdClass(c=9, d=3, g=3))),"
-        " looped=None, order_source='upper_bound_from_S4')",
+        " looped=None)",
     ),
     (GcdClass(9, 3, 1), "GcdClass(c=9, d=3, g=1)"),
     (
@@ -105,7 +105,6 @@ CASES = [
         " alternatives=(ExponentBound(p=5, exponent=4, route='theriault',"
         " assumptions=('(SU(4), p = 5) in the loop-filtration range',), alternatives=()),))",
     ),
-    (exceptional_table()[0], "ExponentTableRow(family='G2', prime_cond='p=5', base=7, offset=1)"),
     (HilbertSeries((1, 0, 0, 0, 1)), "HilbertSeries('1 + t^4')"),
     (
         RationalGroupModel((5, 3), (4,)),
@@ -129,7 +128,7 @@ def test_every_value_class_is_covered():
     covered = {type(v) for v in VALUES}
     # the module's own doctest defines a subclass too
     assert covered == {c for c in Value.__subclasses__() if c.__module__ != "gauge5.value"}
-    assert len(covered) == 18
+    assert len(covered) == 17
 
 
 @pytest.mark.parametrize("value, expected", CASES, ids=IDS)
@@ -247,8 +246,8 @@ def test_space_atom_hash_is_the_field_tuple_hash():
 def test_value_classes_keep_their_own_methods():
     # a class that writes its own repr keeps it
     assert repr(HilbertSeries((1, 0, 2))) == "HilbertSeries('1 + 2t^2')"
-    assert ClassificationReport._fields[-1] == "order_source"
-    assert ExponentTableRow._fields == ("family", "prime_cond", "base", "offset")
+    assert ClassificationReport._fields[-1] == "looped"
+    assert CatalogRow._fields == ("family", "param", "prime_cond", "ord_spec", "cells")
 
 
 def test_values_are_built_in_one_step():
