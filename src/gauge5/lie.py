@@ -16,11 +16,13 @@ them and its group's one ord line, and checks them against _arms; these rows
 are the exceptional exponent table. The loader checks the raw columns, each
 ord line on its own line, repeats (tags naming the same primes) and the ord
 a specific row restates of its * row (_ord_clash), and names the file and
-line of any refusal. The rows are grouped by (family key, parameter),
-specific rows first, each group in file order. _lookup is the one
-resolution of (G, p) of every catalog reader but catalog_order: one index
-read (_rows) and one scan, which returns G's first row that holds at p and
-nothing else, so an ord or r is read only from a row that holds.
+line of any refusal. It groups the rows once, by (family key, parameter), as
+it reads them: the repeat check scans a row's group, and the index a lookup
+reads is those groups, each specific group followed by its family's * or -
+rows, each kind in file order. _lookup is the one resolution of (G, p) of
+every catalog reader but catalog_order: one index read (_rows) and one scan,
+which returns G's first row that holds at p and nothing else, so an ord or r
+is read only from a row that holds.
 """
 
 import math
@@ -347,14 +349,16 @@ def load_catalog(path: str | os.PathLike | None = None) -> tuple[CatalogRow, ...
     packaged default). Each path is parsed and indexed once."""
     key = _catalog_key(path)
     if key not in _catalog_cache:
-        rows = _parse_catalog(key)
-        _catalog_cache[key] = rows, _index_rows(rows)
+        _catalog_cache[key] = _parse_catalog(key)
     return _catalog_cache[key][0]
 
 
-def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
+def _parse_catalog(path: str) -> tuple[tuple[CatalogRow, ...], dict]:
+    """(the rows in file order, their index): (family key, param) -> the rows a lookup
+    reads, specific rows first, each kind in file order; (family key, None) holds the
+    * and - rows. Each row joins its group as it is read."""
     rows: list[CatalogRow] = []
-    seen: dict[tuple, int] = {}  # (family, param, the primes its tag names) -> line
+    groups: dict[tuple, list[tuple[int, CatalogRow]]] = {}  # (family, param) -> (line, row)
     earlier: dict[str, list[tuple[int, CatalogRow]]] = {}  # classical family -> (line, row) so far
     ords: dict[str, tuple[int, str]] = {}  # exceptional family -> (line, ord) of its ord line
     with open(path, encoding="utf-8") as fh:
@@ -393,9 +397,11 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
                         f"{fam} needs an integer parameter or *, got {param_s!r}"
                     ) from None
             row = CatalogRow(fam, param, primes, ord_s, cells)  # checks the tag and cells
-            first = seen.setdefault((fam, param, row.interval or primes), lineno)
-            if first != lineno:
-                raise CatalogError(f"repeats line {first} ({fam} {param_s} {primes})")
+            group = groups.setdefault((fam, param), [])
+            for first, other in group:  # a repeat: a tag naming the same primes
+                if (other.interval or other.prime_cond) == (row.interval or primes):
+                    raise CatalogError(f"repeats line {first} ({fam} {param_s} {primes})")
+            group.append((lineno, row))
             if fam not in _EXCEPTIONAL_TYPE:  # an exceptional row restates no ord
                 for other_line, other in earlier.setdefault(fam, []):
                     clash = _ord_clash(row, other, other_line)
@@ -405,7 +411,11 @@ def _parse_catalog(path: str) -> tuple[CatalogRow, ...]:
         except CatalogError as exc:
             raise CatalogError(f"{path}:{lineno}: {exc}") from None
         rows.append(row)
-    return tuple(rows)
+    index = {key: tuple(row for _, row in group) for key, group in groups.items()}
+    for fam, n in index:
+        if n is not None:
+            index[fam, n] += index.get((fam, None), ())
+    return tuple(rows), index
 
 
 def _ord_clash(row: CatalogRow, other: CatalogRow, other_line: int) -> str | None:
@@ -427,22 +437,6 @@ def _ord_clash(row: CatalogRow, other: CatalogRow, other_line: int) -> str | Non
         if row._holds_at(q, n) and other._holds_at(q, n):
             return f"{text(row)} differs at p = {q} from line {other_line}'s {text(other)}"
     return None
-
-
-def _index_rows(rows: tuple[CatalogRow, ...]) -> dict:
-    """(family key, param) -> the rows a lookup reads, specific rows first,
-    each kind in file order; (family key, None) holds the * and - rows."""
-    general: dict[str, list[CatalogRow]] = {}
-    specific: dict[tuple[str, int], list[CatalogRow]] = {}
-    for row in rows:
-        if row.param is None:
-            general.setdefault(row.family, []).append(row)
-        else:
-            specific.setdefault((row.family, row.param), []).append(row)
-    index: dict = {(fam, None): tuple(group) for fam, group in general.items()}
-    for (fam, n), group in specific.items():
-        index[fam, n] = tuple(group + general.get(fam, []))
-    return index
 
 
 def _entry() -> tuple[tuple[CatalogRow, ...], dict]:

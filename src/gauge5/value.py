@@ -10,11 +10,14 @@ Mobius terms); repr and `replace` read only fields. Only `FGAbelianGroup`
 keeps a second step, `__post_init__`, through which the benchmark counts
 group constructions. `Value` then supplies what a frozen dataclass would:
 a `Name(field=value, ...)` repr, equality with instances of the same class
-and a hash of the field tuple (unless the class writes its own, as
-`GcdClass` does to compare members), refusal of assignment and deletion,
-and `replace`. Only `operator` is imported, so importing the package pays
-neither for `dataclasses` (which pulls in `inspect`, `ast`, `dis` and
-`tokenize`) nor for generating methods per class.
+and a hash of the field tuple, refusal of assignment and deletion, and
+`replace`. These are plain `Value` methods; a subclass adds only its field
+names and one getter of its field tuple, at definition. Two classes write
+their own: `GcdClass` an equality and hash that compare members, and
+`SpaceAtom` a hash cached at build. Only `operator` is imported, so
+importing the package pays neither for `dataclasses` (which pulls in
+`inspect`, `ast`, `dis` and `tokenize`) nor for generating methods per
+class.
 
 >>> class Pair(Value):
 ...     a: int
@@ -39,25 +42,19 @@ class Value:
 
     def __init_subclass__(cls) -> None:
         cls._fields = fields = tuple(cls.__dict__.get("__annotations__", {}))
-        if len(fields) > 1:
-            get = attrgetter(*fields)
-        else:
+        # the field tuple; attrgetter returns a bare value for one name
+        cls._astuple = (
+            attrgetter(*fields) if len(fields) > 1
+            else staticmethod(lambda self: tuple(getattr(self, f) for f in fields))
+        )
 
-            def get(self) -> tuple:
-                return tuple(getattr(self, f) for f in fields)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
 
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return get(self) == get(other)
-            return NotImplemented
-
-        def __hash__(self) -> int:
-            return hash(get(self))
-
-        if "__eq__" not in cls.__dict__:
-            cls.__eq__ = __eq__
-        if cls.__dict__.get("__hash__") is None:
-            cls.__hash__ = __hash__
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

@@ -250,6 +250,17 @@ def test_a_built_row_answers_where_its_tag_holds(family, tag, p, n, holds):
     assert _row(family, tag)._holds_at(p, n) is holds
 
 
+# a * row before its family's specific rows, and the rows of SU(3) and SU(4) interleaved;
+# each restates the * rows' ords, so the loader keeps them all
+_INTERLEAVED = """SU  *  p>=7  n(n^2-1)  0
+SU  3  p=5  24  1
+SU  4  p=5  60  1
+SU  3  all  24  0
+SU  *  p=3  n(n^2-1)  0
+SU  4  p=3  60  2
+"""
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [
@@ -267,6 +278,9 @@ def test_a_built_row_answers_where_its_tag_holds(family, tag, p, n, holds):
         ("G2  ord  21\nG2  -  p=5  7  1\nG2  -  p=05  7  1", r":3: repeats line 2 \(G2 - p=05\)"),
         ("G2  ord  21\nG2  -  p>=11  5  0\nG2  -  p>=011  5  0",
          r":3: repeats line 2 \(G2 - p>=011\)"),
+        # a repeat names the first line of its group to name those primes, past a * row
+        # before it and rows of another parameter between
+        (_INTERLEAVED + "SU  3  p=+5  24  0", r":7: repeats line 2 \(SU 3 p=\+5\)"),
         # an ord line is checked where it is written, though no row of its group reads it
         ("E8  ord  0\nSU  3  all  24  0", ":1: E8 needs ord >= 1, got 0"),
         ("E8  ord  x\nSU  3  all  24  0", ":1: E8 needs an integer ord, got 'x'"),
@@ -672,6 +686,21 @@ def test_catalog_index_matches_a_linear_scan(tmp_path, monkeypatch):
     monkeypatch.delenv("GAUGE_CATALOG")
     again, want = _index_answers()
     assert again == want == packaged
+
+
+def test_the_index_lists_specific_rows_first_each_kind_in_file_order(tmp_path, monkeypatch):
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text(_INTERLEAVED, encoding="utf-8")
+    monkeypatch.setenv("GAUGE_CATALOG", str(catalog))
+    star_p7, su3_p5, su4_p5, su3_all, star_p3, su4_p3 = load_catalog()
+    assert lie._rows(SU(3)) == ((su3_p5, su3_all, star_p7, star_p3), 3)
+    assert lie._rows(SU(4)) == ((su4_p5, su4_p3, star_p7, star_p3), 4)
+    assert lie._rows(SU(5)) == ((star_p7, star_p3), 5)  # no specific rows: the * rows alone
+    for G in (SU(3), SU(4), SU(5)):
+        assert lie._rows(G) == _oracle_rows(G)
+    # a specific row answers ahead of a * row written before it that holds at the same p
+    assert lie._lookup(SU(4), 3) == (su4_p3, 4) and lie._lookup(SU(4), 7) == (star_p7, 4)
+    assert r_of(SU(3), 5) == 1
 
 
 def test_r_is_read_from_the_row_that_holds_at_p(tmp_path, monkeypatch):

@@ -243,6 +243,17 @@ def test_space_atom_hash_is_the_field_tuple_hash():
         assert hash(atom) == hash((atom.kind, atom.j, atom.k, atom.n))
 
 
+def test_equality_and_hash_are_the_base_class_methods():
+    # no class carries a generated pair: only members and a cached hash are written out
+    own = {
+        (cls.__name__, name)
+        for cls in Value.__subclasses__()
+        for name in ("__eq__", "__hash__")
+        if name in vars(cls)
+    }
+    assert own == {("GcdClass", "__eq__"), ("GcdClass", "__hash__"), ("SpaceAtom", "__hash__")}
+
+
 def test_value_classes_keep_their_own_methods():
     # a class that writes its own repr keeps it
     assert repr(HilbertSeries((1, 0, 2))) == "HilbertSeries('1 + 2t^2')"
