@@ -17,7 +17,9 @@ from collections.abc import Sequence
 
 from . import records
 from .arith import factorize, gcd_class, nu_p, prime_divisors
-from .lie import EXCEPTIONAL, LieGroupSpec, _family_key, _require_odd_prime, catalog_order
+from .lie import (
+    EXCEPTIONAL, LieGroupSpec, _family_key, _l_at, _require_odd_prime, _within, catalog_order,
+)
 from .localization import Localization
 from .manifold import (
     ManifoldSpec,
@@ -289,10 +291,12 @@ def trivial_case(G: LieGroupSpec, p: int, c: int) -> bool:
     """Does the one-type criterion hold for (G, p, c)?
 
     The connecting-map order ord comes from the catalog. Matrix groups need
-    G in the criterion's range at p and read the valuation condition
+    l(G) <= (p-1)^2 (lie's trivial_range) and read the valuation condition
     nu_p(gcd(ord, c)) = 1 literally (not <= 1); exceptional groups need p
     at least the criterion's threshold and c not divisible by the radical
-    of ord.
+    of ord. Two differences from the catalog's range tags are not yet
+    checked against the paper: Sp(1) is out, and Spin(2n) reads l = 2n - 1,
+    out at 2n = (p-1)^2 + 2 (Spin(18) at p = 5), where p divides no packaged ord.
 
     >>> trivial_case(LieGroupSpec("G2"), 5, 5)
     True
@@ -306,15 +310,10 @@ def trivial_case(G: LieGroupSpec, p: int, c: int) -> bool:
     ord_value, _ = catalog_order(G)
     if G.family in EXCEPTIONAL:
         return p >= _TRIVIAL_P_MIN[G.family] and c % math.prod(prime_divisors(ord_value)) != 0
-    bound = (p - 1) ** 2 + 1
     key, n = _family_key(G)
-    if key == "SU":
-        in_range = n <= bound
-    elif key == "SpinEven":
-        in_range = p >= 5 and 6 <= 2 * n <= bound
-    else:  # Sp(n) and Spin(2n+1)
-        in_range = 4 <= 2 * n <= bound
-    return in_range and nu_p(math.gcd(ord_value, c), p) == 1
+    # the two differences above: Sp(1), the one n = 1, is out; Spin(2n) reads Spin(2n+1)'s l
+    l = _l_at("SpinOdd" if key == "SpinEven" else key, n) if n > 1 else math.inf
+    return _within("trivial_range", l, p) and nu_p(math.gcd(ord_value, c), p) == 1
 
 
 # -- the arithmetic-progression minimum ---------------------------------------

@@ -23,7 +23,7 @@ arms (A, B) the loader checked against lie._arms as it built each row.
 from .arith import nu_p
 from .errors import HypothesisError
 from .lie import (
-    EXCEPTIONAL, CatalogRow, LieGroupSpec, _arms, _entry, _family_key, _lookup, _ord_at, _r_at,
+    EXCEPTIONAL, CatalogRow, LieGroupSpec, _arms, _entry, _lookup, _ord_at, _r_at,
     _require_odd_prime, in_theriault_range, is_p_regular, l_of,
 )
 from .manifold import ManifoldSpec, require_not_divisible_by_6
@@ -137,14 +137,9 @@ def exp_bound_closed_form(G: LieGroupSpec, p: int, c: int) -> ExponentBound:
     if G.family in EXCEPTIONAL:
         raise HypothesisError(f"no closed form for {G.family}; use the exceptional table route")
     _require_odd_prime(p)
-    nu_c = nu_p(c, p)
-    key, n = _family_key(G)
-    if key == "SU":
-        exponent = max(n + 2 * p - 5, nu_c + p - 1)
-    elif key == "SpinEven":
-        exponent = max(2 * n + 2 * p - 8, nu_c + p - 2)
-    else:  # Sp(n) and Spin(2n+1)
-        exponent = max(2 * n + 2 * p - 6, nu_c + p - 2)
+    # SU(n)'s max(n + 2p - 5, nu_p(c) + p - 1), Spin(2n)'s max(2n + 2p - 8, nu_p(c) + p - 2)
+    # and Sp(n)'s and Spin(2n+1)'s max(2n + 2p - 6, nu_p(c) + p - 2), read through l(G)
+    exponent = max(l_of(G) + 2 * p - 5, nu_p(c, p) + p - 2) + (G.family == "SU")
     return ExponentBound(p, exponent, "closed_form", (f"{G.family} closed form",))
 
 

@@ -1,10 +1,15 @@
 """Catalog of simply connected compact simple Lie groups.
 
 Static data and derived predicates: the rational type (exponents of the
-sphere product), l(G) and rank, p-regularity, the Theriault range, the
-order of the degree-4 connecting map (drives bundle classification over
-Moore spaces) and the loop-power offset r(G, p) of the exponent bounds.
-pi_4(G) lives in manifold, and the stable SU and Spin groups in bott.
+sphere product), l(G) and rank, the ranges, the order of the degree-4
+connecting map (drives bundle classification over Moore spaces) and the
+loop-power offset r(G, p) of the exponent bounds. pi_4(G) lives in
+manifold, and the stable SU and Spin groups in bott.
+
+Each range is one inequality at an odd prime p, stated once in _RANGES:
+p >= its least prime and l(G) <= p - 1 (p_regular), (p-1)(p-2) (theriault)
+or (p-1)^2 (the catalog's range tags, from p = 5 for spin_even_range, and
+trivial_range).
 
 Numeric rows live in data/catalog.txt (override with the GAUGE_CATALOG
 environment variable); this module parses and interprets them. Each catalog
@@ -157,11 +162,28 @@ def rational_degrees(G: LieGroupSpec) -> tuple[int, ...]:
     return tuple(2 * n + 1 for n in type_of(G))
 
 
-# -- regularity --------------------------------------------------------------
+# -- ranges ------------------------------------------------------------------
+
+# name -> (least, bound): p >= least and l(G) <= bound(p); trivial_range is trivial_case's
+_RANGES = {
+    "p_regular": (3, lambda p: p - 1),
+    "theriault": (3, lambda p: (p - 1) * (p - 2)),
+    "su_range": (3, lambda p: (p - 1) ** 2),
+    "symp_range": (3, lambda p: (p - 1) ** 2),
+    "spin_even_range": (5, lambda p: (p - 1) ** 2),
+    "trivial_range": (3, lambda p: (p - 1) ** 2),
+}
+_TAGS = ("su_range", "symp_range", "spin_even_range")  # the ranges a catalog row may name
+
+
+def _within(name: str, l: int, p: int) -> bool:
+    """Is l = l(G) in the range `name` at p (_RANGES)?"""
+    least, bound = _RANGES[name]
+    return p >= least and l <= bound(p)
 
 
 def is_p_regular(G: LieGroupSpec, p: int) -> bool:
-    """p-regularity: p >= l(G) + 1 and no p-torsion in H*(G; Z).
+    """p-regularity: l(G) <= p - 1 and no p-torsion in H*(G; Z).
 
     Only the first condition is tested, because it implies the second:
     every torsion prime of H*(G; Z) is at most l(G). The torsion primes are
@@ -174,27 +196,20 @@ def is_p_regular(G: LieGroupSpec, p: int) -> bool:
     False
     """
     _require_odd_prime(p)
-    return p >= l_of(G) + 1
+    return _within("p_regular", l_of(G), p)
 
 
 def in_theriault_range(G: LieGroupSpec, p: int) -> bool:
-    """Range of validity of the looped-sphere filtration bound.
+    """Range of validity of the looped-sphere filtration bound: l(G) <= (p-1)(p-2),
+    which is p >= 5 for G2, F4 and E6 and p >= 7 for E7 and E8.
 
-    >>> in_theriault_range(LieGroupSpec("SU", 7), 5)
+    >>> in_theriault_range(LieGroupSpec("SU", 13), 5)
     True
     >>> in_theriault_range(LieGroupSpec("SU", 14), 5)
     False
     """
     _require_odd_prime(p)
-    key, n = _family_key(G)
-    bound = (p - 1) * (p - 2)
-    if key == "SU":
-        return n - 1 <= bound
-    if key == "SpinEven":
-        return 2 * (n - 1) <= bound
-    if key in EXCEPTIONAL:
-        return p >= (7 if key in ("E7", "E8") else 5)
-    return 2 * n <= bound  # Sp(n) and Spin(2n+1)
+    return _within("theriault", l_of(G), p)
 
 
 def _require_odd_prime(p: int) -> None:
@@ -219,11 +234,6 @@ _R_FORMULAS = {
     "nu_p((n-1)!)": lambda n, p: legendre_valuation(n - 1, p),
     "nu_p((2n-1)!)": lambda n, p: legendre_valuation(2 * n - 1, p),
     "nu_p((2n-3)!)": lambda n, p: legendre_valuation(2 * n - 3, p),
-}
-_RANGE_TAGS = {
-    "su_range": lambda n, p: p >= 3 and n <= (p - 1) ** 2 + 1,
-    "symp_range": lambda n, p: p >= 3 and 2 * n <= (p - 1) ** 2 + 1,
-    "spin_even_range": lambda n, p: p >= 5 and 2 * (n - 1) <= (p - 1) ** 2 + 1,
 }
 _FAMILY_KEYS = frozenset(("SU", "Sp", "SpinOdd", "SpinEven", "G2", "F4", "E6", "E7", "E8"))
 
@@ -253,7 +263,7 @@ class CatalogRow(Value):
         self, family: str, param: int | None, prime_cond: str, ord_spec: str, cells: tuple
     ) -> None:
         interval = None  # the (least, greatest) prime of a p=K / p>=K tag; the others read n
-        if prime_cond != "all" and prime_cond not in _RANGE_TAGS:
+        if prime_cond != "all" and prime_cond not in _TAGS:
             open_ended = prime_cond.startswith("p>=")
             k = prime_cond[3:] if open_ended else prime_cond[2:] if prime_cond[:2] == "p=" else ""
             try:
@@ -309,13 +319,13 @@ class CatalogRow(Value):
 
     def _holds_at(self, p: int | None, n: int | None) -> bool:
         """Does this row hold at the prime p, for the family parameter n (read by the range
-        tags only)? p = None asks whether it holds at every prime. The tag was read once, at
-        build; this is the one answer to it."""
+        tags only, as l(G) of the row's family)? p = None asks whether it holds at every
+        prime. The tag was read once, at build; this is the one answer to it."""
         if p is None:
             return self.prime_cond == "all"
         if self.interval is not None:
             return self.interval[0] <= p <= self.interval[1]
-        return self.prime_cond == "all" or _RANGE_TAGS[self.prime_cond](n, p)
+        return self.prime_cond == "all" or _within(self.prime_cond, _l_at(self.family, n), p)
 
     def ord_value(self, n: int | None) -> int:
         if self.ord_int is None:

@@ -1,5 +1,6 @@
 """Lie group catalog: types, connecting-map orders, exponent offsets."""
 
+import bisect
 import re
 from pathlib import Path
 
@@ -27,7 +28,8 @@ from gauge5.arith import is_prime
 from gauge5.classification import trivial_case
 from gauge5.errors import HypothesisError
 from gauge5.exponents import (
-    best_bound, exceptional_table, exp_bound_closed_form, exp_bound_theriault,
+    best_bound, exceptional_table, exp_bound_closed_form, exp_bound_regular,
+    exp_bound_theriault,
 )
 from gauge5.lie import (
     EXCEPTIONAL,
@@ -233,15 +235,17 @@ HOLDS_AT = [
     ("G2", "p>=11", 7, None, False),
     ("SU", "p=05", 5, 4, True),  # K is read as an integer, however it is spelt
     ("SU", "p=+5", 7, 4, False),
-    ("SU", "su_range", 5, 17, True),  # n <= (p-1)^2 + 1 = 17
+    ("SU", "su_range", 5, 17, True),  # l = n - 1 <= (p-1)^2 = 16
     ("SU", "su_range", 5, 18, False),
-    ("Sp", "symp_range", 5, 8, True),  # 2n <= 17
+    ("Sp", "symp_range", 5, 8, True),  # l = 2n - 1 <= 16
     ("Sp", "symp_range", 5, 9, False),
-    ("Sp", "symp_range", 3, 2, True),  # 2n <= 5
+    ("Sp", "symp_range", 3, 2, True),  # l = 2n - 1 <= 4
     ("Sp", "symp_range", 3, 3, False),
-    ("SpinEven", "spin_even_range", 5, 9, True),  # 2(n-1) <= 17
+    ("SpinEven", "spin_even_range", 5, 9, True),  # l = 2n - 3 <= 16
     ("SpinEven", "spin_even_range", 5, 10, False),
     ("SpinEven", "spin_even_range", 3, 2, False),  # p >= 5
+    ("Sp", "su_range", 3, 2, True),  # a tag reads its row's family: l(Sp(2)) = 3 <= 4
+    ("Sp", "su_range", 3, 3, False),  # l(Sp(3)) = 5, though SU(3) is inside
 ]
 
 
@@ -537,15 +541,16 @@ def test_a_built_row_breaking_two_rules_is_refused_for_the_earlier(fields, messa
 # -- the (family, param) index against a linear scan -------------------------------
 
 
-def _oracle_holds(tag, p, n):
-    """The catalog header's reading of a prime tag, apart from the reader under test."""
+def _oracle_holds(tag, family, p, n):
+    """The catalog header's reading of a prime tag on a row of `family`, apart from the
+    reader under test: a range tag bounds the width of the row's family, not the tag's."""
     if tag == "all":
         return True
     if tag.startswith("p>="):
         return p >= int(tag[3:])
     if tag.startswith("p="):
         return p == int(tag[2:])
-    width = {"su_range": n, "symp_range": 2 * n, "spin_even_range": 2 * (n - 1)}[tag]
+    width = {"SU": n, "Sp": 2 * n, "SpinOdd": 2 * n, "SpinEven": 2 * (n - 1)}[family]
     return p >= (5 if tag == "spin_even_range" else 3) and width <= (p - 1) ** 2 + 1
 
 
@@ -570,7 +575,7 @@ def _oracle_ord(G, p=None):
     if not is_prime(p):
         raise ValueError(f"expected a prime or None, got {p}")
     for row in rows:
-        if _oracle_holds(row.prime_cond, p, n):
+        if _oracle_holds(row.prime_cond, row.family, p, n):
             return row.ord_value(n)
     raise CatalogError(f"order unknown for ({G}, p={p})")
 
@@ -587,7 +592,7 @@ def _oracle_r(G, p):
         raise CatalogError(f"({G}, p={p}) outside the loop-filtration range")
     rows, n = _oracle_rows(G)
     for row in rows:  # the first row that holds at p, for every family
-        if _oracle_holds(row.prime_cond, p, n):
+        if _oracle_holds(row.prime_cond, row.family, p, n):
             return row.r_value(n, p)
     raise CatalogError(f"no r value for ({G}, p={p})")
 
@@ -680,6 +685,10 @@ def test_catalog_index_matches_a_linear_scan(tmp_path, monkeypatch):
     assert overridden == want
     assert overridden != packaged
     assert ord_partial1_tilde(SU(4)) == 30 and ord_partial1_tilde(SU(4), 5) == 35
+    # su_range on a SpinOdd row bounds l(Spin(2n+1)) = 2n - 1, so Spin(7) is out at p = 3
+    assert _outcome(ord_partial1_tilde, Spin(7), 3) == (
+        "CatalogError", "order unknown for (Spin(7), p=3)"
+    )
     # no Sp(3) row: a refusal naming the group and p, not an IndexError
     assert _outcome(r_of, Sp(3), 5) == ("CatalogError", "no r value for (Sp(3), p=5)")
 
@@ -745,6 +754,89 @@ def test_theriault_range_boundaries():
     assert in_theriault_range(SU(14), 7)
     with pytest.raises(Exception):
         r_of(SU(14), 5)
+
+
+# -- every range at both edges ----------------------------------------------------------
+
+# family key -> (the group of parameter n, least n, the family's catalog tag)
+_EDGE_FAMILIES = {
+    "SU": (SU, 2, "su_range"),
+    "Sp": (Sp, 1, "symp_range"),
+    "SpinOdd": (lambda n: Spin(2 * n + 1), 2, "symp_range"),
+    "SpinEven": (lambda n: Spin(2 * n), 3, "spin_even_range"),
+}
+
+
+def _oracle_ranges(key, n, p):
+    """(p-regular, in the theriault range, in the family's catalog tag, in the one-type
+    criterion's range) for the group of `key` and n at p, written out per family apart from
+    lie's range table: the family branches the table replaced, and _oracle_holds."""
+    group, _, tag = _EDGE_FAMILIES[key]
+    G = group(n)
+    theriault = (p - 1) * (p - 2)
+    width = {"SU": n - 1, "SpinEven": 2 * (n - 1)}.get(key, 2 * n)
+    trivial = (p - 1) ** 2 + 1
+    one_type = n <= trivial if key == "SU" else (6 if key == "SpinEven" else 4) <= 2 * n <= trivial
+    return (
+        p > max(type_of(G)),
+        width <= theriault,
+        _oracle_holds(tag, key, p, n),
+        one_type and (key != "SpinEven" or p >= 5),
+    )
+
+
+def _edge_parameters(key, p):
+    """The family's least n (Sp(1) is out of the one-type range), and each n on either side
+    of each range's upper edge at p: the largest n inside and the least outside."""
+    least = _EDGE_FAMILIES[key][1]
+    found, span = {least}, range(least + 1, 4 * p * p)  # above least, each range is n <= bound
+    for i in range(4):
+        first_out = span[0] + bisect.bisect_left(
+            span, True, key=lambda n: not _oracle_ranges(key, n, p)[i]
+        )
+        found.update((first_out - 1, first_out))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("key", _EDGE_FAMILIES)
+def test_each_range_answers_inside_its_edge_and_refuses_outside(key):
+    divides_inside = 0
+    for p in (q for q in range(3, 60) if is_prime(q)):
+        M = ManifoldSpec(p, 2)
+        for n in _edge_parameters(key, p):
+            G, where = _EDGE_FAMILIES[key][0](n), (key, n, p)
+            regular, theriault, tagged, one_type = _oracle_ranges(key, n, p)
+            rows = _oracle_rows(G)[0]
+            has_row = tagged or any(
+                r.param is not None and _oracle_holds(r.prime_cond, key, p, n) for r in rows
+            )
+            assert has_row or not theriault, where  # r has a row wherever the range holds
+            assert is_p_regular(G, p) is regular, where
+            assert in_theriault_range(G, p) is theriault, where
+            assert _outcome(ord_partial1_tilde, G, p)[0] == (
+                "ok" if has_row else "CatalogError"
+            ), where
+            assert _outcome(r_of, G, p)[0] == ("ok" if theriault else "CatalogError"), where
+            routes = {}  # route -> exponent, for each route that answers
+            for route, applies, bound in (
+                ("regular", regular, exp_bound_regular),
+                ("theriault", theriault, exp_bound_theriault),
+            ):
+                kind, answer = _outcome(bound, M, G, p)
+                assert kind == ("ok" if applies else "HypothesisError"), (where, route)
+                if applies:
+                    routes[route] = answer.exponent
+            kind, best = _outcome(best_bound, M, G, p)
+            if not routes:
+                assert kind == "HypothesisError", where
+            else:  # the least exponent, regular on a tie, and the other route kept
+                picked = min(routes, key=lambda route: (routes[route], route))
+                assert (best.route, best.exponent) == (picked, routes[picked]), where
+                assert [a.route for a in best.alternatives] == sorted(set(routes) - {picked}), where
+            divides = catalog_order(G)[0] % p == 0
+            assert trivial_case(G, p, p) is (one_type and divides), where
+            divides_inside += one_type and divides
+    assert divides_inside  # trivial_case's edge is asked where p | ord
 
 
 def test_p_regularity_boundary_is_l_plus_one():

@@ -19,7 +19,11 @@ by CatalogRow.__init__, once, as the row is built; which primes a row
 covers, only by CatalogRow._holds_at, and only _lookup, the loader's
 lie._ord_clash and the CLI's exceptional table filter ask it; and the loop-filtration
 arms (A, B) only by lie._arms, which the theriault route evaluates and each
-exceptional catalog row checks its published arms against. The scans below
+exceptional catalog row checks its published arms against. Each range, an
+inequality on l(G) with a polynomial in p for its bound, is stated only in
+lie._RANGES, and l(G) is compared with p only by lie._within, which
+is_p_regular, in_theriault_range, a row's range tag and trivial_case read;
+arith.legendre_valuation's p - 1 is not a range. The scans below
 fail if a later change re-derives any of these facts somewhere else.
 
 The last scans keep the library free of code nothing reaches: every def in
@@ -237,6 +241,37 @@ def test_a_prime_tag_is_parsed_only_as_its_row_is_built():
 
 def test_the_loop_filtration_arms_are_computed_once_for_both_readers():
     assert _sites(_calls("_arms")) == {("exponents.py", "_routes"), ("lie.py", "__init__")}
+
+
+def _subtracts_from_p(node) -> bool:
+    # p - 1, p - 2: the factors of a range's bound, a polynomial in p
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and ast.unparse(node.left) == "p"
+        and isinstance(node.right, ast.Constant)
+    )
+
+
+def _compares_l_with_p(node) -> bool:
+    # l <= bound(p), p >= l_of(G) + 1, ...: a comparison reading both l(G) and p
+    if not isinstance(node, ast.Compare):
+        return False
+    names = _names(node)
+    return "p" in names and bool({"l", "l_of", "_l_at"} & set(names))
+
+
+def test_each_range_is_stated_only_in_the_range_table():
+    # arith.legendre_valuation's (m - s) // (p - 1) is Legendre's identity, not a range
+    assert _sites(_subtracts_from_p) == {("lie.py", None), ("arith.py", "legendre_valuation")}
+    tree = library_trees()["lie.py"]
+    (table,) = (
+        node for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_RANGES"
+    )
+    count = lambda node: sum(map(_subtracts_from_p, ast.walk(node)))
+    assert count(table) == count(tree)  # in lie, only the range table's entries
+    assert _sites(_compares_l_with_p) == {("lie.py", "_within")}
 
 
 # qualified def, or function(parameter), that no library code reaches -> why it stays

@@ -7,7 +7,7 @@ interpreters: one imports OTHER_ROOT/src and the other this checkout's src.
 The list holds every `$ gauge5` line of README.md and tests/cli_golden.txt,
 `--help` for the top level and each verb, and each query of the
 `cli_launch` benchmark stream (`bench/workloads.py::cli_block`, seeds 1-5,
-30 blocks each) in both output formats, and seven sweeps, each in both
+30 blocks each) in both output formats, and eight sweeps, each in both
 formats:
 - `exponent`: every `--route` over a fixed grid of groups, p and c (p = 2
   and non-primes, and c with 6 | c, included);
@@ -27,7 +27,12 @@ formats:
 - `rational`: every `--op` (and `--q` for `rank`), based and not, over Lie
   groups and models with and without polynomial generators, from M and from
   a Hilbert series;
-- `moore --suspension` 2, 3 and 4 over a grid of c, m and manifold flags.
+- `moore --suspension` 2, 3 and 4 over a grid of c, m and manifold flags;
+- `edges`: for each classical family and each prime p < 60, the groups on
+  both sides of each range of `gauge5.lie._RANGES` (l(G) <= bound(p)): the
+  family's least group, the two largest n inside and the least outside,
+  through `exponent` (every `--route`) and `classify --moore` (alone, with
+  `--trivial --p p` and with `--same-type 1 2`), with c = p.
 
 For each argv the exit code, stdout and stderr must agree; an exception
 that escapes `main` is recorded in place of the exit code. Prints every
@@ -45,6 +50,7 @@ Standard library only, and outside the test suite. It imports bench/ to
 draw the benchmark queries and writes nothing there.
 """
 
+import bisect
 import contextlib
 import dataclasses
 import io
@@ -110,6 +116,33 @@ RATIONAL_OPS = (
 )
 MOORE_C = (2, 3, 4, 5, 9, 15, 25, 75)
 MOORE_FLAGS = ([], ["--non-spin"], ["--sp"], ["--stc"], ["--sp", "--stc"])
+# family key -> (its least parameter, the group token of parameter n)
+EDGE_FAMILIES = {
+    "SU": (2, "SU:{}".format),
+    "Sp": (1, "Sp:{}".format),
+    "SpinOdd": (2, lambda n: f"Spin:{2 * n + 1}"),
+    "SpinEven": (3, lambda n: f"Spin:{2 * n}"),
+}
+EDGE_PRIMES = tuple(p for p in range(2, 60) if all(p % q for q in range(2, p)))
+
+
+def _edge_groups() -> list[tuple[str, int]]:
+    """(group token, p) on both sides of each range's edge, per family and prime (the
+    `edges` sweep), read from this checkout's range table. The second largest n inside
+    reaches trivial_case's Spin(2n) edge, one step inside the table's bound."""
+    from gauge5.lie import _RANGES, _l_at
+
+    tokens = []
+    for key, (least, token) in EDGE_FAMILIES.items():
+        span = range(least, 4 * 60 * 60)  # l(G) grows with n; every bound at p < 60 is below
+        for p in EDGE_PRIMES:
+            found = {least}
+            for _, bound in _RANGES.values():
+                inside = bisect.bisect_right(span, bound(p), key=lambda n: _l_at(key, n))
+                last_in = least + inside - 1
+                found.update(n for n in (last_in - 1, last_in, last_in + 1) if n >= least)
+            tokens += [(token(n), p) for n in sorted(found)]
+    return tokens
 
 
 def _argv_list() -> list[list[str]]:
@@ -170,6 +203,13 @@ def _argv_list() -> list[list[str]]:
     ):
         argvs.append(["moore", "--c", str(c), "--m", str(m), *flags, "--suspension", t,
                       "--format", fmt])
+    for (group, p), fmt in itertools.product(_edge_groups(), ("text", "machine")):
+        for route in EXPONENT_ROUTES:
+            argvs.append(["exponent", "--group", group, "--p", str(p), "--c", str(p), "--m", "2",
+                          "--route", route, "--format", fmt])
+        for question in ([], ["--trivial", "--p", str(p)], ["--same-type", "1", "2"]):
+            argvs.append(["classify", "--group", group, "--c", str(p), "--moore", *question,
+                          "--format", fmt])
     unique = dict.fromkeys(tuple(argv) for argv in argvs)  # first occurrence, in order
     return [list(argv) for argv in unique]
 
