@@ -33,6 +33,8 @@ from .value import Value
 
 
 class ClassificationReport(Value):
+    """Upper-bound type counts, built in one step from (G, c) and the loop degree."""
+
     G: LieGroupSpec
     c: int
     ord: int  # catalog order of the degree-4 connecting map
@@ -43,22 +45,14 @@ class ClassificationReport(Value):
     classes: tuple[tuple[int, "GcdClass"], ...]  # (gcd value, members)
     looped: int | None  # loop degree when the count is for Omega^i over M
 
-    def __init__(
-        self,
-        G: LieGroupSpec,
-        c: int,
-        ord: int,
-        order_validity: str,
-        d: int,
-        count_integral: int,
-        count_at_p: tuple[tuple[int, int], ...],
-        classes: tuple[tuple[int, "GcdClass"], ...],
-        looped: int | None = None,
-    ) -> None:
+    def __init__(self, G: LieGroupSpec, c: int, looped: int | None = None) -> None:
+        require_moore_order(c)
+        ord_value, validity, d = _order(G, c)
+        factors = factorize(d)  # once, for the counts and every class
+        classes = _gcd_classes(c, d, factors)
         self.__dict__.update(
-            G=G, c=c, ord=ord, order_validity=order_validity, d=d,
-            count_integral=count_integral, count_at_p=count_at_p, classes=classes,
-            looped=looped,
+            G=G, c=c, ord=ord_value, order_validity=validity, d=d, count_integral=len(classes),
+            count_at_p=tuple((f.p, f.e + 1) for f in factors), classes=classes, looped=looped,
         )
 
     def is_single_type(self) -> bool:
@@ -211,6 +205,12 @@ def _gcd_classes(c: int, d: int, factors) -> tuple[tuple[int, GcdClass], ...]:
     return tuple((g, GcdClass(c, d, g, _primes=primes)) for g, primes in divs)
 
 
+def _order(G: LieGroupSpec, c: int) -> tuple[int, str, int]:
+    """G's catalog order, its validity tag and d = gcd(ord, c): the one read of G's order."""
+    ord_value, validity = catalog_order(G)
+    return ord_value, validity, math.gcd(ord_value, c)
+
+
 def same_type_moore(k: int, l: int, G: LieGroupSpec, c: int) -> bool:
     """Sufficient condition for the k-th and l-th gauge groups over the
     4-dimensional mod-c Moore space to be p-locally equivalent at every p.
@@ -222,8 +222,7 @@ def same_type_moore(k: int, l: int, G: LieGroupSpec, c: int) -> bool:
     False
     """
     require_moore_order(c)
-    ord_value, _ = catalog_order(G)
-    d = math.gcd(ord_value, c)
+    d = _order(G, c)[2]
     return gcd_class(k, d) == gcd_class(l, d)
 
 
@@ -236,28 +235,7 @@ def classify_moore(G: LieGroupSpec, c: int) -> ClassificationReport:
     >>> classify_moore(LieGroupSpec("G2"), 21).count_integral
     4
     """
-    return _classify(G, c)
-
-
-def _classify(G: LieGroupSpec, c: int, looped: int | None = None) -> ClassificationReport:
-    """classify_moore's report, for Omega^looped over M when looped is set;
-    d is factored once for the counts and every class."""
-    require_moore_order(c)
-    ord_value, validity = catalog_order(G)
-    d = math.gcd(ord_value, c)
-    factors = factorize(d)
-    classes = _gcd_classes(c, d, factors)
-    return ClassificationReport(
-        G=G,
-        c=c,
-        ord=ord_value,
-        order_validity=validity,
-        d=d,
-        count_integral=len(classes),
-        count_at_p=tuple((f.p, f.e + 1) for f in factors),
-        classes=classes,
-        looped=looped,
-    )
+    return ClassificationReport(G, c)
 
 
 def classify_looped_manifold(
@@ -280,7 +258,7 @@ def classify_looped_manifold(
     else:
         raise ValueError(f"loop degree must be 2 or 3, got {i}")
     require_pi4_trivial(G, ctx or Localization.integral())
-    return _classify(G, M.c, looped=i)
+    return ClassificationReport(G, M.c, looped=i)
 
 
 # least prime of the one-type criterion for each exceptional group
@@ -307,13 +285,13 @@ def trivial_case(G: LieGroupSpec, p: int, c: int) -> bool:
     """
     require_moore_order(c)
     _require_odd_prime(p)
-    ord_value, _ = catalog_order(G)
+    ord_value, _, d = _order(G, c)
     if G.family in EXCEPTIONAL:
         return p >= _TRIVIAL_P_MIN[G.family] and c % math.prod(prime_divisors(ord_value)) != 0
     key, n = _family_key(G)
     # the two differences above: Sp(1), the one n = 1, is out; Spin(2n) reads Spin(2n+1)'s l
     l = _l_at("SpinOdd" if key == "SpinEven" else key, n) if n > 1 else math.inf
-    return _within("trivial_range", l, p) and nu_p(math.gcd(ord_value, c), p) == 1
+    return _within("trivial_range", l, p) and nu_p(d, p) == 1
 
 
 # -- the arithmetic-progression minimum ---------------------------------------

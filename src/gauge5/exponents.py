@@ -24,7 +24,7 @@ from .arith import nu_p
 from .errors import HypothesisError
 from .lie import (
     EXCEPTIONAL, CatalogRow, LieGroupSpec, _arms, _entry, _lookup, _ord_at, _r_at,
-    _require_odd_prime, in_theriault_range, is_p_regular, l_of,
+    _require_odd_prime, _within, l_of,
 )
 from .manifold import ManifoldSpec, require_not_divisible_by_6
 from .value import Value
@@ -62,9 +62,9 @@ def _routes(M: ManifoldSpec, G: LieGroupSpec, p: int, regular: bool, theriault: 
     l(G), nu_p(c), nu_p(ord) read once; if no asked route applies, one
     HypothesisError joins their refusals."""
     require_not_divisible_by_6(M.c)
-    is_regular = is_p_regular(G, p)  # the one check that p is an odd prime
-    in_range = in_theriault_range(G, p)
-    refusals = []
+    _require_odd_prime(p)
+    l = l_of(G)
+    is_regular, in_range, refusals = _within("p_regular", l, p), _within("theriault", l, p), []
     if regular and not is_regular:
         refusals.append(f"{G} is not p-regular at p = {p}; try the theriault route")
     if theriault and not in_range:
@@ -72,7 +72,7 @@ def _routes(M: ManifoldSpec, G: LieGroupSpec, p: int, regular: bool, theriault: 
     if len(refusals) == regular + theriault:
         raise HypothesisError("; ".join(refusals))
     row, n = _lookup(G, p)  # one scan: the row whose ord and r cells both routes read
-    l, nu_c, nu_ord, found = l_of(G), nu_p(M.c, p), None, []
+    nu_c, nu_ord, found = nu_p(M.c, p), None, []
     if regular and is_regular:  # its ord lookup refuses before the r lookup below
         nu_ord = nu_p(_ord_at(G, row, n, p), p)
         exponent, assumptions = nu_ord + max(l, nu_c), (f"{G} p-regular at {p}",)

@@ -1,23 +1,24 @@
 """Immutable value objects: the base of the package's record types.
 
 A subclass lists its fields as annotations, in order, and writes its own
-`__init__`, which holds their defaults and builds the value in one step:
-it computes each canonical field from its argument, runs its checks and
-stores every field once with `self.__dict__.update(...)`. That call may
-also store entries derived once from the fields (`CatalogRow.interval`,
-`SpaceAtom`'s hash and sort key, `PrimePower`'s sort key, `GcdClass`'s
-Mobius terms); repr and `replace` read only fields. Only `FGAbelianGroup`
-keeps a second step, `__post_init__`, through which the benchmark counts
-group constructions. `Value` then supplies what a frozen dataclass would:
-a `Name(field=value, ...)` repr, equality with instances of the same class
-and a hash of the field tuple, refusal of assignment and deletion, and
-`replace`. These are plain `Value` methods; a subclass adds only its field
-names and one getter of its field tuple, at definition. Two classes write
-their own: `GcdClass` an equality and hash that compare members, and
-`SpaceAtom` a hash cached at build. Only `operator` is imported, so
-importing the package pays neither for `dataclasses` (which pulls in
-`inspect`, `ast`, `dis` and `tokenize`) nor for generating methods per
-class.
+`__init__`, which takes what its value is computed from, holds the
+defaults and builds the value in one step: it computes each field, runs its
+checks and stores every field once with `self.__dict__.update(...)`. Most
+constructors take the fields themselves; `ClassificationReport` takes
+(G, c, looped) and derives the rest. That call may also store entries
+derived once from the fields (`CatalogRow.interval`, `SpaceAtom`'s hash and
+sort key, `PrimePower`'s sort key, `GcdClass`'s Mobius terms); repr reads
+only fields. Only `FGAbelianGroup` keeps a second step, `__post_init__`,
+through which the benchmark counts group constructions. `Value` then
+supplies what a frozen dataclass would: a `Name(field=value, ...)` repr,
+equality with instances of the same class and a hash of the field tuple,
+and refusal of assignment and deletion. These are plain `Value` methods; a
+subclass adds only its field names and one getter of its field tuple, at
+definition. Two classes write their own: `GcdClass` an equality and hash
+that compare members, and `SpaceAtom` a hash cached at build. Only
+`operator` is imported, so importing the package pays neither for
+`dataclasses` (which pulls in `inspect`, `ast`, `dis` and `tokenize`) nor
+for generating methods per class.
 
 >>> class Pair(Value):
 ...     a: int
@@ -27,11 +28,8 @@ class.
 ...             raise ValueError(f"a must be >= 0, got {a}")
 ...         self.__dict__.update(a=a, b=b)
 >>> p = Pair(1)
->>> p, p == Pair(1, 0), hash(p) == hash((1, 0)), p.replace(b=2)
-(Pair(a=1, b=0), True, True, Pair(a=1, b=2))
->>> p.replace(a=-1)
-Traceback (most recent call last):
-ValueError: a must be >= 0, got -1
+>>> p, p == Pair(1, 0), hash(p) == hash((1, 0))
+(Pair(a=1, b=0), True, True)
 """
 
 from operator import attrgetter
@@ -65,7 +63,3 @@ class Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def replace(self, **changes) -> "Value":
-        """A copy with the named fields changed, built through `__init__`."""
-        return self.__class__(**{f: getattr(self, f) for f in self._fields} | changes)

@@ -339,7 +339,11 @@ def test_the_looped_report_is_the_moore_report_looped(G, c, m, parallel, i, ctx)
         got = classify_looped_manifold(M, G, i, ctx)
     except HypothesisError:
         return
-    assert got == classify_moore(G, c).replace(looped=i)
+    want = classify_moore(G, c)
+    assert [getattr(got, f) for f in got._fields if f != "looped"] == [
+        getattr(want, f) for f in want._fields if f != "looped"
+    ]
+    assert got.looped == i
 
 
 def _depends_on_d(report) -> tuple:

@@ -276,7 +276,8 @@ def _old_best(M, G, p):
     if not candidates:
         raise HypothesisError("; ".join(errors))
     candidates.sort(key=lambda b: b.exponent)
-    return candidates[0].replace(alternatives=tuple(candidates[1:]))
+    best = candidates[0]
+    return ExponentBound(best.p, best.exponent, best.route, best.assumptions, tuple(candidates[1:]))
 
 
 def _outcome(route, M, G, p):

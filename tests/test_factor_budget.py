@@ -102,6 +102,6 @@ LOOP_CONTEXTS = [
 def test_looped_normalize_never_factors_c(M, ctx, factorizations_of_c):
     G = LieGroupSpec("SU", 4)
     loops2_gauge(M, G, 1, ctx).normalize()
-    parallel = M.replace(stably_parallelizable=True, single_top_cell=True)
+    parallel = ManifoldSpec(M.c, M.m, M.spin, stably_parallelizable=True, single_top_cell=True)
     loops3_gauge(parallel, G, 1, ctx).normalize()
     assert factorizations_of_c == []

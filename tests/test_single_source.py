@@ -22,13 +22,16 @@ arms (A, B) only by lie._arms, which the theriault route evaluates and each
 exceptional catalog row checks its published arms against. Each range, an
 inequality on l(G) with a polynomial in p for its bound, is stated only in
 lie._RANGES, and l(G) is compared with p only by lie._within, which
-is_p_regular, in_theriault_range, a row's range tag and trivial_case read;
+is_p_regular, in_theriault_range, exponents._routes, a row's range tag and
+trivial_case read;
 arith.legendre_valuation's p - 1 is not a range. The scans below
 fail if a later change re-derives any of these facts somewhere else.
 
 The last scans keep the library free of code nothing reaches: every def in
 src/gauge5 is named by other library code, exported, or listed in ALLOWLIST
-with its reason; every import in src/gauge5 and tests/ is read by code, not
+with its reason, and no def is named like a public method of a builtin type
+(whose calls the bare-name scan cannot tell from the def's) unless ALLOWLIST
+gives its reason; every import in src/gauge5 and tests/ is read by code, not
 only by a doctest; and every parameter of a library function is read.
 
 Every source scan of the suite, here and in test_hypotheses, test_records
@@ -287,6 +290,15 @@ ALLOWLIST = {
 }
 
 
+# public method names of the builtin types: `"x".replace(...)` names `replace`
+# as a bare attribute, so a library def of that name would pass as reached
+_BUILTIN_METHODS = frozenset(
+    name
+    for kind in (str, bytes, list, dict, tuple, set, frozenset, int, float)
+    for name in dir(kind) if not name.startswith("_")
+)
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
@@ -319,14 +331,18 @@ def _unreached(library: dict, tests: dict) -> set[str]:
     """Defs no other library code names, imports nothing reads and library
     parameters their function never reads, given the parsed library and test
     modules by name. Names match bare, so a def that shares its name with a
-    reached one hides: this is a lower bound."""
+    reached one hides: this is a lower bound. A def named like a builtin
+    type's method is flagged whatever names it, exported or not."""
     named = sum(map(_names, library.values()), Counter())  # counted once per name
     found = set()
     for module, tree in library.items():
         for qualname, node in _defs(tree):
-            if _is_dunder(node.name) or qualname in gauge5.__all__:
+            if _is_dunder(node.name):
                 continue
-            if named[node.name] == _names(node)[node.name]:  # named only inside itself
+            if node.name in _BUILTIN_METHODS or (
+                qualname not in gauge5.__all__
+                and named[node.name] == _names(node)[node.name]  # named only inside itself
+            ):
                 found.add(f"{module}.{qualname}")
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and not _is_dunder(node.name):
@@ -372,8 +388,11 @@ def test_every_def_import_and_parameter_is_reached(kind):
         ("def lcm_of(a, b):\n    return a * b\n", {"m.lcm_of"}),
         ("from math import gcd\n\ndef f(a):\n    return a\n\nf(1)\n", {"m imports gcd"}),
         ("def f(a, c):\n    return a\n\nf(1, 2)\n", {"m.f(c)"}),
+        # named by the str method's call, and still flagged
+        ("class C:\n    def replace(self):\n        return self\n\nprint(C, 'a'.replace('a', 'b'))\n",
+         {"m.C.replace"}),
     ],
-    ids=["unreferenced-def", "unused-import", "unread-parameter"],
+    ids=["unreferenced-def", "unused-import", "unread-parameter", "builtin-method-name"],
 )
 def test_the_scan_flags_each_kind_of_unreached_code(source, flagged):
     tree = ast.parse(source)
