@@ -14,9 +14,8 @@ Every verb takes --format text|machine. Machine output is one `tag key=value`
 record per line (records.py). Two records omit what the text shows: `exponent`
 leaves out the bound's assumptions and alternatives, and `wedge` leaves out an
 opaque summand's tag and homology ledger. Hypothesis failures exit nonzero with
-the failed condition named on stderr. `exponent --table` refuses --group, and
-any manifold flag or --route away from its `_VERBS` default, rather than
-ignore it.
+the failed condition named on stderr. A flag away from its `_VERBS` default
+that the verb's runner never reads is refused, not ignored (see `main`).
 
 Each verb's flags are declared once, as data in `_VERBS`. A well-formed argv
 is read from that table without importing argparse (`_read`); --help, usage
@@ -103,6 +102,7 @@ def _run_classify(args) -> str:
     from .lie import LieGroupSpec
 
     G = LieGroupSpec.parse(args.group)
+    moore = args.moore  # --same-type and --trivial ask about P⁴(c) too
     if args.same_type:
         k, l = args.same_type
         result = same_type_moore(k, l, G, args.c)
@@ -119,7 +119,7 @@ def _run_classify(args) -> str:
             return records.record("trivial_case", p=args.p, c=args.c, result=result)
         verdict = "holds" if result else "does not hold"
         return f"one-type criterion for ({G}, p={args.p}, c={args.c}): {verdict}"
-    if args.moore:
+    if moore:
         report = classify_moore(G, args.c)
     else:
         if args.loops is None:
@@ -157,16 +157,6 @@ def _run_exponent(args) -> str:
     if args.table:
         if args.table != "exceptional":
             raise ValueError(f"unknown table {args.table!r}")
-        if args.group is not None:
-            raise ValueError(
-                "--group does not combine with --table; the table lists every exceptional group"
-            )
-        slots = _slots("exponent")  # a flag at its default reads as absent
-        ignored = [flag for flag in ("--c", "--m", "--non-spin", "--sp", "--stc", "--route")
-                   if getattr(args, slots[flag][0]) != slots[flag][1]]
-        if ignored:
-            raise ValueError(f"--table does not combine with {', '.join(ignored)};"
-                             " it reads only --p")
         rows = exponents.exceptional_table()
         if args.p is not None:
             _require_odd_prime(args.p)
@@ -183,14 +173,17 @@ def _run_exponent(args) -> str:
             nu = f"ν_p(c)+{r.offset}" if r.offset else "ν_p(c)"
             lines.append(f"{r.family:4} {r.prime_cond:6} exp <= p^max({r.base}, {nu})")
         return "\n".join(lines)
-    if args.group is None or args.p is None:
+    if args.p is None or (args.route != "moore-fiber" and args.group is None):
         raise ValueError("need --group and --p (or --table exceptional)")
-    G = LieGroupSpec.parse(args.group)
-    if args.route == "closed":
-        bound = exponents.exp_bound_closed_form(G, args.p, args.c)
-    elif args.route == "moore-fiber":
-        bound = exponents.exp_moore_fiber(args.c, args.p)
+    c = 1 if args.c is None else args.c  # ν_p(1) = 0: the ν_p routes answer without --c
+    if args.route == "moore-fiber":
+        bound = exponents.exp_moore_fiber(c, args.p)
+    elif args.route == "closed":
+        bound = exponents.exp_bound_closed_form(LieGroupSpec.parse(args.group), args.p, c)
     else:
+        G = LieGroupSpec.parse(args.group)
+        if args.c is None:
+            raise ValueError(f"route {args.route} needs --c, the order of pi_1(M)")
         route = {"regular": exponents.exp_bound_regular, "theriault": exponents.exp_bound_theriault,
                  "best": exponents.best_bound}[args.route]
         bound = route(_manifold(args), G, args.p)
@@ -265,6 +258,7 @@ def _run_rational(args) -> str:
             return records.record("rank", q=args.q, value=rank)
         return f"rank pi_{args.q} ⊗ Q = {rank}"
     else:
+        args.based  # a ring has no based form; bench/workloads.py::rational_args draws it
         target = "gauge" if args.op == "ring-gauge" else "b_star"
         ledger = rational_cohomology_ring(target, X, G)
         return ledger.machine() if args.format == "machine" else str(ledger)
@@ -333,7 +327,8 @@ _VERBS = {
         "--table": dict(help="'exceptional' for the table of bounds"),
         "--group": dict(),
         "--p": dict(type=int),
-        **_manifold_flags(c_default=1),
+        **_manifold_flags(),
+        "--c": dict(type=int, help="order of pi_1(M)"),  # optional: the ν_p routes read 1
         "--route": dict(choices=("regular", "theriault", "closed", "moore-fiber", "best"),
                         default="best"),
     }, _run_exponent),
@@ -445,13 +440,30 @@ def build_parser():
     return parser
 
 
+class _Reads(SimpleNamespace):
+    """A parsed argv that adds to `read` the name of each attribute looked up."""
+
+    def __getattribute__(self, name):
+        super().__getattribute__("read").add(name)
+        return super().__getattribute__(name)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the verb argv names. After the runner answers, and before anything
+    is printed, a flag away from its `_VERBS` default that the runner never
+    read is refused, every such flag in one line: it would answer a question
+    the user did not ask. A runner's own refusal comes first."""
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv[0], argv[1:]) if argv and argv[0] in _VERBS else None
     if args is None:
         args = build_parser().parse_args(argv)
+    args = _Reads(**vars(args), read=set())
     try:
         output = args.run(args)
+        unread = [flag for flag, (name, default) in _slots(args.verb).items()
+                  if name not in args.read and getattr(args, name) != default]
+        if unread:
+            raise ValueError(f"this {args.verb} question does not read {', '.join(unread)}")
     except ValueError as exc:  # the base of HypothesisError and CatalogError
         print(f"error: {exc}", file=sys.stderr)
         return 1

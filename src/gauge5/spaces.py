@@ -10,14 +10,12 @@ order c. Atom kinds:
                 power map on G
   moore_gauge   Omega^j of the gauge group, labeled k, of the 4-dimensional
                 mod-c Moore space
-  moore_map     Omega^j Map*_0(P^n(c), G)
   map_cp2       Omega^j Map*_0(CP^2, G)
   sphere        S^n (rational factor)
   em            K(Q, n) (rational factor)
 
-normalize() rewrites to a canonical form: pointed mapping spaces out of
-Moore spaces become loop fibers; atoms that are contractible in the
-expression's localization are removed; the CP^2 factor splits into loop
+normalize() rewrites to a canonical form: atoms that are contractible in
+the expression's localization are removed; the CP^2 factor splits into loop
 factors once 2 is inverted; atoms are merged and sorted.
 
 Equality of normalized expressions is structural equality of the underlying
@@ -39,10 +37,9 @@ _KIND_ORDER = {
     "moore_gauge": 1,
     "map_cp2": 2,
     "loop_fiber": 3,
-    "moore_map": 4,
-    "loops_g": 5,
-    "sphere": 6,
-    "em": 7,
+    "loops_g": 4,
+    "sphere": 5,
+    "em": 6,
 }
 
 
@@ -62,7 +59,7 @@ class SpaceAtom(Value):
     kind: str
     j: int  # outer loop degree (loop kinds only)
     k: int | None  # gauge component label (moore_gauge only)
-    n: int | None  # dimension (moore_map, sphere, em)
+    n: int | None  # dimension (sphere, em)
 
     def __init__(self, kind: str, j: int = 0, k: int | None = None, n: int | None = None) -> None:
         if kind not in _KIND_ORDER:
@@ -71,12 +68,10 @@ class SpaceAtom(Value):
             raise ValueError(f"loop degree must be >= 0, got {j}")
         if kind == "moore_gauge" and (k is None or k < 0):
             raise ValueError("moore_gauge atom needs a component label k >= 0")
-        if kind in ("moore_map", "sphere", "em") and n is None:
+        if kind in ("sphere", "em") and n is None:
             raise ValueError(f"{kind} atom needs a dimension")
-        if kind == "moore_map" and n < 2:
-            raise ValueError(f"Moore mapping space needs dimension >= 2, got {n}")
         # each kind takes only the fields it reads: unequal atoms never share a key
-        if n is not None and kind not in ("moore_map", "sphere", "em"):
+        if n is not None and kind not in ("sphere", "em"):
             raise ValueError(f"{kind} atom takes no dimension n, got n={n}")
         if k is not None and kind != "moore_gauge":
             raise ValueError(f"{kind} atom takes no component label k, got k={k}")
@@ -108,8 +103,6 @@ class SpaceAtom(Value):
             return f"{loops}G{_sub(self.k)}(P⁴({cc}))"
         if self.kind == "map_cp2":
             return f"{loops}Map*₀(CP²,G)"
-        if self.kind == "moore_map":
-            return f"{loops}Map*₀(P{_sup(self.n)}({cc}),G)"
         if self.kind == "sphere":
             return "S" + _sup(self.n)
         return f"K(Q,{self.n})"
@@ -134,10 +127,6 @@ def loop_fiber(j: int) -> SpaceAtom:
 
 def moore_gauge(j: int, k: int) -> SpaceAtom:
     return SpaceAtom("moore_gauge", j=j, k=k)
-
-
-def moore_map(n: int, j: int = 0) -> SpaceAtom:
-    return SpaceAtom("moore_map", j=j, n=n)
 
 
 def map_cp2(j: int) -> SpaceAtom:
@@ -211,8 +200,6 @@ class SpaceExpr(Value):
         changed, out = False, []
         for atom, mult in self.atoms:
             new = atom
-            if new.kind == "moore_map":  # a map out of a Moore space is a looped power-map fiber
-                new = loop_fiber(new.j + new.n - 1)
             if away_c and new.kind == "loop_fiber":
                 changed = True  # the fiber of a now-invertible power map
                 continue
@@ -244,7 +231,7 @@ class SpaceExpr(Value):
         total = 0
         degrees: tuple[int, ...] | None = None
         for atom, mult in self.atoms:
-            if atom.kind in ("loop_fiber", "moore_map"):
+            if atom.kind == "loop_fiber":
                 continue  # rationally trivial: torsion fiber data only
             if atom.kind == "sphere":
                 if atom.n % 2:

@@ -42,7 +42,6 @@ from gauge5.spaces import (
     loops_g,
     map_cp2,
     moore_gauge,
-    moore_map,
     sphere_factor,
 )
 
@@ -282,7 +281,7 @@ def test_criterion_7_moore_space_groups():
 
 
 def _random_atom(rng: random.Random):
-    kind = rng.randrange(8)
+    kind = rng.randrange(7)
     if kind == 0:
         return group_itself()
     if kind == 1:
@@ -292,10 +291,8 @@ def _random_atom(rng: random.Random):
     if kind == 3:
         return moore_gauge(rng.randint(0, 6), rng.randint(0, 8))
     if kind == 4:
-        return moore_map(rng.randint(2, 6), rng.randint(0, 5))
-    if kind == 5:
         return map_cp2(rng.randint(0, 6))
-    if kind == 6:
+    if kind == 5:
         return sphere_factor(rng.randint(0, 9))
     return em_factor(rng.randint(0, 9))
 
@@ -343,10 +340,11 @@ def test_criterion_8_structural_invariants():
         shuffled = SpaceExpr.of(atoms, localization=expr.localization,
                                 group=expr.group, c=expr.c)
         assert shuffled.normalize() == once
-        # confluence: hand-applying the Moore-mapping-space rewrite first
-        # cannot change the normal form
+        # confluence: hand-applying the contractible-Moore-space rewrite
+        # first cannot change the normal form
+        away_c = expr.localization.inverts_all_of(expr.c)
         pre = [
-            loop_fiber(a.j + a.n - 1) if a.kind == "moore_map" else a
+            loops_g(a.j) if away_c and a.kind == "moore_gauge" else a
             for a in atoms
         ]
         seeded = SpaceExpr.of(pre, localization=expr.localization,

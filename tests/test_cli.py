@@ -177,8 +177,7 @@ def test_exponent_table_refuses_a_p_that_is_not_an_odd_prime(run, fmt, p, messag
 def test_exponent_table_refuses_a_group(run, fmt, p):
     # the table lists every exceptional group; --group used to be ignored
     got = run("exponent", "--table", "exceptional", "--group", "G2", *p, "--format", fmt)
-    message = "--group does not combine with --table; the table lists every exceptional group"
-    assert got == (1, "", f"error: {message}")
+    assert got == (1, "", "error: this exponent question does not read --group")
 
 
 _IGNORED_BY_TABLE = {
@@ -192,23 +191,24 @@ _IGNORED_BY_TABLE = {
 @pytest.mark.parametrize("flag", list(_IGNORED_BY_TABLE))
 def test_exponent_table_refuses_each_flag_it_would_ignore(run, fmt, p, flag):
     got = run("exponent", "--table", "exceptional", *p, *_IGNORED_BY_TABLE[flag], "--format", fmt)
-    assert got == (1, "", f"error: --table does not combine with {flag}; it reads only --p")
+    assert got == (1, "", f"error: this exponent question does not read {flag}")
 
 
 def test_exponent_table_names_every_ignored_flag_in_declared_order(run):
     # --route=closed is read by argparse, not by cli._read: both paths refuse alike
     got = run("exponent", "--table", "exceptional", "--route=closed", "--stc", "--c", "5")
-    assert got == (1, "", "error: --table does not combine with --c, --stc, --route;"
-                          " it reads only --p")
+    assert got == (1, "", "error: this exponent question does not read --c, --stc, --route")
 
 
 def test_exponent_table_passes_flags_given_at_their_defaults(run):
-    # --c 1, --m 1 and --route best are what an absent flag reads as
+    # --m 1 and --route best are what an absent flag reads as
     want = run("exponent", "--table", "exceptional", "--p", "7")
     assert want[0] == 0 and want[1]
-    got = run("exponent", "--table", "exceptional", "--p", "7", "--c", "1", "--m", "1",
-              "--route", "best")
+    got = run("exponent", "--table", "exceptional", "--p", "7", "--m", "1", "--route", "best")
     assert got == want
+    # an absent --c reads as none, so --c 1 is a c like any other
+    got = run("exponent", "--table", "exceptional", "--p", "7", "--c", "1")
+    assert got == (1, "", "error: this exponent question does not read --c")
 
 
 def test_exponent_table_at_3_is_empty(run):
@@ -242,8 +242,7 @@ def test_exponent_routes(run):
     assert code == 0
     assert out.splitlines()[0] == "exp_5 <= 5^4  [route: regular]"
     code, out, _ = run(
-        "exponent", "--group", "SU:4", "--route", "moore-fiber", "--p", "3", "--c", "27",
-        "--format", "machine",
+        "exponent", "--route", "moore-fiber", "--p", "3", "--c", "27", "--format", "machine",
     )
     assert code == 0 and out == "exponent p=3 exponent=3 route=moore_fiber"
 
@@ -256,9 +255,25 @@ def test_nu_p_routes_refuse_c_below_1(run, route, c):
 
 
 def test_nu_p_routes_answer_at_the_default_c(run):
-    for route in ("closed", "moore-fiber"):
-        code, out, err = run("exponent", "--group", "SU:4", "--p", "3", "--route", route)
+    for group in (["--group", "SU:4", "--route", "closed"], ["--route", "moore-fiber"]):
+        code, out, err = run("exponent", *group, "--p", "3")
         assert (code, err) == (0, "") and out.startswith("exp_3 <= 3^")
+
+
+@pytest.mark.parametrize("route", ["regular", "theriault", "best"])
+def test_the_routes_over_m_name_an_omitted_c(run, route):
+    got = run("exponent", "--group", "SU:4", "--p", "5", "--route", route)
+    assert got == (1, "", f"error: route {route} needs --c, the order of pi_1(M)")
+    # a --c the user gave is checked like any order of pi_1(M)
+    got = run("exponent", "--group", "SU:4", "--p", "5", "--route", route, "--c", "1")
+    assert got == (1, "", "error: c must be >= 2, got 1")
+
+
+def test_the_moore_fiber_route_reads_no_group(run):
+    want = run("exponent", "--route", "moore-fiber", "--p", "5", "--c", "25")
+    assert want == (0, "exp_5 <= 5^2  [route: moore_fiber]\n  assuming power-map fiber factor", "")
+    got = run("exponent", "--route", "moore-fiber", "--p", "5", "--c", "25", "--group", "SU:4")
+    assert got == (1, "", "error: this exponent question does not read --group")
 
 
 @pytest.mark.parametrize("group, c", [("SU:4", "-5"), ("G2", "0"), ("SU:3", "1")])

@@ -73,6 +73,8 @@ REFUSALS = [
     "exponent --table exceptional --group G2 --p 5 --format machine",
     "exponent --table exceptional --p 13 --c 25 --route regular --non-spin",
     "exponent --table exceptional --p 13 --c 25 --route regular --non-spin --format machine",
+    "exponent --group SU:4 --p 5 --c 25 --route moore-fiber",
+    "exponent --group SU:4 --p 5 --c 25 --route moore-fiber --format machine",
     *[
         full
         for command in (

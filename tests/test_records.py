@@ -207,8 +207,10 @@ VERB_FORMS = [
     # exponent routes
     *[
         (f"exponent --group SU:4 --p 5 --c 25 --route {route}", list)
-        for route in ("regular", "theriault", "closed", "moore-fiber", "best")
+        for route in ("regular", "theriault", "closed")
     ],
+    ("exponent --p 5 --c 25 --route moore-fiber", list),  # the one route that reads no group
+    ("exponent --group SU:4 --p 5 --c 25 --route best", list),
     # bott
     (
         "bott --c 5 --m 3 --family Spin --r 6",

@@ -283,7 +283,6 @@ ALLOWLIST = {
     "spaces.parse_machine": "bench/queries.py calls it",
     "spaces.SpaceExpr.rational_rank": "bench/queries.py calls it",
     "spaces.SpaceExpr.of": "tests/test_acceptance.py builds its random expressions with it",
-    "spaces.moore_map": "tests/test_acceptance.py builds its random expressions with it",
     "manifold.WedgeExpr.reduced_homology": "tests/test_manifold.py checks the splittings with it",
     "decomposition.gauge_away_from_c(k)": "bench/queries.py passes it by position",
     "lie.CatalogRow.family_key": "bench/spans.py reads it, the family column's earlier name",

@@ -22,7 +22,6 @@ from gauge5.spaces import (
     loops_g,
     map_cp2,
     moore_gauge,
-    moore_map,
     parse_machine,
     sphere_factor,
 )
@@ -63,13 +62,6 @@ def test_atoms_merge_and_sort_on_construction():
     assert e.atoms == ((group_itself(), 1), (loops_g(4), 1), (loops_g(5), 2))
     assert dict(e.atoms).get(loops_g(5), 0) == 2
     assert sum(m for _, m in e.atoms) == 4
-
-
-def test_normalize_moore_mapping_space_becomes_power_map_fiber():
-    e = SpaceExpr.of([moore_map(4)], c=9)
-    assert e.normalize().atoms == ((loop_fiber(3), 1),)
-    e2 = SpaceExpr.of([moore_map(3, 2)], c=9)
-    assert e2.normalize().atoms == ((loop_fiber(4), 1),)
 
 
 def test_normalize_drops_power_map_fiber_away_from_c():
@@ -159,12 +151,13 @@ def test_normalize_idempotent_and_order_insensitive():
 
 
 def test_normalize_confluent_under_partial_rewrites():
-    # applying the mapping-space rule by hand first must not change the result
+    # applying the contractible-Moore-space rule by hand first must not change the result
     rng = random.Random(32)
     for _ in range(300):
         e = _random_expr(rng)
+        away_c = e.c is not None and e.localization.inverts_all_of(e.c)
         rewritten = [
-            (loop_fiber(atom.j + atom.n - 1) if atom.kind == "moore_map" else atom, mult)
+            (loops_g(atom.j) if away_c and atom.kind == "moore_gauge" else atom, mult)
             for atom, mult in e.atoms
         ]
         partial = SpaceExpr(tuple(rewritten), e.localization, e.group, e.c)
@@ -212,8 +205,6 @@ def test_moore_gauge_labels_are_read_mod_c():
 def test_atom_validation():
     with pytest.raises(ValueError):
         loops_g(-1)
-    with pytest.raises(ValueError):
-        moore_map(1)  # needs a cell dimension >= 2
     with pytest.raises(ValueError):
         moore_gauge(2, -1)
 
@@ -285,7 +276,6 @@ _ATOMS = st.one_of(
     st.builds(loops_g, st.integers(1, 9)),
     st.builds(loop_fiber, st.integers(0, 9)),
     st.builds(moore_gauge, st.integers(0, 6), st.integers(0, 8)),
-    st.builds(moore_map, st.integers(2, 6), st.integers(0, 5)),
     st.builds(map_cp2, st.integers(0, 6)),
     st.builds(sphere_factor, st.integers(0, 9)),
     st.builds(em_factor, st.integers(0, 9)),
@@ -351,8 +341,6 @@ def _two_pass_normalize(e: SpaceExpr) -> SpaceExpr:
     away_c = e.c is not None and ctx.inverts_all_of(e.c)
     rewritten = []
     for atom, mult in e.atoms:
-        if atom.kind == "moore_map":
-            atom = loop_fiber(atom.j + atom.n - 1)
         if away_c and atom.kind == "loop_fiber":
             continue
         if away_c and atom.kind == "moore_gauge":
@@ -412,6 +400,7 @@ def test_normalize_returns_the_expression_itself_when_no_rule_fires():
     ):
         assert e.normalize() is e
         assert e.normalize().normalize() is e
-    fired = SpaceExpr.of([moore_map(3, 1), loops_g(2)], group=G, c=5)
+    fired = SpaceExpr.of([loop_fiber(3), loops_g(2)], localization=Localization.away_from([5]),
+                         group=G, c=5)
     normal = fired.normalize()
     assert normal is not fired and normal.normalize() is normal
