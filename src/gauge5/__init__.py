@@ -43,7 +43,7 @@ _EXPORTS = {
         "errors": "CatalogError HypothesisError",
         "exponents": "ExponentBound best_bound exceptional_table exp_bound_closed_form"
         " exp_bound_regular exp_bound_theriault exp_moore_fiber",
-        "lie": "LieGroupSpec catalog_order in_theriault_range is_p_regular l_of"
+        "lie": "LieGroupSpec in_theriault_range is_p_regular l_of"
         " ord_partial1_tilde r_of rational_degrees type_of",
         "localization": "Localization",
         "manifold": "ManifoldSpec bundle_classes homology pi6_P4 pi7_P5 pi_moore_self"

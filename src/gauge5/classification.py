@@ -17,9 +17,8 @@ from collections.abc import Sequence
 
 from . import records
 from .arith import factorize, gcd_class, nu_p, prime_divisors
-from .lie import (
-    EXCEPTIONAL, LieGroupSpec, _family_key, _l_at, _require_odd_prime, _within, catalog_order,
-)
+from .errors import CatalogError
+from .lie import EXCEPTIONAL, LieGroupSpec, _family_key, _l_at, _require_odd_prime, _rows, _within
 from .localization import Localization
 from .manifold import (
     ManifoldSpec,
@@ -107,12 +106,12 @@ class GcdClass(Value, Sequence):
     >>> cls = GcdClass(9, 3, 1)
     >>> len(cls), cls[0], cls[-1], cls[1:4], cls[::-2], 7 in cls
     (6, 1, 8, (2, 4, 5), (8, 5, 2), True)
-    >>> cls == (1, 2, 4, 5, 7, 8)
-    True
+    >>> tuple(cls) == (1, 2, 4, 5, 7, 8), cls == (1, 2, 4, 5, 7, 8)
+    (True, False)
 
     Equality and hashing read the members, not the fields c, d and g. A
-    class equals a tuple with the same members but hashes apart from it:
-    hashing the tuple would cost O(c).
+    class equals only a class with the same members, never a tuple of them,
+    which it could not hash alike without O(c) work.
     """
 
     c: int
@@ -152,8 +151,6 @@ class GcdClass(Value, Sequence):
     def __eq__(self, other):
         if isinstance(other, GcdClass):
             return self._key() == other._key()
-        if isinstance(other, tuple):
-            return len(other) == self.size and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -206,9 +203,14 @@ def _gcd_classes(c: int, d: int, factors) -> tuple[tuple[int, GcdClass], ...]:
 
 
 def _order(G: LieGroupSpec, c: int) -> tuple[int, str, int]:
-    """G's catalog order, its validity tag and d = gcd(ord, c): the one read of G's order."""
-    ord_value, validity = catalog_order(G)
-    return ord_value, validity, math.gcd(ord_value, c)
+    """G's catalog order, its validity tag and d = gcd(ord, c), from G's first
+    row (lie._rows) whatever p: the one p-blind catalog read. The order is an
+    upper bound even where that row is p-local, so a report shows its tag."""
+    rows, n = _rows(G)
+    if not rows:
+        raise CatalogError(f"no catalog row for {G}")
+    ord_value = rows[0].ord_value(n)
+    return ord_value, rows[0].prime_cond, math.gcd(ord_value, c)
 
 
 def same_type_moore(k: int, l: int, G: LieGroupSpec, c: int) -> bool:

@@ -24,10 +24,11 @@ a specific row restates of its * row (_ord_clash), and names the file and
 line of any refusal. It groups the rows once, by (family key, parameter), as
 it reads them: the repeat check scans a row's group, and the index a lookup
 reads is those groups, each specific group followed by its family's * or -
-rows, each kind in file order. _lookup is the one resolution of (G, p) of
-every catalog reader but catalog_order: one index read (_rows) and one scan,
-which returns G's first row that holds at p and nothing else, so an ord or r
-is read only from a row that holds.
+rows, each kind in file order. _lookup is the one resolution of (G, p): one
+index read (_rows) and one scan, which returns G's first row that holds at p
+and nothing else, so an ord or r is read only from a row that holds. Only
+_lookup and classification._order call _rows; _order reads G's first row
+whatever p, the one p-blind read.
 """
 
 import math
@@ -467,8 +468,7 @@ def _rows(G: LieGroupSpec) -> tuple[tuple, int | None]:
 
 def _lookup(G: LieGroupSpec, p: int | None) -> tuple[CatalogRow | None, int | None]:
     """(the first of G's catalog rows (_rows) that holds at p, or None; G's
-    parameter n): the one resolution of (G, p) behind every catalog reader
-    but catalog_order, one index read and one scan."""
+    parameter n): the one resolution of (G, p), one index read and one scan."""
     rows, n = _rows(G)
     for row in rows:
         if row._holds_at(p, n):
@@ -498,19 +498,6 @@ def _ord_at(G: LieGroupSpec, row: CatalogRow | None, n: int | None, p: int | Non
     if row is None:
         raise CatalogError(f"order unknown for ({G}, {'integral' if p is None else f'p={p}'})")
     return row.ord_value(n)
-
-
-def catalog_order(G: LieGroupSpec) -> tuple[int, str]:
-    """The raw table value for G and the validity tag of its row.
-
-    Classification uses this as an upper-bound order even when the row is
-    only a p-local statement; callers must surface the validity tag.
-    """
-    rows, n = _rows(G)  # the first row: no scan
-    if not rows:
-        raise CatalogError(f"no catalog row for {G}")
-    row = rows[0]
-    return row.ord_value(n), row.prime_cond
 
 
 def r_of(G: LieGroupSpec, p: int) -> int:

@@ -26,7 +26,7 @@ from gauge5.exponents import (
     exp_bound_closed_form,
     exp_bound_theriault,
 )
-from gauge5.lie import CatalogError, LieGroupSpec, catalog_order
+from gauge5.lie import CatalogError, LieGroupSpec
 from gauge5.manifold import homology, pi6_P4, pi7_P5, suspension_image_order
 from gauge5.rational import (
     HilbertSeries,
@@ -193,7 +193,7 @@ def test_criterion_4_dirichlet_gcd_oracle():
     start = time.perf_counter()
     checked = 0
     for G in _CATALOG_REPRESENTATIVES:
-        ord_value = catalog_order(G)[0]
+        ord_value = classify_moore(G, 2).ord
         for c in range(2, 201):
             if c % 6 == 0:
                 continue  # classification hypothesis: 6 does not divide c
@@ -362,7 +362,7 @@ def test_criterion_8_structural_invariants():
     for _ in range(150):
         G = rng.choice(_CATALOG_REPRESENTATIVES)
         c = rng.randint(2, 60)
-        d = math.gcd(catalog_order(G)[0], c)
+        d = math.gcd(classify_moore(G, 2).ord, c)
         a, b, e = (rng.randrange(c) for _ in range(3))
         assert same_type_moore(a, a, G, c)
         assert same_type_moore(a, b, G, c) == same_type_moore(b, a, G, c)
@@ -372,7 +372,7 @@ def test_criterion_8_structural_invariants():
 
     # the class count over P⁴(c) is the divisor count of d = gcd(ord, c)
     for G in _CATALOG_REPRESENTATIVES:
-        ord_value = catalog_order(G)[0]
+        ord_value = classify_moore(G, 2).ord
         for c in range(2, 201):
             report = classify_moore(G, c)
             assert report.count_integral == divisor_count(math.gcd(ord_value, c))

@@ -877,7 +877,7 @@ PUBLIC_NAMES = """
     CatalogError ClassificationReport ExponentBound FGAbelianGroup GeneratorLedger
     HilbertSeries HypothesisError LieGroupSpec Localization ManifoldSpec
     RationalGroupModel SpaceAtom SpaceExpr StableQuery best_bound bott_table
-    bundle_classes catalog_order classify_looped_manifold classify_moore dirichlet_min
+    bundle_classes classify_looped_manifold classify_moore dirichlet_min
     divisor_count em_expansion exceptional_table
     exp_bound_closed_form exp_bound_regular exp_bound_theriault exp_moore_fiber factorize
     gauge_away_from_c gcd_class homology in_theriault_range is_p_regular l_of
@@ -890,7 +890,7 @@ PUBLIC_NAMES = """
 
 
 def test_public_names_resolve_to_their_defining_modules():
-    assert gauge5.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 58
+    assert gauge5.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 57
     for name in gauge5.__all__:
         obj = getattr(gauge5, name)
         home = sys.modules[obj.__module__]

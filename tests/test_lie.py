@@ -13,7 +13,7 @@ from gauge5 import (
     FGAbelianGroup,
     LieGroupSpec,
     Localization,
-    catalog_order,
+    classify_moore,
     in_theriault_range,
     is_p_regular,
     l_of,
@@ -186,24 +186,30 @@ def test_order_unknown_raises():
         ord_partial1_tilde(LieGroupSpec("G2"), 3)  # rows start at p=5
 
 
-def test_catalog_order_reports_validity():
-    assert catalog_order(SU(2)) == (3, "p>=3")
-    assert catalog_order(SU(3)) == (24, "all")
-    assert catalog_order(Sp(2)) == (10, "symp_range")
-    assert catalog_order(LieGroupSpec("G2")) == (21, "p=5")
-    assert catalog_order(LieGroupSpec("F4")) == (5**2 * 13, "p=5")
-    assert catalog_order(LieGroupSpec("E7")) == (7 * 11 * 19, "p=7")
-    assert catalog_order(LieGroupSpec("E8")) == (7**2 * 11**2 * 13 * 19 * 31, "p=7")
+def _first_row(G):
+    """(ord, validity tag) of G's first catalog row, as a classification reports them."""
+    report = classify_moore(G, 2)
+    return report.ord, report.order_validity
 
 
-def test_catalog_order_reads_the_first_row_without_a_scan(monkeypatch):
+def test_classification_reports_the_first_rows_validity():
+    assert _first_row(SU(2)) == (3, "p>=3")
+    assert _first_row(SU(3)) == (24, "all")
+    assert _first_row(Sp(2)) == (10, "symp_range")
+    assert _first_row(LieGroupSpec("G2")) == (21, "p=5")
+    assert _first_row(LieGroupSpec("F4")) == (5**2 * 13, "p=5")
+    assert _first_row(LieGroupSpec("E7")) == (7 * 11 * 19, "p=7")
+    assert _first_row(LieGroupSpec("E8")) == (7**2 * 11**2 * 13 * 19 * 31, "p=7")
+
+
+def test_classification_reads_the_first_row_without_a_scan(monkeypatch):
     calls = []
     holds_at = CatalogRow._holds_at
     monkeypatch.setattr(
         CatalogRow, "_holds_at", lambda self, p, n: calls.append(p) or holds_at(self, p, n)
     )
-    assert catalog_order(LieGroupSpec("E8")) == (45398353, "p=7")
-    assert catalog_order(SU(4)) == (60, "su_range")
+    assert _first_row(LieGroupSpec("E8")) == (45398353, "p=7")
+    assert _first_row(SU(4)) == (60, "su_range")
     assert calls == []
 
 
@@ -580,7 +586,7 @@ def _oracle_ord(G, p=None):
     raise CatalogError(f"order unknown for ({G}, p={p})")
 
 
-def _oracle_catalog_order(G):
+def _oracle_first_row(G):
     rows, n = _oracle_rows(G)
     if not rows:
         raise CatalogError(f"no catalog row for {G}")
@@ -639,8 +645,8 @@ def _index_answers():
     for G in _INDEX_GROUPS:
         got.append(_outcome(ord_partial1_tilde, G))
         want.append(_outcome(_oracle_ord, G))
-        got.append(_outcome(catalog_order, G))
-        want.append(_outcome(_oracle_catalog_order, G))
+        got.append(_outcome(_first_row, G))
+        want.append(_outcome(_oracle_first_row, G))
         for p in _PRIMES_BELOW_100:
             got.append(_outcome(ord_partial1_tilde, G, p))
             want.append(_outcome(_oracle_ord, G, p))
@@ -730,7 +736,7 @@ def test_each_lookup_loads_the_catalog_once(monkeypatch):
     real = lie.load_catalog
     monkeypatch.setattr(lie, "load_catalog", lambda *a: calls.append(a) or real(*a))
     ord_partial1_tilde(SU(4), 5)
-    catalog_order(LieGroupSpec("E8"))
+    classify_moore(LieGroupSpec("E8"), 2)
     r_of(SU(7), 5)
     exceptional_table()  # one read for the whole table
     assert len(calls) == 4
@@ -833,7 +839,7 @@ def test_each_range_answers_inside_its_edge_and_refuses_outside(key):
                 picked = min(routes, key=lambda route: (routes[route], route))
                 assert (best.route, best.exponent) == (picked, routes[picked]), where
                 assert [a.route for a in best.alternatives] == sorted(set(routes) - {picked}), where
-            divides = catalog_order(G)[0] % p == 0
+            divides = classify_moore(G, 2).ord % p == 0
             assert trivial_case(G, p, p) is (one_type and divides), where
             divides_inside += one_type and divides
     assert divides_inside  # trivial_case's edge is asked where p | ord

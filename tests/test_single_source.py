@@ -14,8 +14,10 @@ class, and copy and pickle restore one as they restore every Value. Only
 spaces._LOOPS holds prebuilt G and Omega^j G atoms, which loops_g and
 group_itself return. A Lie group's 'family:param' token is written only by
 LieGroupSpec.token, the inverse of LieGroupSpec.parse. Which catalog row
-answers (G, p) is decided only by lie._lookup; a prime tag's K is read only
-by CatalogRow.__init__, once, as the row is built; which primes a row
+answers (G, p) is decided only by lie._lookup; G's rows (lie._rows) are read
+only by _lookup and classification._order, the one p-blind read, which takes
+G's first row whatever p; a prime tag's K is read only by
+CatalogRow.__init__, once, as the row is built; which primes a row
 covers, only by CatalogRow._holds_at, and only _lookup, the loader's
 lie._ord_clash and the CLI's exceptional table filter ask it; and the loop-filtration
 arms (A, B) only by lie._arms, which the theriault route evaluates and each
@@ -228,6 +230,10 @@ def test_only_the_lookup_the_ord_clash_and_the_table_filter_ask_where_a_row_hold
     assert _sites(_calls("_holds_at")) == {
         ("lie.py", "_lookup"), ("lie.py", "_ord_clash"), ("cli.py", "_run_exponent"),
     }
+
+
+def test_only_the_lookup_and_the_classification_order_read_a_groups_rows():
+    assert _sites(_calls("_rows")) == {("lie.py", "_lookup"), ("classification.py", "_order")}
 
 
 def _tests_a_tag_prefix(node) -> bool:

@@ -10,7 +10,9 @@ The list holds every `$ gauge5` line of README.md and tests/cli_golden.txt,
 30 blocks each) in both output formats, and eight sweeps, each in both
 formats:
 - `exponent`: every `--route` over a fixed grid of groups, p and c (p = 2
-  and non-primes, and c with 6 | c, included);
+  and non-primes, and c with 6 | c, included), each route given only the
+  flags it reads (`--m` only the manifold routes, `--group` all but
+  moore-fiber);
 - `exponent --table exceptional`: without `--p` and at each p of that grid,
   once with `--group` (refused), and with each manifold flag and `--route`
   away from its default (refused), with and without `--p 7`;
@@ -31,8 +33,8 @@ formats:
 - `edges`: for each classical family and each prime p < 60, the groups on
   both sides of each range of `gauge5.lie._RANGES` (l(G) <= bound(p)): the
   family's least group, the two largest n inside and the least outside,
-  through `exponent` (every `--route`) and `classify --moore` (alone, with
-  `--trivial --p p` and with `--same-type 1 2`), with c = p.
+  through `exponent` (every `--route`, as above) and `classify --moore`
+  (alone, with `--trivial --p p` and with `--same-type 1 2`), with c = p.
 
 For each argv the exit code, stdout and stderr must agree; an exception
 that escapes `main` is recorded in place of the exit code. Prints every
@@ -145,6 +147,16 @@ def _edge_groups() -> list[tuple[str, int]]:
     return tokens
 
 
+def _exponent_argv(group: str, p: int, c: int, route: str, fmt: str) -> list[str]:
+    """`exponent --route` with only the flags that route reads: moore-fiber
+    reads no group, and only the routes that take a manifold read --m."""
+    argv = ["exponent"] if route == "moore-fiber" else ["exponent", "--group", group]
+    argv += ["--p", str(p), "--c", str(c)]
+    if route not in ("closed", "moore-fiber"):
+        argv += ["--m", "2"]
+    return argv + ["--route", route, "--format", fmt]
+
+
 def _argv_list() -> list[list[str]]:
     sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -167,8 +179,7 @@ def _argv_list() -> list[list[str]]:
     for group, p, c, route, fmt in itertools.product(
         EXPONENT_GROUPS, EXPONENT_P, EXPONENT_C, EXPONENT_ROUTES, ("text", "machine")
     ):
-        argvs.append(["exponent", "--group", group, "--p", str(p), "--c", str(c), "--m", "2",
-                      "--route", route, "--format", fmt])
+        argvs.append(_exponent_argv(group, p, c, route, fmt))
     for p, fmt in itertools.product(
         ([],) + tuple(["--p", str(p)] for p in EXPONENT_P), ("text", "machine"),
     ):
@@ -204,9 +215,7 @@ def _argv_list() -> list[list[str]]:
         argvs.append(["moore", "--c", str(c), "--m", str(m), *flags, "--suspension", t,
                       "--format", fmt])
     for (group, p), fmt in itertools.product(_edge_groups(), ("text", "machine")):
-        for route in EXPONENT_ROUTES:
-            argvs.append(["exponent", "--group", group, "--p", str(p), "--c", str(p), "--m", "2",
-                          "--route", route, "--format", fmt])
+        argvs += [_exponent_argv(group, p, p, route, fmt) for route in EXPONENT_ROUTES]
         for question in ([], ["--trivial", "--p", str(p)], ["--same-type", "1", "2"]):
             argvs.append(["classify", "--group", group, "--c", str(p), "--moore", *question,
                           "--format", fmt])
