@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from . import records
 from .arith import factorize, gcd_class, nu_p, prime_divisors
 from .errors import CatalogError
-from .lie import EXCEPTIONAL, LieGroupSpec, _family_key, _l_at, _require_odd_prime, _rows, _within
+from .lie import EXCEPTIONAL, LieGroupSpec, _lookup, _require_odd_prime, _rows
 from .localization import Localization
 from .manifold import (
     ManifoldSpec,
@@ -205,7 +205,9 @@ def _gcd_classes(c: int, d: int, factors) -> tuple[tuple[int, GcdClass], ...]:
 def _order(G: LieGroupSpec, c: int) -> tuple[int, str, int]:
     """G's catalog order, its validity tag and d = gcd(ord, c), from G's first
     row (lie._rows) whatever p: the one p-blind catalog read. The order is an
-    upper bound even where that row is p-local, so a report shows its tag."""
+    upper bound even where that row is p-local, so a report shows its tag.
+    Read by the report and same_type_moore (the benchmark pins both to the
+    first row) and by trivial_case for an exceptional group's one ord."""
     rows, n = _rows(G)
     if not rows:
         raise CatalogError(f"no catalog row for {G}")
@@ -270,13 +272,11 @@ _TRIVIAL_P_MIN = {"G2": 3, "F4": 5, "E6": 5, "E7": 7, "E8": 7}
 def trivial_case(G: LieGroupSpec, p: int, c: int) -> bool:
     """Does the one-type criterion hold for (G, p, c)?
 
-    The connecting-map order ord comes from the catalog. Matrix groups need
-    l(G) <= (p-1)^2 (lie's trivial_range) and read the valuation condition
-    nu_p(gcd(ord, c)) = 1 literally (not <= 1); exceptional groups need p
-    at least the criterion's threshold and c not divisible by the radical
-    of ord. Two differences from the catalog's range tags are not yet
-    checked against the paper: Sp(1) is out, and Spin(2n) reads l = 2n - 1,
-    out at 2n = (p-1)^2 + 2 (Spin(18) at p = 5), where p divides no packaged ord.
+    A matrix group needs a catalog row that holds at p (lie._lookup) and
+    reads nu_p(gcd(ord, c)) = 1 from it literally (not <= 1). Exceptional
+    groups need p at least the criterion's threshold and c not divisible by
+    the radical of ord. One difference from the catalog's tags is not yet
+    checked against the paper: Sp(1) is out.
 
     >>> trivial_case(LieGroupSpec("G2"), 5, 5)
     True
@@ -287,13 +287,12 @@ def trivial_case(G: LieGroupSpec, p: int, c: int) -> bool:
     """
     require_moore_order(c)
     _require_odd_prime(p)
-    ord_value, _, d = _order(G, c)
     if G.family in EXCEPTIONAL:
+        ord_value = _order(G, c)[0]
         return p >= _TRIVIAL_P_MIN[G.family] and c % math.prod(prime_divisors(ord_value)) != 0
-    key, n = _family_key(G)
-    # the two differences above: Sp(1), the one n = 1, is out; Spin(2n) reads Spin(2n+1)'s l
-    l = _l_at("SpinOdd" if key == "SpinEven" else key, n) if n > 1 else math.inf
-    return _within("trivial_range", l, p) and nu_p(d, p) == 1
+    row, n = _lookup(G, p)
+    # the difference above: Sp(1), the one n = 1, is out
+    return row is not None and n > 1 and nu_p(math.gcd(row.ord_value(n), c), p) == 1
 
 
 # -- the arithmetic-progression minimum ---------------------------------------

@@ -8,8 +8,7 @@ manifold, and the stable SU and Spin groups in bott.
 
 Each range is one inequality at an odd prime p, stated once in _RANGES:
 p >= its least prime and l(G) <= p - 1 (p_regular), (p-1)(p-2) (theriault)
-or (p-1)^2 (the catalog's range tags, from p = 5 for spin_even_range, and
-trivial_range).
+or (p-1)^2 (the catalog's range tags, from p = 5 for spin_even_range).
 
 Numeric rows live in data/catalog.txt (override with the GAUGE_CATALOG
 environment variable); this module parses and interprets them. Each catalog
@@ -28,7 +27,8 @@ rows, each kind in file order. _lookup is the one resolution of (G, p): one
 index read (_rows) and one scan, which returns G's first row that holds at p
 and nothing else, so an ord or r is read only from a row that holds. Only
 _lookup and classification._order call _rows; _order reads G's first row
-whatever p, the one p-blind read.
+whatever p, the one p-blind read, which the classification report and
+same_type_moore still take (the one-type criterion reads _lookup).
 """
 
 import math
@@ -165,14 +165,13 @@ def rational_degrees(G: LieGroupSpec) -> tuple[int, ...]:
 
 # -- ranges ------------------------------------------------------------------
 
-# name -> (least, bound): p >= least and l(G) <= bound(p); trivial_range is trivial_case's
+# name -> (least, bound): p >= least and l(G) <= bound(p)
 _RANGES = {
     "p_regular": (3, lambda p: p - 1),
     "theriault": (3, lambda p: (p - 1) * (p - 2)),
     "su_range": (3, lambda p: (p - 1) ** 2),
     "symp_range": (3, lambda p: (p - 1) ** 2),
     "spin_even_range": (5, lambda p: (p - 1) ** 2),
-    "trivial_range": (3, lambda p: (p - 1) ** 2),
 }
 _TAGS = ("su_range", "symp_range", "spin_even_range")  # the ranges a catalog row may name
 

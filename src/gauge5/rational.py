@@ -140,9 +140,7 @@ class RationalGroupModel(Value):
     def parse(text: str) -> "RationalGroupModel":
         """'ext degrees / poly degrees', comma lists, either side empty:
         '3,5/4', '3,7/', '/2'."""
-        ext_s, sep, poly_s = text.partition("/")
-        if not sep:
-            poly_s = ""
+        ext_s, _, poly_s = text.partition("/")
         ext = _integers([d for d in ext_s.split(",") if d.strip()], text, "'3,5/4'")
         poly = _integers([d for d in poly_s.split(",") if d.strip()], text, "'3,5/4'")
         return RationalGroupModel(ext, poly)

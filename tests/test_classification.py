@@ -21,7 +21,7 @@ from gauge5 import (
     same_type_moore,
     trivial_case,
 )
-from gauge5 import arith, classification
+from gauge5 import arith, classification, lie
 from gauge5.arith import nu_p, prime_divisors
 from gauge5.classification import GcdClass
 
@@ -199,6 +199,40 @@ def test_trivial_case_forces_one_type_at_p():
         report = classify_moore(G, c)
         if report.d % p != 0:
             assert dict(report.count_at_p).get(p, 1) == 1
+
+
+def test_trivial_case_reads_the_spin_2n_range_from_its_row(tmp_path, monkeypatch):
+    # a catalog whose one row gives Spin(2n) an ord that 5 divides, so the range decides
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("SpinEven  *  spin_even_range  5  nu_p((2n-3)!)\n", encoding="utf-8")
+    monkeypatch.setenv("GAUGE_CATALOG", str(catalog))
+    Spin = lambda n: LieGroupSpec("Spin", n)
+    # the tag bounds l(Spin(2n)) = 2n - 3 by (5-1)^2 = 16: Spin(18) is in, Spin(20) out
+    assert trivial_case(Spin(16), 5, 5)
+    assert trivial_case(Spin(18), 5, 5)
+    assert not trivial_case(Spin(20), 5, 5)
+    assert not trivial_case(SU(4), 5, 5)  # no SU row at all: the criterion does not hold
+
+
+def test_trivial_case_does_not_hold_where_no_row_holds():
+    # each classical family's first parameters and a window past each range edge at p,
+    # asked at c = p, where a row read outside its tag would answer whenever p | its ord
+    outside = divides = 0
+    for p in (q for q in range(3, 60) if arith.is_prime(q)):
+        edge = (p - 1) ** 2
+        groups = [
+            LieGroupSpec(family, n)
+            for family, least, top in (("SU", 2, edge + 1), ("Sp", 1, edge // 2 + 1),
+                                       ("Spin", 5, edge + 2))
+            for n in {*range(least, 20), *range(max(least, top - 2), top + 2 * p + 2)}
+        ]
+        for G in groups:
+            row, n = lie._lookup(G, p)
+            if row is None:
+                assert not trivial_case(G, p, p), (G, p)
+                outside += 1
+                divides += lie._rows(G)[0][0].ord_value(n) % p == 0
+    assert outside > 1000 and divides > 100
 
 
 def _dirichlet_oracle(k: int, ord_value: int, c: int, N: int) -> set[int]:

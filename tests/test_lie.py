@@ -774,29 +774,26 @@ _EDGE_FAMILIES = {
 
 
 def _oracle_ranges(key, n, p):
-    """(p-regular, in the theriault range, in the family's catalog tag, in the one-type
-    criterion's range) for the group of `key` and n at p, written out per family apart from
-    lie's range table: the family branches the table replaced, and _oracle_holds."""
+    """(p-regular, in the theriault range, in the family's catalog tag) for the group of
+    `key` and n at p, written out per family apart from lie's range table: the family
+    branches the table replaced, and _oracle_holds."""
     group, _, tag = _EDGE_FAMILIES[key]
     G = group(n)
     theriault = (p - 1) * (p - 2)
     width = {"SU": n - 1, "SpinEven": 2 * (n - 1)}.get(key, 2 * n)
-    trivial = (p - 1) ** 2 + 1
-    one_type = n <= trivial if key == "SU" else (6 if key == "SpinEven" else 4) <= 2 * n <= trivial
     return (
         p > max(type_of(G)),
         width <= theriault,
         _oracle_holds(tag, key, p, n),
-        one_type and (key != "SpinEven" or p >= 5),
     )
 
 
 def _edge_parameters(key, p):
-    """The family's least n (Sp(1) is out of the one-type range), and each n on either side
+    """The family's least n (Sp(1) is out of the one-type criterion), and each n on either side
     of each range's upper edge at p: the largest n inside and the least outside."""
     least = _EDGE_FAMILIES[key][1]
     found, span = {least}, range(least + 1, 4 * p * p)  # above least, each range is n <= bound
-    for i in range(4):
+    for i in range(3):
         first_out = span[0] + bisect.bisect_left(
             span, True, key=lambda n: not _oracle_ranges(key, n, p)[i]
         )
@@ -811,7 +808,7 @@ def test_each_range_answers_inside_its_edge_and_refuses_outside(key):
         M = ManifoldSpec(p, 2)
         for n in _edge_parameters(key, p):
             G, where = _EDGE_FAMILIES[key][0](n), (key, n, p)
-            regular, theriault, tagged, one_type = _oracle_ranges(key, n, p)
+            regular, theriault, tagged = _oracle_ranges(key, n, p)
             rows = _oracle_rows(G)[0]
             has_row = tagged or any(
                 r.param is not None and _oracle_holds(r.prime_cond, key, p, n) for r in rows
@@ -839,6 +836,8 @@ def test_each_range_answers_inside_its_edge_and_refuses_outside(key):
                 picked = min(routes, key=lambda route: (routes[route], route))
                 assert (best.route, best.exponent) == (picked, routes[picked]), where
                 assert [a.route for a in best.alternatives] == sorted(set(routes) - {picked}), where
+            # the one-type criterion holds in the row that holds at p, Sp(1) apart
+            one_type = has_row and (key, n) != ("Sp", 1)
             divides = classify_moore(G, 2).ord % p == 0
             assert trivial_case(G, p, p) is (one_type and divides), where
             divides_inside += one_type and divides

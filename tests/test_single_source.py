@@ -23,9 +23,11 @@ lie._ord_clash and the CLI's exceptional table filter ask it; and the loop-filtr
 arms (A, B) only by lie._arms, which the theriault route evaluates and each
 exceptional catalog row checks its published arms against. Each range, an
 inequality on l(G) with a polynomial in p for its bound, is stated only in
-lie._RANGES, and l(G) is compared with p only by lie._within, which
-is_p_regular, in_theriault_range, exponents._routes, a row's range tag and
-trivial_case read;
+lie._RANGES, which names only the p_regular and theriault ranges and the
+catalog's three range tags; l(G) is compared with p only by lie._within,
+which only is_p_regular, in_theriault_range, exponents._routes and a row's
+range tag (CatalogRow._holds_at) call, so the one-type criterion has no
+range of its own and reads the row that holds at p;
 arith.legendre_valuation's p - 1 is not a range. The scans below
 fail if a later change re-derives any of these facts somewhere else.
 
@@ -49,6 +51,7 @@ from pathlib import Path
 import pytest
 
 import gauge5
+from gauge5 import lie
 
 SRC = Path(gauge5.__file__).resolve().parent
 
@@ -281,6 +284,12 @@ def test_each_range_is_stated_only_in_the_range_table():
     count = lambda node: sum(map(_subtracts_from_p, ast.walk(node)))
     assert count(table) == count(tree)  # in lie, only the range table's entries
     assert _sites(_compares_l_with_p) == {("lie.py", "_within")}
+    # two predicates' ranges and the catalog's tags: no caller keeps a private range
+    assert set(lie._RANGES) == {"p_regular", "theriault", *lie._TAGS}
+    assert _sites(_calls("_within")) == {
+        ("lie.py", "is_p_regular"), ("lie.py", "in_theriault_range"),
+        ("exponents.py", "_routes"), ("lie.py", "_holds_at"),
+    }
 
 
 # qualified def, or function(parameter), that no library code reaches -> why it stays

@@ -130,8 +130,8 @@ EDGE_PRIMES = tuple(p for p in range(2, 60) if all(p % q for q in range(2, p)))
 
 def _edge_groups() -> list[tuple[str, int]]:
     """(group token, p) on both sides of each range's edge, per family and prime (the
-    `edges` sweep), read from this checkout's range table. The second largest n inside
-    reaches trivial_case's Spin(2n) edge, one step inside the table's bound."""
+    `edges` sweep), read from this checkout's range table, with the second largest n
+    inside as a near-edge probe."""
     from gauge5.lie import _RANGES, _l_at
 
     tokens = []
