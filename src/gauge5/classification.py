@@ -13,7 +13,6 @@ inequivalent.
 """
 
 import math
-from collections.abc import Sequence
 
 from . import records
 from .arith import factorize, gcd_class, nu_p, prime_divisors
@@ -91,17 +90,19 @@ class ClassificationReport(Value):
         return "\n".join([head, *at_p, *classes])
 
 
-class GcdClass(Value, Sequence):
+class GcdClass(Value):
     """The k in range(c) with gcd(k, d) = g (gcd(0, d) = d), ascending, for
     g dividing d dividing c, without building them.
 
     There are (c/d) phi(d/g) members. Member i is j d + g s_i' with (j, i')
     = divmod(i, phi(d/g)) and s_i' the i'-th residue in [0, d/g) coprime to
     d/g (0 when g = d), found by Mobius counting over the primes of d/g and
-    bisection. No operation builds the members it does not return: `len`,
-    `in`, hashing and comparing two classes take O(2^omega(d/g)) steps,
-    indexing O(2^omega(d/g) log(d/g)), and a slice one such step plus a few
-    gcds per returned member (with step 1) or one per member (otherwise).
+    bisection. These are its only operations, and none builds the members
+    it does not return: `len`, `in`, hashing and comparing two classes take
+    O(2^omega(d/g)) steps, and indexing O(2^omega(d/g) log(d/g)). Iterating
+    or a slice with step 1 takes one index step plus a few gcds per member
+    returned, any other slice one index step per member, and `reversed`
+    indexes from the end.
 
     >>> cls = GcdClass(9, 3, 1)
     >>> len(cls), cls[0], cls[-1], cls[1:4], cls[::-2], 7 in cls

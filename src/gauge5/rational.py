@@ -10,11 +10,12 @@ integer bookkeeping:
   rational_rank_formula   rank of pi_q from the b_i and the degrees
   rational_cohomology_ring  free (graded-commutative) generator ledger
 
-Convention used throughout: factors whose resulting degree is <= 1 are
-dropped (the loop space of S^3 twice is rationally K(Q, 1), a point in the
-simply connected modeling used here); _gauge_degrees is the one degree
-rule. The b_star cohomology formula is the one place the degree-1 case
-survives, since there the ring genuinely has a degree-1 class.
+_looped_degrees is the one degree rule: Omega^i of a degree-d generator
+has degree d - i, kept from a least degree on. The gauge group keeps
+degrees >= 2 (the loop space of S^3 twice is rationally K(Q, 1), a point in
+the simply connected modeling used here); the b_star ring loops BG's
+generators and keeps degree 1, since there the ring genuinely has a
+degree-1 class.
 """
 
 from . import records
@@ -53,9 +54,8 @@ class HilbertSeries(Value):
             raise ValueError("b_0 must be 1 (connected space)")
         if any(b < 0 for b in coeffs):
             raise ValueError("Betti numbers must be nonnegative")
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        self.__dict__.update(coefficients=coeffs)
+        last = max(i for i, b in enumerate(coeffs) if b)  # b_0 = 1 is nonzero
+        self.__dict__.update(coefficients=coeffs[: last + 1])
 
     @staticmethod
     def sphere(n: int) -> "HilbertSeries":
@@ -148,10 +148,6 @@ class RationalGroupModel(Value):
     def all_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.exterior_degrees + self.polynomial_degrees))
 
-    def rank_pi(self, d: int) -> int:
-        """rank of pi_d(G) tensor Q."""
-        return self.exterior_degrees.count(d) + self.polynomial_degrees.count(d)
-
     def require_finite_dimensional(self) -> None:
         if self.polynomial_degrees:
             raise HypothesisError(
@@ -239,55 +235,55 @@ def em_expansion(X: HilbertSeries, G: RationalGroupModel, based: bool = False) -
     S³
     """
     mults: dict[int, int] = {}  # degree -> multiplicity: one atom per degree
-    for n, b in _gauge_degrees(X, G, based):
+    for n, b in _looped_degrees(X, G.all_degrees(), 2, based):
         mults[n] = mults.get(n, 0) + b
-    # every degree is >= 2 (_gauge_degrees): odd ones are spheres, even ones K(Q, n)
+    # every kept degree is >= 2: odd ones are spheres, even ones K(Q, n)
     pairs = tuple(((sphere_factor if n % 2 else em_factor)(n), b) for n, b in mults.items())
     return SpaceExpr(pairs, localization=Localization.rational(), group=G)
 
 
-def _gauge_degrees(X: HilbertSeries, G: RationalGroupModel, based: bool = False) -> list:
+def _looped_degrees(X: HilbertSeries, degrees, least: int, based: bool = False) -> list:
     """(degree, multiplicity) of each irreducible rational factor of the
-    gauge group: Omega^i of G's degree-d generator, b_i times, has degree
-    d - i and is kept when d - i >= 2. The one degree rule behind
-    em_expansion (an atom per degree) and the gauge cohomology ring (a
-    generator per pair)."""
+    maps from X into a space with generators of these degrees: Omega^i of
+    the degree-d generator, b_i times, has degree d - i and is kept when
+    d - i >= least. The one degree rule: em_expansion (an atom per degree)
+    and the gauge ring (a generator per pair) loop G's degrees from 2, the
+    b_star ring BG's degrees from 1, and rational_rank_formula counts the
+    pairs of one degree."""
     X.require_simply_connected()
-    degrees = G.all_degrees()
     out = []
     for i in range(1 if based else 0, X.degree() + 1):
         b = X.coefficient(i)
         if b:
-            out += [(d - i, b) for d in degrees if d - i >= 2]
+            out += [(d - i, b) for d in degrees if d - i >= least]
     return out
 
 
 def rational_rank_formula(
     X: HilbertSeries, G: RationalGroupModel, q: int, based: bool = False
 ) -> int:
-    """rank pi_q of the gauge group: sum of b_r * rank pi_(r+q)(G).
+    """rank pi_q of the gauge group: the summed b_i of the degree rule's
+    pairs (d - i, b_i) for G with d - i = q, counted without building
+    them. It answers for b_1 > 0 too.
 
     >>> rational_rank_formula(HilbertSeries.sphere(4), RationalGroupModel.parse("3,5,7/"), 3)
     2
     """
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
+    # a pair has degree q exactly when its loop count i is d - q
     start = 1 if based else 0
-    return sum(
-        X.coefficient(r) * G.rank_pi(r + q)
-        for r in range(start, X.degree() + 1)
-    )
+    return sum(X.coefficient(d - q) for d in G.all_degrees() if d - q >= start)
 
 
 def rational_cohomology_ring(target: str, X: HilbertSeries, G: RationalGroupModel) -> GeneratorLedger:
     """Free generator ledger of H*(target; Q), target 'gauge' or 'b_star'.
 
-    gauge reads its generators off the degree rule behind em_expansion: one
-    exterior (odd degree) or polynomial (even degree) generator per
-    irreducible factor, without building the factors. b_star applies the connection-moduli formula: for each exterior
-    degree a of G, b_(2k+1) exterior generators of degree a - 2k and b_(2k)
-    polynomial generators of degree a - 2k + 1, k >= 0, dropping
-    non-positive degrees.
+    Each reads its generators off the degree rule, one exterior (odd
+    degree) or polynomial (even degree) generator per pair, without
+    building the factors: gauge loops G's degrees and keeps those >= 2, as
+    em_expansion does; b_star loops BG's degrees (each exterior degree a of
+    G gives a + 1) and keeps those >= 1.
 
     >>> print(rational_cohomology_ring("b_star", HilbertSeries.sphere(4), RationalGroupModel.parse("3/")))
     Q[4]
@@ -295,20 +291,14 @@ def rational_cohomology_ring(target: str, X: HilbertSeries, G: RationalGroupMode
     Λ(3,5) ⊗ Q[4]
     """
     if target == "gauge":
-        counted = [(n, "exterior" if n % 2 else "polynomial", b) for n, b in _gauge_degrees(X, G)]
+        counted = _looped_degrees(X, G.all_degrees(), 2)
     elif target != "b_star":
         raise ValueError(f"target must be gauge or b_star, got {target!r}")
     else:
         X.require_simply_connected()
         G.require_finite_dimensional()
-        counted = []  # (degree, kind, multiplicity)
-        for a in G.exterior_degrees:
-            for k in range(0, a // 2 + 1):
-                odd_b = X.coefficient(2 * k + 1)
-                if odd_b and a - 2 * k >= 1:
-                    counted.append((a - 2 * k, "exterior", odd_b))
-                even_b = X.coefficient(2 * k)
-                if even_b and a - 2 * k + 1 >= 2:
-                    counted.append((a - 2 * k + 1, "polynomial", even_b))
-    require_listable(sum(b for _, _, b in counted))
-    return GeneratorLedger(tuple((d, kind) for d, kind, b in counted for _ in range(b)))
+        counted = _looped_degrees(X, [a + 1 for a in G.exterior_degrees], 1)
+    require_listable(sum(b for _, b in counted))
+    return GeneratorLedger(
+        tuple((n, "exterior" if n % 2 else "polynomial") for n, b in counted for _ in range(b))
+    )

@@ -327,6 +327,15 @@ def test_lazy_class_comparison_and_hash():
         GcdClass(9, 3, 1)[6]
 
 
+def test_a_class_has_no_member_walking_search():
+    # index and count would walk the members one by one; reversed indexes from the end
+    cls = GcdClass(10**6, 8, 1)
+    assert not hasattr(cls, "index") and not hasattr(cls, "count")
+    for c, d, g in [(9, 3, 1), (24, 12, 2), (4, 4, 4), (30, 30, 5)]:
+        assert list(reversed(GcdClass(c, d, g))) == list(GcdClass(c, d, g))[::-1]
+    assert next(reversed(GcdClass(6 * 10**17, 6, 1))) == 6 * 10**17 - 1
+
+
 @pytest.mark.parametrize("c", [10**7, 10**12])
 def test_classify_moore_at_large_c_is_fast_and_small(c):
     classify_moore(SU(3), 9)  # load the catalog outside the measurement

@@ -441,6 +441,21 @@ def test_rational_normalize_at_a_huge_rank_answers_in_bounded_memory():
 @pytest.mark.parametrize(
     "argv, out",
     [
+        # 60,000 trailing zeros, trimmed in one pass (one argument stays under 128 KiB)
+        ("rational --model 3/ --series 1" + ",0" * 60000, "G"),
+        # BG's generators looped once per Betti number, not once per degree below a
+        ("rational --op ring-b-star --model 1000000000001/ --series 1,0,0,0,1",
+         "Q[999999999998,1000000000002]"),
+    ],
+    ids=["trailing-zeros", "ring-b-star-huge-degree"],
+)
+def test_rational_answers_a_long_series_and_a_huge_degree_at_once(argv, out):
+    assert _capped(argv) == (0, out + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
         ("--family SU --r 5", "pi_5 of the stable SU gauge group over M = Z^100000000"
          "  (stable for parameter >= 6)"),
         ("--family SU --table", "stable pi_r of SU gauge groups over M (c = 3, m = 100000000,"

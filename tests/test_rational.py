@@ -18,7 +18,7 @@ from gauge5.rational import (
     GeneratorLedger,
     HilbertSeries,
     RationalGroupModel,
-    _gauge_degrees,
+    _looped_degrees,
     em_expansion,
     rational_B_star,
     rational_cohomology_ring,
@@ -68,7 +68,8 @@ def test_model_parsing_and_degrees():
     G = RationalGroupModel.parse("3,5/4")
     assert str(G) == "Λ(3,5) ⊗ Q[4]"
     assert G.all_degrees() == (3, 4, 5)
-    assert G.rank_pi(3) == 1 and G.rank_pi(4) == 1 and G.rank_pi(6) == 0
+    point = HilbertSeries((1,))
+    assert [rational_rank_formula(point, G, d) for d in (3, 4, 6)] == [1, 1, 0]
     assert len(G.exterior_degrees) + len(G.polynomial_degrees) == 3
     assert G.polynomial_degrees
     lean = RationalGroupModel.parse("3/")
@@ -236,7 +237,7 @@ def _em_per_pair(X: HilbertSeries, G: RationalGroupModel, based: bool) -> spaces
     """em_expansion as it was once built: one atom per (degree, multiplicity) pair."""
     pairs = tuple(
         ((spaces.sphere_factor if n % 2 else spaces.em_factor)(n), b)
-        for n, b in _gauge_degrees(X, G, based)
+        for n, b in _looped_degrees(X, G.all_degrees(), 2, based)
     )
     return spaces.SpaceExpr(pairs, localization=Localization.rational(), group=G)
 
@@ -254,3 +255,46 @@ def test_em_expansion_equals_the_per_pair_construction(betti, ext, poly, based):
     want = _outcome(_em_per_pair, X, G, based)
     got = _outcome(em_expansion, X, G, based)
     assert (got[0], repr(got[1])) == (want[0], repr(want[1]))
+
+
+def _ring_by_k(target: str, X: HilbertSeries, G: RationalGroupModel) -> GeneratorLedger:
+    """The rings as they were once built, the b_star one by its own loop: for
+    each exterior degree a of G and k <= a // 2, b_(2k+1) exterior generators
+    of degree a - 2k and b_(2k) polynomial ones of degree a - 2k + 1,
+    dropping non-positive degrees."""
+    if target == "gauge":
+        return _ledger_off_em_expansion(X, G)
+    if target != "b_star":
+        raise ValueError(f"target must be gauge or b_star, got {target!r}")
+    X.require_simply_connected()
+    G.require_finite_dimensional()
+    gens = []
+    for a in G.exterior_degrees:
+        for k in range(0, a // 2 + 1):
+            odd_b = X.coefficient(2 * k + 1)
+            if odd_b and a - 2 * k >= 1:
+                gens += [(a - 2 * k, "exterior")] * odd_b
+            even_b = X.coefficient(2 * k)
+            if even_b and a - 2 * k + 1 >= 2:
+                gens += [(a - 2 * k + 1, "polynomial")] * even_b
+    return GeneratorLedger(tuple(gens))
+
+
+def test_the_degree_rule_agrees_with_the_loop_over_k_and_the_rank_sum():
+    # exterior degrees up to 41, series up to degree 9, b_1 > 0 (which the
+    # rank formula answers), polynomial generators and a bad target; each
+    # refusal is compared with its text
+    rng = random.Random(41)
+    for _ in range(400):
+        betti = [rng.choice((0, 0, 1, 2, 3)) for _ in range(rng.randrange(0, 10))]
+        if betti and rng.random() < 0.8:
+            betti[0] = 0  # b_1 > 0 stays rare, so most draws reach the formulas
+        X = HilbertSeries((1, *betti))
+        ext = [rng.randrange(3, 42, 2) for _ in range(rng.randrange(0, 5))]
+        poly = [rng.randrange(2, 42, 2) for _ in range(rng.randrange(0, 3))] if rng.random() < 0.3 else []
+        G = RationalGroupModel(tuple(ext), tuple(poly))
+        for target in ("gauge", "b_star", "loops"):
+            assert _outcome(rational_cohomology_ring, target, X, G) == _outcome(_ring_by_k, target, X, G)
+        for q in range(1, 44):
+            for based in (False, True):
+                assert rational_rank_formula(X, G, q, based) == _mapping_space_rank(X, G, q, based)
