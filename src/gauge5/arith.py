@@ -102,9 +102,6 @@ class PrimePower(Value):
     def __init__(self, p: int, e: int) -> None:
         self.__dict__.update(p=p, e=e, _key=(p, -e))  # not a field: a group's sort key
 
-    def value(self) -> int:
-        return self.p**self.e
-
 
 def factorize(m: int) -> tuple[PrimePower, ...]:
     """Prime factorization of m >= 1, sorted by prime.

@@ -101,37 +101,12 @@ def require_spin_or_away_from_2(M: ManifoldSpec, away_from_2: bool) -> None:
         raise HypothesisError("non-spin manifolds need localization away from 2c")
 
 
-def _pi4_is_z2(G: "LieGroupSpec") -> bool:
-    """The one statement of which G have pi_4(G) = Z/2: SU(2), every Sp(n), Spin(5)."""
-    return (G.family == "SU" and G.n == 2) or G.family == "Sp" or (G.family == "Spin" and G.n == 5)
-
-
-def pi4(G: "LieGroupSpec") -> FGAbelianGroup:
-    """Integral pi_4: Z/2 where _pi4_is_z2 says so, else 0."""
-    return FGAbelianGroup.cyclic(2) if _pi4_is_z2(G) else FGAbelianGroup.trivial()
-
-
-def pi4_is_trivial(G: "LieGroupSpec", ctx: Localization) -> bool:
-    """Does pi_4(G) vanish in the localization?
-
-    Equal to pi4(G).localize(ctx).is_trivial() without building a group:
-    pi_4 is Z/2 or 0, and localizing drops the Z/2 exactly when ctx inverts 2.
-
-    >>> from gauge5.lie import LieGroupSpec
-    >>> pi4_is_trivial(LieGroupSpec("Sp", 2), Localization.integral())
-    False
-    >>> pi4_is_trivial(LieGroupSpec("Sp", 2), Localization.away_from([2]))
-    True
-    """
-    return not _pi4_is_z2(G) or ctx.inverts(2)
-
-
 def require_pi4_trivial(G: "LieGroupSpec", ctx: Localization) -> None:
-    """pi_4(G) = 0 in the localization ctx."""
-    if not pi4_is_trivial(G, ctx):
-        raise HypothesisError(
-            f"hypothesis pi_4(G) = 0 fails: pi_4({G}) = {pi4(G).localize(ctx)} ({ctx})"
-        )
+    """pi_4(G) = 0 in ctx: pi_4(G) is Z/2 for SU(2), every Sp(n) and Spin(5),
+    else 0, and ctx drops the Z/2 exactly when it inverts 2, so a refusal shows Z/2."""
+    z2 = (G.family == "SU" and G.n == 2) or G.family == "Sp" or (G.family == "Spin" and G.n == 5)
+    if z2 and not ctx.inverts(2):
+        raise HypothesisError(f"hypothesis pi_4(G) = 0 fails: pi_4({G}) = Z/2 ({ctx})")
 
 
 def homology(M: ManifoldSpec) -> list[FGAbelianGroup]:

@@ -264,7 +264,13 @@ def rational_rank_formula(
 ) -> int:
     """rank pi_q of the gauge group: the summed b_i of the degree rule's
     pairs (d - i, b_i) for G with d - i = q, counted without building
-    them. It answers for b_1 > 0 too.
+    them. It answers for b_1 > 0 too, as it needs no simply connected X:
+    BG is rationally a product of K(Q, d + 1) over G's degrees d, each
+    component of Map(X, K(Q, n)) has pi_k = H^(n-k)(X; Q) for connected
+    finite X (Thom), and components localize as BG is nilpotent
+    (Hilton-Mislin-Roitberg), so rank pi_(q+1) Map_P(X, BG) = sum of
+    b_(d-q). The other ops refuse b_1 != 0: their product models drop the
+    factors of degree <= 1.
 
     >>> rational_rank_formula(HilbertSeries.sphere(4), RationalGroupModel.parse("3,5,7/"), 3)
     2

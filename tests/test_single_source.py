@@ -5,8 +5,8 @@ Spin's parity is read only by lie._family_key, which maps Spin(2n+1) to
 branches on that key. "p is an odd prime" is checked only by
 lie._require_odd_prime, which every odd-primary entry point calls. Which
 groups have pi_4 = Z/2 (SU(2), every Sp(n), Spin(5)) is stated only by
-manifold._pi4_is_z2, which manifold.pi4 and manifold.pi4_is_trivial both
-call. The Bott groups, bott._STABLE, are defined and read only in bott,
+manifold.require_pi4_trivial, the one check of pi_4(G) = 0, which builds no
+group. The Bott groups, bott._STABLE, are defined and read only in bott,
 and "r is at least the stable family's least r" is checked only by
 bott._stable_family, which stable_pi, stability_threshold and StableQuery
 call. No library code calls GcdClass.__new__: its __init__ alone builds a
@@ -128,15 +128,19 @@ def _reads_pi4_family(node) -> bool:
     return any(_PI4_PARAM.get(f) in params for f in families)
 
 
-def test_pi4_family_is_read_only_by_its_predicate():
-    assert _sites(_reads_pi4_family) == {("manifold.py", "_pi4_is_z2")}
+def test_pi4_family_is_read_only_by_its_check():
+    assert _sites(_reads_pi4_family) == {("manifold.py", "require_pi4_trivial")}
     tree = library_trees()["manifold.py"]
     funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-    for name in ("pi4", "pi4_is_trivial"):
-        calls = {ast.unparse(c.func) for c in ast.walk(funcs[name]) if isinstance(c, ast.Call)}
-        assert "_pi4_is_z2" in calls, name
-        # the triviality test builds no group: it never asks pi4
-        assert name == "pi4" or "pi4" not in calls
+    calls = [
+        ast.unparse(c.func) for c in ast.walk(funcs["require_pi4_trivial"])
+        if isinstance(c, ast.Call)
+    ]
+    # the check builds no group: no FGAbelianGroup constructor and no localize
+    assert not [c for c in calls if c.startswith("FGAbelianGroup") or c.endswith("localize")]
+    # the predicate, the group and the triviality test it once called are folded into it
+    folded = {"_pi4_is_z2", "pi4", "pi4_is_trivial"}
+    assert not _sites(lambda node: isinstance(node, ast.FunctionDef) and node.name in folded)
 
 
 def _compares_r_with_least(node) -> bool:
@@ -301,6 +305,10 @@ ALLOWLIST = {
     "manifold.WedgeExpr.reduced_homology": "tests/test_manifold.py checks the splittings with it",
     "decomposition.gauge_away_from_c(k)": "bench/queries.py passes it by position",
     "lie.CatalogRow.family_key": "bench/spans.py reads it, the family column's earlier name",
+    "abelian.FGAbelianGroup.localize": (
+        "tests/test_bott.py and tests/test_lie.py check the Bott fold and the pi_4 check against it"
+    ),
+    "rational.HilbertSeries.sphere": "the doctests and tests build S^n's series with it",
 }
 
 
@@ -325,6 +333,11 @@ def _names(node) -> Counter:
     )
 
 
+def _attributes(node) -> Counter:
+    """How often each name is used under node as an attribute."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def _reads(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
@@ -344,18 +357,23 @@ def _defs(tree):
 def _unreached(library: dict, tests: dict) -> set[str]:
     """Defs no other library code names, imports nothing reads and library
     parameters their function never reads, given the parsed library and test
-    modules by name. Names match bare, so a def that shares its name with a
-    reached one hides: this is a lower bound. A def named like a builtin
-    type's method is flagged whatever names it, exported or not."""
-    named = sum(map(_names, library.values()), Counter())  # counted once per name
+    modules by name. A method is reached only through an attribute of its
+    name, a top-level def through any use of its name. Names match bare, so
+    a def that shares its name with a reached one hides: this is a lower
+    bound. A def named like a builtin type's method is flagged whatever
+    names it, exported or not."""
+    # counted once per name
+    named = sum(map(_names, library.values()), Counter())
+    attributes = sum(map(_attributes, library.values()), Counter())
     found = set()
     for module, tree in library.items():
         for qualname, node in _defs(tree):
             if _is_dunder(node.name):
                 continue
+            uses, own = (attributes, _attributes) if "." in qualname else (named, _names)
             if node.name in _BUILTIN_METHODS or (
                 qualname not in gauge5.__all__
-                and named[node.name] == _names(node)[node.name]  # named only inside itself
+                and uses[node.name] == own(node)[node.name]  # named only inside itself
             ):
                 found.add(f"{module}.{qualname}")
         for node in ast.walk(tree):
@@ -405,9 +423,16 @@ def test_every_def_import_and_parameter_is_reached(kind):
         # named by the str method's call, and still flagged
         ("class C:\n    def replace(self):\n        return self\n\nprint(C, 'a'.replace('a', 'b'))\n",
          {"m.C.replace"}),
+        # a local variable of another module is no attribute, so it reaches no method
+        ({"m": "class C:\n    def value(self):\n        return 1\n\nprint(C)\n",
+          "n": "def f(value):\n    return value\n\nf(1)\n"},
+         {"m.C.value"}),
     ],
-    ids=["unreferenced-def", "unused-import", "unread-parameter", "builtin-method-name"],
+    ids=[
+        "unreferenced-def", "unused-import", "unread-parameter", "builtin-method-name",
+        "method-named-like-a-local",
+    ],
 )
 def test_the_scan_flags_each_kind_of_unreached_code(source, flagged):
-    tree = ast.parse(source)
-    assert _unreached({"m": tree}, {}) == flagged
+    modules = source if isinstance(source, dict) else {"m": source}
+    assert _unreached({name: ast.parse(text) for name, text in modules.items()}, {}) == flagged

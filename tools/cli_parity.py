@@ -1,6 +1,7 @@
 """Compare what `gauge5` prints here against another checkout of the repo.
 
     python3 tools/cli_parity.py OTHER_ROOT [--expect FILE]
+    python3 tools/cli_parity.py --digest FILE | --check FILE
 
 One argv list runs through `gauge5.cli.main`, in process, in two child
 interpreters: one imports OTHER_ROOT/src and the other this checkout's src.
@@ -48,6 +49,15 @@ differing argv FILE does not list (`unexpected:`) and every argv FILE lists
 that does not differ (`missing:`), and the tool exits 0 only when the
 differing argv are exactly FILE's.
 
+With `--digest FILE`, only this checkout runs, and FILE gets one line per
+sweep (README and golden, `--help`, `cli_launch`, then the eight above, by
+the names in SWEEPS): the sweep's name, its argv count and the SHA-256 of its
+argv and outputs. An argv in two sweeps counts only in the first.
+`--check FILE` recomputes the lines, names each sweep whose line differs
+from FILE's, and exits 1 if any does. tools/cli_parity_digest.txt is the
+committed digest, which CI checks; a change that alters output writes it
+anew, and lists its intended differences with `--expect` as above.
+
 Standard library only, and outside the test suite. It imports bench/ to
 draw the benchmark queries and writes nothing there.
 """
@@ -55,6 +65,7 @@ draw the benchmark queries and writes nothing there.
 import bisect
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -126,6 +137,11 @@ EDGE_FAMILIES = {
     "SpinEven": (3, lambda n: f"Spin:{2 * n}"),
 }
 EDGE_PRIMES = tuple(p for p in range(2, 60) if all(p % q for q in range(2, p)))
+# the sweeps, in the order they run and the digest lists them
+SWEEPS = (
+    "readme-golden", "help", "cli_launch", "exponent", "table", "bott", "decompose", "classify",
+    "rational", "moore", "edges",
+)
 
 
 def _edge_groups() -> list[tuple[str, int]]:
@@ -157,70 +173,83 @@ def _exponent_argv(group: str, p: int, c: int, route: str, fmt: str) -> list[str
     return argv + ["--route", route, "--format", fmt]
 
 
-def _argv_list() -> list[list[str]]:
+def _sweeps() -> dict[str, list[list[str]]]:
+    """Each sweep's argv, by the sweep's name, in order; an argv that an earlier
+    sweep already holds runs only there."""
     sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from gauge5.cli import _VERBS
     from workloads import cli_block
 
-    argvs = []
+    sweeps = {name: [] for name in SWEEPS}
     for doc in (ROOT / "README.md", ROOT / "tests" / "cli_golden.txt"):
         for line in doc.read_text(encoding="utf-8").splitlines():
             if line.startswith(PROMPT):
-                argvs.append(shlex.split(line[len(PROMPT):]))
-    argvs.append(["--help"])
-    argvs += [[verb, "--help"] for verb in _VERBS]
+                sweeps["readme-golden"].append(shlex.split(line[len(PROMPT):]))
+    sweeps["help"] = [["--help"]] + [[verb, "--help"] for verb in _VERBS]
     for seed in SEEDS:
         rng = random.Random(seed)
         for i in range(BLOCKS):
             for query in cli_block(rng, i):
                 for fmt in ("text", "machine"):
-                    argvs.append(dataclasses.replace(query, fmt=fmt).argv())
+                    sweeps["cli_launch"].append(dataclasses.replace(query, fmt=fmt).argv())
     for group, p, c, route, fmt in itertools.product(
         EXPONENT_GROUPS, EXPONENT_P, EXPONENT_C, EXPONENT_ROUTES, ("text", "machine")
     ):
-        argvs.append(_exponent_argv(group, p, c, route, fmt))
+        sweeps["exponent"].append(_exponent_argv(group, p, c, route, fmt))
+    table = sweeps["table"]
     for p, fmt in itertools.product(
         ([],) + tuple(["--p", str(p)] for p in EXPONENT_P), ("text", "machine"),
     ):
-        argvs.append(["exponent", "--table", "exceptional", *p, "--format", fmt])
-    argvs.append(["exponent", "--table", "exceptional", "--group", "E8"])
+        table.append(["exponent", "--table", "exceptional", *p, "--format", fmt])
+    table.append(["exponent", "--table", "exceptional", "--group", "E8"])
     for flag, p, fmt in itertools.product(
         TABLE_IGNORED, ([], ["--p", "7"]), ("text", "machine"),
     ):
-        argvs.append(["exponent", "--table", "exceptional", *p, *flag, "--format", fmt])
+        table.append(["exponent", "--table", "exceptional", *p, *flag, "--format", fmt])
     for family, c, m, spin, question, away, fmt in itertools.product(
         ("SU", "Spin"), BOTT_C, range(1, 6), ([], ["--non-spin"]), BOTT_QUESTIONS,
         ([], ["--away-2c"]), ("text", "machine"),
     ):
-        argvs.append(["bott", "--family", family, "--c", str(c), "--m", str(m), *spin, *question,
-                      *away, "--format", fmt])
+        sweeps["bott"].append(["bott", "--family", family, "--c", str(c), "--m", str(m), *spin,
+                               *question, *away, "--format", fmt])
     for shape, group, c, m, flags, loc, fmt in itertools.product(
         DECOMPOSE_SHAPES, DECOMPOSE_GROUPS, DECOMPOSE_C, (1, 2, 3), DECOMPOSE_M_FLAGS,
         DECOMPOSE_LOCALIZATIONS, ("text", "machine"),
     ):
-        argvs.append(["decompose", "--group", group, "--c", str(c), "--m", str(m), "--k", "7",
-                      *shape, *flags, *loc, "--normalize", "--format", fmt])
+        sweeps["decompose"].append(["decompose", "--group", group, "--c", str(c), "--m", str(m),
+                                    "--k", "7", *shape, *flags, *loc, "--normalize",
+                                    "--format", fmt])
     for group, c, question, fmt in itertools.product(
         CLASSIFY_GROUPS, CLASSIFY_C, CLASSIFY_QUESTIONS, ("text", "machine"),
     ):
-        argvs.append(["classify", "--group", group, "--c", str(c), *question, "--format", fmt])
+        sweeps["classify"].append(["classify", "--group", group, "--c", str(c), *question,
+                                   "--format", fmt])
     for group, space, op, based, fmt in itertools.product(
         RATIONAL_GROUPS, RATIONAL_SPACES, RATIONAL_OPS, ([], ["--based"]), ("text", "machine"),
     ):
-        argvs.append(["rational", *group, *space, *op, *based, "--format", fmt])
+        sweeps["rational"].append(["rational", *group, *space, *op, *based, "--format", fmt])
     for t, c, m, flags, fmt in itertools.product(
         ("2", "3", "4"), MOORE_C, (1, 2, 3), MOORE_FLAGS, ("text", "machine"),
     ):
-        argvs.append(["moore", "--c", str(c), "--m", str(m), *flags, "--suspension", t,
-                      "--format", fmt])
+        sweeps["moore"].append(["moore", "--c", str(c), "--m", str(m), *flags, "--suspension", t,
+                                "--format", fmt])
     for (group, p), fmt in itertools.product(_edge_groups(), ("text", "machine")):
-        argvs += [_exponent_argv(group, p, p, route, fmt) for route in EXPONENT_ROUTES]
+        sweeps["edges"] += [_exponent_argv(group, p, p, route, fmt) for route in EXPONENT_ROUTES]
         for question in ([], ["--trivial", "--p", str(p)], ["--same-type", "1", "2"]):
-            argvs.append(["classify", "--group", group, "--c", str(p), "--moore", *question,
-                          "--format", fmt])
-    unique = dict.fromkeys(tuple(argv) for argv in argvs)  # first occurrence, in order
-    return [list(argv) for argv in unique]
+            sweeps["edges"].append(["classify", "--group", group, "--c", str(p), "--moore",
+                                    *question, "--format", fmt])
+    seen = set()
+    for name, argvs in sweeps.items():
+        # first occurrence, in order
+        unique = dict.fromkeys(tuple(argv) for argv in argvs if tuple(argv) not in seen)
+        seen.update(unique)
+        sweeps[name] = [list(argv) for argv in unique]
+    return sweeps
+
+
+def _argv_list() -> list[list[str]]:
+    return [argv for argvs in _sweeps().values() for argv in argvs]
 
 
 def _child(src: str) -> None:
@@ -293,11 +322,43 @@ def main(other: str, expect: str | None = None) -> int:
     return code
 
 
+def _digest() -> dict[str, str]:
+    """Sweep name -> 'argv count, SHA-256' for this checkout: the hash is of
+    the JSON list of [argv, [exit code, stdout, stderr]] over the sweep."""
+    sweeps = _sweeps()
+    results = iter(_run(ROOT / "src", json.dumps([a for argvs in sweeps.values() for a in argvs])))
+    lines = {}
+    for name, argvs in sweeps.items():
+        pairs = json.dumps([[argv, next(results)] for argv in argvs])
+        lines[name] = f"{len(argvs)} {hashlib.sha256(pairs.encode()).hexdigest()}"
+    return lines
+
+
+def digest(path: str, check: bool) -> int:
+    """Write this checkout's digest to path, one 'name count sha256' line per
+    sweep, or (check) name each sweep whose line differs from path's, and
+    exit 1 if any does."""
+    ours = _digest()
+    if not check:
+        text = "".join(f"{name} {line}\n" for name, line in ours.items())
+        Path(path).write_text(text, encoding="utf-8")
+        return 0
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    committed = dict(line.split(" ", 1) for line in lines if line.strip())
+    changed = [n for n in dict.fromkeys([*committed, *ours]) if committed.get(n) != ours.get(n)]
+    for name in changed:
+        print(f"changed: {name}: {committed.get(name, 'absent')} -> {ours.get(name, 'absent')}")
+    print(f"{len(changed)} of {len(ours)} sweeps changed")
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         _child(sys.argv[2])
     elif len(sys.argv) == 2:
         sys.exit(main(sys.argv[1]))
+    elif len(sys.argv) == 3 and sys.argv[1] in ("--digest", "--check"):
+        sys.exit(digest(sys.argv[2], check=sys.argv[1] == "--check"))
     elif len(sys.argv) == 4 and sys.argv[2] == "--expect":
         sys.exit(main(sys.argv[1], sys.argv[3]))
     else:
